@@ -16,6 +16,10 @@ decisions are substituted into the tables), a single chain explores only the
 component it starts in.  Stage cells fix the variables the decision depends
 on, which is what keeps desk-scale stage chains connected.
 
+Each variable's full conditionals are tabulated per cell, one inverse-CDF
+row per state of the other free variables it shares a factor with, so an
+update is an index computation and a bisection.
+
 Reproducibility is strict: a given seed yields a bit-identical estimate.
 """
 
@@ -23,8 +27,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -109,6 +114,89 @@ class _CompiledFactor:
         return self.flat[off]
 
 
+def _cdf(weights: list[float]) -> tuple[list[int], list[float], float]:
+    """Inverse-CDF table of one draw restricted to the positive weights.
+
+    Returns the positive support with its last value repeated once, the
+    running sums of the positive weights and the total of all weights, each
+    summed in list order.  `support[bisect_right(cumulative, u * total)]` is
+    then the first positive value whose running sum exceeds `u * total`, or
+    the last positive value when rounding leaves `u * total` past every sum.
+    """
+    total = 0.0
+    for w in weights:
+        total += w
+    if total <= 0.0:
+        raise AllZeroSupport("all candidate values have factor product zero")
+    support: list[int] = []
+    cumulative: list[float] = []
+    acc = 0.0
+    for j, w in enumerate(weights):
+        if w > 0.0:
+            acc += w
+            support.append(j)
+            cumulative.append(acc)
+    support.append(support[-1])
+    return support, cumulative, total
+
+
+class _SiteTable(dict):
+    """The full conditionals of one free variable, as `_cdf` rows keyed by
+    the mixed-radix index of the state of its free Markov blanket: the other
+    free slots of its probability factors (fixed variables are already in
+    the factors' base offsets).
+
+    A row is built the first time a chain visits its blanket state, so the
+    table holds no more rows than the chain has visited, and a blanket state
+    whose weights are all zero raises AllZeroSupport only when visited."""
+
+    __slots__ = ("slot", "size", "factors", "blanket")
+
+    def __init__(
+        self,
+        slot: int,
+        factors: list[tuple[_CompiledFactor, int]],
+        sizes: tuple[int, ...],
+    ):
+        super().__init__()
+        self.slot = slot
+        self.size = sizes[slot]
+        self.factors = factors
+        others = sorted({s for cf, _ in factors for s, _ in cf.free_pairs if s != slot})
+        radix = 1
+        blanket = []
+        for s in others:
+            blanket.append((s, radix, sizes[s]))
+            radix *= sizes[s]
+        self.blanket = tuple(blanket)
+
+    def weights(self, state: Mapping[int, int]) -> list[float]:
+        """Weights of every value of the variable given `state[s]` for each
+        blanket slot `s`: the product of its factors, in stage factor order."""
+        slot, size = self.slot, self.size
+        weights: list[float] | None = None
+        for cf, stride in self.factors:
+            off = cf.base
+            for s, st in cf.free_pairs:
+                if s != slot:
+                    off += st * state[s]
+            flat = cf.flat
+            if weights is None:
+                weights = [flat[off + stride * j] for j in range(size)]
+            else:
+                for j in range(size):
+                    weights[j] *= flat[off + stride * j]
+        if weights is None:
+            # no probability factor contains the variable: uniform over frame
+            weights = [1.0] * size
+        return weights
+
+    def __missing__(self, index: int) -> tuple[list[int], list[float], float]:
+        row = _cdf(self.weights({s: index // r % n for s, r, n in self.blanket}))
+        self[index] = row
+        return row
+
+
 class _CompiledCell:
     """Stage factors compiled against one fixed configuration."""
 
@@ -143,14 +231,16 @@ class _CompiledCell:
         # resolve fixed labels to indices lazily per factor scope (frames live
         # on the factors themselves)
         prob = []
-        self.per_var: list[list[tuple[_CompiledFactor, int]]] = [[] for _ in self.free]
+        per_var: list[list[tuple[_CompiledFactor, int]]] = [[] for _ in self.free]
         for f in [sf.factor for sf in ctx.factors if sf.role != ROLE_VALUE]:
             cf = self._compile(f, slot_of)
             prob.append(cf)
             for var, stride in zip(f.scope, self._strides(f)):
                 if var in slot_of and slot_of[var] < len(self.free):
-                    self.per_var[slot_of[var]].append((cf, stride))
+                    per_var[slot_of[var]].append((cf, stride))
         self.prob_factors = prob
+        tables = [_SiteTable(slot, factors, self.sizes) for slot, factors in enumerate(per_var)]
+        self.sites = tuple((t.slot, t, t.blanket) for t in tables)
         # no probability factor couples two free sites: every site's full
         # conditional is fixed by the cell, so successive sweeps are i.i.d.
         self.iid = all(len(cf.free_pairs) <= 1 for cf in prob)
@@ -186,107 +276,33 @@ class _CompiledCell:
 
     # -- core moves --------------------------------------------------------
 
-    def conditional_weights(self, slot: int, state: list[int]) -> list[float]:
-        size = self.sizes[slot]
-        weights: list[float] | None = None
-        for cf, stride in self.per_var[slot]:
-            off = cf.base
-            for s, st in cf.free_pairs:
-                if s != slot:
-                    off += st * state[s]
-            flat = cf.flat
-            if weights is None:
-                weights = [flat[off + stride * j] for j in range(size)]
-            else:
-                for j in range(size):
-                    weights[j] *= flat[off + stride * j]
-        if weights is None:
-            # no probability factor contains the variable: uniform over frame
-            weights = [1.0] * size
-        return weights
+    def run(
+        self, state: list[int], uniforms: list[float], keep: Sequence[bool], kept: list[float]
+    ) -> None:
+        """One scan over the free variables in model order per entry of
+        `keep`, consuming one uniform per variable; after each scan whose
+        entry is true, appends the value factor at the state to `kept`.
 
-    def site_cdf(self, slot: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """Positive support, cumulative positive weights and weight total of a
-        site of an i.i.d. cell.  The sums run in the order `sweep` adds them,
-        so `u * total` falls in the same interval of the same support."""
-        weights = self.conditional_weights(slot, [0] * len(self.free))
-        total = 0.0
-        for w in weights:
-            total += w
-        if total <= 0.0:
-            raise AllZeroSupport("all candidate values have factor product zero")
-        support: list[int] = []
-        cumulative: list[float] = []
-        acc = 0.0
-        for j, w in enumerate(weights):
-            if w > 0.0:
-                acc += w
-                support.append(j)
-                cumulative.append(acc)
-        return np.array(support, dtype=np.intp), np.array(cumulative), total
-
-    @staticmethod
-    def pick(weights: list[float], u: float) -> int:
-        total = 0.0
-        for w in weights:
-            total += w
-        if total <= 0.0:
-            raise AllZeroSupport("all candidate values have factor product zero")
-        r = u * total
-        acc = 0.0
-        chosen = -1
-        last_pos = -1
-        for j, w in enumerate(weights):
-            if w > 0.0:
-                acc += w
-                last_pos = j
-                if r < acc:
-                    chosen = j
-                    break
-        return chosen if chosen >= 0 else last_pos
-
-    def sweep(self, state: list[int], uniforms: list[float], offset: int = 0) -> int:
-        """One scan over the free variables; consumes exactly one uniform per
-        variable starting at `offset` and returns the new offset."""
-        per_var = self.per_var
-        sizes = self.sizes
-        for slot in range(len(self.free)):
-            u = uniforms[offset]
-            offset += 1
-            size = sizes[slot]
-            weights: list[float] | None = None
-            for cf, stride in per_var[slot]:
-                off = cf.base
-                for s, st in cf.free_pairs:
-                    if s != slot:
-                        off += st * state[s]
-                flat = cf.flat
-                if weights is None:
-                    weights = [flat[off + stride * j] for j in range(size)]
-                else:
-                    for j in range(size):
-                        weights[j] *= flat[off + stride * j]
-            if weights is None:
-                weights = [1.0] * size
-            # inverse-CDF pick restricted to the positive support
-            total = 0.0
-            for w in weights:
-                total += w
-            if total <= 0.0:
-                raise AllZeroSupport("all candidate values have factor product zero")
-            r = u * total
-            acc = 0.0
-            chosen = -1
-            last_pos = -1
-            for j, w in enumerate(weights):
-                if w > 0.0:
-                    acc += w
-                    last_pos = j
-                    if r < acc:
-                        chosen = j
-                        break
-            state[slot] = chosen if chosen >= 0 else last_pos
-        return offset
+        Each variable draws from the row of its table for the current state
+        of its blanket, the way `_cdf` describes."""
+        sites = self.sites
+        value = self.value
+        uniforms = iter(uniforms)
+        for keep_this in keep:
+            # zip stops at the end of `sites` before taking a uniform
+            for (slot, rows, blanket), u in zip(sites, uniforms):
+                index = 0
+                for s, radix, _ in blanket:
+                    index += radix * state[s]
+                support, cumulative, total = rows[index]
+                state[slot] = support[bisect_right(cumulative, u * total)]
+            if keep_this:
+                if __debug__ and len(kept) % 64 == 0 and self.product_at(state) <= 0.0:
+                    raise AllZeroSupport("chain reached a zero-probability state")
+                off = value.base
+                for s, stride in value.free_pairs:
+                    off += stride * state[s]
+                kept.append(value.flat[off])
 
     def product_at(self, state: list[int]) -> float:
         p = 1.0
@@ -305,8 +321,10 @@ class _CompiledCell:
                 if s != slot:
                     off += st * state[s]
             flat = cf.flat
-            weights = [flat[off + stride * j] for j in range(self.sizes[slot])]
-            state[slot] = self.pick(weights, uniforms[slot])
+            support, cumulative, total = _cdf(
+                [flat[off + stride * j] for j in range(self.sizes[slot])]
+            )
+            state[slot] = support[bisect_right(cumulative, uniforms[slot] * total)]
         return state
 
     def initial_state(self, rng: np.random.Generator) -> list[int]:
@@ -368,7 +386,7 @@ def sweep(
     ints = list(state._ints)
     n = len(cell.free)
     if n:
-        cell.sweep(ints, rng.random(n).tolist(), 0)
+        cell.run(ints, rng.random(n).tolist(), (False,), [])
     return ChainState(
         assignment=cell.labels(ints), fixed=state.fixed, _cell=cell, _ints=tuple(ints)
     )
@@ -395,55 +413,47 @@ def estimate_expectation(
     n_free = len(cell.free)
     cfg = sampler_config
 
-    kept = np.empty(cfg.samples // cfg.thinning, dtype=float)
-    k = 0
     if n_free and cell.iid:
-        k = _iid_chain(cell, rng, cfg, kept)
+        kept = _iid_chain(cell, rng, cfg)
     elif n_free:
         # uniforms are drawn in exact-size blocks, so the stream matches a
         # chain driven by repeated single sweeps with the same seed
-        csweep = cell.sweep
-        value = cell.value
-        thin = cfg.thinning
-        burn = cfg.burn_in
+        burn, thin = cfg.burn_in, cfg.thinning
         total = burn + cfg.samples
         block_sweeps = max(1, 65536 // n_free)
+        values: list[float] = []
         done = 0
         while done < total:
             count = min(block_sweeps, total - done)
-            uniforms = rng.random(count * n_free).tolist()
-            offset = 0
-            for j in range(count):
-                offset = csweep(state, uniforms, offset)
-                i = done + j + 1
-                if i > burn and (i - burn) % thin == 0:
-                    if __debug__ and k % 64 == 0 and cell.product_at(state) <= 0.0:
-                        raise AllZeroSupport("chain reached a zero-probability state")
-                    kept[k] = value.value_at(state)
-                    k += 1
+            keep = [
+                i > burn and (i - burn) % thin == 0 for i in range(done + 1, done + count + 1)
+            ]
+            cell.run(state, rng.random(count * n_free).tolist(), keep, values)
             done += count
+        kept = np.array(values)
     else:
-        kept[:] = cell.value_at(state)
-        k = len(kept)
-    assert k == len(kept)
+        kept = np.full(cfg.samples // cfg.thinning, cell.value_at(state))
     mean = float(kept.mean())
     return Estimate(mean=mean, std_error=_batch_means_se(kept), n=len(kept))
 
 
-def _iid_chain(
-    cell: _CompiledCell, rng: np.random.Generator, cfg: SamplerConfig, kept: np.ndarray
-) -> int:
-    """The sweep chain of an i.i.d. cell, one block of uniforms at a time.
+def _iid_chain(cell: _CompiledCell, rng: np.random.Generator, cfg: SamplerConfig) -> np.ndarray:
+    """The kept values of the sweep chain of an i.i.d. cell, one block of
+    uniforms at a time.
 
-    Each sweep draws every site from its fixed conditional, so a block maps
-    the very uniforms the sweeps would consume through the sites' cumulative
-    weights, for the kept sweeps only.  Returns the number of kept values."""
+    Each sweep draws every site from the single row of its table, so a block
+    maps the very uniforms the sweeps would consume through those rows, for
+    the kept sweeps only."""
     n_free = len(cell.free)
-    cdfs = [cell.site_cdf(slot) for slot in range(n_free)]
+    rows = [
+        (np.array(support), np.array(cumulative), site_total)
+        for support, cumulative, site_total in (table[0] for _, table, _ in cell.sites)
+    ]
     value = cell.value
     flat = np.array(value.flat)
     burn, thin = cfg.burn_in, cfg.thinning
     total = burn + cfg.samples
+    kept = np.empty(cfg.samples // thin, dtype=float)
     block_sweeps = max(1, 65536 // n_free)
     done = k = 0
     while done < total:
@@ -452,10 +462,9 @@ def _iid_chain(
         i = np.arange(done + 1, done + count + 1)
         uniforms = uniforms[(i > burn) & ((i - burn) % thin == 0)]
         states = np.empty(uniforms.shape, dtype=np.intp)
-        for slot, (support, cumulative, site_total) in enumerate(cdfs):
+        for slot, (support, cumulative, site_total) in enumerate(rows):
             pos = np.searchsorted(cumulative, uniforms[:, slot] * site_total, side="right")
-            # past the last sum (rounding): the last positive value, as in sweep
-            states[:, slot] = support[np.minimum(pos, len(support) - 1)]
+            states[:, slot] = support[pos]
         off = np.full(len(states), value.base, dtype=np.intp)
         for slot, stride in value.free_pairs:
             off += stride * states[:, slot]
@@ -467,7 +476,8 @@ def _iid_chain(
                     raise AllZeroSupport("chain reached a zero-probability state")
         k += m
         done += count
-    return k
+    assert k == len(kept)
+    return kept
 
 
 def _batch_means_se(values: np.ndarray) -> float:

@@ -68,12 +68,6 @@ class StagePartition:
     def stage_count(self) -> int:
         return len(self.decisions)
 
-    def block_of(self, var: str) -> int:
-        for i, b in enumerate(self.blocks):
-            if var in b:
-                return i
-        raise UnknownDecision(f"{var!r} is in no block")
-
 
 @dataclass(frozen=True)
 class StageFactor:
@@ -127,11 +121,6 @@ class StageContext:
             if sf.role == ROLE_CHANCE and sf.child == var:
                 return sf.factor
         raise UnknownDecision(f"no chance factor for {var!r} in stage {self.stage}")
-
-    @property
-    def fixed_vars(self) -> tuple[str, ...]:
-        extra = (self.decision,) if self.decision is not None else ()
-        return tuple(sorted(self.dependency_set)) + extra
 
 
 # --------------------------------------------------------------------------

@@ -1,15 +1,19 @@
 import collections
+import itertools
 
 import numpy as np
 import pytest
 
-from irid.errors import IncompleteConfig, InvalidModel, NoPositiveState
+from irid.data import BUNDLED, load_bundled
+from irid.errors import AllZeroSupport, IncompleteConfig, InvalidModel, NoPositiveState
 from irid.gibbs import Estimate, SamplerConfig, estimate_expectation, init_state, sweep
 from irid.graph_ops import (
+    absorb_decision,
     build_stage_context,
     compute_partition,
     moralize,
     relevance_subgraph,
+    remove_barren,
     terminal_stage_context,
 )
 from irid.model import (
@@ -22,6 +26,7 @@ from irid.model import (
     iter_configs,
 )
 from irid.oracle import exact_stage_expectation
+from irid.solver import solve
 
 from model_gen import random_model
 
@@ -264,6 +269,64 @@ def _sweep_chain_estimate(ctx, fixed, cfg):
         state = sweep(state, ctx, rng)
         if i > cfg.burn_in and (i - cfg.burn_in) % cfg.thinning == 0:
             vals.append(ctx.value_factor.evaluate({**state.assignment, **fixed}))
+    return _batch_means_estimate(vals)
+
+
+def _reference_weights(ctx, var, assignment):
+    """Full-conditional weights of `var` over its frame: the product, in
+    `ctx.probability_factors` order, of the factors that contain it, each
+    evaluated on labels; 1.0 for every value when no factor contains it."""
+    weights = []
+    for label in ctx.cpt_of(var).frame_of(var).labels:
+        total = {**assignment, var: label}
+        w = 1.0
+        for f in ctx.probability_factors:
+            if var in f.scope:
+                w *= f.evaluate(total)
+        weights.append(w)
+    return weights
+
+
+def _reference_draw(weights, u):
+    """Inverse-CDF draw over the positive weights: the first positive value
+    whose running sum exceeds `u` times the sum of all weights, or the last
+    positive value when rounding leaves that product past every sum."""
+    total = 0.0
+    for w in weights:
+        total += w
+    if total <= 0.0:
+        raise AllZeroSupport("reference chain reached a zero-total conditional")
+    target = u * total
+    acc = 0.0
+    last = None
+    for j, w in enumerate(weights):
+        if w > 0.0:
+            acc += w
+            last = j
+            if target < acc:
+                return j
+    return last
+
+
+def _reference_chain_estimate(ctx, fixed, cfg):
+    """The estimate of a single-site Gibbs chain that recomputes every full
+    conditional from the factors' labels: it starts at the public
+    `init_state` and then takes one uniform per variable and sweep, in
+    `ctx.free_vars` order, from the same `default_rng(cfg.seed)` stream."""
+    rng = np.random.default_rng(cfg.seed)
+    assignment = {**init_state(ctx, fixed, rng).assignment, **fixed}
+    labels = {v: ctx.cpt_of(v).frame_of(v).labels for v in ctx.free_vars}
+    vals = []
+    for i in range(1, cfg.burn_in + cfg.samples + 1):
+        for var, u in zip(ctx.free_vars, rng.random(len(ctx.free_vars))):
+            j = _reference_draw(_reference_weights(ctx, var, assignment), float(u))
+            assignment[var] = labels[var][j]
+        if i > cfg.burn_in and (i - cfg.burn_in) % cfg.thinning == 0:
+            vals.append(ctx.value_factor.evaluate(assignment))
+    return _batch_means_estimate(vals)
+
+
+def _batch_means_estimate(vals):
     kept = np.array(vals)
     m = len(kept) // 20
     batch_means = kept[: 20 * m].reshape(20, m).mean(axis=1)
@@ -341,6 +404,66 @@ class TestIidCells:
         sampler = SamplerConfig(seed=11, **kwargs)
         est = estimate_expectation(ctx, {"D1": "b"}, ctx.value_factor, sampler)
         assert est == _sweep_chain_estimate(ctx, {"D1": "b"}, sampler)
+
+
+def _coupled_cells(model):
+    """(context, fixed configuration) of every cell the Gibbs solver runs
+    in stages whose free variables share a probability factor, with the
+    exact policies absorbed, and of the terminal chain."""
+    policies = solve(model).policies
+    working = remove_barren(model)
+    cells = []
+    while working.decisions:
+        part = compute_partition(working)
+        ctx = build_stage_context(
+            working, part, moralize(relevance_subgraph(working, part)), part.stage_count
+        )
+        if any(sum(v in ctx.free_vars for v in f.scope) > 1 for f in ctx.probability_factors):
+            deps = sorted(ctx.dependency_set)
+            for cfg in iter_configs(deps, working.frames):
+                fixed = dict(zip(deps, cfg))
+                for alt in working.admissible(ctx.decision, fixed):
+                    cells.append((ctx, {**fixed, ctx.decision: alt}))
+        working = absorb_decision(working, ctx.decision, policies[ctx.decision])
+    return cells + [(terminal_stage_context(working), {})]
+
+
+def _has_zero_total_conditional(ctx, fixed):
+    """Whether some free variable has all-zero weights for some assignment
+    of the other free variables."""
+    free = ctx.free_vars
+    frames = {v: ctx.cpt_of(v).frame_of(v).labels for v in free}
+    for var in free:
+        others = [v for v in free if v != var]
+        for labels in itertools.product(*(frames[v] for v in others)):
+            assignment = {**fixed, **dict(zip(others, labels))}
+            if not any(w > 0.0 for w in _reference_weights(ctx, var, assignment)):
+                return True
+    return False
+
+
+COUPLED_CONFIGS = [
+    pytest.param({"burn_in": 100, "samples": 900}, id="default"),
+    pytest.param({"burn_in": 37, "samples": 901, "thinning": 3}, id="thinned"),
+]
+
+
+class TestCoupledCells:
+    """Cells whose free variables share factors run the table-driven sweep;
+    it must give exactly what a chain recomputing every full conditional
+    from the factors gives, although some of their tables' blanket states
+    have all-zero weights (those raise only if a chain visits them)."""
+
+    @pytest.mark.parametrize("kwargs", COUPLED_CONFIGS)
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_equals_reference_chain(self, name, kwargs):
+        cells = _coupled_cells(load_bundled(name))
+        assert [ctx.stage for ctx, _ in cells] == [1] * 6 + [0]
+        for seed, (ctx, fixed) in enumerate(cells):
+            assert _has_zero_total_conditional(ctx, fixed)
+            sampler = SamplerConfig(seed=seed, **kwargs)
+            est = estimate_expectation(ctx, fixed, ctx.value_factor, sampler)
+            assert est == _reference_chain_estimate(ctx, fixed, sampler), (ctx.stage, fixed)
 
 
 class TestKernelInvariance:
