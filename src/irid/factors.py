@@ -96,14 +96,6 @@ class Factor:
         return float(self.values[tuple(index)])
 
 
-def restrict(factor: Factor, config: Config) -> Factor:
-    return factor.restrict(config)
-
-
-def evaluate(factor: Factor, total_config: Config) -> float:
-    return factor.evaluate(total_config)
-
-
 def full_conditional(
     target_var: str, state: Config, factors: Iterable[Factor]
 ) -> np.ndarray:

@@ -26,7 +26,7 @@ output of every transformation is revalidated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import networkx as nx
 
@@ -94,7 +94,9 @@ class StageContext:
     the value node) that the stage's decision function must range over.
     free_vars are gamma_prime minus the decision, in model order (the Gibbs
     scan order); free_topological is the same set ordered for forward
-    initialization.
+    initialization.  cache holds tables an evaluator derives from the context
+    on first use (the exact backend's elimination tables), so they are freed
+    with the context.
     """
 
     stage: int
@@ -104,6 +106,7 @@ class StageContext:
     factors: tuple[StageFactor, ...]
     free_vars: tuple[str, ...]
     free_topological: tuple[str, ...]
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def probability_factors(self) -> tuple[Factor, ...]:

@@ -148,6 +148,28 @@ def random_model(
     return build_model(nodes, arrow_specs, cpts, constraints, value, objective)
 
 
+def with_point_masses(model: IridModel, rng: np.random.Generator, share: float = 0.4) -> IridModel:
+    """`model` with about `share` of its CPT rows replaced by a random point
+    mass, so that conditioning events of probability zero occur.
+
+    (`allow_zeros` draws binary rows from 16 multinomial trials, which leave
+    a value empty once in 2**15 rows.)
+    """
+    cpts = []
+    for cpt in model.cpts:
+        labels = model.frame(cpt.child).labels
+        rows = {}
+        for cfg, row in cpt.rows.items():
+            if rng.random() < share:
+                hit = labels[int(rng.integers(len(labels)))]
+                row = {lab: float(lab == hit) for lab in labels}
+            rows[cfg] = row
+        cpts.append(Cpt(cpt.child, cpt.parents, rows))
+    return build_model(
+        model.nodes, model.arrows, cpts, model.constraints, model.value, model.objective
+    )
+
+
 def random_policies(model: IridModel, rng: np.random.Generator) -> dict[str, Policy]:
     """One admissible policy per decision, chosen uniformly per cell."""
     out = {}
@@ -159,3 +181,47 @@ def random_policies(model: IridModel, rng: np.random.Generator) -> dict[str, Pol
             table[cfg] = str(rng.choice(allowed))
         out[d] = Policy(d, scope, table)
     return out
+
+
+def chain_tables(n: int, rng: np.random.Generator):
+    """Random (non-dyadic) tables for `chain_model` with `n` chain variables."""
+    p0 = rng.dirichlet([1.0, 1.0])
+    p1 = rng.dirichlet([1.0, 1.0], size=(2, 2))
+    steps = [rng.dirichlet([1.0, 1.0], size=2) for _ in range(n - 1)]
+    values = rng.uniform(-100.0, 100.0, size=(2, 2))
+    return p0, p1, steps, values
+
+
+def chain_model(p0, p1, steps, values) -> IridModel:
+    """Binary chain in the shape of the benchmark's chain workload: `C0`
+    informs `D`; `D -> C1 -> ... -> Cn -> V` with `C0 -> C1`.
+
+    p0[c0] = P(C0), p1[c0, d, c1] = P(C1 | C0, D), steps[i][a, b] =
+    P(C(i+2) = b | C(i+1) = a) and values[d, cn] = V(D, Cn).
+    """
+    binary = Frame(("v0", "v1"))
+    chain = [f"C{i}" for i in range(1, len(steps) + 2)]
+    frames = {v: binary for v in ["C0", *chain]}
+    frames["D"] = Frame(("d0", "d1"))
+    nodes = [NodeSpec("C0", "chance", binary), NodeSpec("D", "decision", frames["D"])]
+    nodes += [NodeSpec(c, "chance", binary) for c in chain]
+    nodes.append(NodeSpec("V", "value"))
+    links = [("C0", "C1"), ("D", "C1"), *zip(chain, chain[1:]), ("D", "V"), (chain[-1], "V")]
+    arrows = [ArrowSpec("C0", "D", "informational")]
+    arrows += [ArrowSpec(a, b, "relevance") for a, b in links]
+
+    def row(p):
+        return dict(zip(binary.labels, map(float, p)))
+
+    cpts = [Cpt("C0", (), {(): row(p0)}),
+            Cpt("C1", ("C0", "D"), {
+                (c, d): row(p1[i, j])
+                for i, c in enumerate(binary.labels)
+                for j, d in enumerate(frames["D"].labels)})]
+    cpts += [Cpt(b, (a,), {(x,): row(t[i]) for i, x in enumerate(binary.labels)})
+             for (a, b), t in zip(zip(chain, chain[1:]), steps)]
+    value = ValueTable(("D", chain[-1]), {
+        (d, x): float(values[j, i])
+        for j, d in enumerate(frames["D"].labels)
+        for i, x in enumerate(binary.labels)})
+    return build_model(tuple(nodes), tuple(arrows), tuple(cpts), (), value)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from irid.errors import AllZeroSupport, IncompleteConfig, UnknownVariable, ValueNotInFrame
-from irid.factors import Factor, evaluate, full_conditional, restrict
+from irid.factors import Factor, full_conditional
 from irid.model import Frame
 
 from model_gen import random_model
@@ -20,34 +20,34 @@ def p_r(wildcatter):
 
 class TestRestrict:
     def test_no_test_forces_no_result(self, p_r):
-        f = restrict(p_r, {"T": "nt"})
+        f = p_r.restrict({"T": "nt"})
         assert f.scope == ("O", "R")
         for o in ("w", "y"):
             row = f.restrict({"O": o}).values
             assert row.tolist() == [0.0, 0.0, 1.0]
 
     def test_empty_config_is_identity(self, p_r):
-        f = restrict(p_r, {})
+        f = p_r.restrict({})
         assert f.scope == p_r.scope
         assert np.array_equal(f.values, p_r.values)
 
     def test_scalar_result(self, p_o):
-        f = restrict(p_o, {"O": "w"})
+        f = p_o.restrict({"O": "w"})
         assert f.scope == ()
         assert float(f.values) == 0.6
 
     def test_rejects_labels_outside_frame(self, p_o):
         with pytest.raises(ValueNotInFrame):
-            restrict(p_o, {"O": "damp"})
+            p_o.restrict({"O": "damp"})
 
     def test_rejects_variables_outside_scope(self, p_o):
         with pytest.raises(UnknownVariable):
-            restrict(p_o, {"Z": "w"})
+            p_o.restrict({"Z": "w"})
 
 
 class TestEvaluate:
     def test_cpt_entry(self, p_r):
-        assert evaluate(p_r, {"T": "t1", "O": "w", "R": "c"}) == 0.8
+        assert p_r.evaluate({"T": "t1", "O": "w", "R": "c"}) == 0.8
 
     def test_one_hot_zero_at_unchosen(self, wildcatter):
         from conftest import constrained_constant_policy
@@ -56,24 +56,24 @@ class TestEvaluate:
         f = policy_to_conditional(
             wildcatter, constrained_constant_policy(wildcatter, "T", "t2")
         )
-        assert evaluate(f, {"B": "$1M", "T": "t1"}) == 0.0
-        assert evaluate(f, {"B": "$1M", "T": "t2"}) == 1.0
+        assert f.evaluate({"B": "$1M", "T": "t1"}) == 0.0
+        assert f.evaluate({"B": "$1M", "T": "t2"}) == 1.0
 
     def test_value_entry(self, wildcatter):
         v = wildcatter.value_factor
-        assert evaluate(v, {"O": "y", "T": "t2", "D": "d"}) == -1050000.0
+        assert v.evaluate({"O": "y", "T": "t2", "D": "d"}) == -1050000.0
 
     def test_extra_assignments_ignored(self, p_o):
-        assert evaluate(p_o, {"O": "w", "B": "$1M"}) == 0.6
+        assert p_o.evaluate({"O": "w", "B": "$1M"}) == 0.6
 
     def test_incomplete_config(self, p_r):
         with pytest.raises(IncompleteConfig):
-            evaluate(p_r, {"T": "t1", "O": "w"})
+            p_r.evaluate({"T": "t1", "O": "w"})
 
     def test_restrict_then_evaluate_commutes(self, p_r):
         total = {"T": "t2", "O": "y", "R": "o"}
-        direct = evaluate(p_r, total)
-        via_restrict = evaluate(restrict(p_r, {"T": "t2"}), total)
+        direct = p_r.evaluate(total)
+        via_restrict = p_r.restrict({"T": "t2"}).evaluate(total)
         assert direct == via_restrict == 0.95
 
 

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
+from irid.data import BUNDLED, load_bundled
 from irid.errors import BudgetExceeded, ZeroNormalizer
-from irid.graph_ops import compute_partition, moralize, relevance_subgraph, build_stage_context
+from irid.graph_ops import (
+    absorb_decision,
+    build_stage_context,
+    compute_partition,
+    moralize,
+    relevance_subgraph,
+    remove_barren,
+    terminal_stage_context,
+)
 from irid.model import (
     ArrowSpec,
     Constraint,
@@ -12,9 +21,11 @@ from irid.model import (
     Policy,
     ValueTable,
     build_model,
+    iter_configs,
 )
 from irid.oracle import (
     EnumerationBudget,
+    enumerate_stage_expectation,
     exact_expectation,
     exact_stage_expectation,
     exhaustive_policy_search,
@@ -22,13 +33,96 @@ from irid.oracle import (
 from irid.solver import SolveOptions, solve
 
 from conftest import constrained_constant_policy
-from model_gen import random_model, random_policies
+from model_gen import (
+    chain_model,
+    chain_tables,
+    random_model,
+    random_policies,
+    with_point_masses,
+)
 
 
 def stage2(wildcatter):
     part = compute_partition(wildcatter)
     moral = moralize(relevance_subgraph(wildcatter, part))
     return build_stage_context(wildcatter, part, moral, 2)
+
+
+def last_stage(model):
+    part = compute_partition(model)
+    moral = moralize(relevance_subgraph(model, part))
+    return build_stage_context(model, part, moral, part.stage_count)
+
+
+def solver_evaluations(model):
+    """Every (stage context, fixed configuration) the exact solver evaluates:
+    each admissible alternative of each dependency cell, stage by stage with
+    the solver's own policies absorbed in between, then the terminal value."""
+    policies = solve(model, SolveOptions(backend="exact")).policies
+    working = remove_barren(model)
+    while working.decisions:
+        ctx = last_stage(working)
+        order = {v: i for i, v in enumerate(working.variables)}
+        dep_vars = sorted(ctx.dependency_set, key=order.__getitem__)
+        for cfg in iter_configs(dep_vars, working.frames):
+            cell = dict(zip(dep_vars, cfg))
+            for alt in working.admissible(ctx.decision, cell):
+                yield ctx, {**cell, ctx.decision: alt}
+        working = absorb_decision(working, ctx.decision, policies[ctx.decision])
+    yield terminal_stage_context(working), {}
+
+
+def outcome(evaluate, ctx, fixed):
+    try:
+        return evaluate(ctx, fixed)
+    except ZeroNormalizer:
+        return None
+
+
+def certify(model, rel):
+    """Compare the elimination tables with the enumeration reference on every
+    solver evaluation, to relative `rel` (0 asks for equality); returns
+    (evaluations, zero-probability ones)."""
+    evaluations = zeros = 0
+    for ctx, fixed in solver_evaluations(model):
+        table = outcome(exact_stage_expectation, ctx, fixed)
+        reference = outcome(enumerate_stage_expectation, ctx, fixed)
+        evaluations += 1
+        assert (table is None) == (reference is None), (ctx.stage, fixed)
+        if reference is None:
+            zeros += 1
+        else:
+            assert abs(table - reference) <= rel * abs(reference), (ctx.stage, fixed)
+    return evaluations, zeros
+
+
+def observed_children_model(n):
+    """D observes n one-valued children Y1..Yn of X; V over (D, X).  X's
+    bucket multiplies P(X), every P(Yi | X) and V."""
+    x, one = Frame(("x0", "x1")), Frame(("y",))
+    ys = [f"Y{i}" for i in range(1, n + 1)]
+    return build_model(
+        nodes=(
+            NodeSpec("X", "chance", x),
+            *(NodeSpec(y, "chance", one) for y in ys),
+            NodeSpec("D", "decision", Frame(("a", "b"))),
+            NodeSpec("V", "value"),
+        ),
+        arrows=(
+            *(ArrowSpec("X", y, "relevance") for y in ys),
+            *(ArrowSpec(y, "D", "informational") for y in ys),
+            ArrowSpec("D", "V", "relevance"),
+            ArrowSpec("X", "V", "relevance"),
+        ),
+        cpts=(
+            Cpt("X", (), {(): {"x0": 0.3, "x1": 0.7}}),
+            *(Cpt(y, ("X",), {("x0",): {"y": 1.0}, ("x1",): {"y": 1.0}}) for y in ys),
+        ),
+        value_table=ValueTable(
+            ("D", "X"),
+            {("a", "x0"): 10.0, ("a", "x1"): 0.0, ("b", "x0"): 1.0, ("b", "x1"): 2.0},
+        ),
+    )
 
 
 class TestExactExpectation:
@@ -99,6 +193,59 @@ class TestExactStageExpectation:
                 {"B": "$2M", "T": "t1", "R": "c", "D": "d"},
                 EnumerationBudget(max_joint_configs=1),
             )
+
+    def test_budget_bounds_the_largest_table(self):
+        ctx = last_stage(chain_model(*chain_tables(40, np.random.default_rng(0))))
+        fixed = {"C0": "v1", "D": "d0"}
+        with pytest.raises(BudgetExceeded):  # 2**40 free configurations
+            enumerate_stage_expectation(ctx, fixed)
+        # the output table, a (numerator, normalizer) pair per (C0, D), has 8
+        # entries; the bucket that sums C1 out spans C0, D, C1 and either a
+        # chain variable or the pair: 16 entries or more in any order
+        small = EnumerationBudget(max_joint_configs=8)
+        with pytest.raises(BudgetExceeded):
+            exact_stage_expectation(ctx, fixed, small)
+        value = exact_stage_expectation(ctx, fixed, EnumerationBudget(max_joint_configs=16))
+        assert value == exact_stage_expectation(ctx, fixed)
+        # tables built under a larger budget still answer to a smaller one
+        with pytest.raises(BudgetExceeded):
+            exact_stage_expectation(ctx, fixed, small)
+
+    def test_bucket_beyond_the_einsum_operand_limit(self):
+        ctx = last_stage(observed_children_model(40))
+        fixed = {f"Y{i}": "y" for i in range(1, 41)} | {"D": "b"}
+        assert exact_stage_expectation(ctx, fixed) == pytest.approx(0.3 * 1.0 + 0.7 * 2.0)
+        assert exact_stage_expectation(ctx, fixed) == enumerate_stage_expectation(ctx, fixed)
+
+    def test_table_beyond_the_einsum_subscripts_is_over_budget(self):
+        ctx = last_stage(observed_children_model(60))
+        fixed = {f"Y{i}": "y" for i in range(1, 61)} | {"D": "b"}
+        with pytest.raises(BudgetExceeded):
+            exact_stage_expectation(ctx, fixed)
+
+
+class TestStageTablesCertificate:
+    """The solver's exact path (bucket-elimination tables) against the
+    per-cell enumeration it replaced."""
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_models(self, name):
+        evaluations, zeros = certify(load_bundled(name), rel=1e-12)
+        assert evaluations > zeros > 0
+
+    def test_random_dyadic_models(self):
+        # 201 models; every third has point-mass rows, whose zeros make some
+        # conditioning events impossible (in 3 of these 67 models)
+        evaluations = zeros = 0
+        for seed in range(201):
+            model = random_model(seed + 500, n_chance=(1, 7), n_decisions=(1, 3))
+            if seed % 3 == 0:
+                model = with_point_masses(model, np.random.default_rng(seed), share=0.6)
+            n, z = certify(model, rel=0.0)
+            evaluations += n
+            zeros += z
+        assert zeros > 0
+        assert evaluations > 1000
 
 
 class TestExhaustivePolicySearch:

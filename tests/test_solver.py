@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from irid.errors import InvalidModel
@@ -27,7 +28,7 @@ from irid.solver import (
     terminal_expected_value,
 )
 
-from model_gen import random_model
+from model_gen import chain_model, chain_tables, random_model
 
 # backward induction on the budget-constrained wildcatter, done by hand:
 # test2 is worth buying only with the big budget; with the small one the
@@ -212,6 +213,72 @@ class TestOptimizeCell:
         )
         sol = solve(m, SolveOptions(backend="exact"))
         assert sol.policies["D1"].table == {(): "a"}
+
+    @pytest.mark.parametrize("objective", ["maximize", "minimize"])
+    def test_designed_tie_over_free_variables_breaks_to_frame_order(self, objective):
+        # a and b give X1 the same non-dyadic row in every cell and V the same
+        # row, so their values tie by construction; X1 and X2 are summed out
+        three = Frame(("x0", "x1", "x2"))
+        x1_rows = {"c0": [0.1, 0.6, 0.3], "c1": [0.7, 0.2, 0.1]}
+        x1_rows = {(c, d): dict(zip(three.labels, p)) for c, p in x1_rows.items()
+                   for d in ("a", "b")}
+        x2_rows = [[0.2, 0.5, 0.3], [0.9, 0.05, 0.05], [1 / 3, 1 / 3, 1 / 3]]
+        v_row = [1.1, -7.3, 3.7]
+        m = build_model(
+            nodes=(
+                NodeSpec("C0", "chance", Frame(("c0", "c1"))),
+                NodeSpec("D", "decision", Frame(("a", "b"))),
+                NodeSpec("X1", "chance", three),
+                NodeSpec("X2", "chance", three),
+                NodeSpec("V", "value"),
+            ),
+            arrows=(
+                ArrowSpec("C0", "D", "informational"),
+                ArrowSpec("C0", "X1", "relevance"),
+                ArrowSpec("D", "X1", "relevance"),
+                ArrowSpec("X1", "X2", "relevance"),
+                ArrowSpec("D", "V", "relevance"),
+                ArrowSpec("X2", "V", "relevance"),
+            ),
+            cpts=(
+                Cpt("C0", (), {(): {"c0": 0.3, "c1": 0.7}}),
+                Cpt("X1", ("C0", "D"), x1_rows),
+                Cpt("X2", ("X1",), {
+                    (x,): dict(zip(three.labels, p)) for x, p in zip(three.labels, x2_rows)
+                }),
+            ),
+            constraints=(),
+            value_table=ValueTable(("D", "X2"), {
+                (d, x): v for d in ("a", "b") for x, v in zip(three.labels, v_row)
+            }),
+            objective=objective,
+        )
+        sol = solve(m, SolveOptions(backend="exact"))
+        assert sol.policies["D"].table == {("c0",): "a", ("c1",): "a"}
+        value = {(d.config, d.alternative): d.value for d in sol.per_cell_diagnostics}
+        for c in ("c0", "c1"):
+            assert value[((("C0", c),), "a")] == value[((("C0", c),), "b")]
+        best, ev = exhaustive_policy_search(m)
+        assert best["D"].table == sol.policies["D"].table
+        assert sol.expected_value == pytest.approx(ev, rel=1e-12)
+
+
+class TestLargeStages:
+    def test_forty_variable_chain(self):
+        # 2**40 free configurations per cell: beyond any enumeration budget
+        p0, p1, steps, values = chain_tables(40, np.random.default_rng(40))
+        sol = solve(chain_model(p0, p1, steps, values), SolveOptions(backend="exact"))
+        ev = np.empty((2, 2))  # (C0, D)
+        for c0 in range(2):
+            for d in range(2):
+                dist = p1[c0, d]
+                for step in steps:
+                    dist = dist @ step
+                ev[c0, d] = dist @ values[d]
+        expected = float(p0 @ ev.max(axis=1))
+        assert sol.expected_value == pytest.approx(expected, rel=1e-12, abs=0.0)
+        picks = {(f"v{c0}",): f"d{int(np.argmax(ev[c0]))}" for c0 in range(2)}
+        assert sol.policies["D"].table == picks
 
 
 class TestTerminalExpectedValue:
