@@ -43,10 +43,9 @@ from .errors import (
     ValueNotInFrame,
     ZeroNormalizer,
 )
-from .factors import Factor, full_conditional
-from .gibbs import ChainState, Estimate, SamplerConfig, estimate_expectation, init_state, sweep
+from .factors import Factor
+from .gibbs import Estimate, SamplerConfig, estimate_expectation
 from .graph_ops import (
-    MoralGraph,
     StageContext,
     StageFactor,
     StagePartition,
@@ -67,7 +66,6 @@ from .model import (
     NodeSpec,
     Policy,
     ValueTable,
-    admissible,
     build_model,
     fix_policies,
     iter_configs,
@@ -89,13 +87,9 @@ from .oracle import (
 )
 from .solver import (
     CellDiagnostic,
-    ExactBackend,
-    GibbsBackend,
     Solution,
     SolveOptions,
-    optimize_cell,
     solve,
-    terminal_expected_value,
 )
 
 __version__ = "0.1.0"

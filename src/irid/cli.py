@@ -7,9 +7,9 @@
     irid compare  <model> [sampler flags]
     irid oracle   <model>
 
-Exit codes: 0 success (for compare: full policy agreement), 1 usage error,
-2 model/validation error, 3 runtime error (budget exceeded, impossible
-conditioning configuration).
+Exit codes: 0 success (for compare: full policy agreement), 1 usage error
+(sampler flags out of range included), 2 model/validation error, 3 runtime
+error (budget exceeded, impossible conditioning configuration).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .errors import (
     AllZeroSupport,
     BudgetExceeded,
     IncompleteConfig,
+    InvalidModel,
     ModelError,
     ModelSyntaxError,
     NoPositiveState,
@@ -81,14 +82,11 @@ def _sampler_flags(p):
 
 
 def run_cli(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        return _dispatch(_build_parser().parse_args(argv))
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    try:
-        return _dispatch(args)
     except _VALIDATION_ERRORS as e:
         field = getattr(e, "field", None)
         loc = f" at {field}" if field else ""
@@ -121,13 +119,15 @@ def _dispatch(args) -> int:
 
 
 def _sampler_from(args) -> SamplerConfig:
-    return SamplerConfig(
-        seed=args.seed, burn_in=args.burn_in, samples=args.samples, thinning=args.thinning
-    )
+    try:
+        return SamplerConfig(
+            seed=args.seed, burn_in=args.burn_in, samples=args.samples, thinning=args.thinning
+        )
+    except InvalidModel as e:  # a bad flag, not a bad model file
+        raise _UsageError(e) from None
 
 
 def _cmd_solve(args) -> int:
-    model = read_model(args.model)
     objective = {"max": "maximize", "min": "minimize", None: None}[args.objective]
     if args.backend == "gibbs":
         options = SolveOptions(
@@ -138,6 +138,7 @@ def _cmd_solve(args) -> int:
         )
     else:
         options = SolveOptions(backend="exact", objective_override=objective)
+    model = read_model(args.model)
     solution = solve(model, options)
     with open(args.out, "wb") as fh:
         fh.write(serialize_solution(solution))
@@ -150,14 +151,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    gibbs_options = SolveOptions(
+        backend="gibbs", sampler=_sampler_from(args), common_random_numbers=args.crn
+    )
     model = read_model(args.model)
     exact_solution = solve(model, SolveOptions(backend="exact"))
-    gibbs_solution = solve(
-        model,
-        SolveOptions(
-            backend="gibbs", sampler=_sampler_from(args), common_random_numbers=args.crn
-        ),
-    )
+    gibbs_solution = solve(model, gibbs_options)
     exact_by_key = {
         (d.stage, d.decision, d.config, d.alternative): d
         for d in exact_solution.per_cell_diagnostics

@@ -2,8 +2,8 @@
 
 A Factor is a real-valued table over an ordered scope of variables, stored
 row-major in frame order.  Factors carry chance conditionals, zero-one policy
-conditionals, value tables, and the Gibbs full conditionals built from them.
-All operations are pure; factors are immutable and safe to share.
+conditionals and value tables.  All operations are pure; factors are immutable
+and safe to share.
 
 Tables here are desk-scale (tens of entries), so everything is plain dense
 double arithmetic: no sparsity, no log-space.
@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import AllZeroSupport, IncompleteConfig, UnknownVariable, ValueNotInFrame
+from .errors import IncompleteConfig, UnknownVariable
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import Frame
@@ -64,28 +64,6 @@ class Factor:
         except ValueError:
             raise UnknownVariable(f"{var!r} not in factor scope {self.scope}") from None
 
-    def restrict(self, config: Config) -> "Factor":
-        """Slice the table at the assignments in `config`.
-
-        `config` may only mention scope variables; the result ranges over the
-        remaining ones (possibly a scalar factor with empty scope).
-        """
-        for v in config:
-            if v not in self.scope:
-                raise UnknownVariable(f"restrict: {v!r} not in scope {self.scope}")
-        index = []
-        keep_scope = []
-        keep_frames = []
-        for v, fr in zip(self.scope, self.frames):
-            if v in config:
-                index.append(fr.index(config[v]))
-            else:
-                index.append(slice(None))
-                keep_scope.append(v)
-                keep_frames.append(fr)
-        sliced = self.values[tuple(index)]
-        return Factor(tuple(keep_scope), tuple(keep_frames), np.asarray(sliced, dtype=float))
-
     def evaluate(self, config: Config) -> float:
         """Entry at a total configuration; extra assignments are ignored."""
         index = []
@@ -95,40 +73,3 @@ class Factor:
             index.append(fr.index(config[v]))
         return float(self.values[tuple(index)])
 
-
-def full_conditional(
-    target_var: str, state: Config, factors: Iterable[Factor]
-) -> np.ndarray:
-    """Distribution of one variable given all others, for Gibbs updates.
-
-    Proportional to the product, over the factors whose scope contains
-    `target_var`, of the factor evaluated at `state` with the target replaced
-    by each candidate value.  Normalized over the positive support; raises
-    AllZeroSupport when every candidate has product zero (the chain state
-    contradicts the factors).
-    """
-    relevant = [f for f in factors if target_var in f.scope]
-    if not relevant:
-        raise UnknownVariable(f"no factor contains {target_var!r}")
-    frame = relevant[0].frame_of(target_var)
-    vec = np.ones(len(frame), dtype=float)
-    for f in relevant:
-        others = {}
-        for v in f.scope:
-            if v == target_var:
-                continue
-            if v not in state:
-                raise IncompleteConfig(f"full_conditional: no value for {v!r}")
-            others[v] = state[v]
-        sliced = f.restrict(others)
-        if sliced.frame_of(target_var) is not frame and sliced.frames[0].labels != frame.labels:
-            raise ValueNotInFrame(
-                f"factors disagree on the frame of {target_var!r}"
-            )
-        vec *= sliced.values
-    if np.any(vec < 0):
-        raise ValueError("full_conditional applied to a negative-valued factor")
-    total = vec.sum()
-    if total == 0.0:
-        raise AllZeroSupport(f"all candidate values of {target_var!r} have product zero")
-    return vec / total

@@ -11,10 +11,12 @@ conditional never proposes a zero-probability value, and initialization
 forward-samples a positive-probability state (raising NoPositiveState when the
 fixed configuration admits none).  Support restriction does not repair
 reducibility: if table zeros split the positive support into disconnected
-components (this can happen in the terminal, nothing-fixed chain after solved
-decisions are substituted into the tables), a single chain explores only the
-component it starts in.  Stage cells fix the variables the decision depends
-on, which is what keeps desk-scale stage chains connected.
+components, a single chain explores only the component it starts in and
+reports a small standard error around a wrong value.  Substituting solved
+decisions into the tables puts such zeros in, so this happens in stage cells
+of the bundled models as well as in the terminal, nothing-fixed chain:
+fixing the decision's dependency set does not keep a chain connected.  The
+exact backend does not have this failure.
 
 Each variable's full conditionals are tabulated per cell, one inverse-CDF
 row per state of the other free variables it shares a factor with, so an

@@ -46,9 +46,6 @@ from .model import (
     validate_policy,
 )
 
-#: undirected view with co-parents married; plain networkx graph
-MoralGraph = nx.Graph
-
 #: roles a stage factor can play
 ROLE_CHANCE = "chance"
 ROLE_DECISION = "decision"
@@ -189,7 +186,7 @@ def compute_partition(model: IridModel) -> StagePartition:
     )
 
 
-def relevance_subgraph(model: IridModel, partition: StagePartition | None = None) -> nx.DiGraph:
+def relevance_subgraph(model: IridModel) -> nx.DiGraph:
     """The directed graph with informational arrows dropped.
 
     Relevance arrows into decisions (from their constraint scopes) stay: they
@@ -364,17 +361,16 @@ def absorb_decision(model: IridModel, decision: str, policy: Policy) -> IridMode
     )
 
 
-def _composed_parents(old_parents: tuple[str, ...], decision: str, policy: Policy):
-    kept = [p for p in old_parents if p != decision]
-    merged = list(kept)
+def _composed_parents(old_parents: tuple[str, ...], policy: Policy) -> tuple[str, ...]:
+    merged = [p for p in old_parents if p != policy.decision]
     for s in policy.scope:
         if s not in merged:
             merged.append(s)
-    return tuple(kept), tuple(merged)
+    return tuple(merged)
 
 
 def _compose_cpt(model: IridModel, cpt: Cpt, policy: Policy) -> Cpt:
-    kept, merged = _composed_parents(cpt.parents, policy.decision, policy)
+    merged = _composed_parents(cpt.parents, policy)
     rows = {}
     for cfg in iter_configs(merged, model.frames):
         assign = dict(zip(merged, cfg))
@@ -385,7 +381,7 @@ def _compose_cpt(model: IridModel, cpt: Cpt, policy: Policy) -> Cpt:
 
 
 def _compose_value(model: IridModel, vt: ValueTable, policy: Policy) -> ValueTable:
-    kept, merged = _composed_parents(vt.parents, policy.decision, policy)
+    merged = _composed_parents(vt.parents, policy)
     cells = {}
     for cfg in iter_configs(merged, model.frames):
         assign = dict(zip(merged, cfg))

@@ -635,11 +635,6 @@ def _validate_value_table(
 # operations
 
 
-def admissible(model: IridModel, decision: str, parent_config: Config) -> tuple[str, ...]:
-    """Alternatives permitted for `decision` under `parent_config` (never empty)."""
-    return model.admissible(decision, parent_config)
-
-
 def validate_policy(model: IridModel, policy: Policy) -> None:
     """Raise unless `policy` is a total, constraint-respecting decision function."""
     if policy.decision not in model.variables or model.kind(policy.decision) != DECISION:

@@ -1,12 +1,14 @@
 """Backward dynamic programming over decision stages.
 
 Stages are solved last decision first.  For each configuration of the
-variables the stage's decision depends on, the conditional expectation of the
-value node is evaluated for every admissible alternative (exactly, or by Gibbs
-sampling), the best one is chosen (ties to frame order), and the solved
-decision function is absorbed into the diagram before the next stage.  After
-the first decision is absorbed the remaining chance-only network yields the
-terminal expected value.
+variables the stage's decision depends on, `_evaluate` gives the conditional
+expectation of the value node for every admissible alternative: exactly
+(`oracle.exact_stage_expectation`), or by Gibbs sampling
+(`gibbs.estimate_expectation`) with a seed derived from (stage, cell,
+alternative).  The best alternative is chosen (ties to frame order), and the
+solved decision function is absorbed into the diagram before the next stage.
+After the first decision is absorbed, `_evaluate` on the remaining
+chance-only network gives the terminal expected value.
 
 Cells whose conditioning event has probability zero cannot be ranked: Eq-style
 conditional expectations are undefined there.  They still get a deterministic
@@ -15,8 +17,8 @@ choice (first admissible alternative) and are flagged in the diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Mapping
 
 import numpy as np
 
@@ -83,122 +85,33 @@ class Solution:
     expected_value_n: int | None = None
 
 
-class ExactBackend:
-    """Evaluates stage cells by normalized enumeration over the free variables."""
-
-    name = BACKEND_EXACT
-
-    def __init__(self, budget: oracle.EnumerationBudget = oracle.DEFAULT_BUDGET):
-        self.budget = budget
-
-    def evaluate(self, ctx: StageContext, fixed: Mapping[str, str], cell_key=None):
-        value = oracle.exact_stage_expectation(ctx, fixed, self.budget)
-        return value, None, None
-
-
-class GibbsBackend:
-    """Evaluates stage cells by seeded Gibbs estimation.
-
-    Each (stage, cell, alternative) derives its own seed from the base seed,
-    so cells are independent and reproducible regardless of evaluation order.
-    With common random numbers, alternatives of the same cell share a seed
-    stream, which sharpens their comparison at the cost of coupling them.
-    """
-
-    name = BACKEND_GIBBS
-
-    def __init__(self, sampler: SamplerConfig, common_random_numbers: bool = False):
-        self.sampler = sampler
-        self.crn = common_random_numbers
-
-    def derived_seed(self, stage: int, cell_index: int, alt_index: int) -> int:
-        if self.crn:
-            alt_index = 0
-        ss = np.random.SeedSequence(
-            entropy=self.sampler.seed & ((1 << 64) - 1),
-            spawn_key=(stage, cell_index, alt_index),
-        )
-        return int(ss.generate_state(1, np.uint64)[0])
-
-    def evaluate(self, ctx: StageContext, fixed: Mapping[str, str], cell_key=(0, 0, 0)):
-        stage, cell_index, alt_index = cell_key
-        cfg = SamplerConfig(
-            seed=self.derived_seed(stage, cell_index, alt_index),
-            burn_in=self.sampler.burn_in,
-            samples=self.sampler.samples,
-            thinning=self.sampler.thinning,
-        )
-        value_factor = ctx.value_factor
-        if value_factor is None:
-            raise InvalidModel("stage context has no value factor")
-        est = gibbs.estimate_expectation(ctx, fixed, value_factor, cfg)
-        return est.mean, est.std_error, est.n
-
-
-def _make_backend(options: SolveOptions):
-    if options.backend == BACKEND_EXACT:
-        return ExactBackend()
-    return GibbsBackend(options.sampler, options.common_random_numbers)
-
-
-def optimize_cell(
-    stage_context: StageContext,
-    predecessor_config: Mapping[str, str],
-    admissible_set: Sequence[str],
-    backend,
-    cell_index: int = 0,
-    objective: str = MAXIMIZE,
-) -> tuple[str, float | None]:
-    """Pick the best admissible alternative for one predecessor configuration.
-
-    Only admissible alternatives are evaluated.  Alternatives whose
-    conditioning event has probability zero are excluded from the comparison;
-    when every alternative is excluded the first admissible one is returned
-    with value None.  Exact ties go to the earliest alternative in frame
-    order.
-    """
-    alt, value, _diags = _optimize_cell_impl(
-        stage_context, predecessor_config, admissible_set, backend, cell_index, objective
+def _cell_seed(sampler: SamplerConfig, crn: bool, key: tuple[int, int, int]) -> int:
+    """Seed of one (stage, cell, alternative): cells are independent and
+    reproducible in any evaluation order.  With common random numbers the
+    alternatives of a cell share a stream, which sharpens their comparison at
+    the cost of coupling them."""
+    stage, cell_index, alt_index = key
+    ss = np.random.SeedSequence(
+        entropy=sampler.seed & ((1 << 64) - 1),
+        spawn_key=(stage, cell_index, 0 if crn else alt_index),
     )
-    return alt, value
+    return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _optimize_cell_impl(
+def _evaluate(
     ctx: StageContext,
-    predecessor_config: Mapping[str, str],
-    admissible_set: Sequence[str],
-    backend,
-    cell_index: int,
-    objective: str,
-):
-    if not admissible_set:
-        raise InvalidModel("admissible set is empty")  # unreachable on validated models
-    decision = ctx.decision
-    results: list[tuple[str, float | None, float | None, int | None]] = []
-    for alt_index, alt in enumerate(admissible_set):
-        fixed = dict(predecessor_config)
-        fixed[decision] = alt
-        try:
-            value, se, n = backend.evaluate(
-                ctx, fixed, cell_key=(ctx.stage, cell_index, alt_index)
-            )
-        except (ZeroNormalizer, NoPositiveState):
-            results.append((alt, None, None, None))
-            continue
-        results.append((alt, value, se, n))
-
-    best_alt = None
-    best_value = None
-    for alt, value, _se, _n in results:
-        if value is None:
-            continue
-        if best_value is None or (
-            value > best_value if objective == MAXIMIZE else value < best_value
-        ):
-            best_alt, best_value = alt, value
-    if best_alt is None:
-        best_alt = admissible_set[0]
-    return best_alt, best_value, results
+    fixed: Mapping[str, str],
+    options: SolveOptions,
+    key: tuple[int, int, int] = (0, 0, 0),
+) -> tuple[float, float | None, int | None]:
+    """(value, standard error, sample count) of the value node's conditional
+    expectation at `fixed`; the exact backend reports no error or count."""
+    if options.backend == BACKEND_EXACT:
+        return oracle.exact_stage_expectation(ctx, fixed), None, None
+    sampler = options.sampler
+    cfg = replace(sampler, seed=_cell_seed(sampler, options.common_random_numbers, key))
+    est = gibbs.estimate_expectation(ctx, fixed, ctx.value_factor, cfg)
+    return est.mean, est.std_error, est.n
 
 
 def solve(model: IridModel, options: SolveOptions = SolveOptions()) -> Solution:
@@ -206,7 +119,6 @@ def solve(model: IridModel, options: SolveOptions = SolveOptions()) -> Solution:
     the terminal expected value, and per-cell diagnostics."""
     from .modelfile import model_content_hash
 
-    backend = _make_backend(options)
     objective = options.objective_override or model.objective
     original_decisions = model.decisions
 
@@ -223,7 +135,7 @@ def solve(model: IridModel, options: SolveOptions = SolveOptions()) -> Solution:
     while working.decisions:
         partition = compute_partition(working)
         stage = partition.stage_count
-        moral = moralize(relevance_subgraph(working, partition))
+        moral = moralize(relevance_subgraph(working))
         ctx = build_stage_context(working, partition, moral, stage)
         decision = ctx.decision
         order = {v: i for i, v in enumerate(working.variables)}
@@ -233,22 +145,34 @@ def solve(model: IridModel, options: SolveOptions = SolveOptions()) -> Solution:
         for cell_index, dep_cfg in enumerate(iter_configs(dep_vars, working.frames)):
             cfg_map = dict(zip(dep_vars, dep_cfg))
             adm = working.admissible(decision, cfg_map)
-            alt, value, results = _optimize_cell_impl(
-                ctx, cfg_map, adm, backend, cell_index, objective
-            )
-            zero_cell = all(v is None for _, v, _, _ in results)
+            # (alternative, value, SE, n); value None where the alternative's
+            # conditioning event has probability zero
+            results = []
+            for alt_index, a in enumerate(adm):
+                try:
+                    v, se, n = _evaluate(
+                        ctx, {**cfg_map, decision: a}, options, (stage, cell_index, alt_index)
+                    )
+                except (ZeroNormalizer, NoPositiveState):
+                    v = se = n = None
+                results.append((a, v, se, n))
+            # max and min keep the first of equal values: ties go to frame order
+            ranked = [r for r in results if r[1] is not None]
+            pick = max if objective == MAXIMIZE else min
+            alt = pick(ranked, key=lambda r: r[1])[0] if ranked else adm[0]
+            config = tuple(zip(dep_vars, dep_cfg))
             for a, v, se, n in results:
                 diagnostics.append(
                     CellDiagnostic(
                         stage=stage,
                         decision=decision,
-                        config=tuple(zip(dep_vars, dep_cfg)),
+                        config=config,
                         alternative=a,
                         value=v,
                         std_error=se,
                         n=n,
                         chosen=a == alt,
-                        zero_probability=zero_cell,
+                        zero_probability=not ranked,
                     )
                 )
             choices[dep_cfg] = alt
@@ -256,34 +180,19 @@ def solve(model: IridModel, options: SolveOptions = SolveOptions()) -> Solution:
         policies[decision] = _materialize_policy(working, decision, dep_vars, choices)
         working = absorb_decision(working, decision, policies[decision])
 
-    ev, ev_se, ev_n = _terminal_value(working, backend)
+    ev, ev_se, ev_n = _evaluate(terminal_stage_context(working), {}, options)
     ordered_policies = {d: policies[d] for d in original_decisions}
     return Solution(
         policies=ordered_policies,
         expected_value=ev,
         per_cell_diagnostics=tuple(diagnostics),
-        backend_used=backend.name,
+        backend_used=options.backend,
         objective=objective,
         sampler=options.sampler,
         model_hash=model_content_hash(model),
         expected_value_std_error=ev_se,
         expected_value_n=ev_n,
     )
-
-
-def terminal_expected_value(model: IridModel, backend) -> float:
-    """Expected value of a model whose decisions have all been absorbed."""
-    value, _se, _n = _terminal_value(model, backend)
-    return value
-
-
-def _terminal_value(model: IridModel, backend):
-    if model.decisions:
-        raise InvalidModel("terminal expectation requires all decisions absorbed")
-    ctx = terminal_stage_context(model)
-    if isinstance(backend, ExactBackend):
-        return backend.evaluate(ctx, {})
-    return backend.evaluate(ctx, {}, cell_key=(0, 0, 0))
 
 
 def _default_policy(model: IridModel, decision: str) -> Policy:

@@ -22,6 +22,7 @@ from irid.graph_ops import (
     moralize,
     relevance_subgraph,
     remove_barren,
+    terminal_stage_context,
 )
 from irid.model import build_model, iter_configs, policy_to_conditional
 from irid.oracle import (
@@ -30,7 +31,7 @@ from irid.oracle import (
     exact_stage_expectation,
     exhaustive_policy_search,
 )
-from irid.solver import ExactBackend, SolveOptions, solve, terminal_expected_value
+from irid.solver import SolveOptions, solve
 
 from conftest import constrained_constant_policy
 from model_gen import random_model, random_policies
@@ -50,7 +51,7 @@ def criterion(num, description):
 
 def stage2_ctx(model):
     part = compute_partition(model)
-    return build_stage_context(model, part, moralize(relevance_subgraph(model, part)), 2)
+    return build_stage_context(model, part, moralize(relevance_subgraph(model)), 2)
 
 
 def stage2_cells(model):
@@ -83,7 +84,7 @@ def test_criterion_01_structural_reproduction(wildcatter):
             frozenset({"D", "O"}),
         )
         ctx = build_stage_context(
-            wildcatter, part, moralize(relevance_subgraph(wildcatter, part)), 2
+            wildcatter, part, moralize(relevance_subgraph(wildcatter)), 2
         )
         assert ctx.dependency_set == frozenset({"T", "R", "B"})
         tags = {(sf.role, sf.child) for sf in ctx.factors if sf.role != "value"}
@@ -244,7 +245,8 @@ def test_criterion_09_invariant_suites(wildcatter):
             reduced = m
             for d in reversed(reduced.decisions):
                 reduced = absorb_decision(reduced, d, policies[d])
-            assert abs(terminal_expected_value(reduced, ExactBackend()) - direct) <= 1e-9
+            composed = exact_stage_expectation(terminal_stage_context(reduced), {})
+            assert abs(composed - direct) <= 1e-9
 
         # positive affine value transforms leave the chosen policies alone
         from irid.model import ValueTable

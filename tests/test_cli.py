@@ -71,6 +71,18 @@ class TestUsageErrors:
         out = str(tmp_path / "s.json")
         assert run_cli(["solve", wildcatter_file, "--backend", "magic", "--out", out]) == 1
 
+    @pytest.mark.parametrize(
+        "flag", [("--samples", "0"), ("--thinning", "0"), ("--burn-in", "-1")]
+    )
+    def test_bad_sampler_flag(self, wildcatter_file, tmp_path, capsys, flag):
+        out = tmp_path / "s.json"
+        argv = ["solve", wildcatter_file, "--backend", "gibbs", *flag, "--out", str(out)]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists()
+        assert run_cli(["compare", wildcatter_file, *flag]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+
 
 class TestSolve:
     def test_exact_solve_writes_solution(self, wildcatter_file, tmp_path, capsys):
@@ -177,3 +189,20 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "OK"
+
+
+class TestReadme:
+    def test_library_example_runs(self, capsys):
+        """The `python` block under "Library use" in README.md prints what
+        its comments say."""
+        readme = (REPO_ROOT / "README.md").read_text()
+        section = readme.split("## Library use", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        expected = [
+            line.split("#", 1)[1].strip()
+            for line in code.splitlines()
+            if line.startswith("print(")
+        ]
+        assert expected[0] == "334750.0"
+        exec(compile(code, "README.md", "exec"), {})
+        assert capsys.readouterr().out.splitlines() == expected

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from irid.errors import AllZeroSupport, IncompleteConfig, UnknownVariable, ValueNotInFrame
-from irid.factors import Factor, full_conditional
+from irid.errors import AllZeroSupport, IncompleteConfig
+from irid.factors import Factor
+from irid.gibbs import _CompiledCell
+from irid.graph_ops import (
+    build_stage_context,
+    compute_partition,
+    moralize,
+    relevance_subgraph,
+    terminal_stage_context,
+)
 from irid.model import Frame
 
 from model_gen import random_model
@@ -16,33 +24,6 @@ def p_o(wildcatter):
 @pytest.fixture
 def p_r(wildcatter):
     return wildcatter.cpt_factor("R")
-
-
-class TestRestrict:
-    def test_no_test_forces_no_result(self, p_r):
-        f = p_r.restrict({"T": "nt"})
-        assert f.scope == ("O", "R")
-        for o in ("w", "y"):
-            row = f.restrict({"O": o}).values
-            assert row.tolist() == [0.0, 0.0, 1.0]
-
-    def test_empty_config_is_identity(self, p_r):
-        f = p_r.restrict({})
-        assert f.scope == p_r.scope
-        assert np.array_equal(f.values, p_r.values)
-
-    def test_scalar_result(self, p_o):
-        f = p_o.restrict({"O": "w"})
-        assert f.scope == ()
-        assert float(f.values) == 0.6
-
-    def test_rejects_labels_outside_frame(self, p_o):
-        with pytest.raises(ValueNotInFrame):
-            p_o.restrict({"O": "damp"})
-
-    def test_rejects_variables_outside_scope(self, p_o):
-        with pytest.raises(UnknownVariable):
-            p_o.restrict({"Z": "w"})
 
 
 class TestEvaluate:
@@ -71,38 +52,49 @@ class TestEvaluate:
             p_r.evaluate({"T": "t1", "O": "w"})
 
     def test_restrict_then_evaluate_commutes(self, p_r):
+        # the entry does not depend on the order the configuration lists
         total = {"T": "t2", "O": "y", "R": "o"}
         direct = p_r.evaluate(total)
-        via_restrict = p_r.restrict({"T": "t2"}).evaluate(total)
-        assert direct == via_restrict == 0.95
+        reordered = p_r.evaluate(dict(reversed(total.items())))
+        assert direct == reordered == 0.95
+
+
+def sampler_conditional(ctx, var, config):
+    """The distribution the sampler draws `var` from at `config` (the other
+    variables' values), read off its inverse-CDF row; raises AllZeroSupport
+    where that row has no positive weight."""
+    fixed = {v: lab for v, lab in config.items() if v not in ctx.free_vars}
+    cell = _CompiledCell(ctx, fixed)
+    _, table, blanket = cell.sites[cell.free.index(var)]
+    index = sum(radix * cell.frames[s].index(config[cell.free[s]]) for s, radix, _ in blanket)
+    support, cumulative, total = table[index]
+    probs = np.zeros(table.size)
+    probs[support[:-1]] = np.diff([0.0, *cumulative]) / total
+    return probs
 
 
 class TestFullConditional:
-    def test_two_factor_posterior(self, p_o, p_r):
+    """The sampler's full conditional of O in the drilling stage, where T and
+    R are fixed: P(O) times P(R | T, O)."""
+
+    @pytest.fixture
+    def stage2(self, wildcatter):
+        part = compute_partition(wildcatter)
+        return build_stage_context(wildcatter, part, moralize(relevance_subgraph(wildcatter)), 2)
+
+    def test_two_factor_posterior(self, stage2):
         state = {"T": "t1", "R": "c", "B": "$2M", "D": "d"}
-        vec = full_conditional("O", state, [p_o, p_r])
+        vec = sampler_conditional(stage2, "O", state)
         assert vec == pytest.approx([0.923077, 0.076923], abs=1e-6)
 
-    def test_prior_only(self, p_o):
-        assert full_conditional("O", {}, [p_o]).tolist() == [0.6, 0.4]
+    def test_prior_only(self, stage2):
+        # without a test the result is "no result" whatever O is
+        state = {"T": "nt", "R": "nr", "B": "$1M", "D": "d"}
+        assert sampler_conditional(stage2, "O", state).tolist() == [0.6, 0.4]
 
-    def test_one_hot_factor_annihilates(self, p_o):
-        hot = Factor.from_flat(("O",), (Frame(("w", "y")),), [0.0, 1.0])
-        assert full_conditional("O", {}, [p_o, hot]).tolist() == [0.0, 1.0]
-
-    def test_sums_to_one(self, p_o, p_r):
-        for t in ("t1", "t2"):
-            for r in ("o", "c"):
-                vec = full_conditional("O", {"T": t, "R": r}, [p_o, p_r])
-                assert vec.sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_all_zero_support(self, p_o, p_r):
+    def test_all_zero_support(self, stage2):
         with pytest.raises(AllZeroSupport):
-            full_conditional("O", {"T": "nt", "R": "c"}, [p_o, p_r])
-
-    def test_no_factor_contains_target(self, p_o):
-        with pytest.raises(UnknownVariable):
-            full_conditional("R", {}, [p_o])
+            sampler_conditional(stage2, "O", {"T": "nt", "R": "c", "B": "$1M", "D": "d"})
 
 
 def forward_sample(model, rng):
@@ -111,14 +103,16 @@ def forward_sample(model, rng):
     for v in model.topological_order:
         if model.kind(v) != "chance":
             continue
-        row = model.cpt_factor(v).restrict({p: state[p] for p in model.parents(v)})
-        labels = row.frames[0].labels
-        state[v] = labels[rng.choice(len(labels), p=row.values / row.values.sum())]
+        f = model.cpt_factor(v)
+        row = f.values[tuple(fr.index(state[p]) for p, fr in zip(f.scope[:-1], f.frames))]
+        labels = f.frames[-1].labels
+        state[v] = labels[rng.choice(len(labels), p=row / row.sum())]
     return state
 
 
 class TestAgainstBruteForce:
-    """Full conditionals must match the conditional of the explicit joint."""
+    """The sampler's full conditionals, products of the factors that hold a
+    variable, must match the conditional of the explicit joint."""
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_joint_conditional(self, seed):
@@ -131,7 +125,7 @@ class TestAgainstBruteForce:
         target = model.chance_vars[int(rng.integers(len(model.chance_vars)))]
         others = {v: lab for v, lab in state.items() if v != target}
 
-        vec = full_conditional(target, others, factors)
+        vec = sampler_conditional(terminal_stage_context(model), target, state)
 
         labels = model.frame(target).labels
         joint = np.array(

@@ -34,7 +34,7 @@ from model_gen import random_model
 @pytest.fixture(scope="module")
 def stage2(wildcatter):
     part = compute_partition(wildcatter)
-    moral = moralize(relevance_subgraph(wildcatter, part))
+    moral = moralize(relevance_subgraph(wildcatter))
     return build_stage_context(wildcatter, part, moral, 2)
 
 
@@ -416,7 +416,7 @@ def _coupled_cells(model):
     while working.decisions:
         part = compute_partition(working)
         ctx = build_stage_context(
-            working, part, moralize(relevance_subgraph(working, part)), part.stage_count
+            working, part, moralize(relevance_subgraph(working)), part.stage_count
         )
         if any(sum(v in ctx.free_vars for v in f.scope) > 1 for f in ctx.probability_factors):
             deps = sorted(ctx.dependency_set)

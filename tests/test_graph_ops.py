@@ -12,6 +12,7 @@ from irid.graph_ops import (
     moralize,
     relevance_subgraph,
     remove_barren,
+    terminal_stage_context,
 )
 from irid.model import (
     ArrowSpec,
@@ -23,8 +24,7 @@ from irid.model import (
     build_model,
     iter_configs,
 )
-from irid.oracle import exact_expectation, exhaustive_policy_search
-from irid.solver import ExactBackend, terminal_expected_value
+from irid.oracle import exact_expectation, exact_stage_expectation, exhaustive_policy_search
 
 from conftest import constrained_constant_policy
 from model_gen import random_model, random_policies
@@ -34,7 +34,7 @@ def stage_ctx(model, k=None):
     part = compute_partition(model)
     if k is None:
         k = part.stage_count
-    moral = moralize(relevance_subgraph(model, part))
+    moral = moralize(relevance_subgraph(model))
     return build_stage_context(model, part, moral, k)
 
 
@@ -355,7 +355,7 @@ class TestAbsorbDecision:
             direct = exact_expectation(wildcatter, policies)
             m = absorb_decision(wildcatter, "D", policies["D"])
             m = absorb_decision(m, "T", policies["T"])
-            composed = terminal_expected_value(m, ExactBackend())
+            composed = exact_stage_expectation(terminal_stage_context(m), {})
             assert composed == pytest.approx(direct, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(25))
@@ -367,5 +367,5 @@ class TestAbsorbDecision:
         reduced = m
         for d in reversed(reduced.decisions):
             reduced = absorb_decision(reduced, d, policies[d])
-        composed = terminal_expected_value(reduced, ExactBackend())
+        composed = exact_stage_expectation(terminal_stage_context(reduced), {})
         assert composed == pytest.approx(direct, abs=1e-9)

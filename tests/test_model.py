@@ -27,7 +27,6 @@ from irid.model import (
     NodeSpec,
     Policy,
     ValueTable,
-    admissible,
     build_model,
     fix_policies,
     iter_configs,
@@ -79,27 +78,27 @@ class TestBuildModel:
 
 class TestAdmissible:
     def test_budget_forces_not_drilling(self, wildcatter):
-        assert admissible(wildcatter, "D", {"B": "$1M", "T": "t2", "R": "c"}) == ("nd",)
+        assert wildcatter.admissible("D", {"B": "$1M", "T": "t2", "R": "c"}) == ("nd",)
 
     def test_big_budget_leaves_both(self, wildcatter):
-        assert admissible(wildcatter, "D", {"B": "$2M", "T": "t2", "R": "o"}) == ("d", "nd")
+        assert wildcatter.admissible("D", {"B": "$2M", "T": "t2", "R": "o"}) == ("d", "nd")
 
     def test_unconstrained_full_frame(self, wildcatter):
-        assert admissible(wildcatter, "T", {"B": "$1M"}) == ("t1", "t2", "nt")
+        assert wildcatter.admissible("T", {"B": "$1M"}) == ("t1", "t2", "nt")
 
     def test_unknown_decision(self, wildcatter):
         with pytest.raises(UnknownDecision):
-            admissible(wildcatter, "O", {})
+            wildcatter.admissible("O", {})
 
     def test_incomplete_config(self, wildcatter):
         with pytest.raises(IncompleteConfig):
-            admissible(wildcatter, "D", {"B": "$1M"})
+            wildcatter.admissible("D", {"B": "$1M"})
 
     def test_never_empty_over_all_configs(self, wildcatter):
         for d in wildcatter.decisions:
             scope = wildcatter.parents(d)
             for cfg in iter_configs(scope, wildcatter.frames):
-                assert admissible(wildcatter, d, dict(zip(scope, cfg)))
+                assert wildcatter.admissible(d, dict(zip(scope, cfg)))
 
 
 class TestPolicyToConditional:
@@ -107,8 +106,9 @@ class TestPolicyToConditional:
         pol = constrained_constant_policy(wildcatter, "D", "d")
         f = policy_to_conditional(wildcatter, pol)
         assert f.scope == ("B", "T", "R", "D")
-        row = f.restrict({"B": "$2M", "T": "t2", "R": "c"})
-        assert row.values.tolist() == [1.0, 0.0]
+        cfg = {"B": "$2M", "T": "t2", "R": "c"}
+        row = [f.evaluate({**cfg, "D": alt}) for alt in ("d", "nd")]
+        assert row == [1.0, 0.0]
 
     def test_empty_scope_policy(self, minimal_model):
         pol = Policy("D", (), {(): "nd"})

@@ -44,13 +44,13 @@ from model_gen import (
 
 def stage2(wildcatter):
     part = compute_partition(wildcatter)
-    moral = moralize(relevance_subgraph(wildcatter, part))
+    moral = moralize(relevance_subgraph(wildcatter))
     return build_stage_context(wildcatter, part, moral, 2)
 
 
 def last_stage(model):
     part = compute_partition(model)
-    moral = moralize(relevance_subgraph(model, part))
+    moral = moralize(relevance_subgraph(model))
     return build_stage_context(model, part, moral, part.stage_count)
 
 

@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from irid.errors import InvalidModel
+from irid.errors import InvalidModel, StageOutOfRange
 from irid.gibbs import SamplerConfig
-from irid.graph_ops import (
-    absorb_decision,
-    build_stage_context,
-    compute_partition,
-    moralize,
-    relevance_subgraph,
-)
+from irid.graph_ops import absorb_decision, terminal_stage_context
 from irid.model import (
     ArrowSpec,
     Cpt,
@@ -18,15 +12,8 @@ from irid.model import (
     ValueTable,
     build_model,
 )
-from irid.oracle import exhaustive_policy_search
-from irid.solver import (
-    ExactBackend,
-    GibbsBackend,
-    SolveOptions,
-    optimize_cell,
-    solve,
-    terminal_expected_value,
-)
+from irid.oracle import exact_stage_expectation, exhaustive_policy_search
+from irid.solver import SolveOptions, _cell_seed, solve
 
 from model_gen import chain_model, chain_tables, random_model
 
@@ -55,13 +42,6 @@ WILDCATTER_D = {
     ("$2M", "nt", "c"): "d",
     ("$2M", "nt", "nr"): "d",
 }
-
-
-def stage2_ctx(model):
-    part = compute_partition(model)
-    return build_stage_context(
-        model, part, moralize(relevance_subgraph(model, part)), 2
-    )
 
 
 class TestSolveExact:
@@ -170,35 +150,35 @@ class TestInformationalNullity:
                     )
 
 
+def stage2_cell(solution, **config):
+    """{alternative: (value, chosen)} of the stage-2 cell at `config`."""
+    return {
+        d.alternative: (d.value, d.chosen)
+        for d in solution.per_cell_diagnostics
+        if d.stage == 2 and dict(d.config) == config
+    }
+
+
 class TestOptimizeCell:
+    """The per-cell choice, read from a solve's diagnostics."""
+
     def test_forced_cell_skips_inadmissible(self, wildcatter):
-        ctx = stage2_ctx(wildcatter)
-        alt, value = optimize_cell(
-            ctx,
-            {"B": "$1M", "T": "t2", "R": "c"},
-            wildcatter.admissible("D", {"B": "$1M", "T": "t2", "R": "c"}),
-            ExactBackend(),
-        )
-        assert alt == "nd"
+        sol = solve(wildcatter, SolveOptions(backend="exact"))
+        cell = stage2_cell(sol, B="$1M", T="t2", R="c")
+        assert list(cell) == ["nd"]
+        value, chosen = cell["nd"]
+        assert chosen
         assert value is not None
 
     def test_drilling_beats_not_drilling_untested(self, wildcatter):
-        ctx = stage2_ctx(wildcatter)
-        cfg = {"B": "$2M", "T": "nt", "R": "nr"}
-        alt, value = optimize_cell(
-            ctx, cfg, wildcatter.admissible("D", cfg), ExactBackend()
-        )
-        assert alt == "d"
-        assert value == 250000.0
+        sol = solve(wildcatter, SolveOptions(backend="exact"))
+        cell = stage2_cell(sol, B="$2M", T="nt", R="nr")
+        assert cell["d"] == (250000.0, True)
 
     def test_minimize_direction(self, wildcatter):
-        ctx = stage2_ctx(wildcatter)
-        cfg = {"B": "$2M", "T": "nt", "R": "nr"}
-        alt, value = optimize_cell(
-            ctx, cfg, wildcatter.admissible("D", cfg), ExactBackend(), objective="minimize"
-        )
-        assert alt == "nd"
-        assert value == -1200000.0
+        sol = solve(wildcatter, SolveOptions(backend="exact", objective_override="minimize"))
+        cell = stage2_cell(sol, B="$2M", T="nt", R="nr")
+        assert cell["nd"] == (-1200000.0, True)
 
     def test_exact_tie_breaks_to_frame_order(self):
         m = build_model(
@@ -286,11 +266,11 @@ class TestTerminalExpectedValue:
         sol = solve(wildcatter, SolveOptions(backend="exact"))
         m = absorb_decision(wildcatter, "D", sol.policies["D"])
         m = absorb_decision(m, "T", sol.policies["T"])
-        assert terminal_expected_value(m, ExactBackend()) == sol.expected_value
+        assert exact_stage_expectation(terminal_stage_context(m), {}) == sol.expected_value
 
     def test_requires_all_decisions_absorbed(self, wildcatter):
-        with pytest.raises(InvalidModel):
-            terminal_expected_value(wildcatter, ExactBackend())
+        with pytest.raises(StageOutOfRange):
+            terminal_stage_context(wildcatter)
 
     def test_constant_value(self):
         m = build_model(
@@ -300,7 +280,7 @@ class TestTerminalExpectedValue:
             constraints=(),
             value_table=ValueTable(("X",), {("x0",): 9.0, ("x1",): 9.0}),
         )
-        assert terminal_expected_value(m, ExactBackend()) == 9.0
+        assert exact_stage_expectation(terminal_stage_context(m), {}) == 9.0
 
 
 class TestArgmaxInvariance:
@@ -411,14 +391,14 @@ class TestGibbsBackend:
         assert a.per_cell_diagnostics == b.per_cell_diagnostics
 
     def test_derived_seeds_distinguish_alternatives(self):
-        backend = GibbsBackend(SamplerConfig(seed=5))
-        assert backend.derived_seed(2, 3, 0) != backend.derived_seed(2, 3, 1)
-        assert backend.derived_seed(2, 3, 0) != backend.derived_seed(2, 4, 0)
+        sampler = SamplerConfig(seed=5)
+        assert _cell_seed(sampler, False, (2, 3, 0)) != _cell_seed(sampler, False, (2, 3, 1))
+        assert _cell_seed(sampler, False, (2, 3, 0)) != _cell_seed(sampler, False, (2, 4, 0))
 
     def test_common_random_numbers_share_seed_within_cell(self):
-        backend = GibbsBackend(SamplerConfig(seed=5), common_random_numbers=True)
-        assert backend.derived_seed(2, 3, 0) == backend.derived_seed(2, 3, 1)
-        assert backend.derived_seed(2, 3, 0) != backend.derived_seed(2, 4, 0)
+        sampler = SamplerConfig(seed=5)
+        assert _cell_seed(sampler, True, (2, 3, 0)) == _cell_seed(sampler, True, (2, 3, 1))
+        assert _cell_seed(sampler, True, (2, 3, 0)) != _cell_seed(sampler, True, (2, 4, 0))
 
     def test_crn_solve_runs(self, wildcatter):
         sol = solve(
