@@ -7,9 +7,13 @@
     irid compare  <model> [sampler flags]
     irid oracle   <model>
 
+The sampler flags (--seed, --burn-in, --samples, --thinning, --crn) apply to
+the Gibbs backend only; `solve --backend exact` rejects them.
+
 Exit codes: 0 success (for compare: full policy agreement), 1 usage error
-(sampler flags out of range included), 2 model/validation error, 3 runtime
-error (budget exceeded, impossible conditioning configuration).
+(sampler flags out of range or given to the exact backend included), 2
+model/validation error, 3 runtime error (budget exceeded, impossible
+conditioning configuration), 4 compare only: the policies differ.
 """
 
 from __future__ import annotations
@@ -74,11 +78,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
+#: (flag, argparse dest); a flag not given stays None, and the sampler takes
+#: seed 0 and SamplerConfig's defaults (burn-in 1000, samples 20000, thinning 1)
+_SAMPLER_FLAGS = (
+    ("--seed", "seed"),
+    ("--burn-in", "burn_in"),
+    ("--samples", "samples"),
+    ("--thinning", "thinning"),
+)
+
+
 def _sampler_flags(p):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--burn-in", type=int, default=1000, dest="burn_in")
-    p.add_argument("--samples", type=int, default=20000)
-    p.add_argument("--thinning", type=int, default=1)
+    for flag, dest in _SAMPLER_FLAGS:
+        p.add_argument(flag, type=int, dest=dest)
 
 
 def run_cli(argv=None) -> int:
@@ -119,10 +131,13 @@ def _dispatch(args) -> int:
 
 
 def _sampler_from(args) -> SamplerConfig:
+    given = {
+        dest: getattr(args, dest)
+        for _, dest in _SAMPLER_FLAGS
+        if getattr(args, dest) is not None
+    }
     try:
-        return SamplerConfig(
-            seed=args.seed, burn_in=args.burn_in, samples=args.samples, thinning=args.thinning
-        )
+        return SamplerConfig(**{"seed": 0, **given})
     except InvalidModel as e:  # a bad flag, not a bad model file
         raise _UsageError(e) from None
 
@@ -137,6 +152,10 @@ def _cmd_solve(args) -> int:
             common_random_numbers=args.crn,
         )
     else:
+        given = [flag for flag, dest in _SAMPLER_FLAGS if getattr(args, dest) is not None]
+        given += ["--crn"] if args.crn else []
+        if given:
+            raise _UsageError(f"{', '.join(given)}: only for --backend gibbs")
         options = SolveOptions(backend="exact", objective_override=objective)
     model = read_model(args.model)
     solution = solve(model, options)

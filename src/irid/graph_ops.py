@@ -10,7 +10,9 @@ That is computed here:
                            consecutive decisions
   * `relevance_subgraph` / `moralize`
                         -- the undirected dependency structure, keeping
-                           constraint (relevance) arrows into decisions
+                           constraint (relevance) arrows into decisions; the
+                           DAG is a map from each variable to its parents, the
+                           moral graph one from each variable to its neighbours
   * `build_stage_context`
                         -- the stage's live block, the variables the decision
                            function depends on, and the relevant factors
@@ -21,20 +23,21 @@ That is computed here:
                            sampler)
 
 All functions are pure; models are rebuilt through `build_model`, so the
-output of every transformation is revalidated.
+output of every transformation is revalidated.  The graph code is plain
+Python over dicts and sets (the topological sort lives in `model`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import Mapping
 
 from .errors import NotLastDecision, StageOutOfRange, UnknownDecision
 from .factors import Factor
 from .model import (
     CHANCE,
     DECISION,
+    RELEVANCE,
     VALUE,
     ArrowSpec,
     Cpt,
@@ -186,29 +189,38 @@ def compute_partition(model: IridModel) -> StagePartition:
     )
 
 
-def relevance_subgraph(model: IridModel) -> nx.DiGraph:
-    """The directed graph with informational arrows dropped.
+def relevance_subgraph(model: IridModel) -> dict[str, tuple[str, ...]]:
+    """The parents of each variable, in model order, with informational
+    arrows dropped.
 
     Relevance arrows into decisions (from their constraint scopes) stay: they
     matter for what the decision function depends on.
     """
-    g = nx.DiGraph()
-    g.add_nodes_from(model.variables)
-    g.add_edges_from(
-        (a.source, a.target) for a in model.arrows if a.kind == "relevance"
-    )
-    return g
+    parents: dict[str, list[str]] = {v: [] for v in model.variables}
+    for a in model.arrows:  # sorted by (target, source) position
+        if a.kind == RELEVANCE:
+            parents[a.target].append(a.source)
+    return {v: tuple(ps) for v, ps in parents.items()}
 
 
-def moralize(directed_graph: nx.DiGraph) -> nx.Graph:
-    """Undirected graph with every parent pair of a common child married."""
-    return nx.moral_graph(directed_graph)
+def moralize(parents: Mapping[str, tuple[str, ...]]) -> dict[str, frozenset[str]]:
+    """Neighbours of each node of the moral graph of the DAG given by
+    `parents` (every node a key): arrows lose their direction and every two
+    parents of a common child are married."""
+    neighbours: dict[str, set[str]] = {v: set() for v in parents}
+    for child, ps in parents.items():
+        neighbours[child].update(ps)
+        for p in ps:
+            neighbours[p].add(child)
+            neighbours[p].update(ps)
+            neighbours[p].discard(p)
+    return {v: frozenset(ns) for v, ns in neighbours.items()}
 
 
 def build_stage_context(
     model: IridModel,
     partition: StagePartition,
-    moral_graph: nx.Graph,
+    moral_graph: Mapping[str, frozenset[str]],
     stage: int,
 ) -> StageContext:
     """Assemble the working set for the last unsolved stage.
@@ -230,14 +242,19 @@ def build_stage_context(
     block = partition.blocks[stage]
     value_var = model.value_var
 
-    induced = moral_graph.subgraph(set(block) | {value_var})
-    connected = nx.node_connected_component(induced, value_var)
-    gamma_prime = frozenset(v for v in block if v in connected)
+    connected = {value_var}
+    stack = [value_var]
+    while stack:
+        for u in moral_graph[stack.pop()]:
+            if u in block and u not in connected:
+                connected.add(u)
+                stack.append(u)
+    gamma_prime = block & connected
 
     dependency: set[str] = set()
     for v in gamma_prime:
-        dependency.update(moral_graph.neighbors(v))
-    dependency -= set(gamma_prime)
+        dependency.update(moral_graph[v])
+    dependency -= gamma_prime
     dependency.discard(value_var)
 
     factors = _stage_factors(model, gamma_prime)
@@ -246,7 +263,9 @@ def build_stage_context(
     free = tuple(
         v for v in sorted(gamma_prime, key=order.__getitem__) if v != decision
     )
-    free_topo = tuple(v for v in model.topological_order if v in set(free))
+    free_topo = tuple(
+        v for v in model.topological_order if v in gamma_prime and v != decision
+    )
     return StageContext(
         stage=stage,
         decision=decision,

@@ -13,13 +13,12 @@ Models are immutable after `build_model` and safe to share across threads.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
-
-import networkx as nx
 
 from .errors import (
     ArrowKindMismatch,
@@ -201,6 +200,47 @@ class Policy:
             ) from None
 
 
+def topological_sort(
+    nodes: Sequence[str], edges: Iterable[tuple[str, str]]
+) -> tuple[str, ...]:
+    """Kahn's algorithm: of the nodes whose parents are all placed, the one
+    earliest in `nodes` comes next.  Raises CycleDetected naming the nodes of
+    one cycle."""
+    position = {v: i for i, v in enumerate(nodes)}
+    children: dict[str, list[str]] = {v: [] for v in nodes}
+    waiting = dict.fromkeys(nodes, 0)  # parents not yet placed
+    for source, target in edges:
+        children[source].append(target)
+        waiting[target] += 1
+    ready = [position[v] for v in nodes if not waiting[v]]  # sorted, so a heap
+    order = []
+    while ready:
+        v = nodes[heapq.heappop(ready)]
+        order.append(v)
+        for c in children[v]:
+            waiting[c] -= 1
+            if not waiting[c]:
+                heapq.heappush(ready, position[c])
+    if len(order) < len(nodes):
+        raise CycleDetected(f"cycle through {_one_cycle(nodes, children, waiting)}")
+    return tuple(order)
+
+
+def _one_cycle(nodes, children, waiting) -> list[str]:
+    """A cycle among the nodes Kahn's algorithm could not place, in arrow order.
+
+    Each of them has an unplaced parent, so walking to unplaced parents from
+    any of them must come back to a node already on the walk."""
+    left = [v for v in nodes if waiting[v]]
+    parent = {c: v for v in reversed(left) for c in children[v] if waiting[c]}
+    walk = [left[0]]
+    seen = {left[0]: 0}
+    while (p := parent[walk[-1]]) not in seen:
+        seen[p] = len(walk)
+        walk.append(p)
+    return walk[seen[p]:][::-1]
+
+
 def iter_configs(scope: Sequence[str], frames: Mapping[str, Frame]) -> Iterator[tuple[str, ...]]:
     """Row-major iteration over all configurations of `scope`."""
     return itertools.product(*(frames[v].labels for v in scope))
@@ -308,11 +348,7 @@ class IridModel:
 
     @cached_property
     def topological_order(self) -> tuple[str, ...]:
-        g = nx.DiGraph()
-        g.add_nodes_from(self.variables)
-        g.add_edges_from((a.source, a.target) for a in self.arrows)
-        idx = self._node_index
-        return tuple(nx.lexicographical_topological_sort(g, key=idx.__getitem__))
+        return topological_sort(self.variables, ((a.source, a.target) for a in self.arrows))
 
     # -- tables ------------------------------------------------------------
 
@@ -432,22 +468,21 @@ def build_model(
         sorted(arrows, key=lambda a: (node_index[a.target], node_index[a.source]))
     )
 
-    g = nx.DiGraph()
-    g.add_nodes_from(ids)
-    g.add_edges_from((a.source, a.target) for a in arrows)
-    if not nx.is_directed_acyclic_graph(g):
-        cycle = nx.find_cycle(g)
-        raise CycleDetected(f"cycle through {[e[0] for e in cycle]}")
+    topological_sort(ids, [(a.source, a.target) for a in arrows])
 
-    if g.out_degree(value_var) != 0:
+    if any(a.source == value_var for a in arrows):
         raise ValueNodeNotSink(f"value node {value_var!r} has outgoing arrows")
 
-    parents = {v: tuple(sorted(g.predecessors(v), key=node_index.__getitem__)) for v in ids}
+    # arrows are sorted by (target, source) position, so parents come in model order
+    parents_of: dict[str, list[str]] = {v: [] for v in ids}
+    for a in arrows:
+        parents_of[a.target].append(a.source)
+    parents = {v: tuple(ps) for v, ps in parents_of.items()}
     kinds = {n.id: n.kind for n in nodes}
     frames = {n.id: n.frame for n in nodes if n.frame is not None}
 
     decision_ids = [n.id for n in nodes if n.kind == DECISION]
-    dec_order = _decision_chain(decision_ids, g)
+    dec_order = _decision_chain(decision_ids, arrows)
     _check_no_forgetting(dec_order, parents)
 
     # constraints: normalize, one per decision, auto-fill unconstrained
@@ -516,18 +551,23 @@ def build_model(
     return model
 
 
-def _decision_chain(decision_ids: list[str], g: nx.DiGraph) -> list[str]:
+def _decision_chain(decision_ids: list[str], arrows: tuple[ArrowSpec, ...]) -> list[str]:
     """Order decisions along the required decision-only path, or fail."""
     if len(decision_ids) <= 1:
         return list(decision_ids)
-    sub = g.subgraph(decision_ids)
-    order = list(nx.topological_sort(sub))
+    decisions = set(decision_ids)
+    edges = {
+        (a.source, a.target)
+        for a in arrows
+        if a.source in decisions and a.target in decisions
+    }
+    order = topological_sort(decision_ids, edges)
     for a, b in zip(order, order[1:]):
-        if not sub.has_edge(a, b):
+        if (a, b) not in edges:
             raise DecisionsNotTotallyOrdered(
                 f"no arrow between consecutive decisions {a!r} and {b!r}"
             )
-    return order
+    return list(order)
 
 
 def _check_no_forgetting(dec_order: list[str], parents: Mapping[str, tuple[str, ...]]):

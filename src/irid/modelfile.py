@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Any, Mapping
 
 from .errors import (
@@ -50,6 +51,9 @@ from .model import (
 )
 
 SCHEMA_VERSION = "1"
+
+#: the string escaper json.dumps uses by default (C in CPython; non-ASCII as \uXXXX)
+_escape = json.encoder.encode_basestring_ascii
 
 
 # --------------------------------------------------------------------------
@@ -300,9 +304,52 @@ def model_to_document(model: IridModel) -> dict:
     }
 
 
+def _to_json(obj, newline: str = "\n") -> str:
+    """Exactly `json.dumps(obj, indent=2)` for the documents irid writes.
+
+    CPython's json uses its pure-Python generator encoder whenever `indent` is
+    set; building each container with one `str.join` is faster for the same
+    bytes.  `newline` is the line break plus the indentation of `obj`'s level.
+    """
+    if isinstance(obj, str):
+        return _escape(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj == math.inf:
+            return "Infinity"
+        if obj == -math.inf:
+            return "-Infinity"
+        return float.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(_escape(key) + ": " + _to_json(value, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_to_json(value, inner) for value in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def serialize_model(model: IridModel) -> bytes:
     """Canonical bytes; numbers keep full precision so round-trips are exact."""
-    return (json.dumps(model_to_document(model), indent=2) + "\n").encode("utf-8")
+    return (_to_json(model_to_document(model)) + "\n").encode("utf-8")
 
 
 def model_content_hash(model: IridModel) -> str:
@@ -366,4 +413,4 @@ def serialize_solution(solution) -> bytes:
         "policies": policies,
         "diagnostics": diagnostics,
     }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    return (_to_json(doc) + "\n").encode("utf-8")

@@ -210,25 +210,23 @@ def test_criterion_09_invariant_suites(wildcatter):
             assert np.array_equal((table == 1.0).sum(axis=1), np.ones(len(table)))
 
         # moral edge iff parent-child or co-parents
-        import networkx as nx
-
         rng = np.random.default_rng(0)
         for _ in range(10):
-            g = nx.DiGraph()
-            g.add_nodes_from(range(6))
+            g = {v: [] for v in range(6)}
             for i in range(6):
                 for j in range(i + 1, 6):
                     if rng.random() < 0.35:
-                        g.add_edge(i, j)
+                        g[j].append(i)
+            arrows = {(p, c) for c, ps in g.items() for p in ps}
             mg = moralize(g)
             for x in range(6):
                 for y in range(x + 1, 6):
                     expected = (
-                        g.has_edge(x, y)
-                        or g.has_edge(y, x)
-                        or any(g.has_edge(x, z) and g.has_edge(y, z) for z in range(6))
+                        (x, y) in arrows
+                        or (y, x) in arrows
+                        or any((x, z) in arrows and (y, z) in arrows for z in range(6))
                     )
-                    assert mg.has_edge(x, y) == expected
+                    assert (y in mg[x]) == expected
 
         # removing barren nodes preserves the optimum (50 random models)
         for seed in range(50):

@@ -25,6 +25,13 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 IMPORT_ROOT = str(Path(irid.__file__).resolve().parents[1])
 
 
+def _child_env():
+    """The environment with irid importable from where this suite imported it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (IMPORT_ROOT, env.get("PYTHONPATH")) if p)
+    return env
+
+
 @pytest.fixture
 def wildcatter_file(tmp_path):
     path = tmp_path / "wildcatter_irid.json"
@@ -82,6 +89,18 @@ class TestUsageErrors:
         assert not out.exists()
         assert run_cli(["compare", wildcatter_file, *flag]) == 1
         assert capsys.readouterr().err.startswith("usage error:")
+
+    @pytest.mark.parametrize(
+        "flag",
+        [("--seed", "3"), ("--burn-in", "10"), ("--samples", "0"), ("--thinning", "2"), ("--crn",)],
+    )
+    def test_sampler_flag_with_exact_backend(self, wildcatter_file, tmp_path, capsys, flag):
+        out = tmp_path / "s.json"
+        argv = ["solve", wildcatter_file, "--backend", "exact", *flag, "--out", str(out)]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and flag[0] in err
+        assert not out.exists()
 
 
 class TestSolve:
@@ -169,16 +188,28 @@ class TestEntryPoint:
             f"import sys\nfrom {module} import {func}\n"
             f"sys.argv[0] = 'irid'\nsys.exit({func}())\n"
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (IMPORT_ROOT, env.get("PYTHONPATH")) if p
-        )
         proc = subprocess.run(
             [sys.executable, "-c", wrapper, "validate", wildcatter_file],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "OK"
+
+    def test_import_loads_no_dependency_but_numpy(self):
+        """numpy is irid's only runtime dependency: a fresh `import irid`
+        loads no other package from outside the standard library."""
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import irid\n"
+            "loaded = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "print(sorted(loaded - set(sys.stdlib_module_names)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['irid', 'numpy']"
 
     @pytest.mark.skipif(
         shutil.which("irid") is None, reason="no installed irid executable on PATH"

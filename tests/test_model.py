@@ -1,3 +1,5 @@
+import ast
+
 import numpy as np
 import pytest
 
@@ -31,9 +33,11 @@ from irid.model import (
     fix_policies,
     iter_configs,
     policy_to_conditional,
+    topological_sort,
 )
 
 from conftest import constrained_constant_policy
+from model_gen import random_model
 
 
 def rebuild(model, nodes=None, arrows=None, cpts=None, constraints=None, value=None):
@@ -74,6 +78,50 @@ class TestBuildModel:
             rebuild(wildcatter, constraints=(wildcatter.constraint("T"), bad))
         assert exc.value.decision == "D"
         assert exc.value.config == ("$1M", "t2")
+
+
+class TestTopologicalSort:
+    @staticmethod
+    def naive_order(model):
+        """Repeatedly place the earliest node whose parents are all placed."""
+        order = []
+        while len(order) < len(model.variables):
+            order.append(
+                next(
+                    v
+                    for v in model.variables
+                    if v not in order and all(p in order for p in model.parents(v))
+                )
+            )
+        return tuple(order)
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_matches_naive_reference(self, seed):
+        m = random_model(seed, n_chance=(1, 6), n_decisions=(0, 3), allow_zeros=seed % 2 == 0)
+        assert m.topological_order == self.naive_order(m)
+
+    def test_cycle_names_only_its_nodes(self, wildcatter):
+        # D and V lie downstream of the cycle, not on it
+        arrows = wildcatter.arrows + (ArrowSpec("R", "O", "relevance"),)
+        with pytest.raises(CycleDetected) as exc:
+            rebuild(wildcatter, arrows=arrows)
+        assert str(exc.value) == "cycle through ['R', 'O']"
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_random_graphs(self, seed):
+        """Either a valid order or a cycle of arrows that exist."""
+        rng = np.random.default_rng(seed)
+        nodes = [f"N{i}" for i in range(7)]
+        edges = {(a, b) for a in nodes for b in nodes if a != b and rng.random() < 0.15}
+        try:
+            order = topological_sort(nodes, edges)
+        except CycleDetected as e:
+            cycle = ast.literal_eval(str(e).removeprefix("cycle through "))
+            assert len(set(cycle)) == len(cycle) >= 2
+            assert all((a, b) in edges for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+        else:
+            assert sorted(order) == sorted(nodes)
+            assert all(order.index(a) < order.index(b) for a, b in edges)
 
 
 class TestAdmissible:

@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+import irid.modelfile
 from irid.data import BUNDLED, bundled_bytes, load_bundled
 from irid.errors import (
     CptRowNotNormalized,
@@ -10,7 +12,9 @@ from irid.errors import (
     SchemaError,
 )
 from irid.gibbs import SamplerConfig
+from irid.model import ArrowSpec, Cpt, Frame, NodeSpec, ValueTable, build_model
 from irid.modelfile import (
+    _to_json,
     model_content_hash,
     model_to_document,
     parse_model,
@@ -152,3 +156,73 @@ class TestSerializeSolution:
         sol = solve(wildcatter, SolveOptions(backend="exact"))
         doc = json.loads(serialize_solution(sol))
         assert doc["expected_value"] == sol.expected_value
+
+
+def _dumped(doc) -> bytes:
+    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
+class TestCanonicalWriter:
+    """The writer behind serialize_model and serialize_solution produces
+    exactly json.dumps(doc, indent=2)."""
+
+    @pytest.fixture
+    def top_level_documents(self, monkeypatch):
+        """Every document the serializers hand to the writer."""
+        docs = []
+        writer = irid.modelfile._to_json
+
+        def spy(obj, *nested):
+            if not nested:
+                docs.append(obj)
+            return writer(obj, *nested)
+
+        monkeypatch.setattr(irid.modelfile, "_to_json", spy)
+        return docs
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_models_and_solutions(self, name, top_level_documents):
+        model = load_bundled(name)
+        assert serialize_model(model) == _dumped(model_to_document(model))
+        gibbs = SolveOptions(
+            backend="gibbs", sampler=SamplerConfig(seed=1, burn_in=20, samples=200)
+        )
+        for options in (SolveOptions(), gibbs):
+            data = serialize_solution(solve(model, options))
+            assert data == _dumped(top_level_documents[-1])
+            assert top_level_documents[-1]["model_hash"] == model_content_hash(model)
+
+    def test_escaped_labels(self):
+        labels = ("é", '"q"', "back\\slash", "line\nbreak")
+        model = build_model(
+            (NodeSpec("X é", "chance", Frame(labels)), NodeSpec("V", "value")),
+            (ArrowSpec("X é", "V", "relevance"),),
+            (Cpt("X é", (), {(): {lab: 0.25 for lab in labels}}),),
+            (),
+            ValueTable(("X é",), {(lab,): float(i) for i, lab in enumerate(labels)}),
+        )
+        data = serialize_model(model)
+        assert data == _dumped(model_to_document(model))
+        assert parse_model(data) == model
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"numbers": [-0.0, 1e-300, 0.1, 2**60, -(2**60), 0, 1.5e300, -7]},
+            {"specials": [math.nan, math.inf, -math.inf]},
+            {"constants": [True, False, None]},
+            {"empty": [{}, [], ""], "nested": {"a": [[1, {"b": []}], {}]}, "": {}},
+            [],
+            {},
+            "é\u2028\x00",
+            [[[]]],
+            (1, ("tuple",)),
+        ],
+    )
+    def test_crafted_documents(self, doc):
+        assert _to_json(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("doc", [{1: "int key"}, {"set": {1}}, [b"bytes"], [object()]])
+    def test_rejects_what_it_does_not_write(self, doc):
+        with pytest.raises(TypeError):
+            _to_json(doc)
