@@ -227,3 +227,7 @@ def _print_policies(model: IridModel, policies: dict[str, Policy]) -> None:
         for cfg, alt in pol.table.items():
             row = "  ".join(lab.ljust(w) for lab, w in zip(cfg, widths))
             print(f"  {row}  -> {alt}")
+
+
+if __name__ == "__main__":
+    main()

@@ -58,6 +58,19 @@ class Factor:
         arr = np.asarray(list(flat), dtype=float).reshape(shape)
         return cls(tuple(scope), tuple(frames), arr)
 
+    @classmethod
+    def trusted(
+        cls, scope: tuple[str, ...], frames: tuple["Frame", ...], values: np.ndarray
+    ) -> "Factor":
+        """Wrap parts that already pass the constructor's checks: distinct
+        variables, and a finite, C-contiguous float array of the frames'
+        shape that no one else holds.  `values` is frozen in place, not copied.
+        """
+        values.flags.writeable = False
+        factor = object.__new__(cls)
+        vars(factor).update(scope=scope, frames=frames, values=values)
+        return factor
+
     def frame_of(self, var: str) -> "Frame":
         try:
             return self.frames[self.scope.index(var)]

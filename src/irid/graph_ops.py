@@ -22,15 +22,22 @@ That is computed here:
                            kept as a factor: those zeros would trap the
                            sampler)
 
-All functions are pure; models are rebuilt through `build_model`, so the
-output of every transformation is revalidated.  The graph code is plain
-Python over dicts and sets (the topological sort lives in `model`).
+All functions are pure.  `remove_barren` and `absorb_decision` keep every
+invariant `build_model` checks, so they assemble their output from the input's
+validated parts through `model.derived_model` without checking it again (only
+the policy is validated); table factors that do not change are carried over,
+and a table the decision was a parent of is composed by one gather on the old
+array.  The graph code is plain Python over dicts and sets (the topological
+sort lives in `model`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
+
+import numpy as np
 
 from .errors import NotLastDecision, StageOutOfRange, UnknownDecision
 from .factors import Factor
@@ -41,10 +48,12 @@ from .model import (
     VALUE,
     ArrowSpec,
     Cpt,
+    Frame,
     IridModel,
     Policy,
     ValueTable,
-    build_model,
+    build_model,  # noqa: F401  the benchmark's tracer patches graph_ops.build_model
+    derived_model,
     iter_configs,
     validate_policy,
 )
@@ -153,7 +162,7 @@ def remove_barren(model: IridModel) -> IridModel:
     arrows = tuple(a for a in model.arrows if a.source in alive and a.target in alive)
     cpts = tuple(c for c in model.cpts if c.child in alive)
     constraints = tuple(c for c in model.constraints if c.decision in alive)
-    return build_model(nodes, arrows, cpts, constraints, model.value, model.objective)
+    return derived_model(model, nodes, arrows, cpts, constraints, model.value, {})
 
 
 def compute_partition(model: IridModel) -> StagePartition:
@@ -312,25 +321,11 @@ def _stage_factors(model: IridModel, gamma_prime: frozenset[str]) -> tuple[Stage
         elif kind == DECISION:
             scope = model.constraint(v).scope + (v,)
             if any(s in gamma_prime for s in scope):
-                out.append(StageFactor(ROLE_DECISION, v, _placeholder_factor(model, v)))
+                out.append(StageFactor(ROLE_DECISION, v, model.placeholder_factor(v)))
         else:  # value
             if any(p in gamma_prime for p in model.parents(v)):
                 out.append(StageFactor(ROLE_VALUE, v, model.value_factor))
     return tuple(out)
-
-
-def _placeholder_factor(model: IridModel, decision: str) -> Factor:
-    """All-ones stand-in over (scope, decision) for a not-yet-chosen decision.
-
-    Its scope variables are always fixed during a stage, so it contributes a
-    constant; keeping it at 1.0 means it never perturbs weights or support.
-    """
-    scope = model.constraint(decision).scope + (decision,)
-    frames = tuple(model.frame(v) for v in scope)
-    size = 1
-    for f in frames:
-        size *= len(f)
-    return Factor.from_flat(scope, frames, [1.0] * size)
 
 
 # --------------------------------------------------------------------------
@@ -353,30 +348,53 @@ def absorb_decision(model: IridModel, decision: str, policy: Policy) -> IridMode
         )
     validate_policy(model, policy)
 
+    frames = model.frames
+    labels = frames[decision].labels
+    # the chosen alternative's index per configuration of the policy's scope
+    choice = np.array(
+        [labels.index(policy.table[cfg]) for cfg in iter_configs(policy.scope, frames)],
+        dtype=np.intp,
+    ).reshape(tuple(len(frames[v]) for v in policy.scope))
+
     children = model.children(decision)
     new_nodes = tuple(n for n in model.nodes if n.id != decision)
-    keep_arrows = [
-        a for a in model.arrows if decision not in (a.source, a.target)
-    ]
-    existing = {(a.source, a.target) for a in keep_arrows}
+    arrows = [a for a in model.arrows if decision not in (a.source, a.target)]
+    existing = {(a.source, a.target) for a in arrows}
     for child in children:
         for s in policy.scope:
             if (s, child) not in existing:
-                keep_arrows.append(ArrowSpec(s, child, "relevance"))
+                arrows.append(ArrowSpec(s, child, RELEVANCE))
                 existing.add((s, child))
+    index = model._node_index
+    arrows.sort(key=lambda a: (index[a.target], index[a.source]))
 
+    changed: dict[str, Factor] = {}
     new_cpts = []
     for c in model.cpts:
         if decision in c.parents:
-            new_cpts.append(_compose_cpt(model, c, policy))
-        else:
-            new_cpts.append(c)
+            merged = _composed_parents(c.parents, policy)
+            table = changed[c.child] = _compose(
+                model.cpt_factor(c.child), merged + (c.child,), policy, choice, frames
+            )
+            child_labels = frames[c.child].labels
+            rows = table.values.reshape(-1, len(child_labels)).tolist()
+            c = Cpt(c.child, merged, {
+                cfg: dict(zip(child_labels, row))
+                for cfg, row in zip(iter_configs(merged, frames), rows)
+            })
+        new_cpts.append(c)
     new_value = model.value
-    if decision in model.value.parents:
-        new_value = _compose_value(model, model.value, policy)
+    if decision in new_value.parents:
+        merged = _composed_parents(new_value.parents, policy)
+        table = changed[model.value_var] = _compose(
+            model.value_factor, merged, policy, choice, frames
+        )
+        new_value = ValueTable(
+            merged, dict(zip(iter_configs(merged, frames), table.values.reshape(-1).tolist()))
+        )
     new_constraints = tuple(c for c in model.constraints if c.decision != decision)
-    return build_model(
-        new_nodes, tuple(keep_arrows), tuple(new_cpts), new_constraints, new_value, model.objective
+    return derived_model(
+        model, new_nodes, tuple(arrows), tuple(new_cpts), new_constraints, new_value, changed
     )
 
 
@@ -388,23 +406,22 @@ def _composed_parents(old_parents: tuple[str, ...], policy: Policy) -> tuple[str
     return tuple(merged)
 
 
-def _compose_cpt(model: IridModel, cpt: Cpt, policy: Policy) -> Cpt:
-    merged = _composed_parents(cpt.parents, policy)
-    rows = {}
-    for cfg in iter_configs(merged, model.frames):
-        assign = dict(zip(merged, cfg))
-        assign[policy.decision] = policy.choice(assign)
-        key = tuple(assign[p] for p in cpt.parents)
-        rows[cfg] = cpt.rows[key]
-    return Cpt(cpt.child, merged, rows)
-
-
-def _compose_value(model: IridModel, vt: ValueTable, policy: Policy) -> ValueTable:
-    merged = _composed_parents(vt.parents, policy)
-    cells = {}
-    for cfg in iter_configs(merged, model.frames):
-        assign = dict(zip(merged, cfg))
-        assign[policy.decision] = policy.choice(assign)
-        key = tuple(assign[p] for p in vt.parents)
-        cells[cfg] = vt.cells[key]
-    return ValueTable(merged, cells)
+def _compose(
+    table: Factor,
+    scope: tuple[str, ...],
+    policy: Policy,
+    choice: np.ndarray,
+    frames: Mapping[str, Frame],
+) -> Factor:
+    """`table` with the policy's decision replaced by its choice: the entry at
+    each configuration of `scope` is the old one at the same labels, with the
+    decision at the alternative `choice` holds for that configuration.  One
+    gather on the old array; row-major over `scope`."""
+    shape = tuple(len(frames[v]) for v in scope)
+    size = math.prod(shape)
+    # the label index of every variable at each entry of the result
+    at = dict(zip(scope, np.indices(shape).reshape(len(scope), size)))
+    at[policy.decision] = choice[tuple(at[v] for v in policy.scope)]
+    # a scalar when every index is one (an empty `scope`)
+    values = np.asarray(table.values[tuple(at[v] for v in table.scope)]).reshape(shape)
+    return Factor.trusted(scope, tuple(frames[v] for v in scope), values)

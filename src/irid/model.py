@@ -8,17 +8,23 @@ not restrict the choice).  Each chance node carries a conditional probability
 table, each decision a constraint mapping scope configurations to nonempty
 sets of permitted alternatives, and the single value node a real-valued table.
 
-Models are immutable after `build_model` and safe to share across threads.
+`build_model` validates a model assembled from outside parts; `derived_model`
+assembles, without checks, one that a transformation (barren-node removal,
+decision absorption) made from a validated model, and carries over the parent's
+table factors.  Models are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     ArrowKindMismatch,
@@ -248,7 +254,12 @@ def iter_configs(scope: Sequence[str], frames: Mapping[str, Frame]) -> Iterator[
 
 @dataclass(frozen=True)
 class IridModel:
-    """Validated influence diagram; construct through `build_model`."""
+    """Validated influence diagram.
+
+    Construct it through `build_model`, which checks every invariant, or,
+    for a model derived from a validated one, through `derived_model`.
+    Table factors and the content hash are computed on first use and cached.
+    """
 
     nodes: tuple[NodeSpec, ...]
     arrows: tuple[ArrowSpec, ...]
@@ -256,6 +267,9 @@ class IridModel:
     constraints: tuple[Constraint, ...]
     value: ValueTable
     objective: str = MAXIMIZE
+    #: table factors built so far, by owner: CPTs by child, the value table
+    #: by the value node, placeholders by decision
+    _tables: dict[str, Factor] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- structure ---------------------------------------------------------
 
@@ -374,29 +388,54 @@ class IridModel:
         return self._constraint_map[decision]
 
     def cpt_factor(self, var: str) -> Factor:
-        return self._cpt_factors[var]
+        if self.kind(var) != CHANCE:
+            raise UnknownVariable(f"no CPT for {var!r}")
+        return self._table(var)
 
-    @cached_property
-    def _cpt_factors(self) -> dict[str, Factor]:
-        out = {}
-        for c in self.cpts:
-            scope = c.parents + (c.child,)
-            frames = tuple(self.frame(v) for v in scope)
-            child_frame = frames[-1]
-            values = [
-                c.rows[cfg][lab]
-                for cfg in iter_configs(c.parents, self.frames)
-                for lab in child_frame.labels
-            ]
-            out[c.child] = Factor.from_flat(scope, frames, values)
-        return out
-
-    @cached_property
+    @property
     def value_factor(self) -> Factor:
-        scope = self.value.parents
+        return self._table(self.value_var)
+
+    def placeholder_factor(self, decision: str) -> Factor:
+        """All-ones table over (constraint scope, decision): the stand-in for
+        a decision function not chosen yet.  Its scope is fixed during a
+        stage, so it contributes a constant and never perturbs weights or
+        support."""
+        if self.kind(decision) != DECISION:
+            raise UnknownDecision(f"{decision!r} is not a decision node")
+        return self._table(decision)
+
+    def _table(self, var: str) -> Factor:
+        table = self._tables.get(var)
+        if table is None:
+            table = self._tables[var] = self._build_table(var)
+        return table
+
+    def _build_table(self, var: str) -> Factor:
+        # build_model checked every entry, so Factor's checks are not repeated
+        kind = self.kind(var)
+        if kind == CHANCE:
+            c = self.cpt(var)
+            scope = c.parents + (var,)
+            labels = self.frame(var).labels
+            flat = [c.rows[cfg][lab] for cfg in iter_configs(c.parents, self.frames) for lab in labels]
+        elif kind == VALUE:
+            scope = self.value.parents
+            flat = [self.value.cells[cfg] for cfg in iter_configs(scope, self.frames)]
+        else:
+            scope = self.constraint(var).scope + (var,)
+            flat = None
         frames = tuple(self.frame(v) for v in scope)
-        values = [self.value.cells[cfg] for cfg in iter_configs(scope, self.frames)]
-        return Factor.from_flat(scope, frames, values)
+        shape = tuple(len(f) for f in frames)
+        values = np.ones(shape) if flat is None else np.array(flat, dtype=float).reshape(shape)
+        return Factor.trusted(scope, frames, values)
+
+    @cached_property
+    def _content_hash(self) -> str:
+        """sha256 of the canonical model file; see `modelfile.model_content_hash`."""
+        from .modelfile import serialize_model  # modelfile imports this module
+
+        return hashlib.sha256(serialize_model(self)).hexdigest()
 
     # -- behaviour ---------------------------------------------------------
 
@@ -548,6 +587,34 @@ def build_model(
     )
     # force the decision order cache so later accessors agree with validation
     assert model.decisions == tuple(dec_order)
+    return model
+
+
+def derived_model(
+    parent: IridModel,
+    nodes: tuple[NodeSpec, ...],
+    arrows: tuple[ArrowSpec, ...],
+    cpts: tuple[Cpt, ...],
+    constraints: tuple[Constraint, ...],
+    value_table: ValueTable,
+    changed: Mapping[str, Factor],
+) -> IridModel:
+    """Assemble, without checks, a model made from the validated `parent` by a
+    transformation that keeps every invariant `build_model` checks (removing
+    barren nodes, absorbing the last decision).
+
+    The parts must be in `build_model`'s normal form: nodes in the parent's
+    order, arrows sorted by (target, source) position, CPTs in chance-node
+    order and constraints in decision order.  `changed` holds the table
+    factor of every surviving owner whose table differs from the parent's;
+    every other table factor the parent has built is carried over.
+    """
+    model = IridModel(nodes, arrows, cpts, constraints, value_table, parent.objective)
+    alive = model._node_map
+    model._tables.update(
+        (v, t) for v, t in parent._tables.items() if v in alive and v not in changed
+    )
+    model._tables.update(changed)
     return model
 
 

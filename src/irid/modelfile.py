@@ -24,7 +24,6 @@ reproduces m field-by-field and the serialized bytes hash stably.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from typing import Any, Mapping
@@ -138,7 +137,7 @@ def model_from_document(doc: Any) -> IridModel:
         cpts.append(Cpt(child, parents, rows))
 
     constraints = []
-    for i, item in enumerate(doc.get("constraints", [])):
+    for i, item in enumerate(_expect(doc.get("constraints", []), list, "constraints")):
         path = f"constraints[{i}]"
         _expect(item, dict, path)
         decision = _req(item, "decision", str, path)
@@ -353,7 +352,9 @@ def serialize_model(model: IridModel) -> bytes:
 
 
 def model_content_hash(model: IridModel) -> str:
-    return hashlib.sha256(serialize_model(model)).hexdigest()
+    """sha256 of `serialize_model(model)`, computed once per model object
+    (models are immutable)."""
+    return model._content_hash
 
 
 def _currency(x: float | None):

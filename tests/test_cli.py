@@ -66,6 +66,15 @@ class TestValidate:
         path.write_text("{not json")
         assert run_cli(["validate", str(path)]) == 2
 
+    @pytest.mark.parametrize("constraints", [None, 3, {}, {"D": []}], ids=repr)
+    def test_constraints_not_a_list_exits_2(self, tmp_path, capsys, constraints):
+        doc = json.loads(bundled_bytes("wildcatter_irid"))
+        doc["constraints"] = constraints
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["validate", str(path)]) == 2
+        assert "invalid model at constraints: " in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self):
@@ -194,6 +203,20 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "OK"
+
+    @pytest.mark.parametrize("module", ["irid", "irid.cli"])
+    def test_python_m_runs(self, module, wildcatter_file):
+        """`python -m irid` and `python -m irid.cli` run the command line."""
+        def run(*args):
+            return subprocess.run(
+                [sys.executable, "-m", module, *args],
+                capture_output=True, text=True, env=_child_env(),
+            )
+
+        proc = run("validate", wildcatter_file)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "OK"
+        assert run("bogus").returncode == 1
 
     def test_import_loads_no_dependency_but_numpy(self):
         """numpy is irid's only runtime dependency: a fresh `import irid`

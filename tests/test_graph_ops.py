@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+import irid.solver
+from irid.data import BUNDLED, load_bundled
 from irid.errors import IncompletePolicy, NotLastDecision, StageOutOfRange
 from irid.graph_ops import (
     absorb_decision,
@@ -26,7 +28,7 @@ from irid.model import (
 from irid.oracle import exact_expectation, exact_stage_expectation, exhaustive_policy_search
 
 from conftest import constrained_constant_policy
-from model_gen import random_model, random_policies
+from model_gen import random_model, random_policies, with_point_masses
 
 
 def stage_ctx(model, k=None):
@@ -376,3 +378,56 @@ class TestAbsorbDecision:
             reduced = absorb_decision(reduced, d, policies[d])
         composed = exact_stage_expectation(terminal_stage_context(reduced), {})
         assert composed == pytest.approx(direct, abs=1e-9)
+
+
+def certificate_model(source):
+    """A bundled model by name, or random model `source` (1-3 decisions),
+    with point masses in every third."""
+    if isinstance(source, str):
+        return load_bundled(source)
+    m = random_model(source + 7000, n_chance=(1, 5), n_decisions=(1, 3))
+    if source % 3 == 0:
+        m = with_point_masses(m, np.random.default_rng(source))
+    return m
+
+
+def assert_same_table(derived, rebuilt):
+    assert derived.scope == rebuilt.scope
+    assert derived.values.flags.c_contiguous
+    assert derived.values.dtype == rebuilt.values.dtype
+    assert np.array_equal(derived.values, rebuilt.values)
+
+
+class TestDerivedModelCertificate:
+    """Models derived without checks (barren-node removal, absorption) equal
+    what `build_model` makes of their parts, and so do the table factors they
+    carry over from their parents or compose from them."""
+
+    @pytest.mark.parametrize("source", [*BUNDLED, *range(200)])
+    def test_solver_chain_matches_build_model(self, source, monkeypatch):
+        derived = []
+
+        def recording(fn):
+            def wrapper(*args):
+                derived.append(fn(*args))
+                return derived[-1]
+
+            return wrapper
+
+        for name in ("remove_barren", "absorb_decision"):
+            monkeypatch.setattr(irid.solver, name, recording(getattr(irid.solver, name)))
+        model = certificate_model(source)
+        irid.solver.solve(model)
+        assert len(derived) == 1 + len(derived[0].decisions)
+        for m in derived:
+            rebuilt = build_model(m.nodes, m.arrows, m.cpts, m.constraints, m.value, m.objective)
+            for field in (
+                "nodes", "arrows", "cpts", "constraints", "value", "objective",
+                "decisions", "topological_order",
+            ):
+                assert getattr(m, field) == getattr(rebuilt, field), field
+            for v in m.chance_vars:
+                assert_same_table(m.cpt_factor(v), rebuilt.cpt_factor(v))
+            for d in m.decisions:
+                assert_same_table(m.placeholder_factor(d), rebuilt.placeholder_factor(d))
+            assert_same_table(m.value_factor, rebuilt.value_factor)

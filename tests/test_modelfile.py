@@ -45,6 +45,22 @@ class TestRoundTrip:
         assert model_content_hash(wildcatter) == model_content_hash(wildcatter)
         assert model_content_hash(wildcatter) != model_content_hash(wildcatter_info_only)
 
+    def test_hash_computed_once_per_model(self, monkeypatch):
+        calls = []
+        serialize = irid.modelfile.serialize_model
+        monkeypatch.setattr(
+            irid.modelfile, "serialize_model", lambda m: calls.append(m) or serialize(m)
+        )
+        model = parse_model(bundled_bytes("wildcatter_irid"))
+        first = solve(model)
+        assert len(calls) == 1
+        second = solve(model)
+        assert len(calls) == 1
+        assert first.model_hash == second.model_hash == model_content_hash(model)
+        # an equal model parsed afresh is hashed again, to the same digest
+        assert model_content_hash(parse_model(bundled_bytes("wildcatter_irid"))) == first.model_hash
+        assert len(calls) == 2
+
 
 class TestParseErrors:
     def test_broken_json_reports_line(self):
@@ -69,6 +85,14 @@ class TestParseErrors:
         with pytest.raises(SchemaError) as exc:
             parse_model(json.dumps(doc))
         assert exc.value.field == "nodes"
+
+    @pytest.mark.parametrize("constraints", [None, 3, {}, {"D": []}], ids=repr)
+    def test_constraints_must_be_a_list(self, wildcatter, constraints):
+        doc = model_to_document(wildcatter)
+        doc["constraints"] = constraints
+        with pytest.raises(SchemaError) as exc:
+            parse_model(json.dumps(doc))
+        assert exc.value.field == "constraints"
 
     def test_bad_objective(self, wildcatter):
         doc = model_to_document(wildcatter)
