@@ -1,4 +1,4 @@
-"""Single-site Gibbs sampler over a stage's factor set.
+"""Gibbs sampler over a stage's factor set.
 
 For a fixed configuration of the variables the stage's decision depends on
 (and a fixed decision alternative), the chain sweeps the free variables in
@@ -9,18 +9,29 @@ expectation of the value node for that cell.
 Zeros in the tables are handled by support restriction, not smoothing: a full
 conditional never proposes a zero-probability value, and initialization
 forward-samples a positive-probability state (raising NoPositiveState when the
-fixed configuration admits none).  Support restriction does not repair
-reducibility: if table zeros split the positive support into disconnected
-components, a single chain explores only the component it starts in and
-reports a small standard error around a wrong value.  Substituting solved
-decisions into the tables puts such zeros in, so this happens in stage cells
-of the bundled models as well as in the terminal, nothing-fixed chain:
-fixing the decision's dependency set does not keep a chain connected.  The
+fixed configuration admits none).
+
+Two kinds of cell need no chain, and their sweeps are drawn i.i.d., a block
+of uniforms at a time in numpy, through inverse-CDF rows:
+
+- i.i.d. cells, where no probability factor holds two free variables: every
+  full conditional is fixed by the cell, so the block result is bit-identical
+  to sweeping;
+- cells without evidence, where no chance factor whose child is fixed holds a
+  free variable (the terminal, nothing-fixed value always; decision
+  placeholders are all ones): the free variables given the fixed ones follow
+  the product of their own conditionals, which logic sampling draws exactly,
+  in topological order, one sweep's uniforms per draw.
+
+Only coupled cells with evidence run the single-site chain, and there support
+restriction does not repair reducibility: if table zeros split the positive
+support into disconnected components, the chain explores only the component
+it starts in and reports a small standard error around a wrong value.  The
 exact backend does not have this failure.
 
-Each variable's full conditionals are tabulated per cell, one inverse-CDF
-row per state of the other free variables it shares a factor with, so an
-update is an index computation and a bisection.
+In the chain, each variable's full conditionals are tabulated per cell, one
+inverse-CDF row per state of the other free variables it shares a factor
+with, so an update is an index computation and a bisection.
 
 Reproducibility is strict: a given seed yields a bit-identical estimate.
 """
@@ -37,7 +48,7 @@ import numpy as np
 
 from .errors import AllZeroSupport, IncompleteConfig, InvalidModel, NoPositiveState
 from .factors import Factor
-from .graph_ops import ROLE_VALUE, StageContext
+from .graph_ops import ROLE_CHANCE, ROLE_VALUE, StageContext
 
 #: forward-sampling attempts before falling back to exhaustive search
 _INIT_ATTEMPTS = 100
@@ -45,11 +56,18 @@ _INIT_ATTEMPTS = 100
 #: number of batches for the batch-means standard error
 _BATCHES = 20
 
+#: a site of a cell whose sweeps are i.i.d. draws: (slot, row parents as
+#: (slot, radix) pairs, `_cdf` rows); see `_CompiledCell.block_sites`
+_BlockSite = tuple[int, tuple[tuple[int, int], ...], list[tuple[list[int], list[float], float]]]
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
     """Run-length knobs.  `samples` sweeps are run after `burn_in`; every
-    `thinning`-th one contributes to the estimate."""
+    `thinning`-th one contributes to the estimate.  Cells whose sweeps are
+    i.i.d. draw and drop the burn-in and thinned-out sweeps' uniforms all the
+    same, so the estimate keeps `samples // thinning` draws and its place in
+    the seeded stream."""
 
     seed: int
     burn_in: int = 1000
@@ -246,8 +264,19 @@ class _CompiledCell:
         # no probability factor couples two free sites: every site's full
         # conditional is fixed by the cell, so successive sweeps are i.i.d.
         self.iid = all(len(cf.free_pairs) <= 1 for cf in prob)
+        # a chance factor with a fixed child that holds a free variable is
+        # evidence on the free variables; without any, they follow the
+        # product of their own conditionals
+        free = set(self.free)
+        self.evidence = any(
+            sf.role == ROLE_CHANCE
+            and sf.child not in free
+            and not free.isdisjoint(sf.factor.scope)
+            for sf in ctx.factors
+        )
 
         # the free variables' own conditionals, for forward initialization
+        # and logic sampling
         self.cpt_for = []
         for i, v in enumerate(self.free):
             f = ctx.cpt_of(v)
@@ -275,6 +304,36 @@ class _CompiledCell:
             if slot >= len(self.free):
                 fixed_ints[slot] = fr.index(self.fixed_labels[var])
         return _CompiledFactor(factor, slot_of, fixed_ints)
+
+    def block_sites(self) -> list[_BlockSite] | None:
+        """The sites of a cell whose sweeps are i.i.d. draws, in the order a
+        draw visits them; None for a coupled cell with evidence.
+
+        A site is (slot, row parents, rows): a draw takes the `_cdf` row
+        `rows[sum(radix * state[s] for s, radix in row parents)]`.  In an
+        i.i.d. cell no site has row parents, and its one row is that of its
+        site table.  In a cell without evidence the sites follow the
+        topological order, and their rows are their own conditionals, one per
+        state of their free parents."""
+        if self.iid:
+            return [(slot, (), [rows[0]]) for slot, rows, _ in self.sites]
+        if self.evidence:
+            return None
+        sites = []
+        for slot in self.topo_slots:
+            cf, stride = self.cpt_for[slot]
+            pairs = [(s, st) for s, st in cf.free_pairs if s != slot]
+            parents = []
+            radix = 1
+            for s, _ in reversed(pairs):
+                parents.append((s, radix))
+                radix *= self.sizes[s]
+            rows = []
+            for combo in itertools.product(*(range(self.sizes[s]) for s, _ in pairs)):
+                off = cf.base + sum(st * j for (_, st), j in zip(pairs, combo))
+                rows.append(_cdf([cf.flat[off + stride * j] for j in range(self.sizes[slot])]))
+            sites.append((slot, tuple(parents), rows))
+        return sites
 
     # -- core moves --------------------------------------------------------
 
@@ -405,18 +464,20 @@ def estimate_expectation(
     Runs `burn_in` discard sweeps, then `samples` sweeps keeping every
     `thinning`-th state; the value factor is evaluated at each kept state
     composed with the fixed configuration.  The standard error comes from
-    batch means over 20 equal batches.  When no probability factor holds two
-    free sites the sweeps are i.i.d.; they are then computed a block at a
-    time, with the same result as sweeping.
+    batch means over 20 equal batches.  When the sweeps are i.i.d. draws
+    (`_CompiledCell.block_sites`) they are computed a block at a time; an
+    i.i.d. cell then gives the same result as sweeping, and a cell without
+    evidence draws each kept state exactly, by logic sampling.
     """
     cell = _CompiledCell(stage_context, fixed_config, value_factor=value_factor)
     rng = np.random.default_rng(sampler_config.seed)
     state = cell.initial_state(rng)
     n_free = len(cell.free)
     cfg = sampler_config
+    sites = cell.block_sites() if n_free else None
 
-    if n_free and cell.iid:
-        kept = _iid_chain(cell, rng, cfg)
+    if sites is not None:
+        kept = _iid_chain(cell, rng, cfg, sites)
     elif n_free:
         # uniforms are drawn in exact-size blocks, so the stream matches a
         # chain driven by repeated single sweeps with the same seed
@@ -439,18 +500,34 @@ def estimate_expectation(
     return Estimate(mean=mean, std_error=_batch_means_se(kept), n=len(kept))
 
 
-def _iid_chain(cell: _CompiledCell, rng: np.random.Generator, cfg: SamplerConfig) -> np.ndarray:
-    """The kept values of the sweep chain of an i.i.d. cell, one block of
-    uniforms at a time.
+def _iid_chain(
+    cell: _CompiledCell,
+    rng: np.random.Generator,
+    cfg: SamplerConfig,
+    sites: list[_BlockSite],
+) -> np.ndarray:
+    """The kept values of a cell whose sweeps are i.i.d. draws through the
+    rows of `sites` (`_CompiledCell.block_sites`), one block of uniforms at a
+    time.
 
-    Each sweep draws every site from the single row of its table, so a block
-    maps the very uniforms the sweeps would consume through those rows, for
-    the kept sweeps only."""
+    A block holds the very uniforms the sweeps would consume, one per slot
+    and sweep; those of burn-in and thinned-out sweeps are dropped.  Each
+    site, in order, maps its slot's column through the row its row parents
+    select, as `support[bisect_right(cumulative, u * total)]` does."""
     n_free = len(cell.free)
-    rows = [
-        (np.array(support), np.array(cumulative), site_total)
-        for support, cumulative, site_total in (table[0] for _, table, _ in cell.sites)
-    ]
+    tables = []
+    for slot, parents, rows in sites:
+        # rows padded to one width with +inf running sums, so the count of
+        # running sums <= u * total is the bisection and stays inside the
+        # row's own support
+        width = max(len(cumulative) for _, cumulative, _ in rows)
+        cumulative = np.full((len(rows), width), np.inf)
+        support = np.zeros((len(rows), width + 1), dtype=np.intp)
+        for r, (sup, cum, _) in enumerate(rows):
+            cumulative[r, : len(cum)] = cum
+            support[r, : len(sup)] = sup
+        totals = np.array([row_total for _, _, row_total in rows])
+        tables.append((slot, parents, cumulative, support, totals))
     value = cell.value
     flat = np.array(value.flat)
     burn, thin = cfg.burn_in, cfg.thinning
@@ -464,9 +541,15 @@ def _iid_chain(cell: _CompiledCell, rng: np.random.Generator, cfg: SamplerConfig
         i = np.arange(done + 1, done + count + 1)
         uniforms = uniforms[(i > burn) & ((i - burn) % thin == 0)]
         states = np.empty(uniforms.shape, dtype=np.intp)
-        for slot, (support, cumulative, site_total) in enumerate(rows):
-            pos = np.searchsorted(cumulative, uniforms[:, slot] * site_total, side="right")
-            states[:, slot] = support[pos]
+        for slot, parents, cumulative, support, totals in tables:
+            row = 0
+            for s, radix in parents:
+                row = row + radix * states[:, s]
+            target = uniforms[:, slot] * totals[row]
+            pos = np.zeros(len(target), dtype=np.intp)
+            for column in cumulative.T:
+                pos += column[row] <= target
+            states[:, slot] = support[row, pos]
         off = np.full(len(states), value.base, dtype=np.intp)
         for slot, stride in value.free_pairs:
             off += stride * states[:, slot]

@@ -753,13 +753,17 @@ def validate_policy(model: IridModel, policy: Policy) -> None:
             f"parents are {sorted(want)}"
         )
     frame = model.frame(policy.decision)
+    con = model.constraint(policy.decision)
+    # build_model keeps a constraint's scope inside the decision's parents
+    # and gives every configuration of it a cell
+    pos = [policy.scope.index(v) for v in con.scope]
     for cfg in iter_configs(policy.scope, model.frames):
         if cfg not in policy.table:
             raise IncompletePolicy(f"policy for {policy.decision!r} misses {cfg!r}")
         chosen = policy.table[cfg]
         if chosen not in frame:
             raise ValueNotInFrame(f"policy picks {chosen!r} outside frame of {policy.decision!r}")
-        allowed = model.admissible(policy.decision, dict(zip(policy.scope, cfg)))
+        allowed = con.cells[tuple(cfg[i] for i in pos)]
         if chosen not in allowed:
             raise PolicyViolatesConstraint(
                 f"policy picks {chosen!r} at {cfg!r} but constraint allows {list(allowed)}"

@@ -1,12 +1,22 @@
 import collections
 import itertools
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 
 from irid.data import BUNDLED, load_bundled
 from irid.errors import AllZeroSupport, IncompleteConfig, InvalidModel, NoPositiveState
-from irid.gibbs import Estimate, SamplerConfig, estimate_expectation, init_state, sweep
+from irid.gibbs import (
+    Estimate,
+    SamplerConfig,
+    _cdf,
+    _CompiledCell,
+    _iid_chain,
+    estimate_expectation,
+    init_state,
+    sweep,
+)
 from irid.graph_ops import (
     absorb_decision,
     build_stage_context,
@@ -28,7 +38,7 @@ from irid.model import (
 from irid.oracle import exact_stage_expectation
 from irid.solver import solve
 
-from model_gen import random_model
+from model_gen import random_model, with_point_masses
 
 
 @pytest.fixture(scope="module")
@@ -406,10 +416,9 @@ class TestIidCells:
         assert est == _sweep_chain_estimate(ctx, {"D1": "b"}, sampler)
 
 
-def _coupled_cells(model):
-    """(context, fixed configuration) of every cell the Gibbs solver runs
-    in stages whose free variables share a probability factor, with the
-    exact policies absorbed, and of the terminal chain."""
+def _stage_cells(model):
+    """(context, fixed configuration) of every cell the solver evaluates,
+    with the exact policies absorbed, and of the terminal value."""
     policies = solve(model).policies
     working = remove_barren(model)
     cells = []
@@ -418,14 +427,37 @@ def _coupled_cells(model):
         ctx = build_stage_context(
             working, part, moralize(relevance_subgraph(working)), part.stage_count
         )
-        if any(sum(v in ctx.free_vars for v in f.scope) > 1 for f in ctx.probability_factors):
-            deps = sorted(ctx.dependency_set)
-            for cfg in iter_configs(deps, working.frames):
-                fixed = dict(zip(deps, cfg))
-                for alt in working.admissible(ctx.decision, fixed):
-                    cells.append((ctx, {**fixed, ctx.decision: alt}))
+        deps = sorted(ctx.dependency_set)
+        for cfg in iter_configs(deps, working.frames):
+            fixed = dict(zip(deps, cfg))
+            for alt in working.admissible(ctx.decision, fixed):
+                cells.append((ctx, {**fixed, ctx.decision: alt}))
         working = absorb_decision(working, ctx.decision, policies[ctx.decision])
     return cells + [(terminal_stage_context(working), {})]
+
+
+def _is_coupled(ctx):
+    """Whether some probability factor holds two free variables."""
+    return any(sum(v in ctx.free_vars for v in f.scope) > 1 for f in ctx.probability_factors)
+
+
+def _has_evidence(ctx):
+    """Whether a conditional table whose child is not free holds a free
+    variable (decision placeholders are all ones and weigh nothing)."""
+    return any(
+        sf.role == "chance"
+        and sf.child not in ctx.free_vars
+        and any(v in ctx.free_vars for v in sf.factor.scope)
+        for sf in ctx.factors
+    )
+
+
+def _has_positive_state(ctx, fixed):
+    try:
+        init_state(ctx, fixed, np.random.default_rng(0))
+    except NoPositiveState:
+        return False
+    return True
 
 
 def _has_zero_total_conditional(ctx, fixed):
@@ -448,22 +480,157 @@ COUPLED_CONFIGS = [
 ]
 
 
+def _point_mass_model(seed):
+    """Random model `seed` (1-3 decisions) with point masses in its rows."""
+    m = random_model(seed + 7000, n_chance=(1, 5), n_decisions=(1, 3))
+    return with_point_masses(m, np.random.default_rng(seed))
+
+
 class TestCoupledCells:
-    """Cells whose free variables share factors run the table-driven sweep;
-    it must give exactly what a chain recomputing every full conditional
-    from the factors gives, although some of their tables' blanket states
-    have all-zero weights (those raise only if a chain visits them)."""
+    """Coupled cells with evidence run the table-driven sweep; it must give
+    exactly what a chain recomputing every full conditional from the factors
+    gives, although some of their tables' blanket states have all-zero
+    weights (those raise only if a chain visits them)."""
+
+    @pytest.mark.parametrize("kwargs", COUPLED_CONFIGS)
+    @pytest.mark.parametrize(
+        "seed, count",
+        [pytest.param(s, n, id=f"point_masses_{s}") for s, n in
+         [(33, 4), (127, 15), (138, 6), (325, 3), (426, 2)]],
+    )
+    def test_equals_reference_chain(self, seed, count, kwargs):
+        cells = [
+            (ctx, fixed)
+            for ctx, fixed in _stage_cells(_point_mass_model(seed))
+            if _is_coupled(ctx) and _has_evidence(ctx) and _has_positive_state(ctx, fixed)
+        ]
+        assert len(cells) == count
+        for cell_seed, (ctx, fixed) in enumerate(cells):
+            assert _has_zero_total_conditional(ctx, fixed)
+            sampler = SamplerConfig(seed=cell_seed, **kwargs)
+            est = estimate_expectation(ctx, fixed, ctx.value_factor, sampler)
+            assert est == _reference_chain_estimate(ctx, fixed, sampler), (ctx.stage, fixed)
+
+
+def _reference_ancestral_estimate(ctx, fixed, cfg):
+    """The estimate of logic sampling driven by the sweep chain's uniforms:
+    after the public `init_state`, each sweep takes one uniform per variable
+    in `ctx.free_vars` order from `default_rng(cfg.seed)`; a kept sweep draws
+    every free variable, in `ctx.free_topological` order, from its own
+    conditional given the values drawn so far, with its own uniform."""
+    rng = np.random.default_rng(cfg.seed)
+    init_state(ctx, fixed, rng)
+    labels = {v: ctx.cpt_of(v).frame_of(v).labels for v in ctx.free_vars}
+    vals = []
+    for i in range(1, cfg.burn_in + cfg.samples + 1):
+        uniforms = dict(zip(ctx.free_vars, rng.random(len(ctx.free_vars)).tolist()))
+        if i > cfg.burn_in and (i - cfg.burn_in) % cfg.thinning == 0:
+            assignment = dict(fixed)
+            for var in ctx.free_topological:
+                cpt = ctx.cpt_of(var)
+                weights = [cpt.evaluate({**assignment, var: lab}) for lab in labels[var]]
+                support, cumulative, total = _cdf(weights)
+                j = support[bisect_right(cumulative, uniforms[var] * total)]
+                assignment[var] = labels[var][j]
+            vals.append(ctx.value_factor.evaluate(assignment))
+    return _batch_means_estimate(vals)
+
+
+def _child_listed_first():
+    """X -> Y -> V and X -> V with Y listed first, so model order is not
+    topological; some rows end in zero-weight values, and Y's rows have
+    positive supports of different lengths."""
+    return build_model(
+        nodes=(
+            NodeSpec("Y", "chance", Frame(("y0", "y1", "y2"))),
+            NodeSpec("X", "chance", Frame(("x0", "x1", "x2"))),
+            NodeSpec("V", "value"),
+        ),
+        arrows=(
+            ArrowSpec("X", "Y", "relevance"),
+            ArrowSpec("X", "V", "relevance"),
+            ArrowSpec("Y", "V", "relevance"),
+        ),
+        cpts=(
+            Cpt(
+                "Y",
+                ("X",),
+                {
+                    ("x0",): {"y0": 0.5, "y1": 0.5, "y2": 0.0},
+                    ("x1",): {"y0": 0.25, "y1": 0.25, "y2": 0.5},
+                    ("x2",): {"y0": 0.0, "y1": 0.0, "y2": 1.0},
+                },
+            ),
+            Cpt("X", (), {(): {"x0": 0.25, "x1": 0.75, "x2": 0.0}}),
+        ),
+        constraints=(),
+        value_table=ValueTable(
+            ("X", "Y"),
+            {
+                (x, y): float(10 * i + j)
+                for i, x in enumerate(("x0", "x1", "x2"))
+                for j, y in enumerate(("y0", "y1", "y2"))
+            },
+        ),
+    )
+
+
+class TestAncestralCells:
+    """Coupled cells without evidence draw each kept sweep by logic
+    sampling, a block at a time; the result must equal a per-draw loop."""
 
     @pytest.mark.parametrize("kwargs", COUPLED_CONFIGS)
     @pytest.mark.parametrize("name", BUNDLED)
-    def test_equals_reference_chain(self, name, kwargs):
-        cells = _coupled_cells(load_bundled(name))
+    def test_bundled_equal_reference(self, name, kwargs):
+        cells = [c for c in _stage_cells(load_bundled(name)) if _is_coupled(c[0])]
         assert [ctx.stage for ctx, _ in cells] == [1] * 6 + [0]
         for seed, (ctx, fixed) in enumerate(cells):
-            assert _has_zero_total_conditional(ctx, fixed)
+            assert not _has_evidence(ctx)
             sampler = SamplerConfig(seed=seed, **kwargs)
             est = estimate_expectation(ctx, fixed, ctx.value_factor, sampler)
-            assert est == _reference_chain_estimate(ctx, fixed, sampler), (ctx.stage, fixed)
+            assert est == _reference_ancestral_estimate(ctx, fixed, sampler), (ctx.stage, fixed)
+
+    @pytest.mark.parametrize("kwargs", COUPLED_CONFIGS)
+    def test_generated_equal_reference(self, kwargs):
+        compared = 0
+        for seed in range(24):
+            for ctx, fixed in _stage_cells(_point_mass_model(seed)):
+                if not _is_coupled(ctx) or _has_evidence(ctx):
+                    continue
+                sampler = SamplerConfig(seed=seed, **kwargs)
+                est = estimate_expectation(ctx, fixed, ctx.value_factor, sampler)
+                expected = _reference_ancestral_estimate(ctx, fixed, sampler)
+                assert est == expected, (seed, ctx.stage, fixed)
+                compared += 1
+        assert compared == 46
+
+    @pytest.mark.parametrize("kwargs", COUPLED_CONFIGS)
+    def test_child_listed_first_equals_reference(self, kwargs):
+        ctx = terminal_stage_context(_child_listed_first())
+        assert ctx.free_vars == ("Y", "X") and ctx.free_topological == ("X", "Y")
+        sampler = SamplerConfig(seed=5, **kwargs)
+        est = estimate_expectation(ctx, {}, ctx.value_factor, sampler)
+        assert est == _reference_ancestral_estimate(ctx, {}, sampler)
+
+    def test_a_uniform_of_one_draws_the_last_positive_value(self):
+        """Where `u * total` reaches `total`, a block draw takes the last
+        positive value of the row, never a zero-weight value after it."""
+        ctx = terminal_stage_context(_child_listed_first())
+        cell = _CompiledCell(ctx, {}, value_factor=ctx.value_factor)
+
+        class Ones:
+            def random(self, n):
+                return np.ones(n)
+
+        sampler = SamplerConfig(seed=0, burn_in=3, samples=40)
+        kept = _iid_chain(cell, Ones(), sampler, cell.block_sites())
+        assert kept.tolist() == [12.0] * 40  # X = x1, Y = y2
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_wildcatter_terminal_value_within_4_se(self, wildcatter, seed):
+        ctx, fixed = _stage_cells(wildcatter)[-1]
+        est = estimate_expectation(ctx, fixed, ctx.value_factor, SamplerConfig(seed=seed))
+        assert abs(est.mean - 334750.0) <= 4 * est.std_error
 
 
 class TestKernelInvariance:

@@ -12,6 +12,7 @@ from irid.errors import (
     DuplicateVariable,
     EmptyConstraintCell,
     IncompleteConfig,
+    IncompletePolicy,
     MissingPolicy,
     MissingTableEntry,
     MultipleValueNodes,
@@ -34,6 +35,7 @@ from irid.model import (
     iter_configs,
     policy_to_conditional,
     topological_sort,
+    validate_policy,
 )
 
 from conftest import constrained_constant_policy
@@ -176,6 +178,44 @@ class TestPolicyToConditional:
         table = {cfg: "d" for cfg in iter_configs(scope, wildcatter.frames)}
         with pytest.raises(PolicyViolatesConstraint):
             policy_to_conditional(wildcatter, Policy("D", scope, table))
+
+
+class TestValidatePolicy:
+    @pytest.mark.parametrize("seed", range(100))
+    def test_rejects_exactly_the_inadmissible_picks(self, seed):
+        """A policy that picks from the whole frame is rejected iff some
+        pick lies outside what `admissible` allows for its configuration."""
+        model = random_model(seed + 500, n_chance=(1, 5), n_decisions=(1, 3))
+        rng = np.random.default_rng(seed)
+        for d in model.decisions:
+            scope = model.parents(d)
+            table, inadmissible = {}, False
+            for cfg in iter_configs(scope, model.frames):
+                table[cfg] = str(rng.choice(model.frame(d).labels))
+                inadmissible |= table[cfg] not in model.admissible(d, dict(zip(scope, cfg)))
+            if inadmissible:
+                with pytest.raises(PolicyViolatesConstraint):
+                    validate_policy(model, Policy(d, scope, table))
+            else:
+                validate_policy(model, Policy(d, scope, table))
+
+    def test_unknown_decision(self, wildcatter):
+        with pytest.raises(UnknownDecision):
+            validate_policy(wildcatter, Policy("O", (), {(): "w"}))
+
+    def test_scope_other_than_parents(self, wildcatter):
+        scope = wildcatter.parents("T")
+        table = {cfg: "nt" for cfg in iter_configs(scope, wildcatter.frames)}
+        validate_policy(wildcatter, Policy("T", scope, table))
+        with pytest.raises(IncompletePolicy):
+            validate_policy(wildcatter, Policy("T", (), {(): "nt"}))
+
+    def test_pick_outside_frame(self, wildcatter):
+        pol = constrained_constant_policy(wildcatter, "D", "nd")
+        table = dict(pol.table)
+        table[next(iter(table))] = "mystery"
+        with pytest.raises(ValueNotInFrame):
+            validate_policy(wildcatter, Policy("D", pol.scope, table))
 
 
 class TestFixPolicies:

@@ -15,7 +15,7 @@ from irid.model import (
 from irid.oracle import exact_stage_expectation, exhaustive_policy_search
 from irid.solver import SolveOptions, _cell_seed, solve
 
-from model_gen import chain_model, chain_tables, random_model
+from model_gen import chain_model, chain_tables, random_model, with_point_masses
 
 # backward induction on the budget-constrained wildcatter, done by hand:
 # test2 is worth buying only with the big budget; with the small one the
@@ -363,12 +363,45 @@ class TestGibbsBackend:
         )
         for d in wildcatter.decisions:
             assert gibbs_sol.policies[d].table == exact_sol.policies[d].table
-        assert gibbs_sol.expected_value_std_error is not None
-        # the terminal chain cannot cross budget components (the composed
-        # test-result table pins R's support per budget), so the estimate
-        # tracks one component mean; per-budget conditional expectations are
-        # 250,000 and 419,500
-        assert 250000.0 - 50000.0 <= gibbs_sol.expected_value <= 419500.0 + 50000.0
+        # the terminal value is drawn by logic sampling, so the zeros the
+        # absorbed budget puts into the tables split nothing and the estimate
+        # covers the exact value
+        se = gibbs_sol.expected_value_std_error
+        assert abs(gibbs_sol.expected_value - exact_sol.expected_value) <= 4 * se
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_workaround_stage1_cell_covers_exact(self, wildcatter_workaround, seed):
+        exact_sol = solve(wildcatter_workaround, SolveOptions(backend="exact"))
+        gibbs_sol = solve(
+            wildcatter_workaround,
+            SolveOptions(backend="gibbs", sampler=SamplerConfig(seed=seed)),
+        )
+        assert gibbs_sol.policies["T"].table == exact_sol.policies["T"].table
+        (cell,) = [
+            c
+            for c in gibbs_sol.per_cell_diagnostics
+            if c.stage == 1 and c.config == (("B", "$2M"),) and c.alternative == "t2"
+        ]
+        assert abs(cell.value - 419500.0) <= 4 * cell.std_error
+
+    def test_zero_probability_flags_match_exact(self):
+        zeros = 0
+        for seed in range(200):
+            m = random_model(
+                seed + 3000, n_chance=(1, 5), n_decisions=(1, 3), allow_zeros=seed % 2 == 0
+            )
+            m = with_point_masses(m, np.random.default_rng(seed), share=0.6)
+            sampler = SamplerConfig(seed=seed, burn_in=20, samples=200)
+            flags = [
+                [
+                    (c.stage, c.config, c.alternative, c.zero_probability)
+                    for c in sol.per_cell_diagnostics
+                ]
+                for sol in (solve(m), solve(m, SolveOptions(backend="gibbs", sampler=sampler)))
+            ]
+            assert flags[0] == flags[1], seed
+            zeros += sum(flag for *_, flag in flags[0])
+        assert zeros > 0
 
     def test_terminal_estimate_unbiased_when_chain_mixes(self):
         # no structural zeros anywhere: the terminal chain is irreducible and
