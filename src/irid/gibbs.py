@@ -9,7 +9,11 @@ expectation of the value node for that cell.
 Zeros in the tables are handled by support restriction, not smoothing: a full
 conditional never proposes a zero-probability value, and initialization
 forward-samples a positive-probability state (raising NoPositiveState when the
-fixed configuration admits none).
+fixed configuration admits none).  Where no state can be positive without a
+search (a factor without a free variable is zero, or an i.i.d. cell has a site
+whose weights are all zero), the estimate raises NoPositiveState before it
+draws a uniform.  Every other cell draws its initial state first, so its
+seeded stream does not depend on this check.
 
 Two kinds of cell need no chain, and their sweeps are drawn i.i.d., a block
 of uniforms at a time in numpy, through inverse-CDF rows:
@@ -22,6 +26,10 @@ of uniforms at a time in numpy, through inverse-CDF rows:
   placeholders are all ones): the free variables given the fixed ones follow
   the product of their own conditionals, which logic sampling draws exactly,
   in topological order, one sweep's uniforms per draw.
+
+Run without -O, the block draw checks every 64th kept state for a positive
+product of the probability factors, in numpy, as the chain checks its kept
+states.
 
 Only coupled cells with evidence run the single-site chain, and there support
 restriction does not repair reducibility: if table zeros split the positive
@@ -388,6 +396,19 @@ class _CompiledCell:
             state[slot] = support[bisect_right(cumulative, uniforms[slot] * total)]
         return state
 
+    def certainly_empty(self) -> bool:
+        """Whether no state has a positive factor product, in the cases this
+        shows without a search: a factor without a free variable is zero, or,
+        in an i.i.d. cell, some site's weights are all zero.  False does not
+        promise a positive state."""
+        if any(not cf.free_pairs and cf.flat[cf.base] == 0.0 for cf in self.prob_factors):
+            return True
+        # an i.i.d. cell's product is the constant factors times one weight
+        # per site, and a site's blanket is empty
+        return self.iid and any(
+            not any(w > 0.0 for w in table.weights({})) for _, table, _ in self.sites
+        )
+
     def initial_state(self, rng: np.random.Generator) -> list[int]:
         n = len(self.free)
         if n == 0:
@@ -467,12 +488,18 @@ def estimate_expectation(
     batch means over 20 equal batches.  When the sweeps are i.i.d. draws
     (`_CompiledCell.block_sites`) they are computed a block at a time; an
     i.i.d. cell then gives the same result as sweeping, and a cell without
-    evidence draws each kept state exactly, by logic sampling.
+    evidence draws each kept state exactly, by logic sampling.  A cell that
+    `_CompiledCell.certainly_empty` shows has no positive state raises
+    NoPositiveState before drawing anything.
     """
     cell = _CompiledCell(stage_context, fixed_config, value_factor=value_factor)
+    n_free = len(cell.free)
+    if n_free and cell.certainly_empty():
+        raise NoPositiveState(
+            "no positive-probability completion of the fixed configuration exists"
+        )
     rng = np.random.default_rng(sampler_config.seed)
     state = cell.initial_state(rng)
-    n_free = len(cell.free)
     cfg = sampler_config
     sites = cell.block_sites() if n_free else None
 
@@ -530,6 +557,8 @@ def _iid_chain(
         tables.append((slot, parents, cumulative, support, totals))
     value = cell.value
     flat = np.array(value.flat)
+    if __debug__:
+        probe = [(np.array(cf.flat), cf.base, cf.free_pairs) for cf in cell.prob_factors]
     burn, thin = cfg.burn_in, cfg.thinning
     total = burn + cfg.samples
     kept = np.empty(cfg.samples // thin, dtype=float)
@@ -538,8 +567,7 @@ def _iid_chain(
     while done < total:
         count = min(block_sweeps, total - done)
         uniforms = rng.random(count * n_free).reshape(count, n_free)
-        i = np.arange(done + 1, done + count + 1)
-        uniforms = uniforms[(i > burn) & ((i - burn) % thin == 0)]
+        uniforms = uniforms[_kept_rows(done, burn, thin)]
         states = np.empty(uniforms.shape, dtype=np.intp)
         for slot, parents, cumulative, support, totals in tables:
             row = 0
@@ -556,13 +584,28 @@ def _iid_chain(
         m = len(states)
         kept[k : k + m] = flat[off]
         if __debug__:
-            for j in range(-k % 64, m, 64):
-                if cell.product_at(states[j].tolist()) <= 0.0:
-                    raise AllZeroSupport("chain reached a zero-probability state")
+            # every 64th kept draw, as the chain checks its kept states: the
+            # product of the probability factors in factor order
+            rows = states[-k % 64 :: 64]
+            product = np.ones(len(rows))
+            for factor_flat, base, free_pairs in probe:
+                off = np.full(len(rows), base, dtype=np.intp)
+                for slot, stride in free_pairs:
+                    off += stride * rows[:, slot]
+                product *= factor_flat[off]
+            if (product <= 0.0).any():
+                raise AllZeroSupport("chain reached a zero-probability state")
         k += m
         done += count
     assert k == len(kept)
     return kept
+
+
+def _kept_rows(done: int, burn: int, thin: int) -> slice:
+    """The rows of a block of sweeps `done + 1, done + 2, ...` whose sweep
+    `i` is kept: `i > burn` and `(i - burn) % thin == 0`."""
+    first = burn + thin * max(1, -((burn - done - 1) // thin))
+    return slice(first - done - 1, None, thin)
 
 
 def _batch_means_se(values: np.ndarray) -> float:

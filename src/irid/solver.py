@@ -57,7 +57,7 @@ class SolveOptions:
             raise InvalidModel(f"objective must be one of {OBJECTIVES}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellDiagnostic:
     """One evaluated (stage, predecessor configuration, alternative)."""
 

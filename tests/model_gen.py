@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from irid.data import load_bundled
 from irid.model import (
     ArrowSpec,
     Constraint,
@@ -168,6 +169,17 @@ def with_point_masses(model: IridModel, rng: np.random.Generator, share: float =
     return build_model(
         model.nodes, model.arrows, cpts, model.constraints, model.value, model.objective
     )
+
+
+def certificate_model(source) -> IridModel:
+    """A bundled model by name, or random model `source` (1-3 decisions),
+    with point masses in every third."""
+    if isinstance(source, str):
+        return load_bundled(source)
+    m = random_model(source + 7000, n_chance=(1, 5), n_decisions=(1, 3))
+    if source % 3 == 0:
+        m = with_point_masses(m, np.random.default_rng(source))
+    return m
 
 
 def random_policies(model: IridModel, rng: np.random.Generator) -> dict[str, Policy]:

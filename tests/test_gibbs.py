@@ -13,6 +13,7 @@ from irid.gibbs import (
     _cdf,
     _CompiledCell,
     _iid_chain,
+    _kept_rows,
     estimate_expectation,
     init_state,
     sweep,
@@ -38,7 +39,7 @@ from irid.model import (
 from irid.oracle import exact_stage_expectation
 from irid.solver import solve
 
-from model_gen import random_model, with_point_masses
+from model_gen import certificate_model, random_model, with_point_masses
 
 
 @pytest.fixture(scope="module")
@@ -612,6 +613,20 @@ class TestAncestralCells:
         est = estimate_expectation(ctx, {}, ctx.value_factor, sampler)
         assert est == _reference_ancestral_estimate(ctx, {}, sampler)
 
+    @pytest.mark.parametrize(
+        "name, blocks",
+        [("wildcatter_irid", 2), ("wildcatter_deterministic_workaround", 3)],
+    )
+    def test_multi_block_thinned_terminal_equals_reference(self, name, blocks):
+        """Kept sweeps span several blocks of 65 536 // sites sweeps, and
+        neither a block nor the run holds a multiple of the thinning."""
+        ctx, fixed = _stage_cells(load_bundled(name))[-1]
+        sampler = SamplerConfig(seed=9, burn_in=16000, samples=20001, thinning=7)
+        block = 65536 // len(ctx.free_vars)
+        assert -(-(sampler.burn_in + sampler.samples) // block) == blocks
+        est = estimate_expectation(ctx, fixed, ctx.value_factor, sampler)
+        assert est == _reference_ancestral_estimate(ctx, fixed, sampler)
+
     def test_a_uniform_of_one_draws_the_last_positive_value(self):
         """Where `u * total` reaches `total`, a block draw takes the last
         positive value of the row, never a zero-weight value after it."""
@@ -631,6 +646,161 @@ class TestAncestralCells:
         ctx, fixed = _stage_cells(wildcatter)[-1]
         est = estimate_expectation(ctx, fixed, ctx.value_factor, SamplerConfig(seed=seed))
         assert abs(est.mean - 334750.0) <= 4 * est.std_error
+
+
+class TestKeptRows:
+    """A block keeps the sweeps `i > burn_in` with
+    `(i - burn_in) % thinning == 0`, by one slice of its rows."""
+
+    def test_block_slices_follow_the_rule(self):
+        for done, count, burn, thin in itertools.product(
+            (0, 1, 2, 5, 36, 37, 38, 63, 64, 99, 1000),
+            (1, 2, 7, 64),
+            (0, 1, 5, 37, 64),
+            (1, 2, 3, 7, 65, 100),
+        ):
+            sweeps = list(range(done + 1, done + count + 1))
+            expected = [i for i in sweeps if i > burn and (i - burn) % thin == 0]
+            assert sweeps[_kept_rows(done, burn, thin)] == expected, (done, count, burn, thin)
+
+    def test_runs_keep_samples_over_thinning_sweeps(self):
+        for burn, samples, thin, block in itertools.product(
+            (0, 3, 64), (1, 20, 129, 1000), (1, 2, 7, 200), (1, 5, 64)
+        ):
+            if samples // thin < 1:
+                continue
+            kept = []
+            done = 0
+            while done < burn + samples:
+                count = min(block, burn + samples - done)
+                kept += list(range(done + 1, done + count + 1))[_kept_rows(done, burn, thin)]
+                done += count
+            assert kept == [burn + thin * j for j in range(1, samples // thin + 1)]
+
+
+def _initial_state_first_estimate(ctx, fixed, cfg):
+    """The estimate drawn without the early exit for empty cells:
+    `initial_state` takes its uniforms first, then the block draw, or the
+    chain of public `init_state` + `sweep` steps when there is no block."""
+    cell = _CompiledCell(ctx, fixed, value_factor=ctx.value_factor)
+    sites = cell.block_sites() if cell.free else None
+    if sites is None:
+        return _sweep_chain_estimate(ctx, fixed, cfg)
+    rng = np.random.default_rng(cfg.seed)
+    cell.initial_state(rng)
+    return _batch_means_estimate(_iid_chain(cell, rng, cfg, sites))
+
+
+class TestEmptyCells:
+    """`estimate_expectation` raises NoPositiveState before drawing a
+    uniform only where no state of the cell has a positive product; every
+    other cell draws what it drew with `initial_state` first."""
+
+    def test_early_exit_is_exact(self):
+        counts = collections.Counter()
+        for source in [*BUNDLED, *range(200)]:
+            for index, (ctx, fixed) in enumerate(_stage_cells(certificate_model(source))):
+                cell = _CompiledCell(ctx, fixed, value_factor=ctx.value_factor)
+                empty = not any(
+                    cell.product_at(list(state)) > 0.0
+                    for state in itertools.product(*(range(n) for n in cell.sizes))
+                )
+                sampler = SamplerConfig(seed=index, burn_in=10, samples=200)
+                if empty:
+                    with pytest.raises(NoPositiveState):
+                        estimate_expectation(ctx, fixed, ctx.value_factor, sampler)
+                    counts["early" if cell.free and cell.certainly_empty() else "late"] += 1
+                    continue
+                assert not cell.certainly_empty(), (source, ctx.stage, fixed)
+                est = estimate_expectation(ctx, fixed, ctx.value_factor, sampler)
+                assert est == _initial_state_first_estimate(ctx, fixed, sampler), (
+                    source,
+                    ctx.stage,
+                    fixed,
+                )
+                counts["positive"] += 1
+        # the one empty cell left to `initial_state` is coupled, with evidence
+        assert counts == {"early": 69, "late": 1, "positive": 2002}
+
+
+def _probed_states(cell, sites, cfg):
+    """The kept states the positivity check of `_iid_chain` reads, every
+    64th from the first, drawn one sweep at a time through `sites` with the
+    uniforms of `default_rng(cfg.seed)`."""
+    rng = np.random.default_rng(cfg.seed)
+    kept = []
+    for i in range(1, cfg.burn_in + cfg.samples + 1):
+        uniforms = rng.random(len(cell.free)).tolist()
+        if i > cfg.burn_in and (i - cfg.burn_in) % cfg.thinning == 0:
+            state = [0] * len(cell.free)
+            for slot, parents, rows in sites:
+                support, cumulative, total = rows[sum(r * state[s] for s, r in parents)]
+                state[slot] = support[bisect_right(cumulative, uniforms[slot] * total)]
+            kept.append(state)
+    return kept[::64]
+
+
+@pytest.mark.skipif(not __debug__, reason="the positivity probe runs only without -O")
+class TestPositivityProbe:
+    """`_iid_chain` checks every 64th kept draw for a positive product of the
+    probability factors.  With one entry of one factor zeroed in the cell's
+    copy, it must raise exactly when a checked draw reads that entry."""
+
+    @pytest.mark.parametrize(
+        "name, stage, sampler",
+        [
+            pytest.param(
+                "wildcatter_irid",
+                2,
+                SamplerConfig(seed=0, burn_in=5, samples=641, thinning=2),
+                id="iid",
+            ),
+            pytest.param(
+                "wildcatter_irid",
+                1,
+                SamplerConfig(seed=1, burn_in=5, samples=641, thinning=2),
+                id="coupled",
+            ),
+            pytest.param(
+                "wildcatter_deterministic_workaround",
+                0,
+                SamplerConfig(seed=2, burn_in=16000, samples=20001, thinning=7),
+                id="coupled_three_blocks",
+            ),
+        ],
+    )
+    def test_raises_iff_a_checked_draw_reads_a_zero(self, name, stage, sampler):
+        ctx, fixed = next(
+            (ctx, fixed)
+            for ctx, fixed in _stage_cells(load_bundled(name))
+            if ctx.stage == stage and _has_positive_state(ctx, fixed)
+        )
+        assert _is_coupled(ctx) == (stage < 2)
+        cell = _CompiledCell(ctx, fixed, value_factor=ctx.value_factor)
+        probed = _probed_states(cell, cell.block_sites(), sampler)
+        outcomes = collections.Counter()
+        for index, factor in enumerate(cell.prob_factors):
+            offsets = {
+                factor.base + sum(stride * state[slot] for slot, stride in factor.free_pairs)
+                for state in itertools.product(*(range(n) for n in cell.sizes))
+            }
+            for off in sorted(o for o in offsets if factor.flat[o] > 0.0):
+                zeroed = _CompiledCell(ctx, fixed, value_factor=ctx.value_factor)
+                sites = zeroed.block_sites()
+                cf = zeroed.prob_factors[index]
+                cf.flat[off] = 0.0
+                reads = any(
+                    cf.base + sum(stride * st[slot] for slot, stride in cf.free_pairs) == off
+                    for st in probed
+                )
+                rng = np.random.default_rng(sampler.seed)
+                if reads:
+                    with pytest.raises(AllZeroSupport):
+                        _iid_chain(zeroed, rng, sampler, sites)
+                else:
+                    _iid_chain(zeroed, rng, sampler, sites)
+                outcomes[reads] += 1
+        assert outcomes[True] and outcomes[False], outcomes
 
 
 class TestKernelInvariance:

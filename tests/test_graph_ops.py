@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import irid.solver
-from irid.data import BUNDLED, load_bundled
+from irid.data import BUNDLED
 from irid.errors import IncompletePolicy, NotLastDecision, StageOutOfRange
 from irid.graph_ops import (
     absorb_decision,
@@ -28,7 +28,7 @@ from irid.model import (
 from irid.oracle import exact_expectation, exact_stage_expectation, exhaustive_policy_search
 
 from conftest import constrained_constant_policy
-from model_gen import random_model, random_policies, with_point_masses
+from model_gen import certificate_model, random_model, random_policies
 
 
 def stage_ctx(model, k=None):
@@ -378,17 +378,6 @@ class TestAbsorbDecision:
             reduced = absorb_decision(reduced, d, policies[d])
         composed = exact_stage_expectation(terminal_stage_context(reduced), {})
         assert composed == pytest.approx(direct, abs=1e-9)
-
-
-def certificate_model(source):
-    """A bundled model by name, or random model `source` (1-3 decisions),
-    with point masses in every third."""
-    if isinstance(source, str):
-        return load_bundled(source)
-    m = random_model(source + 7000, n_chance=(1, 5), n_decisions=(1, 3))
-    if source % 3 == 0:
-        m = with_point_masses(m, np.random.default_rng(source))
-    return m
 
 
 def assert_same_table(derived, rebuilt):
