@@ -43,22 +43,9 @@ from .errors import (
     ValueNotInFrame,
     ZeroNormalizer,
 )
-from .factors import Factor
-from .gibbs import Estimate, SamplerConfig, estimate_expectation
-from .graph_ops import (
-    StageContext,
-    StageFactor,
-    StagePartition,
-    absorb_decision,
-    build_stage_context,
-    compute_partition,
-    moralize,
-    relevance_subgraph,
-    remove_barren,
-)
+from .gibbs import SamplerConfig
 from .model import (
     ArrowSpec,
-    BayesNetView,
     Constraint,
     Cpt,
     Frame,
@@ -67,10 +54,6 @@ from .model import (
     Policy,
     ValueTable,
     build_model,
-    fix_policies,
-    iter_configs,
-    policy_to_conditional,
-    validate_policy,
 )
 from .modelfile import (
     model_content_hash,
@@ -82,7 +65,6 @@ from .modelfile import (
 from .oracle import (
     EnumerationBudget,
     exact_expectation,
-    exact_stage_expectation,
     exhaustive_policy_search,
 )
 from .solver import (

@@ -37,9 +37,13 @@ support into disconnected components, the chain explores only the component
 it starts in and reports a small standard error around a wrong value.  The
 exact backend does not have this failure.
 
-In the chain, each variable's full conditionals are tabulated per cell, one
-inverse-CDF row per state of the other free variables it shares a factor
-with, so an update is an index computation and a bisection.
+One kind of table, `_SiteTable`, serves every draw: one variable's
+inverse-CDF rows, one per state of the other free variables its factors
+hold, so a draw is an index computation and a bisection.  A cell has one
+table per variable over its full conditionals, which the chain and i.i.d.
+cells read, and one over its own conditional, which forward initialization
+and logic sampling read in topological order.  The chain and the block
+draws take their uniforms from one block loop, `_blocks`.
 
 Reproducibility is strict: a given seed yields a bit-identical estimate.
 """
@@ -50,7 +54,7 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -64,9 +68,11 @@ _INIT_ATTEMPTS = 100
 #: number of batches for the batch-means standard error
 _BATCHES = 20
 
-#: a site of a cell whose sweeps are i.i.d. draws: (slot, row parents as
-#: (slot, radix) pairs, `_cdf` rows); see `_CompiledCell.block_sites`
-_BlockSite = tuple[int, tuple[tuple[int, int], ...], list[tuple[list[int], list[float], float]]]
+#: one variable's draw: (slot, row parents as (slot, radix) pairs, rows); it
+#: takes the `_cdf` row `rows[sum(radix * state[s] for s, radix in parents)]`
+_Site = tuple[
+    int, tuple[tuple[int, int], ...], "_SiteTable | list[tuple[list[int], list[float], float]]"
+]
 
 
 @dataclass(frozen=True)
@@ -118,20 +124,19 @@ class _CompiledFactor:
 
     __slots__ = ("flat", "free_pairs", "base")
 
-    def __init__(self, factor: Factor, slot_of: dict[str, int], fixed_ints: dict[int, int]):
+    def __init__(self, factor: Factor, slot_of: dict[str, int], fixed: Mapping[str, str]):
         arr = factor.values
-        strides = [s // arr.itemsize for s in arr.strides]
         self.flat = arr.ravel().tolist()
         base = 0
         free_pairs: list[tuple[int, int]] = []
-        for var, stride in zip(factor.scope, strides):
-            if var not in slot_of:
-                raise IncompleteConfig(f"factor variable {var!r} is neither free nor fixed")
-            slot = slot_of[var]
-            if slot in fixed_ints:
-                base += stride * fixed_ints[slot]
+        for var, frame, stride in zip(factor.scope, factor.frames, arr.strides):
+            stride //= arr.itemsize
+            if var in slot_of:
+                free_pairs.append((slot_of[var], stride))
+            elif var in fixed:
+                base += stride * frame.index(fixed[var])
             else:
-                free_pairs.append((slot, stride))
+                raise IncompleteConfig(f"factor variable {var!r} is neither free nor fixed")
         self.base = base
         self.free_pairs = tuple(free_pairs)
 
@@ -169,38 +174,36 @@ def _cdf(weights: list[float]) -> tuple[list[int], list[float], float]:
 
 
 class _SiteTable(dict):
-    """The full conditionals of one free variable, as `_cdf` rows keyed by
-    the mixed-radix index of the state of its free Markov blanket: the other
-    free slots of its probability factors (fixed variables are already in
-    the factors' base offsets).
+    """The `_cdf` rows of one free variable's draws from the product of the
+    factors it is given, keyed by the mixed-radix index of the state of its
+    blanket: the other free slots of those factors (fixed variables are
+    already in the factors' base offsets).  Over the stage's probability
+    factors the rows are the variable's full conditionals; over its own
+    conditional alone, they are keyed by its free parents.
 
-    A row is built the first time a chain visits its blanket state, so the
-    table holds no more rows than the chain has visited, and a blanket state
-    whose weights are all zero raises AllZeroSupport only when visited."""
+    A row is built the first time a draw reads it, so the table holds no
+    more rows than have been read, and a blanket state whose weights are all
+    zero raises AllZeroSupport only when read."""
 
-    __slots__ = ("slot", "size", "factors", "blanket")
+    __slots__ = ("slot", "size", "sizes", "factors", "blanket")
 
-    def __init__(
-        self,
-        slot: int,
-        factors: list[tuple[_CompiledFactor, int]],
-        sizes: tuple[int, ...],
-    ):
+    def __init__(self, slot: int, factors: list[_CompiledFactor], sizes: tuple[int, ...]):
         super().__init__()
         self.slot = slot
         self.size = sizes[slot]
-        self.factors = factors
-        others = sorted({s for cf, _ in factors for s, _ in cf.free_pairs if s != slot})
+        self.sizes = sizes
+        self.factors = [(cf, dict(cf.free_pairs)[slot]) for cf in factors]
+        others = sorted({s for cf in factors for s, _ in cf.free_pairs if s != slot})
         radix = 1
         blanket = []
         for s in others:
-            blanket.append((s, radix, sizes[s]))
+            blanket.append((s, radix))
             radix *= sizes[s]
         self.blanket = tuple(blanket)
 
     def weights(self, state: Mapping[int, int]) -> list[float]:
         """Weights of every value of the variable given `state[s]` for each
-        blanket slot `s`: the product of its factors, in stage factor order."""
+        blanket slot `s`: the product of its factors, in the order given."""
         slot, size = self.slot, self.size
         weights: list[float] | None = None
         for cf, stride in self.factors:
@@ -220,9 +223,13 @@ class _SiteTable(dict):
         return weights
 
     def __missing__(self, index: int) -> tuple[list[int], list[float], float]:
-        row = _cdf(self.weights({s: index // r % n for s, r, n in self.blanket}))
+        sizes = self.sizes
+        row = _cdf(self.weights({s: index // r % sizes[s] for s, r in self.blanket}))
         self[index] = row
         return row
+
+    def site(self) -> _Site:
+        return self.slot, self.blanket, self
 
 
 class _CompiledCell:
@@ -234,7 +241,6 @@ class _CompiledCell:
         fixed_config: Mapping[str, str],
         value_factor: Factor | None = None,
     ):
-        self.ctx = ctx
         needed = set(ctx.dependency_set)
         if ctx.decision is not None:
             needed.add(ctx.decision)
@@ -246,29 +252,33 @@ class _CompiledCell:
         self.frames = tuple(ctx.cpt_of(v).frame_of(v) for v in self.free)
         self.sizes = tuple(len(f) for f in self.frames)
         slot_of = {v: i for i, v in enumerate(self.free)}
-        fixed_ints: dict[int, int] = {}
-        next_slot = len(self.free)
-        self.fixed_labels: dict[str, str] = {}
-        for var, lab in fixed_config.items():
+        for var in fixed_config:
             if var in slot_of:
                 raise IncompleteConfig(f"{var!r} is free in this stage, cannot be fixed")
-            slot_of[var] = next_slot
-            self.fixed_labels[var] = lab
-            next_slot += 1
 
-        # resolve fixed labels to indices lazily per factor scope (frames live
-        # on the factors themselves)
         prob = []
-        per_var: list[list[tuple[_CompiledFactor, int]]] = [[] for _ in self.free]
-        for f in [sf.factor for sf in ctx.factors if sf.role != ROLE_VALUE]:
-            cf = self._compile(f, slot_of)
+        per_var: list[list[_CompiledFactor]] = [[] for _ in self.free]
+        # each free variable's own conditional, compiled once with the rest
+        own: dict[str, _CompiledFactor] = {}
+        for sf in ctx.factors:
+            if sf.role == ROLE_VALUE:
+                continue
+            cf = _CompiledFactor(sf.factor, slot_of, fixed_config)
             prob.append(cf)
-            for var, stride in zip(f.scope, self._strides(f)):
-                if var in slot_of and slot_of[var] < len(self.free):
-                    per_var[slot_of[var]].append((cf, stride))
+            for slot, _ in cf.free_pairs:
+                per_var[slot].append(cf)
+            if sf.role == ROLE_CHANCE and sf.child in slot_of:
+                own.setdefault(sf.child, cf)
         self.prob_factors = prob
-        tables = [_SiteTable(slot, factors, self.sizes) for slot, factors in enumerate(per_var)]
-        self.sites = tuple((t.slot, t, t.blanket) for t in tables)
+        # the full conditionals, in model order, for the chain and i.i.d.
+        # cells; the own conditionals, in topological order, for forward
+        # initialization and logic sampling
+        self.sites = tuple(
+            _SiteTable(slot, factors, self.sizes).site() for slot, factors in enumerate(per_var)
+        )
+        self.own = tuple(
+            _SiteTable(slot_of[v], [own[v]], self.sizes).site() for v in ctx.free_topological
+        )
         # no probability factor couples two free sites: every site's full
         # conditional is fixed by the cell, so successive sweeps are i.i.d.
         self.iid = all(len(cf.free_pairs) <= 1 for cf in prob)
@@ -283,88 +293,60 @@ class _CompiledCell:
             for sf in ctx.factors
         )
 
-        # the free variables' own conditionals, for forward initialization
-        # and logic sampling
-        self.cpt_for = []
-        for i, v in enumerate(self.free):
-            f = ctx.cpt_of(v)
-            cf = self._compile(f, slot_of)
-            stride = dict(zip(f.scope, self._strides(f)))[v]
-            self.cpt_for.append((cf, stride))
-
         self.value = None
         if value_factor is not None:
-            self.value = self._compile(value_factor, slot_of)
-        self.topo_slots = tuple(slot_of[v] for v in ctx.free_topological)
-        self._slot_of = slot_of
+            self.value = _CompiledFactor(value_factor, slot_of, fixed_config)
 
-    @staticmethod
-    def _strides(factor: Factor) -> list[int]:
-        arr = factor.values
-        return [s // arr.itemsize for s in arr.strides]
-
-    def _compile(self, factor: Factor, slot_of: dict[str, int]) -> _CompiledFactor:
-        fixed_ints = {}
-        for var, fr in zip(factor.scope, factor.frames):
-            slot = slot_of.get(var)
-            if slot is None:
-                raise IncompleteConfig(f"factor variable {var!r} is neither free nor fixed")
-            if slot >= len(self.free):
-                fixed_ints[slot] = fr.index(self.fixed_labels[var])
-        return _CompiledFactor(factor, slot_of, fixed_ints)
-
-    def block_sites(self) -> list[_BlockSite] | None:
+    def block_sites(self) -> list[_Site] | None:
         """The sites of a cell whose sweeps are i.i.d. draws, in the order a
-        draw visits them; None for a coupled cell with evidence.
+        draw visits them, with every row built; None for a coupled cell with
+        evidence.
 
-        A site is (slot, row parents, rows): a draw takes the `_cdf` row
-        `rows[sum(radix * state[s] for s, radix in row parents)]`.  In an
-        i.i.d. cell no site has row parents, and its one row is that of its
-        site table.  In a cell without evidence the sites follow the
-        topological order, and their rows are their own conditionals, one per
-        state of their free parents."""
+        An i.i.d. cell's sites are its full conditionals, each with one row
+        and no row parents.  A cell without evidence draws by logic sampling:
+        its sites are its own conditionals, in topological order, with one
+        row per state of their free parents."""
         if self.iid:
-            return [(slot, (), [rows[0]]) for slot, rows, _ in self.sites]
-        if self.evidence:
+            tables = self.sites
+        elif self.evidence:
             return None
-        sites = []
-        for slot in self.topo_slots:
-            cf, stride = self.cpt_for[slot]
-            pairs = [(s, st) for s, st in cf.free_pairs if s != slot]
-            parents = []
-            radix = 1
-            for s, _ in reversed(pairs):
-                parents.append((s, radix))
-                radix *= self.sizes[s]
-            rows = []
-            for combo in itertools.product(*(range(self.sizes[s]) for s, _ in pairs)):
-                off = cf.base + sum(st * j for (_, st), j in zip(pairs, combo))
-                rows.append(_cdf([cf.flat[off + stride * j] for j in range(self.sizes[slot])]))
-            sites.append((slot, tuple(parents), rows))
-        return sites
+        else:
+            tables = self.own
+        sizes = self.sizes
+        return [
+            (slot, parents, [rows[i] for i in range(math.prod(sizes[s] for s, _ in parents))])
+            for slot, parents, rows in tables
+        ]
 
     # -- core moves --------------------------------------------------------
 
     def run(
-        self, state: list[int], uniforms: list[float], keep: Sequence[bool], kept: list[float]
+        self,
+        state: list[int],
+        sites: Sequence[_Site],
+        uniform_rows: Sequence[Sequence[float]],
+        keep: range = range(0),
+        kept: list[float] | None = None,
     ) -> None:
-        """One scan over the free variables in model order per entry of
-        `keep`, consuming one uniform per variable; after each scan whose
-        entry is true, appends the value factor at the state to `kept`.
+        """One scan over `sites` per row of `uniform_rows`: each site draws
+        its slot from the row of its rows that the state of its row parents
+        selects, the way `_cdf` describes, with the uniform at its slot's
+        column.  After each scan whose row index is in `keep`, appends the
+        value factor at the state to `kept`.
 
-        Each variable draws from the row of its table for the current state
-        of its blanket, the way `_cdf` describes."""
-        sites = self.sites
+        Over `sites`, a scan is a chain sweep; over `own`, from an all-zero
+        state, it is a forward sample."""
         value = self.value
-        uniforms = iter(uniforms)
-        for keep_this in keep:
-            # zip stops at the end of `sites` before taking a uniform
-            for (slot, rows, blanket), u in zip(sites, uniforms):
+        # a flag per row, set by slice: cheaper per scan than `i in keep`
+        flags = [False] * len(uniform_rows)
+        flags[keep.start : keep.stop : keep.step] = [True] * len(keep)
+        for uniforms, keep_this in zip(uniform_rows, flags):
+            for slot, parents, rows in sites:
                 index = 0
-                for s, radix, _ in blanket:
+                for s, radix in parents:
                     index += radix * state[s]
                 support, cumulative, total = rows[index]
-                state[slot] = support[bisect_right(cumulative, u * total)]
+                state[slot] = support[bisect_right(cumulative, uniforms[slot] * total)]
             if keep_this:
                 if __debug__ and len(kept) % 64 == 0 and self.product_at(state) <= 0.0:
                     raise AllZeroSupport("chain reached a zero-probability state")
@@ -381,21 +363,6 @@ class _CompiledCell:
                 return 0.0
         return p
 
-    def forward_sample(self, uniforms: list[float]) -> list[int]:
-        state = [0] * len(self.free)
-        for slot in self.topo_slots:
-            cf, stride = self.cpt_for[slot]
-            off = cf.base
-            for s, st in cf.free_pairs:
-                if s != slot:
-                    off += st * state[s]
-            flat = cf.flat
-            support, cumulative, total = _cdf(
-                [flat[off + stride * j] for j in range(self.sizes[slot])]
-            )
-            state[slot] = support[bisect_right(cumulative, uniforms[slot] * total)]
-        return state
-
     def certainly_empty(self) -> bool:
         """Whether no state has a positive factor product, in the cases this
         shows without a search: a factor without a free variable is zero, or,
@@ -406,7 +373,7 @@ class _CompiledCell:
         # an i.i.d. cell's product is the constant factors times one weight
         # per site, and a site's blanket is empty
         return self.iid and any(
-            not any(w > 0.0 for w in table.weights({})) for _, table, _ in self.sites
+            not any(w > 0.0 for w in table.weights({})) for _, _, table in self.sites
         )
 
     def initial_state(self, rng: np.random.Generator) -> list[int]:
@@ -416,7 +383,8 @@ class _CompiledCell:
                 raise NoPositiveState("fixed configuration has zero factor product")
             return []
         for _ in range(_INIT_ATTEMPTS):
-            state = self.forward_sample(rng.random(n).tolist())
+            state = [0] * n
+            self.run(state, self.own, [rng.random(n).tolist()])
             if self.product_at(state) > 0.0:
                 return state
         for combo in itertools.product(*(range(s) for s in self.sizes)):
@@ -468,7 +436,7 @@ def sweep(
     ints = list(state._ints)
     n = len(cell.free)
     if n:
-        cell.run(ints, rng.random(n).tolist(), (False,), [])
+        cell.run(ints, cell.sites, [rng.random(n).tolist()])
     return ChainState(
         assignment=cell.labels(ints), fixed=state.fixed, _cell=cell, _ints=tuple(ints)
     )
@@ -506,20 +474,9 @@ def estimate_expectation(
     if sites is not None:
         kept = _iid_chain(cell, rng, cfg, sites)
     elif n_free:
-        # uniforms are drawn in exact-size blocks, so the stream matches a
-        # chain driven by repeated single sweeps with the same seed
-        burn, thin = cfg.burn_in, cfg.thinning
-        total = burn + cfg.samples
-        block_sweeps = max(1, 65536 // n_free)
         values: list[float] = []
-        done = 0
-        while done < total:
-            count = min(block_sweeps, total - done)
-            keep = [
-                i > burn and (i - burn) % thin == 0 for i in range(done + 1, done + count + 1)
-            ]
-            cell.run(state, rng.random(count * n_free).tolist(), keep, values)
-            done += count
+        for uniforms, keep in _blocks(rng, cfg, n_free):
+            cell.run(state, cell.sites, uniforms.tolist(), range(len(uniforms))[keep], values)
         kept = np.array(values)
     else:
         kept = np.full(cfg.samples // cfg.thinning, cell.value_at(state))
@@ -527,21 +484,36 @@ def estimate_expectation(
     return Estimate(mean=mean, std_error=_batch_means_se(kept), n=len(kept))
 
 
+def _blocks(
+    rng: np.random.Generator, cfg: SamplerConfig, n_free: int
+) -> Iterator[tuple[np.ndarray, slice]]:
+    """The uniforms of the `burn_in + samples` sweeps, a block of at most
+    65 536 at a time, one row per sweep and one column per slot, each with
+    the `_kept_rows` slice of its kept sweeps.  A block is drawn at its exact
+    size, so the stream is that of single sweeps with the same seed."""
+    burn, total = cfg.burn_in, cfg.burn_in + cfg.samples
+    block_sweeps = max(1, 65536 // n_free)
+    done = 0
+    while done < total:
+        count = min(block_sweeps, total - done)
+        uniforms = rng.random(count * n_free).reshape(count, n_free)
+        yield uniforms, _kept_rows(done, burn, cfg.thinning)
+        done += count
+
+
 def _iid_chain(
     cell: _CompiledCell,
     rng: np.random.Generator,
     cfg: SamplerConfig,
-    sites: list[_BlockSite],
+    sites: list[_Site],
 ) -> np.ndarray:
     """The kept values of a cell whose sweeps are i.i.d. draws through the
-    rows of `sites` (`_CompiledCell.block_sites`), one block of uniforms at a
-    time.
+    rows of `sites` (`_CompiledCell.block_sites`), one block of `_blocks` at
+    a time.
 
-    A block holds the very uniforms the sweeps would consume, one per slot
-    and sweep; those of burn-in and thinned-out sweeps are dropped.  Each
-    site, in order, maps its slot's column through the row its row parents
-    select, as `support[bisect_right(cumulative, u * total)]` does."""
-    n_free = len(cell.free)
+    The uniforms of burn-in and thinned-out sweeps are dropped.  Each site,
+    in order, maps its slot's column through the row its row parents select,
+    as `support[bisect_right(cumulative, u * total)]` does."""
     tables = []
     for slot, parents, rows in sites:
         # rows padded to one width with +inf running sums, so the count of
@@ -559,15 +531,10 @@ def _iid_chain(
     flat = np.array(value.flat)
     if __debug__:
         probe = [(np.array(cf.flat), cf.base, cf.free_pairs) for cf in cell.prob_factors]
-    burn, thin = cfg.burn_in, cfg.thinning
-    total = burn + cfg.samples
-    kept = np.empty(cfg.samples // thin, dtype=float)
-    block_sweeps = max(1, 65536 // n_free)
-    done = k = 0
-    while done < total:
-        count = min(block_sweeps, total - done)
-        uniforms = rng.random(count * n_free).reshape(count, n_free)
-        uniforms = uniforms[_kept_rows(done, burn, thin)]
+    kept = np.empty(cfg.samples // cfg.thinning, dtype=float)
+    k = 0
+    for uniforms, keep in _blocks(rng, cfg, len(cell.free)):
+        uniforms = uniforms[keep]
         states = np.empty(uniforms.shape, dtype=np.intp)
         for slot, parents, cumulative, support, totals in tables:
             row = 0
@@ -596,7 +563,6 @@ def _iid_chain(
             if (product <= 0.0).any():
                 raise AllZeroSupport("chain reached a zero-probability state")
         k += m
-        done += count
     assert k == len(kept)
     return kept
 

@@ -334,24 +334,11 @@ class IridModel:
 
     @cached_property
     def decisions(self) -> tuple[str, ...]:
-        """Decision variables in their (unique) temporal order."""
-        decs = [n.id for n in self.nodes if n.kind == DECISION]
-        if len(decs) <= 1:
-            return tuple(decs)
-        # valid models have a decision chain, so successor counts are distinct
-        return tuple(sorted(decs, key=lambda d: -len(self._dec_reach(d))))
-
-    def _dec_reach(self, d: str) -> set[str]:
-        # decisions reachable from d along decision-to-decision arrows
-        seen: set[str] = set()
-        stack = [d]
-        while stack:
-            cur = stack.pop()
-            for c in self._children[cur]:
-                if self.kind(c) == DECISION and c not in seen:
-                    seen.add(c)
-                    stack.append(c)
-        return seen
+        """Decision variables in their (unique) temporal order: valid models
+        chain their decisions by arrows, so topological order lists them in
+        chain order."""
+        node = self._node_map
+        return tuple(v for v in self.topological_order if node[v].kind == DECISION)
 
     @cached_property
     def value_var(self) -> str:
@@ -585,7 +572,7 @@ def build_model(
         value=value_table,
         objective=objective,
     )
-    # force the decision order cache so later accessors agree with validation
+    # the decision order read from the topological order is the validated chain
     assert model.decisions == tuple(dec_order)
     return model
 

@@ -129,7 +129,9 @@ def solve(model: IridModel, options: SolveOptions = SolveOptions()) -> Solution:
     # the first admissible alternative per cell so the solution stays total
     for d in original_decisions:
         if d not in working.variables:
-            policies[d] = _default_policy(model, d)
+            con = model.constraint(d)
+            first = {cfg: allowed[0] for cfg, allowed in con.cells.items()}
+            policies[d] = _materialize_policy(model, d, con.scope, first)
 
     diagnostics: list[CellDiagnostic] = []
     while working.decisions:
@@ -193,14 +195,6 @@ def solve(model: IridModel, options: SolveOptions = SolveOptions()) -> Solution:
         expected_value_std_error=ev_se,
         expected_value_n=ev_n,
     )
-
-
-def _default_policy(model: IridModel, decision: str) -> Policy:
-    scope = model.parents(decision)
-    table = {}
-    for cfg in iter_configs(scope, model.frames):
-        table[cfg] = model.admissible(decision, dict(zip(scope, cfg)))[0]
-    return Policy(decision=decision, scope=scope, table=table)
 
 
 def _materialize_policy(

@@ -65,8 +65,8 @@ def sampler_conditional(ctx, var, config):
     where that row has no positive weight."""
     fixed = {v: lab for v, lab in config.items() if v not in ctx.free_vars}
     cell = _CompiledCell(ctx, fixed)
-    _, table, blanket = cell.sites[cell.free.index(var)]
-    index = sum(radix * cell.frames[s].index(config[cell.free[s]]) for s, radix, _ in blanket)
+    _, blanket, table = cell.sites[cell.free.index(var)]
+    index = sum(radix * cell.frames[s].index(config[cell.free[s]]) for s, radix in blanket)
     support, cumulative, total = table[index]
     probs = np.zeros(table.size)
     probs[support[:-1]] = np.diff([0.0, *cumulative]) / total

@@ -723,6 +723,123 @@ class TestEmptyCells:
         assert counts == {"early": 69, "late": 1, "positive": 2002}
 
 
+def _reference_init(ctx, fixed, rng):
+    """The initial state forward sampling on labels gives, and how it was
+    found: each attempt draws one uniform per variable in `ctx.free_vars`
+    order, then each variable in `ctx.free_topological` order from its own
+    conditional given the values drawn so far; the first attempt whose
+    product of the probability factors is positive wins.  After 100
+    attempts, the first positive state in row-major order over
+    `ctx.free_vars`, else NoPositiveState."""
+    labels = {v: ctx.cpt_of(v).frame_of(v).labels for v in ctx.free_vars}
+
+    def positive(assignment):
+        product = 1.0
+        for f in ctx.probability_factors:
+            product *= f.evaluate(assignment)
+        return product > 0.0
+
+    for _ in range(100):
+        uniforms = dict(zip(ctx.free_vars, rng.random(len(ctx.free_vars)).tolist()))
+        assignment = dict(fixed)
+        for var in ctx.free_topological:
+            cpt = ctx.cpt_of(var)
+            weights = [cpt.evaluate({**assignment, var: lab}) for lab in labels[var]]
+            support, cumulative, total = _cdf(weights)
+            assignment[var] = labels[var][support[bisect_right(cumulative, uniforms[var] * total)]]
+        if positive(assignment):
+            return {v: assignment[v] for v in ctx.free_vars}, "forward"
+    for combo in itertools.product(*(labels[v] for v in ctx.free_vars)):
+        assignment = {**fixed, **dict(zip(ctx.free_vars, combo))}
+        if positive(assignment):
+            return dict(zip(ctx.free_vars, combo)), "search"
+    raise NoPositiveState("reference found no positive state")
+
+
+class TestInitStateReference:
+    """`init_state` draws what forward sampling on labels draws, from the
+    same uniforms, and leaves its generator where the reference leaves
+    its own."""
+
+    def test_bundled_and_certificate_cells(self):
+        counts = collections.Counter()
+        for source in [*BUNDLED, *range(200)]:
+            for index, (ctx, fixed) in enumerate(_stage_cells(certificate_model(source))):
+                ours, theirs = np.random.default_rng(index), np.random.default_rng(index)
+                try:
+                    expected, path = _reference_init(ctx, fixed, theirs)
+                except NoPositiveState:
+                    with pytest.raises(NoPositiveState):
+                        init_state(ctx, fixed, ours)
+                    path = "empty"
+                else:
+                    state = init_state(ctx, fixed, ours)
+                    assert state.assignment == expected, (source, ctx.stage, fixed)
+                assert ours.random() == theirs.random(), (source, ctx.stage, fixed)
+                counts[path] += 1
+        assert counts == {"forward": 2002, "empty": 70}
+
+    def test_child_listed_first(self):
+        """Model order is not topological: Y's conditional reads X's draw."""
+        ctx = terminal_stage_context(_child_listed_first())
+        drawn = set()
+        for seed in range(20):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected, path = _reference_init(ctx, {}, theirs)
+            assert path == "forward"
+            assert init_state(ctx, {}, ours).assignment == expected, seed
+            assert ours.random() == theirs.random()
+            drawn.add(tuple(expected.values()))
+        assert len(drawn) == 5
+
+    def test_rare_evidence_falls_back_to_row_major_search(self):
+        """Evidence that forward sampling meets with probability 2^-20 per
+        attempt: both give the first positive state in row-major order."""
+        rare = 2.0**-20
+        m = build_model(
+            nodes=(
+                NodeSpec("X", "chance", Frame(("x0", "x1"))),
+                NodeSpec("Y", "chance", Frame(("y0", "y1"))),
+                NodeSpec("R", "chance", Frame(("r0", "r1"))),
+                NodeSpec("D1", "decision", Frame(("a", "b"))),
+                NodeSpec("V", "value"),
+            ),
+            arrows=(
+                ArrowSpec("X", "R", "relevance"),
+                ArrowSpec("R", "D1", "informational"),
+                ArrowSpec("X", "V", "relevance"),
+                ArrowSpec("Y", "V", "relevance"),
+                ArrowSpec("D1", "V", "relevance"),
+            ),
+            cpts=(
+                Cpt("X", (), {(): {"x0": 1.0 - rare, "x1": rare}}),
+                Cpt("Y", (), {(): {"y0": 0.5, "y1": 0.5}}),
+                Cpt(
+                    "R",
+                    ("X",),
+                    {("x0",): {"r0": 1.0, "r1": 0.0}, ("x1",): {"r0": 0.0, "r1": 1.0}},
+                ),
+            ),
+            constraints=(),
+            value_table=ValueTable(
+                ("X", "Y", "D1"),
+                {
+                    (x, y, d): float(i + 2 * j + 4 * k)
+                    for i, x in enumerate(("x0", "x1"))
+                    for j, y in enumerate(("y0", "y1"))
+                    for k, d in enumerate(("a", "b"))
+                },
+            ),
+        )
+        ctx = build_stage_context(m, compute_partition(m), moralize(relevance_subgraph(m)), 1)
+        fixed = {"R": "r1", "D1": "a"}
+        assert ctx.free_vars == ("X", "Y")
+        ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+        assert _reference_init(ctx, fixed, theirs) == ({"X": "x1", "Y": "y0"}, "search")
+        assert init_state(ctx, fixed, ours).assignment == {"X": "x1", "Y": "y0"}
+        assert ours.random() == theirs.random()
+
+
 def _probed_states(cell, sites, cfg):
     """The kept states the positivity check of `_iid_chain` reads, every
     64th from the first, drawn one sweep at a time through `sites` with the
