@@ -10,10 +10,10 @@ Zeros in the tables are handled by support restriction, not smoothing: a full
 conditional never proposes a zero-probability value, and initialization
 forward-samples a positive-probability state (raising NoPositiveState when the
 fixed configuration admits none).  Where no state can be positive without a
-search (a factor without a free variable is zero, or an i.i.d. cell has a site
-whose weights are all zero), the estimate raises NoPositiveState before it
-draws a uniform.  Every other cell draws its initial state first, so its
-seeded stream does not depend on this check.
+search (a factor is zero at every state of its free variables, or an i.i.d.
+cell has a site whose weights are all zero), the estimate raises
+NoPositiveState before it draws a uniform.  Every other cell draws its
+initial state first, so its seeded stream does not depend on this check.
 
 Two kinds of cell need no chain, and their sweeps are drawn i.i.d., a block
 of uniforms at a time in numpy, through inverse-CDF rows:
@@ -43,7 +43,11 @@ hold, so a draw is an index computation and a bisection.  A cell has one
 table per variable over its full conditionals, which the chain and i.i.d.
 cells read, and one over its own conditional, which forward initialization
 and logic sampling read in topological order.  The chain and the block
-draws take their uniforms from one block loop, `_blocks`.
+draws take their uniforms from one block loop, `_blocks`.  A block holds at
+most 8 192 sweeps and 65 536 uniforms: at 8 192 rows a block draw's per-site
+numpy temporaries take 64 KiB each, so they stay in cache and under glibc's
+128 KiB mmap threshold instead of being page-faulted in fresh every block.
+Blocks are drawn at their exact size, so the caps change no estimate.
 
 Reproducibility is strict: a given seed yields a bit-identical estimate.
 """
@@ -67,6 +71,11 @@ _INIT_ATTEMPTS = 100
 
 #: number of batches for the batch-means standard error
 _BATCHES = 20
+
+#: caps on one block of `_blocks`, in uniforms and in sweeps (module
+#: docstring: the sweep cap keeps the block draws' temporaries in cache)
+_BLOCK_UNIFORMS = 65536
+_BLOCK_SWEEPS = 8192
 
 #: one variable's draw: (slot, row parents as (slot, radix) pairs, rows); it
 #: takes the `_cdf` row `rows[sum(radix * state[s] for s, radix in parents)]`
@@ -365,11 +374,16 @@ class _CompiledCell:
 
     def certainly_empty(self) -> bool:
         """Whether no state has a positive factor product, in the cases this
-        shows without a search: a factor without a free variable is zero, or,
-        in an i.i.d. cell, some site's weights are all zero.  False does not
-        promise a positive state."""
-        if any(not cf.free_pairs and cf.flat[cf.base] == 0.0 for cf in self.prob_factors):
-            return True
+        shows without a search: a factor is zero at every state of its free
+        variables, or, in an i.i.d. cell, some site's weights are all zero.
+        False does not promise a positive state."""
+        sizes = self.sizes
+        for cf in self.prob_factors:
+            offsets = [cf.base]
+            for slot, stride in cf.free_pairs:
+                offsets = [off + stride * j for off in offsets for j in range(sizes[slot])]
+            if not any(cf.flat[off] > 0.0 for off in offsets):
+                return True
         # an i.i.d. cell's product is the constant factors times one weight
         # per site, and a site's blanket is empty
         return self.iid and any(
@@ -487,12 +501,16 @@ def estimate_expectation(
 def _blocks(
     rng: np.random.Generator, cfg: SamplerConfig, n_free: int
 ) -> Iterator[tuple[np.ndarray, slice]]:
-    """The uniforms of the `burn_in + samples` sweeps, a block of at most
-    65 536 at a time, one row per sweep and one column per slot, each with
-    the `_kept_rows` slice of its kept sweeps.  A block is drawn at its exact
-    size, so the stream is that of single sweeps with the same seed."""
+    """The uniforms of the `burn_in + samples` sweeps, a block at a time, one
+    row per sweep and one column per slot, each with the `_kept_rows` slice
+    of its kept sweeps.  A block holds at most 8 192 sweeps, so that the
+    per-site temporaries of `_iid_chain` (8 bytes a row) stay in cache and
+    are not page-faulted in fresh, and at most 65 536 uniforms, but at
+    least one sweep.  A block is drawn at its exact size, so the stream, and
+    every estimate, is that of single sweeps with the same seed, whatever
+    the caps."""
     burn, total = cfg.burn_in, cfg.burn_in + cfg.samples
-    block_sweeps = max(1, 65536 // n_free)
+    block_sweeps = max(1, min(_BLOCK_SWEEPS, _BLOCK_UNIFORMS // n_free))
     done = 0
     while done < total:
         count = min(block_sweeps, total - done)
@@ -509,7 +527,8 @@ def _iid_chain(
 ) -> np.ndarray:
     """The kept values of a cell whose sweeps are i.i.d. draws through the
     rows of `sites` (`_CompiledCell.block_sites`), one block of `_blocks` at
-    a time.
+    a time.  Every array it makes per block and site has one entry per kept
+    sweep of the block, at most 8 192, which keeps them in cache.
 
     The uniforms of burn-in and thinned-out sweeps are dropped.  Each site,
     in order, maps its slot's column through the row its row parents select,

@@ -5,12 +5,14 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
+from irid import gibbs
 from irid.data import BUNDLED, load_bundled
 from irid.errors import AllZeroSupport, IncompleteConfig, InvalidModel, NoPositiveState
 from irid.gibbs import (
     Estimate,
     SamplerConfig,
     _cdf,
+    _blocks,
     _CompiledCell,
     _iid_chain,
     _kept_rows,
@@ -576,6 +578,11 @@ def _child_listed_first():
     )
 
 
+def _block_sizes(cfg, n_free):
+    """The number of sweeps in each block `_blocks` makes."""
+    return [len(uniforms) for uniforms, _ in _blocks(np.random.default_rng(0), cfg, n_free)]
+
+
 class TestAncestralCells:
     """Coupled cells without evidence draw each kept sweep by logic
     sampling, a block at a time; the result must equal a per-draw loop."""
@@ -615,15 +622,16 @@ class TestAncestralCells:
 
     @pytest.mark.parametrize(
         "name, blocks",
-        [("wildcatter_irid", 2), ("wildcatter_deterministic_workaround", 3)],
+        [("wildcatter_irid", 5), ("wildcatter_deterministic_workaround", 5)],
     )
     def test_multi_block_thinned_terminal_equals_reference(self, name, blocks):
-        """Kept sweeps span several blocks of 65 536 // sites sweeps, and
-        neither a block nor the run holds a multiple of the thinning."""
+        """Kept sweeps span several of the blocks `_blocks` makes, and
+        neither a block nor the samples hold a multiple of the thinning."""
         ctx, fixed = _stage_cells(load_bundled(name))[-1]
         sampler = SamplerConfig(seed=9, burn_in=16000, samples=20001, thinning=7)
-        block = 65536 // len(ctx.free_vars)
-        assert -(-(sampler.burn_in + sampler.samples) // block) == blocks
+        sizes = _block_sizes(sampler, len(ctx.free_vars))
+        assert len(sizes) == blocks
+        assert all(n % sampler.thinning for n in [*sizes, sampler.samples])
         est = estimate_expectation(ctx, fixed, ctx.value_factor, sampler)
         assert est == _reference_ancestral_estimate(ctx, fixed, sampler)
 
@@ -678,6 +686,57 @@ class TestKeptRows:
             assert kept == [burn + thin * j for j in range(1, samples // thin + 1)]
 
 
+def _invariance_cell(kind):
+    """A positive cell of each kind of draw: i.i.d., logic sampling (two
+    of them, stage 1 and the terminal value) and the chain."""
+    if kind == "chain":
+        model = with_point_masses(
+            random_model(9001, n_chance=(3, 7), n_decisions=(1, 3)), np.random.default_rng(1)
+        )
+        return next(
+            (ctx, fixed)
+            for ctx, fixed in _stage_cells(model)
+            if _is_coupled(ctx) and _has_evidence(ctx) and _has_positive_state(ctx, fixed)
+        )
+    if kind == "terminal":
+        return _stage_cells(load_bundled("wildcatter_deterministic_workaround"))[-1]
+    stage = {"iid": 2, "logic_sampling": 1}[kind]
+    return next(
+        (ctx, fixed)
+        for ctx, fixed in _stage_cells(load_bundled("wildcatter_irid"))
+        if ctx.stage == stage and _has_positive_state(ctx, fixed)
+    )
+
+
+class TestBlockSizeInvariance:
+    """A block is drawn at its exact size from the one generator, so the
+    cap on a block's sweeps changes no estimate, on any kind of draw."""
+
+    CAPS = (1, 7, 64, 8192, 65536)
+
+    @pytest.mark.parametrize("thinning", [1, 7])
+    @pytest.mark.parametrize("kind", ["iid", "logic_sampling", "terminal", "chain"])
+    def test_estimate_ignores_the_sweep_cap(self, monkeypatch, kind, thinning):
+        ctx, fixed = _invariance_cell(kind)
+        cell = _CompiledCell(ctx, fixed, value_factor=ctx.value_factor)
+        assert (cell.iid, cell.evidence) == {
+            "iid": (True, True),
+            "logic_sampling": (False, False),
+            "terminal": (False, False),
+            "chain": (False, True),
+        }[kind]
+        # more sweeps than the 8 192 cap, and a burn-in that is not a
+        # multiple of any cap above 1
+        sampler = SamplerConfig(seed=4, burn_in=6001, samples=2300, thinning=thinning)
+        estimates, block_counts = [], []
+        for cap in self.CAPS:
+            monkeypatch.setattr(gibbs, "_BLOCK_SWEEPS", cap)
+            block_counts.append(len(_block_sizes(sampler, len(ctx.free_vars))))
+            estimates.append(estimate_expectation(ctx, fixed, ctx.value_factor, sampler))
+        assert block_counts == sorted(set(block_counts), reverse=True)
+        assert estimates == [estimates[0]] * len(self.CAPS)
+
+
 def _initial_state_first_estimate(ctx, fixed, cfg):
     """The estimate drawn without the early exit for empty cells:
     `initial_state` takes its uniforms first, then the block draw, or the
@@ -719,8 +778,10 @@ class TestEmptyCells:
                     fixed,
                 )
                 counts["positive"] += 1
-        # the one empty cell left to `initial_state` is coupled, with evidence
-        assert counts == {"early": 69, "late": 1, "positive": 2002}
+        # every empty cell here exits before drawing, among them a coupled
+        # cell with evidence (`certificate_model(141)`, stage 2) whose factor
+        # over its free `C0` alone is zero at both values of `C0`
+        assert counts == {"early": 70, "positive": 2002}
 
 
 def _reference_init(ctx, fixed, rng):
@@ -864,35 +925,39 @@ class TestPositivityProbe:
     copy, it must raise exactly when a checked draw reads that entry."""
 
     @pytest.mark.parametrize(
-        "name, stage, sampler",
+        "name, stage, sampler, blocks",
         [
             pytest.param(
                 "wildcatter_irid",
                 2,
                 SamplerConfig(seed=0, burn_in=5, samples=641, thinning=2),
+                1,
                 id="iid",
             ),
             pytest.param(
                 "wildcatter_irid",
                 1,
                 SamplerConfig(seed=1, burn_in=5, samples=641, thinning=2),
+                1,
                 id="coupled",
             ),
             pytest.param(
                 "wildcatter_deterministic_workaround",
                 0,
                 SamplerConfig(seed=2, burn_in=16000, samples=20001, thinning=7),
-                id="coupled_three_blocks",
+                5,
+                id="coupled_five_blocks",
             ),
         ],
     )
-    def test_raises_iff_a_checked_draw_reads_a_zero(self, name, stage, sampler):
+    def test_raises_iff_a_checked_draw_reads_a_zero(self, name, stage, sampler, blocks):
         ctx, fixed = next(
             (ctx, fixed)
             for ctx, fixed in _stage_cells(load_bundled(name))
             if ctx.stage == stage and _has_positive_state(ctx, fixed)
         )
         assert _is_coupled(ctx) == (stage < 2)
+        assert len(_block_sizes(sampler, len(ctx.free_vars))) == blocks
         cell = _CompiledCell(ctx, fixed, value_factor=ctx.value_factor)
         probed = _probed_states(cell, cell.block_sites(), sampler)
         outcomes = collections.Counter()
