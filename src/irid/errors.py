@@ -176,6 +176,9 @@ class ModelSyntaxError(IridError):
 
 
 class SchemaError(IridError):
+    """A model document has the wrong shape at the path `field`, which the
+    message leaves out."""
+
     def __init__(self, field: str, message: str):
         self.field = field
-        super().__init__(f"{field}: {message}")
+        super().__init__(message)

@@ -6,14 +6,19 @@ model order, resampling each from its full conditional given everything else.
 Averaging the value table over the visited states estimates the conditional
 expectation of the value node for that cell.
 
+`estimate_expectation` is the one way in; the rest of the module is private.
+
 Zeros in the tables are handled by support restriction, not smoothing: a full
 conditional never proposes a zero-probability value, and initialization
-forward-samples a positive-probability state (raising NoPositiveState when the
-fixed configuration admits none).  Where no state can be positive without a
-search (a factor is zero at every state of its free variables, or an i.i.d.
-cell has a site whose weights are all zero), the estimate raises
-NoPositiveState before it draws a uniform.  Every other cell draws its
-initial state first, so its seeded stream does not depend on this check.
+forward-samples a positive-probability state.  After 100 failed attempts it
+searches the cell's states in row-major order, but raises BudgetExceeded
+instead when they number more than 10**7, and NoPositiveState when none is
+positive.  Where no state can be positive without a search (a factor is zero
+at every state of its free variables, which covers a zero product in a cell
+without free variables, or an i.i.d. cell has a site whose weights are all
+zero), the estimate raises NoPositiveState before it draws a uniform.  Every
+other cell draws its initial state first, so its seeded stream does not
+depend on this check.
 
 Two kinds of cell need no chain, and their sweeps are drawn i.i.d., a block
 of uniforms at a time in numpy, through inverse-CDF rows:
@@ -57,17 +62,24 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import AllZeroSupport, IncompleteConfig, InvalidModel, NoPositiveState
+from .errors import AllZeroSupport, BudgetExceeded, IncompleteConfig, InvalidModel, NoPositiveState
 from .factors import Factor
 from .graph_ops import ROLE_CHANCE, ROLE_VALUE, StageContext
 
 #: forward-sampling attempts before falling back to exhaustive search
 _INIT_ATTEMPTS = 100
+
+#: the most states that search may visit: the default of the oracle's
+#: `EnumerationBudget.max_joint_configs`, not imported, because the sampler
+#: shares no code with the oracle
+_SEARCH_CONFIGS = 10**7
+
+_NO_POSITIVE_STATE = "no positive-probability completion of the fixed configuration exists"
 
 #: number of batches for the batch-means standard error
 _BATCHES = 20
@@ -113,18 +125,6 @@ class Estimate:
     mean: float
     std_error: float
     n: int
-
-
-@dataclass(frozen=True)
-class ChainState:
-    """Current assignment of the free variables plus the fixed conditioning
-    configuration.  The product of the probability factors at
-    assignment | fixed is strictly positive."""
-
-    assignment: Mapping[str, str]
-    fixed: Mapping[str, str]
-    _cell: "_CompiledCell" = field(repr=False, compare=False)
-    _ints: tuple[int, ...] = field(repr=False, compare=False)
 
 
 class _CompiledFactor:
@@ -244,12 +244,7 @@ class _SiteTable(dict):
 class _CompiledCell:
     """Stage factors compiled against one fixed configuration."""
 
-    def __init__(
-        self,
-        ctx: StageContext,
-        fixed_config: Mapping[str, str],
-        value_factor: Factor | None = None,
-    ):
+    def __init__(self, ctx: StageContext, fixed_config: Mapping[str, str], value_factor: Factor):
         needed = set(ctx.dependency_set)
         if ctx.decision is not None:
             needed.add(ctx.decision)
@@ -258,8 +253,7 @@ class _CompiledCell:
             raise IncompleteConfig(f"fixed configuration misses {sorted(missing)}")
 
         self.free = ctx.free_vars
-        self.frames = tuple(ctx.cpt_of(v).frame_of(v) for v in self.free)
-        self.sizes = tuple(len(f) for f in self.frames)
+        self.sizes = tuple(len(ctx.cpt_of(v).frame_of(v)) for v in self.free)
         slot_of = {v: i for i, v in enumerate(self.free)}
         for var in fixed_config:
             if var in slot_of:
@@ -301,10 +295,7 @@ class _CompiledCell:
             and not free.isdisjoint(sf.factor.scope)
             for sf in ctx.factors
         )
-
-        self.value = None
-        if value_factor is not None:
-            self.value = _CompiledFactor(value_factor, slot_of, fixed_config)
+        self.value = _CompiledFactor(value_factor, slot_of, fixed_config)
 
     def block_sites(self) -> list[_Site] | None:
         """The sites of a cell whose sweeps are i.i.d. draws, in the order a
@@ -326,8 +317,6 @@ class _CompiledCell:
             (slot, parents, [rows[i] for i in range(math.prod(sizes[s] for s, _ in parents))])
             for slot, parents, rows in tables
         ]
-
-    # -- core moves --------------------------------------------------------
 
     def run(
         self,
@@ -391,69 +380,22 @@ class _CompiledCell:
         )
 
     def initial_state(self, rng: np.random.Generator) -> list[int]:
+        """The first of 100 forward samples with a positive factor product,
+        else the first such state in row-major order (module docstring)."""
         n = len(self.free)
-        if n == 0:
-            if self.product_at([]) <= 0.0:
-                raise NoPositiveState("fixed configuration has zero factor product")
-            return []
         for _ in range(_INIT_ATTEMPTS):
             state = [0] * n
             self.run(state, self.own, [rng.random(n).tolist()])
             if self.product_at(state) > 0.0:
                 return state
+        configs = math.prod(self.sizes)
+        if configs > _SEARCH_CONFIGS:
+            raise BudgetExceeded(f"initial-state search: {configs} states exceed {_SEARCH_CONFIGS}")
         for combo in itertools.product(*(range(s) for s in self.sizes)):
             state = list(combo)
             if self.product_at(state) > 0.0:
                 return state
-        raise NoPositiveState(
-            "no positive-probability completion of the fixed configuration exists"
-        )
-
-    def labels(self, state: list[int]) -> dict[str, str]:
-        return {
-            v: fr.labels[state[i]] for i, (v, fr) in enumerate(zip(self.free, self.frames))
-        }
-
-    def value_at(self, state: list[int]) -> float:
-        if self.value is None:
-            raise InvalidModel("cell compiled without a value factor")
-        return self.value.value_at(state)
-
-
-# --------------------------------------------------------------------------
-# public operations
-
-
-def init_state(
-    stage_context: StageContext,
-    fixed_config: Mapping[str, str],
-    rng: np.random.Generator,
-) -> ChainState:
-    """Forward-sample the free variables (topological order, zero-probability
-    values excluded) into a state with positive factor product."""
-    cell = _CompiledCell(stage_context, fixed_config)
-    ints = cell.initial_state(rng)
-    return ChainState(
-        assignment=cell.labels(ints),
-        fixed=dict(fixed_config),
-        _cell=cell,
-        _ints=tuple(ints),
-    )
-
-
-def sweep(
-    state: ChainState, stage_context: StageContext, rng: np.random.Generator
-) -> ChainState:
-    """Resample every free variable once, in model order, from its full
-    conditional given all other current values."""
-    cell = state._cell
-    ints = list(state._ints)
-    n = len(cell.free)
-    if n:
-        cell.run(ints, cell.sites, [rng.random(n).tolist()])
-    return ChainState(
-        assignment=cell.labels(ints), fixed=state.fixed, _cell=cell, _ints=tuple(ints)
-    )
+        raise NoPositiveState(_NO_POSITIVE_STATE)
 
 
 def estimate_expectation(
@@ -474,12 +416,10 @@ def estimate_expectation(
     `_CompiledCell.certainly_empty` shows has no positive state raises
     NoPositiveState before drawing anything.
     """
-    cell = _CompiledCell(stage_context, fixed_config, value_factor=value_factor)
+    cell = _CompiledCell(stage_context, fixed_config, value_factor)
     n_free = len(cell.free)
-    if n_free and cell.certainly_empty():
-        raise NoPositiveState(
-            "no positive-probability completion of the fixed configuration exists"
-        )
+    if cell.certainly_empty():
+        raise NoPositiveState(_NO_POSITIVE_STATE)
     rng = np.random.default_rng(sampler_config.seed)
     state = cell.initial_state(rng)
     cfg = sampler_config
@@ -493,7 +433,7 @@ def estimate_expectation(
             cell.run(state, cell.sites, uniforms.tolist(), range(len(uniforms))[keep], values)
         kept = np.array(values)
     else:
-        kept = np.full(cfg.samples // cfg.thinning, cell.value_at(state))
+        kept = np.full(cfg.samples // cfg.thinning, cell.value.value_at(state))
     mean = float(kept.mean())
     return Estimate(mean=mean, std_error=_batch_means_se(kept), n=len(kept))
 

@@ -16,10 +16,11 @@ The model format mirrors the domain types one-to-one:
                   "cells": [{"given": {...}, "v": -2000000}, ...]}
     }
 
-Parsing reports the offending field path; validation errors from model
-construction are annotated with one where it can be located.  Serialization is
-canonical (fixed key order, full-precision numbers), so parse(serialize(m))
-reproduces m field-by-field and the serialized bytes hash stably.
+Parsing reports the offending field path in the error's `field`; validation
+errors from model construction are annotated with one where it can be
+located.  Serialization is canonical (fixed key order, full-precision
+numbers), so parse(serialize(m)) reproduces m field-by-field and the
+serialized bytes hash stably.
 """
 
 from __future__ import annotations
@@ -61,9 +62,11 @@ _escape = json.encoder.encode_basestring_ascii
 
 def parse_model(data: bytes | str) -> IridModel:
     """Parse and fully validate a model document."""
-    text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
     try:
+        text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
         doc = json.loads(text)
+    except UnicodeDecodeError as e:
+        raise ModelSyntaxError(f"not UTF-8 at byte {e.start}: {e.reason}") from None
     except json.JSONDecodeError as e:
         raise ModelSyntaxError(
             f"line {e.lineno}, column {e.colno}: {e.msg}", e.lineno, e.colno

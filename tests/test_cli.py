@@ -73,7 +73,25 @@ class TestValidate:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert run_cli(["validate", str(path)]) == 2
-        assert "invalid model at constraints: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "invalid model at constraints: " in err
+        assert err.count("constraints") == 1
+
+    def test_schema_error_names_its_path_once(self, tmp_path, capsys):
+        doc = json.loads(bundled_bytes("wildcatter_irid"))
+        doc["cpts"][0]["rows"][0]["given"] = []
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "invalid model at cpts[0].rows[0].given: expected dict, got list\n"
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + '{"schema_version": "1"}'.encode("utf-16-le"))
+        assert run_cli(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid model: not UTF-8 at byte 0: ")
 
 
 class TestUsageErrors:

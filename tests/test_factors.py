@@ -64,9 +64,12 @@ def sampler_conditional(ctx, var, config):
     variables' values), read off its inverse-CDF row; raises AllZeroSupport
     where that row has no positive weight."""
     fixed = {v: lab for v, lab in config.items() if v not in ctx.free_vars}
-    cell = _CompiledCell(ctx, fixed)
+    cell = _CompiledCell(ctx, fixed, ctx.value_factor)
     _, blanket, table = cell.sites[cell.free.index(var)]
-    index = sum(radix * cell.frames[s].index(config[cell.free[s]]) for s, radix in blanket)
+    index = 0
+    for s, radix in blanket:
+        v = cell.free[s]
+        index += radix * ctx.cpt_of(v).frame_of(v).index(config[v])
     support, cumulative, total = table[index]
     probs = np.zeros(table.size)
     probs[support[:-1]] = np.diff([0.0, *cumulative]) / total

@@ -7,7 +7,13 @@ import pytest
 
 from irid import gibbs
 from irid.data import BUNDLED, load_bundled
-from irid.errors import AllZeroSupport, IncompleteConfig, InvalidModel, NoPositiveState
+from irid.errors import (
+    AllZeroSupport,
+    BudgetExceeded,
+    IncompleteConfig,
+    InvalidModel,
+    NoPositiveState,
+)
 from irid.gibbs import (
     Estimate,
     SamplerConfig,
@@ -17,8 +23,6 @@ from irid.gibbs import (
     _iid_chain,
     _kept_rows,
     estimate_expectation,
-    init_state,
-    sweep,
 )
 from irid.graph_ops import (
     absorb_decision,
@@ -44,6 +48,19 @@ from irid.solver import solve
 from model_gen import certificate_model, random_model, with_point_masses
 
 
+def _chain(ctx, fixed, rng):
+    """The sampler's single-site chain as label assignments of
+    `ctx.free_vars`: the cell's `initial_state`, then the state after each
+    sweep, one `run` over its full conditionals (`sites`) with one uniform
+    per free variable from `rng`."""
+    cell = _CompiledCell(ctx, fixed, ctx.value_factor)
+    labels = [ctx.cpt_of(v).frame_of(v).labels for v in cell.free]
+    state = cell.initial_state(rng)
+    while True:
+        yield {v: labels[i][j] for i, (v, j) in enumerate(zip(cell.free, state))}
+        cell.run(state, cell.sites, [rng.random(len(state)).tolist()])
+
+
 @pytest.fixture(scope="module")
 def stage2(wildcatter):
     part = compute_partition(wildcatter)
@@ -67,14 +84,14 @@ class TestSamplerConfig:
 class TestInitState:
     def test_single_free_variable(self, stage2):
         rng = np.random.default_rng(0)
-        state = init_state(stage2, {"T": "nt", "R": "nr", "B": "$1M", "D": "nd"}, rng)
-        assert set(state.assignment) == {"O"}
-        assert state.assignment["O"] in ("w", "y")
+        assignment = next(_chain(stage2, {"T": "nt", "R": "nr", "B": "$1M", "D": "nd"}, rng))
+        assert set(assignment) == {"O"}
+        assert assignment["O"] in ("w", "y")
 
     def test_impossible_evidence(self, stage2):
         rng = np.random.default_rng(0)
         with pytest.raises(NoPositiveState):
-            init_state(stage2, {"T": "nt", "R": "c", "B": "$1M", "D": "nd"}, rng)
+            next(_chain(stage2, {"T": "nt", "R": "c", "B": "$1M", "D": "nd"}, rng))
 
     def test_deterministic_chain_forced(self):
         m = build_model(
@@ -105,24 +122,22 @@ class TestInitState:
         )
         part = compute_partition(m)
         ctx = build_stage_context(m, part, moralize(relevance_subgraph(m)), 1)
-        state = init_state(ctx, {"D1": "x"}, rng=np.random.default_rng(5))
-        assert state.assignment == {"A": "a0", "C": "c0"}
+        assignment = next(_chain(ctx, {"D1": "x"}, np.random.default_rng(5)))
+        assert assignment == {"A": "a0", "C": "c0"}
 
     def test_missing_fixed_variable(self, stage2):
         with pytest.raises(IncompleteConfig):
-            init_state(stage2, {"T": "nt", "R": "nr"}, np.random.default_rng(0))
+            next(_chain(stage2, {"T": "nt", "R": "nr"}, np.random.default_rng(0)))
 
 
 class TestSweep:
     def test_single_site_stationary_distribution(self, stage2):
         fixed = {"T": "t1", "R": "c", "B": "$2M", "D": "d"}
         rng = np.random.default_rng(123)
-        state = init_state(stage2, fixed, rng)
         counts = collections.Counter()
         n = 100_000
-        for _ in range(n):
-            state = sweep(state, stage2, rng)
-            counts[state.assignment["O"]] += 1
+        for assignment in itertools.islice(_chain(stage2, fixed, rng), 1, n + 1):
+            counts[assignment["O"]] += 1
         assert counts["w"] / n == pytest.approx(0.923077, abs=0.01)
         assert counts["y"] / n == pytest.approx(0.076923, abs=0.01)
 
@@ -145,11 +160,9 @@ class TestSweep:
             m, compute_partition(m), moralize(relevance_subgraph(m)), 1
         )
         rng = np.random.default_rng(42)
-        state = init_state(ctx, {"D1": "a"}, rng)
         counts = collections.Counter()
-        for _ in range(20000):
-            state = sweep(state, ctx, rng)
-            counts[state.assignment["X"]] += 1
+        for assignment in itertools.islice(_chain(ctx, {"D1": "a"}, rng), 1, 20001):
+            counts[assignment["X"]] += 1
         assert counts["x0"] / 20000 == pytest.approx(0.5, abs=0.02)
 
     def test_chain_never_leaves_positive_support(self):
@@ -162,13 +175,13 @@ class TestSweep:
         for cfg in iter_configs(order, model.frames):
             fixed = dict(zip(order, cfg))
             fixed[dec] = model.admissible(dec, fixed)[0]
+            chain = _chain(ctx, fixed, rng)
             try:
-                state = init_state(ctx, fixed, rng)
+                next(chain)
             except NoPositiveState:
                 continue
-            for _ in range(500):
-                state = sweep(state, ctx, rng)
-                total = {**state.assignment, **state.fixed}
+            for assignment in itertools.islice(chain, 500):
+                total = {**assignment, **fixed}
                 product = 1.0
                 for f in ctx.probability_factors:
                     product *= f.evaluate(total)
@@ -249,15 +262,13 @@ class TestEstimateExpectation:
         fixed = {"B": "$2M", "T": "t1", "R": "c", "D": "d"}
         cfg = SamplerConfig(seed=7, burn_in=3, samples=10, thinning=2)
         est = estimate_expectation(stage2, fixed, stage2.value_factor, cfg)
-        rng = np.random.default_rng(7)
-        state = init_state(stage2, fixed, rng)
+        steps = itertools.islice(
+            _chain(stage2, fixed, np.random.default_rng(7)), 1, cfg.burn_in + cfg.samples + 1
+        )
         vals = []
-        for i in range(1, cfg.burn_in + cfg.samples + 1):
-            state = sweep(state, stage2, rng)
+        for i, assignment in enumerate(steps, 1):
             if i > cfg.burn_in and (i - cfg.burn_in) % cfg.thinning == 0:
-                vals.append(
-                    stage2.value_factor.evaluate({**state.assignment, **fixed})
-                )
+                vals.append(stage2.value_factor.evaluate({**assignment, **fixed}))
         assert float(np.mean(vals)) == est.mean
         assert len(vals) == est.n
 
@@ -272,16 +283,16 @@ class TestEstimateExpectation:
 
 
 def _sweep_chain_estimate(ctx, fixed, cfg):
-    """The estimate of a chain of public `init_state` + `sweep` steps driven
-    by `default_rng(cfg.seed)`, read with the value factor, with the batch
-    means standard error over 20 equal batches."""
-    rng = np.random.default_rng(cfg.seed)
-    state = init_state(ctx, fixed, rng)
+    """The estimate of the `_chain` steps driven by `default_rng(cfg.seed)`,
+    read with the value factor, with the batch means standard error over 20
+    equal batches."""
+    steps = itertools.islice(
+        _chain(ctx, fixed, np.random.default_rng(cfg.seed)), 1, cfg.burn_in + cfg.samples + 1
+    )
     vals = []
-    for i in range(1, cfg.burn_in + cfg.samples + 1):
-        state = sweep(state, ctx, rng)
+    for i, assignment in enumerate(steps, 1):
         if i > cfg.burn_in and (i - cfg.burn_in) % cfg.thinning == 0:
-            vals.append(ctx.value_factor.evaluate({**state.assignment, **fixed}))
+            vals.append(ctx.value_factor.evaluate({**assignment, **fixed}))
     return _batch_means_estimate(vals)
 
 
@@ -323,11 +334,11 @@ def _reference_draw(weights, u):
 
 def _reference_chain_estimate(ctx, fixed, cfg):
     """The estimate of a single-site Gibbs chain that recomputes every full
-    conditional from the factors' labels: it starts at the public
-    `init_state` and then takes one uniform per variable and sweep, in
+    conditional from the factors' labels: it starts at the cell's
+    `initial_state` and then takes one uniform per variable and sweep, in
     `ctx.free_vars` order, from the same `default_rng(cfg.seed)` stream."""
     rng = np.random.default_rng(cfg.seed)
-    assignment = {**init_state(ctx, fixed, rng).assignment, **fixed}
+    assignment = {**next(_chain(ctx, fixed, rng)), **fixed}
     labels = {v: ctx.cpt_of(v).frame_of(v).labels for v in ctx.free_vars}
     vals = []
     for i in range(1, cfg.burn_in + cfg.samples + 1):
@@ -457,7 +468,7 @@ def _has_evidence(ctx):
 
 def _has_positive_state(ctx, fixed):
     try:
-        init_state(ctx, fixed, np.random.default_rng(0))
+        next(_chain(ctx, fixed, np.random.default_rng(0)))
     except NoPositiveState:
         return False
     return True
@@ -517,12 +528,12 @@ class TestCoupledCells:
 
 def _reference_ancestral_estimate(ctx, fixed, cfg):
     """The estimate of logic sampling driven by the sweep chain's uniforms:
-    after the public `init_state`, each sweep takes one uniform per variable
+    after the cell's `initial_state`, each sweep takes one uniform per variable
     in `ctx.free_vars` order from `default_rng(cfg.seed)`; a kept sweep draws
     every free variable, in `ctx.free_topological` order, from its own
     conditional given the values drawn so far, with its own uniform."""
     rng = np.random.default_rng(cfg.seed)
-    init_state(ctx, fixed, rng)
+    next(_chain(ctx, fixed, rng))
     labels = {v: ctx.cpt_of(v).frame_of(v).labels for v in ctx.free_vars}
     vals = []
     for i in range(1, cfg.burn_in + cfg.samples + 1):
@@ -740,7 +751,7 @@ class TestBlockSizeInvariance:
 def _initial_state_first_estimate(ctx, fixed, cfg):
     """The estimate drawn without the early exit for empty cells:
     `initial_state` takes its uniforms first, then the block draw, or the
-    chain of public `init_state` + `sweep` steps when there is no block."""
+    `_chain` steps when there is no block."""
     cell = _CompiledCell(ctx, fixed, value_factor=ctx.value_factor)
     sites = cell.block_sites() if cell.free else None
     if sites is None:
@@ -768,7 +779,7 @@ class TestEmptyCells:
                 if empty:
                     with pytest.raises(NoPositiveState):
                         estimate_expectation(ctx, fixed, ctx.value_factor, sampler)
-                    counts["early" if cell.free and cell.certainly_empty() else "late"] += 1
+                    counts["early" if cell.certainly_empty() else "late"] += 1
                     continue
                 assert not cell.certainly_empty(), (source, ctx.stage, fixed)
                 est = estimate_expectation(ctx, fixed, ctx.value_factor, sampler)
@@ -818,7 +829,7 @@ def _reference_init(ctx, fixed, rng):
 
 
 class TestInitStateReference:
-    """`init_state` draws what forward sampling on labels draws, from the
+    """`_CompiledCell.initial_state` draws what forward sampling on labels draws, from the
     same uniforms, and leaves its generator where the reference leaves
     its own."""
 
@@ -831,11 +842,10 @@ class TestInitStateReference:
                     expected, path = _reference_init(ctx, fixed, theirs)
                 except NoPositiveState:
                     with pytest.raises(NoPositiveState):
-                        init_state(ctx, fixed, ours)
+                        next(_chain(ctx, fixed, ours))
                     path = "empty"
                 else:
-                    state = init_state(ctx, fixed, ours)
-                    assert state.assignment == expected, (source, ctx.stage, fixed)
+                    assert next(_chain(ctx, fixed, ours)) == expected, (source, ctx.stage, fixed)
                 assert ours.random() == theirs.random(), (source, ctx.stage, fixed)
                 counts[path] += 1
         assert counts == {"forward": 2002, "empty": 70}
@@ -848,7 +858,7 @@ class TestInitStateReference:
             ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
             expected, path = _reference_init(ctx, {}, theirs)
             assert path == "forward"
-            assert init_state(ctx, {}, ours).assignment == expected, seed
+            assert next(_chain(ctx, {}, ours)) == expected, seed
             assert ours.random() == theirs.random()
             drawn.add(tuple(expected.values()))
         assert len(drawn) == 5
@@ -897,8 +907,67 @@ class TestInitStateReference:
         assert ctx.free_vars == ("X", "Y")
         ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
         assert _reference_init(ctx, fixed, theirs) == ({"X": "x1", "Y": "y0"}, "search")
-        assert init_state(ctx, fixed, ours).assignment == {"X": "x1", "Y": "y0"}
+        assert next(_chain(ctx, fixed, ours)) == {"X": "x1", "Y": "y0"}
         assert ours.random() == theirs.random()
+
+
+def _evidence_chain(n):
+    """A stage whose free `X0 -> X1 -> ... -> X{n-1}` chain of fair binary
+    variables each has a copy `E{i}` observed at `e1`: the one positive
+    state is all `x1`, and a forward sample meets it with probability 2^-n."""
+    xs = [f"X{i}" for i in range(n)]
+    es = [f"E{i}" for i in range(n)]
+    half = {"x0": 0.5, "x1": 0.5}
+    copy = {("x0",): {"e0": 1.0, "e1": 0.0}, ("x1",): {"e0": 0.0, "e1": 1.0}}
+    m = build_model(
+        nodes=(
+            *(NodeSpec(x, "chance", Frame(("x0", "x1"))) for x in xs),
+            *(NodeSpec(e, "chance", Frame(("e0", "e1"))) for e in es),
+            NodeSpec("D1", "decision", Frame(("a", "b"))),
+            NodeSpec("V", "value"),
+        ),
+        arrows=(
+            *(ArrowSpec(a, b, "relevance") for a, b in zip(xs, xs[1:])),
+            *(ArrowSpec(x, e, "relevance") for x, e in zip(xs, es)),
+            *(ArrowSpec(e, "D1", "informational") for e in es),
+            ArrowSpec(xs[-1], "V", "relevance"),
+            ArrowSpec("D1", "V", "relevance"),
+        ),
+        cpts=(
+            Cpt(xs[0], (), {(): half}),
+            *(Cpt(x, (p,), {("x0",): half, ("x1",): half}) for p, x in zip(xs, xs[1:])),
+            *(Cpt(e, (x,), copy) for x, e in zip(xs, es)),
+        ),
+        constraints=(),
+        value_table=ValueTable(
+            (xs[-1], "D1"),
+            {("x0", "a"): 0.0, ("x0", "b"): 1.0, ("x1", "a"): 2.0, ("x1", "b"): 3.0},
+        ),
+    )
+    ctx = build_stage_context(m, compute_partition(m), moralize(relevance_subgraph(m)), 1)
+    assert ctx.free_vars == tuple(xs)
+    return ctx, {**dict.fromkeys(es, "e1"), "D1": "a"}
+
+
+class TestInitialSearchBudget:
+    """After its forward samples fail, `initial_state` searches at most
+    10**7 states, the default `EnumerationBudget.max_joint_configs`."""
+
+    def test_search_beyond_the_budget_raises(self):
+        ctx, fixed = _evidence_chain(24)  # 2^24 states
+        sampler = SamplerConfig(seed=0, burn_in=0, samples=1)
+        with pytest.raises(BudgetExceeded):
+            estimate_expectation(ctx, fixed, ctx.value_factor, sampler)
+
+    def test_search_within_the_budget_finds_the_positive_state(self):
+        ctx, fixed = _evidence_chain(16)
+        ours, theirs = np.random.default_rng(0), np.random.default_rng(0)
+        assert next(_chain(ctx, fixed, ours)) == dict.fromkeys(ctx.free_vars, "x1")
+        # all 100 forward samples failed, so the search found it
+        theirs.random(100 * 16)
+        assert ours.random() == theirs.random()
+        sampler = SamplerConfig(seed=0, burn_in=0, samples=1)
+        assert estimate_expectation(ctx, fixed, ctx.value_factor, sampler).mean == 2.0
 
 
 def _probed_states(cell, sites, cfg):
@@ -1005,12 +1074,10 @@ class TestKernelInvariance:
             target[cfg] = w
             z += w
         rng = np.random.default_rng(seed)
-        state = init_state(ctx, {}, rng)
         counts = collections.Counter()
         n = 100_000
-        for _ in range(n):
-            state = sweep(state, ctx, rng)
-            counts[tuple(state.assignment[v] for v in free)] += 1
+        for assignment in itertools.islice(_chain(ctx, {}, rng), 1, n + 1):
+            counts[tuple(assignment[v] for v in free)] += 1
         tv = 0.5 * sum(
             abs(counts.get(cfg, 0) / n - target[cfg] / z) for cfg in target
         )

@@ -77,7 +77,7 @@ class TestParseErrors:
     def test_missing_top_level_key(self):
         with pytest.raises(SchemaError) as exc:
             parse_model(json.dumps({"schema_version": "1"}))
-        assert "nodes" in str(exc.value)
+        assert exc.value.field == "nodes"
 
     def test_wrong_type(self, wildcatter):
         doc = model_to_document(wildcatter)
