@@ -11,9 +11,10 @@ The sampler flags (--seed, --burn-in, --samples, --thinning, --crn) apply to
 the Gibbs backend only; `solve --backend exact` rejects them.
 
 Exit codes: 0 success (for compare: full policy agreement), 1 usage error
-(sampler flags out of range or given to the exact backend included), 2
-model/validation error, 3 runtime error (budget exceeded, impossible
-conditioning configuration), 4 compare only: the policies differ.
+(sampler flags out of range or given to the exact backend, and a solution
+file that cannot be written, included), 2 model/validation error (a model
+file that cannot be read included), 3 runtime error (budget exceeded,
+impossible conditioning configuration), 4 compare only: the policies differ.
 """
 
 from __future__ import annotations
@@ -159,8 +160,12 @@ def _cmd_solve(args) -> int:
         options = SolveOptions(backend="exact", objective_override=objective)
     model = read_model(args.model)
     solution = solve(model, options)
-    with open(args.out, "wb") as fh:
-        fh.write(serialize_solution(solution))
+    # opened only now, so that a failed solve leaves an existing file alone
+    try:
+        with open(args.out, "wb") as fh:
+            fh.write(serialize_solution(solution))
+    except OSError as e:
+        raise _UsageError(f"cannot write solution: {e}") from None
     _print_policies(model, solution.policies)
     se = solution.expected_value_std_error
     extra = f"  (std error {se:.2f}, n {solution.expected_value_n})" if se is not None else ""

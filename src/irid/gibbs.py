@@ -11,7 +11,8 @@ expectation of the value node for that cell.
 Zeros in the tables are handled by support restriction, not smoothing: a full
 conditional never proposes a zero-probability value, and initialization
 forward-samples a positive-probability state.  After 100 failed attempts it
-searches the cell's states in row-major order, but raises BudgetExceeded
+searches the cell's states in row-major order, a chunk at a time in numpy,
+but raises BudgetExceeded
 instead when they number more than 10**7, and NoPositiveState when none is
 positive.  Where no state can be positive without a search (a factor is zero
 at every state of its free variables, which covers a zero product in a cell
@@ -59,17 +60,18 @@ Reproducibility is strict: a given seed yields a bit-identical estimate.
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import AllZeroSupport, BudgetExceeded, IncompleteConfig, InvalidModel, NoPositiveState
 from .factors import Factor
-from .graph_ops import ROLE_CHANCE, ROLE_VALUE, StageContext
+from .graph_ops import StageContext
+from .model import CHANCE, VALUE
 
 #: forward-sampling attempts before falling back to exhaustive search
 _INIT_ATTEMPTS = 100
@@ -226,9 +228,6 @@ class _SiteTable(dict):
             else:
                 for j in range(size):
                     weights[j] *= flat[off + stride * j]
-        if weights is None:
-            # no probability factor contains the variable: uniform over frame
-            weights = [1.0] * size
         return weights
 
     def __missing__(self, index: int) -> tuple[list[int], list[float], float]:
@@ -264,13 +263,13 @@ class _CompiledCell:
         # each free variable's own conditional, compiled once with the rest
         own: dict[str, _CompiledFactor] = {}
         for sf in ctx.factors:
-            if sf.role == ROLE_VALUE:
+            if sf.role == VALUE:
                 continue
             cf = _CompiledFactor(sf.factor, slot_of, fixed_config)
             prob.append(cf)
             for slot, _ in cf.free_pairs:
                 per_var[slot].append(cf)
-            if sf.role == ROLE_CHANCE and sf.child in slot_of:
+            if sf.role == CHANCE and sf.child in slot_of:
                 own.setdefault(sf.child, cf)
         self.prob_factors = prob
         # the full conditionals, in model order, for the chain and i.i.d.
@@ -290,7 +289,7 @@ class _CompiledCell:
         # product of their own conditionals
         free = set(self.free)
         self.evidence = any(
-            sf.role == ROLE_CHANCE
+            sf.role == CHANCE
             and sf.child not in free
             and not free.isdisjoint(sf.factor.scope)
             for sf in ctx.factors
@@ -361,6 +360,22 @@ class _CompiledCell:
                 return 0.0
         return p
 
+    @cached_property
+    def _prob_arrays(self) -> list[tuple[np.ndarray, int, tuple[tuple[int, int], ...]]]:
+        return [(np.array(cf.flat), cf.base, cf.free_pairs) for cf in self.prob_factors]
+
+    def products(self, states: np.ndarray) -> np.ndarray:
+        """The product of the probability factors, in factor order, at each
+        row of `states` (one column per slot): `product_at` in numpy, with
+        the same sign."""
+        product = np.ones(len(states))
+        for flat, base, free_pairs in self._prob_arrays:
+            off = np.full(len(states), base, dtype=np.intp)
+            for slot, stride in free_pairs:
+                off += stride * states[:, slot]
+            product *= flat[off]
+        return product
+
     def certainly_empty(self) -> bool:
         """Whether no state has a positive factor product, in the cases this
         shows without a search: a factor is zero at every state of its free
@@ -391,10 +406,16 @@ class _CompiledCell:
         configs = math.prod(self.sizes)
         if configs > _SEARCH_CONFIGS:
             raise BudgetExceeded(f"initial-state search: {configs} states exceed {_SEARCH_CONFIGS}")
-        for combo in itertools.product(*(range(s) for s in self.sizes)):
-            state = list(combo)
-            if self.product_at(state) > 0.0:
-                return state
+        chunk = max(1, _BLOCK_UNIFORMS // max(n, 1))
+        for start in range(0, configs, chunk):
+            # the states numbered start, start + 1, ... in row-major order
+            index = np.arange(start, min(start + chunk, configs))
+            states = np.empty((len(index), n), dtype=np.intp)
+            for slot in reversed(range(n)):
+                index, states[:, slot] = np.divmod(index, self.sizes[slot])
+            positive = np.flatnonzero(self.products(states) > 0.0)
+            if len(positive):
+                return states[positive[0]].tolist()
         raise NoPositiveState(_NO_POSITIVE_STATE)
 
 
@@ -488,8 +509,6 @@ def _iid_chain(
         tables.append((slot, parents, cumulative, support, totals))
     value = cell.value
     flat = np.array(value.flat)
-    if __debug__:
-        probe = [(np.array(cf.flat), cf.base, cf.free_pairs) for cf in cell.prob_factors]
     kept = np.empty(cfg.samples // cfg.thinning, dtype=float)
     k = 0
     for uniforms, keep in _blocks(rng, cfg, len(cell.free)):
@@ -509,18 +528,9 @@ def _iid_chain(
             off += stride * states[:, slot]
         m = len(states)
         kept[k : k + m] = flat[off]
-        if __debug__:
-            # every 64th kept draw, as the chain checks its kept states: the
-            # product of the probability factors in factor order
-            rows = states[-k % 64 :: 64]
-            product = np.ones(len(rows))
-            for factor_flat, base, free_pairs in probe:
-                off = np.full(len(rows), base, dtype=np.intp)
-                for slot, stride in free_pairs:
-                    off += stride * rows[:, slot]
-                product *= factor_flat[off]
-            if (product <= 0.0).any():
-                raise AllZeroSupport("chain reached a zero-probability state")
+        # every 64th kept draw, as the chain checks its kept states
+        if __debug__ and (cell.products(states[-k % 64 :: 64]) <= 0.0).any():
+            raise AllZeroSupport("chain reached a zero-probability state")
         k += m
     assert k == len(kept)
     return kept

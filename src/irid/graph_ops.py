@@ -5,9 +5,11 @@ stage it needs to know (a) which variables the stage's conditional expectation
 actually ranges over and (b) which factors of the joint distribution matter.
 That is computed here:
 
-  * `remove_barren`     -- drop nodes that cannot influence the value node
-  * `compute_partition` -- group variables into observation blocks between
-                           consecutive decisions
+  * `remove_barren`     -- keep the value node and its ancestors: the other
+                           nodes have no directed path to the value node, so
+                           they cannot influence it
+  * `compute_partition` -- a chance node joins the observation block of the
+                           first decision that observes it, or the last block
   * `relevance_subgraph` / `moralize`
                         -- the undirected dependency structure, keeping
                            constraint (relevance) arrows into decisions; the
@@ -15,7 +17,8 @@ That is computed here:
                            moral graph one from each variable to its neighbours
   * `build_stage_context`
                         -- the stage's live block, the variables the decision
-                           function depends on, and the relevant factors
+                           function depends on, and the tables whose scope
+                           meets the live block
   * `absorb_decision`   -- substitute a solved decision function into every
                            table where the decision was a parent, removing the
                            node (its zero-one conditional is deliberately NOT
@@ -58,12 +61,6 @@ from .model import (
     validate_policy,
 )
 
-#: roles a stage factor can play
-ROLE_CHANCE = "chance"
-ROLE_DECISION = "decision"
-ROLE_VALUE = "value"
-
-
 @dataclass(frozen=True)
 class StagePartition:
     """Observation blocks: block 0 is seen before the first decision, block i
@@ -80,13 +77,13 @@ class StagePartition:
 
 @dataclass(frozen=True)
 class StageFactor:
-    """A factor of the stage's joint, tagged with what it is.
+    """A node's table in the stage's joint, tagged with the node's kind.
 
     role "chance" is a conditional probability table (child given), role
     "decision" is the all-ones placeholder standing in for the not-yet-chosen
     decision function over the decision and its constraint scope, and role
     "value" is the real-valued table (never multiplied into probability
-    products).
+    products).  child is the node.
     """
 
     role: str
@@ -119,18 +116,18 @@ class StageContext:
 
     @property
     def probability_factors(self) -> tuple[Factor, ...]:
-        return tuple(sf.factor for sf in self.factors if sf.role != ROLE_VALUE)
+        return tuple(sf.factor for sf in self.factors if sf.role != VALUE)
 
     @property
     def value_factor(self) -> Factor | None:
         for sf in self.factors:
-            if sf.role == ROLE_VALUE:
+            if sf.role == VALUE:
                 return sf.factor
         return None
 
     def cpt_of(self, var: str) -> Factor:
         for sf in self.factors:
-            if sf.role == ROLE_CHANCE and sf.child == var:
+            if sf.role == CHANCE and sf.child == var:
                 return sf.factor
         raise UnknownDecision(f"no chance factor for {var!r} in stage {self.stage}")
 
@@ -139,24 +136,22 @@ class StageContext:
 
 
 def remove_barren(model: IridModel) -> IridModel:
-    """Iteratively delete non-value nodes with no children.
+    """Keep the value node and its ancestors; delete every other node.
 
-    Such nodes cannot influence the value node, so the optimal expected value
-    and the policies of surviving decisions are unchanged.  Returns the input
-    unchanged (same object) when nothing is barren.
+    A node without a directed path to the value node cannot influence it, so
+    the optimal expected value and the policies of surviving decisions are
+    unchanged.  These are exactly the nodes that repeatedly deleting childless
+    non-value nodes removes (Shachter 1986).  Returns the input unchanged
+    (same object) when nothing is barren.
     """
-    alive = set(model.variables)
-    value_var = model.value_var
-    while True:
-        barren = [
-            v
-            for v in alive
-            if v != value_var and not any(c in alive for c in model.children(v))
-        ]
-        if not barren:
-            break
-        alive -= set(barren)
-    if alive == set(model.variables):
+    alive = {model.value_var}
+    stack = [model.value_var]
+    while stack:
+        for p in model.parents(stack.pop()):
+            if p not in alive:
+                alive.add(p)
+                stack.append(p)
+    if len(alive) == len(model.nodes):
         return model
     nodes = tuple(n for n in model.nodes if n.id in alive)
     arrows = tuple(a for a in model.arrows if a.source in alive and a.target in alive)
@@ -168,31 +163,20 @@ def remove_barren(model: IridModel) -> IridModel:
 def compute_partition(model: IridModel) -> StagePartition:
     """Assign every non-value variable to an observation block.
 
-    A chance variable is observed at decision i when any arrow (relevance or
-    informational -- constraint arrows carry information too) points from it
-    to decision i.  Never-observed chance variables land in the last block.
+    Decision i (counting from 1) is in block i.  A chance variable is in
+    block i - 1 when decision i is the first decision that observes it, that
+    is, the first one an arrow from it points to (relevance or informational
+    -- constraint arrows carry information too); a chance variable that no
+    decision observes is in the last block.
     """
     decisions = model.decisions
     k = len(decisions)
-    observed_by = {d: set(model.parents(d)) for d in decisions}
+    observed_by = [set(model.parents(d)) for d in decisions]
     blocks: list[set[str]] = [set() for _ in range(k + 1)]
     for i, d in enumerate(decisions):
         blocks[i + 1].add(d)
     for v in model.chance_vars:
-        if k == 0:
-            blocks[0].add(v)
-            continue
-        if v in observed_by[decisions[0]]:
-            blocks[0].add(v)
-            continue
-        placed = False
-        for i in range(1, k):
-            if v in observed_by[decisions[i]] and v not in observed_by[decisions[i - 1]]:
-                blocks[i].add(v)
-                placed = True
-                break
-        if not placed:
-            blocks[k].add(v)
+        blocks[next((i for i, seen in enumerate(observed_by) if v in seen), k)].add(v)
     return StagePartition(
         blocks=tuple(frozenset(b) for b in blocks), decisions=decisions
     )
@@ -237,8 +221,10 @@ def build_stage_context(
     gamma_prime keeps the members of the stage's block that are connected to
     the value node inside the moral subgraph induced by the block plus the
     value node.  The dependency set is the moral neighborhood of gamma_prime
-    outside gamma_prime and the value node.  A factor is kept when its child
-    or any of its parents lies in gamma_prime.
+    outside gamma_prime and the value node.  A node's table (CPT, decision
+    placeholder or value table) is a stage factor when its scope meets
+    gamma_prime.  free_vars are gamma_prime without the decision, in model
+    order.
     """
     k = partition.stage_count
     if not 1 <= stage <= k:
@@ -268,10 +254,7 @@ def build_stage_context(
 
     factors = _stage_factors(model, gamma_prime)
 
-    order = {v: i for i, v in enumerate(model.variables)}
-    free = tuple(
-        v for v in sorted(gamma_prime, key=order.__getitem__) if v != decision
-    )
+    free = tuple(v for v in model.variables if v in gamma_prime and v != decision)
     free_topo = tuple(
         v for v in model.topological_order if v in gamma_prime and v != decision
     )
@@ -291,13 +274,10 @@ def terminal_stage_context(model: IridModel) -> StageContext:
     nothing fixed, all conditionals in play."""
     if model.decisions:
         raise StageOutOfRange("terminal context requires all decisions absorbed")
-    order = {v: i for i, v in enumerate(model.variables)}
-    free = tuple(sorted(model.chance_vars, key=order.__getitem__))
+    free = model.chance_vars
     gamma = frozenset(free)
-    factors = [
-        StageFactor(ROLE_CHANCE, v, model.cpt_factor(v)) for v in model.chance_vars
-    ]
-    factors.append(StageFactor(ROLE_VALUE, model.value_var, model.value_factor))
+    factors = [StageFactor(CHANCE, v, model.cpt_factor(v)) for v in free]
+    factors.append(StageFactor(VALUE, model.value_var, model.value_factor))
     free_topo = tuple(v for v in model.topological_order if v in gamma)
     return StageContext(
         stage=0,
@@ -311,20 +291,12 @@ def terminal_stage_context(model: IridModel) -> StageContext:
 
 
 def _stage_factors(model: IridModel, gamma_prime: frozenset[str]) -> tuple[StageFactor, ...]:
+    """Each node's table whose scope meets gamma_prime, in model order."""
     out: list[StageFactor] = []
-    for v in model.variables:
-        kind = model.kind(v)
-        if kind == CHANCE:
-            touched = v in gamma_prime or any(p in gamma_prime for p in model.parents(v))
-            if touched:
-                out.append(StageFactor(ROLE_CHANCE, v, model.cpt_factor(v)))
-        elif kind == DECISION:
-            scope = model.constraint(v).scope + (v,)
-            if any(s in gamma_prime for s in scope):
-                out.append(StageFactor(ROLE_DECISION, v, model.placeholder_factor(v)))
-        else:  # value
-            if any(p in gamma_prime for p in model.parents(v)):
-                out.append(StageFactor(ROLE_VALUE, v, model.value_factor))
+    for n in model.nodes:
+        table = model._table(n.id)
+        if not gamma_prime.isdisjoint(table.scope):
+            out.append(StageFactor(n.kind, n.id, table))
     return tuple(out)
 
 

@@ -304,21 +304,21 @@ class IridModel:
     def frames(self) -> dict[str, Frame]:
         return {n.id: n.frame for n in self.nodes if n.frame is not None}
 
+    # build_model and derived_model keep arrows sorted by (target, source)
+    # position, so both maps list their nodes in model order
     @cached_property
     def _parents(self) -> dict[str, tuple[str, ...]]:
         by_target: dict[str, list[str]] = {n.id: [] for n in self.nodes}
         for a in self.arrows:
             by_target[a.target].append(a.source)
-        idx = self._node_index
-        return {v: tuple(sorted(ps, key=idx.__getitem__)) for v, ps in by_target.items()}
+        return {v: tuple(ps) for v, ps in by_target.items()}
 
     @cached_property
     def _children(self) -> dict[str, tuple[str, ...]]:
         by_source: dict[str, list[str]] = {n.id: [] for n in self.nodes}
         for a in self.arrows:
             by_source[a.source].append(a.target)
-        idx = self._node_index
-        return {v: tuple(sorted(cs, key=idx.__getitem__)) for v, cs in by_source.items()}
+        return {v: tuple(cs) for v, cs in by_source.items()}
 
     def parents(self, var: str) -> tuple[str, ...]:
         self.node(var)
@@ -494,7 +494,7 @@ def build_model(
         sorted(arrows, key=lambda a: (node_index[a.target], node_index[a.source]))
     )
 
-    topological_sort(ids, [(a.source, a.target) for a in arrows])
+    order = topological_sort(ids, [(a.source, a.target) for a in arrows])
 
     if any(a.source == value_var for a in arrows):
         raise ValueNodeNotSink(f"value node {value_var!r} has outgoing arrows")
@@ -507,8 +507,14 @@ def build_model(
     kinds = {n.id: n.kind for n in nodes}
     frames = {n.id: n.frame for n in nodes if n.frame is not None}
 
-    decision_ids = [n.id for n in nodes if n.kind == DECISION]
-    dec_order = _decision_chain(decision_ids, arrows)
+    # the decisions in topological order, which chain them when each is a
+    # parent of the next
+    dec_order = [v for v in order if kinds[v] == DECISION]
+    for a, b in zip(dec_order, dec_order[1:]):
+        if a not in parents[b]:
+            raise DecisionsNotTotallyOrdered(
+                f"no arrow between consecutive decisions {a!r} and {b!r}"
+            )
     _check_no_forgetting(dec_order, parents)
 
     # constraints: normalize, one per decision, auto-fill unconstrained
@@ -519,7 +525,7 @@ def build_model(
         if con.decision in con_map:
             raise InvalidModel(f"duplicate constraint for {con.decision!r}")
         con_map[con.decision] = con
-    for d in decision_ids:
+    for d in dec_order:
         if d not in con_map:
             con_map[d] = Constraint(d, (), {(): tuple(frames[d].labels)})
     normalized_constraints = tuple(
@@ -564,7 +570,7 @@ def build_model(
         raise InvalidModel("a value table is required")
     _validate_value_table(value_table, value_var, parents[value_var], frames)
 
-    model = IridModel(
+    return IridModel(
         nodes=nodes,
         arrows=arrows,
         cpts=ordered_cpts,
@@ -572,9 +578,6 @@ def build_model(
         value=value_table,
         objective=objective,
     )
-    # the decision order read from the topological order is the validated chain
-    assert model.decisions == tuple(dec_order)
-    return model
 
 
 def derived_model(
@@ -603,25 +606,6 @@ def derived_model(
     )
     model._tables.update(changed)
     return model
-
-
-def _decision_chain(decision_ids: list[str], arrows: tuple[ArrowSpec, ...]) -> list[str]:
-    """Order decisions along the required decision-only path, or fail."""
-    if len(decision_ids) <= 1:
-        return list(decision_ids)
-    decisions = set(decision_ids)
-    edges = {
-        (a.source, a.target)
-        for a in arrows
-        if a.source in decisions and a.target in decisions
-    }
-    order = topological_sort(decision_ids, edges)
-    for a, b in zip(order, order[1:]):
-        if (a, b) not in edges:
-            raise DecisionsNotTotallyOrdered(
-                f"no arrow between consecutive decisions {a!r} and {b!r}"
-            )
-    return list(order)
 
 
 def _check_no_forgetting(dec_order: list[str], parents: Mapping[str, tuple[str, ...]]):

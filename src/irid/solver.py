@@ -140,8 +140,7 @@ def solve(model: IridModel, options: SolveOptions = SolveOptions()) -> Solution:
         moral = moralize(relevance_subgraph(working))
         ctx = build_stage_context(working, partition, moral, stage)
         decision = ctx.decision
-        order = {v: i for i, v in enumerate(working.variables)}
-        dep_vars = tuple(sorted(ctx.dependency_set, key=order.__getitem__))
+        dep_vars = tuple(v for v in working.variables if v in ctx.dependency_set)
 
         choices: dict[tuple[str, ...], str] = {}
         for cell_index, dep_cfg in enumerate(iter_configs(dep_vars, working.frames)):

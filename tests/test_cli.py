@@ -137,7 +137,7 @@ class TestSolve:
         text = capsys.readouterr().out
         assert "expected value: 334750.00" in text
         assert "policy for D" in text
-        doc = json.loads(open(out, "rb").read())
+        doc = json.loads(Path(out).read_bytes())
         cells = {
             tuple(c["given"][v] for v in ("B", "T", "R")): c["choose"]
             for p in doc["policies"]
@@ -156,7 +156,21 @@ class TestSolve:
         ]
         assert run_cli(argv + [out1]) == 0
         assert run_cli(argv + [out2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
+
+    def test_unwritable_solution_file_is_a_usage_error(self, wildcatter_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "s.json"
+        assert run_cli(["solve", wildcatter_file, "--backend", "exact", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: cannot write solution:")
+
+    def test_invalid_model_leaves_an_existing_solution_file(self, tmp_path, capsys):
+        model = tmp_path / "broken.json"
+        model.write_bytes(b"{}")
+        out = tmp_path / "s.json"
+        out.write_bytes(b"old")
+        assert run_cli(["solve", str(model), "--backend", "exact", "--out", str(out)]) == 2
+        assert out.read_bytes() == b"old"
 
     def test_objective_flag(self, wildcatter_file, tmp_path, capsys):
         out = str(tmp_path / "s.json")
@@ -164,7 +178,7 @@ class TestSolve:
             ["solve", wildcatter_file, "--backend", "exact", "--objective", "min", "--out", out]
         )
         assert code == 0
-        doc = json.loads(open(out, "rb").read())
+        doc = json.loads(Path(out).read_bytes())
         assert doc["objective"] == "minimize"
 
 

@@ -960,11 +960,35 @@ class TestInitialSearchBudget:
             estimate_expectation(ctx, fixed, ctx.value_factor, sampler)
 
     def test_search_within_the_budget_finds_the_positive_state(self):
-        ctx, fixed = _evidence_chain(16)
+        self.finds_the_positive_state(16)
+
+    def test_search_of_2_to_the_20_states_finds_the_positive_state(self):
+        self.finds_the_positive_state(20)
+
+    @pytest.mark.parametrize("block_uniforms", [65536, 3])
+    def test_search_matches_a_state_by_state_search(self, block_uniforms, monkeypatch):
+        """Straight to the search, in chunks of one state or of all, on every
+        cell of models with point masses: the first state in row-major order
+        with a positive product, which is not always the first state."""
+        monkeypatch.setattr(gibbs, "_INIT_ATTEMPTS", 0)
+        monkeypatch.setattr(gibbs, "_BLOCK_UNIFORMS", block_uniforms)
+        found = collections.Counter()
+        for source in range(0, 90, 3):
+            for ctx, fixed in _stage_cells(certificate_model(source)):
+                cell = _CompiledCell(ctx, fixed, ctx.value_factor)
+                states = (list(s) for s in itertools.product(*map(range, cell.sizes)))
+                first = next(s for s in states if cell.product_at(s) > 0.0)
+                assert cell.initial_state(np.random.default_rng(0)) == first
+                found[any(first)] += 1
+        assert found == {False: 195, True: 41}
+
+    @staticmethod
+    def finds_the_positive_state(n):
+        ctx, fixed = _evidence_chain(n)
         ours, theirs = np.random.default_rng(0), np.random.default_rng(0)
         assert next(_chain(ctx, fixed, ours)) == dict.fromkeys(ctx.free_vars, "x1")
         # all 100 forward samples failed, so the search found it
-        theirs.random(100 * 16)
+        theirs.random(100 * n)
         assert ours.random() == theirs.random()
         sampler = SamplerConfig(seed=0, burn_in=0, samples=1)
         assert estimate_expectation(ctx, fixed, ctx.value_factor, sampler).mean == 2.0

@@ -25,6 +25,7 @@ from irid.model import (
     build_model,
     iter_configs,
 )
+from irid.modelfile import parse_model, serialize_model
 from irid.oracle import exact_expectation, exact_stage_expectation, exhaustive_policy_search
 
 from conftest import constrained_constant_policy
@@ -380,6 +381,23 @@ class TestAbsorbDecision:
         assert composed == pytest.approx(direct, abs=1e-9)
 
 
+def record_derived_models(monkeypatch):
+    """A list to which the solver appends every model its `remove_barren`
+    and `absorb_decision` return."""
+    derived = []
+
+    def recording(fn):
+        def wrapper(*args):
+            derived.append(fn(*args))
+            return derived[-1]
+
+        return wrapper
+
+    for name in ("remove_barren", "absorb_decision"):
+        monkeypatch.setattr(irid.solver, name, recording(getattr(irid.solver, name)))
+    return derived
+
+
 def assert_same_table(derived, rebuilt):
     assert derived.scope == rebuilt.scope
     assert derived.values.flags.c_contiguous
@@ -394,17 +412,7 @@ class TestDerivedModelCertificate:
 
     @pytest.mark.parametrize("source", [*BUNDLED, *range(200)])
     def test_solver_chain_matches_build_model(self, source, monkeypatch):
-        derived = []
-
-        def recording(fn):
-            def wrapper(*args):
-                derived.append(fn(*args))
-                return derived[-1]
-
-            return wrapper
-
-        for name in ("remove_barren", "absorb_decision"):
-            monkeypatch.setattr(irid.solver, name, recording(getattr(irid.solver, name)))
+        derived = record_derived_models(monkeypatch)
         model = certificate_model(source)
         irid.solver.solve(model)
         assert len(derived) == 1 + len(derived[0].decisions)
@@ -420,3 +428,111 @@ class TestDerivedModelCertificate:
             for d in m.decisions:
                 assert_same_table(m.placeholder_factor(d), rebuilt.placeholder_factor(d))
             assert_same_table(m.value_factor, rebuilt.value_factor)
+
+
+def with_barren_chains(model, rng):
+    """`model` with one to three chains of binary chance nodes grafted on.
+    A chain starts at no parent or at a random non-value node, and each of
+    its nodes may take a second parent from the model; no chain reaches the
+    value node, so every grafted node is barren."""
+    base = [v for v in model.variables if v != model.value_var]
+    frame = Frame(("b0", "b1"))
+    nodes, arrows, cpts = list(model.nodes), list(model.arrows), list(model.cpts)
+    for c in range(int(rng.integers(1, 4))):
+        previous = str(rng.choice(base)) if rng.random() < 0.7 else None
+        for i in range(int(rng.integers(1, 4))):
+            node = f"B{c}_{i}"
+            parents = [previous] if previous else []
+            if rng.random() < 0.3:
+                extra = str(rng.choice(base))
+                parents += [extra] if extra not in parents else []
+            nodes.append(NodeSpec(node, "chance", frame))
+            arrows += [ArrowSpec(p, node, "relevance") for p in parents]
+            frames = [model.frame(p) if p in model.variables else frame for p in parents]
+            rows = {cfg: {"b0": 0.5, "b1": 0.5} for cfg in itertools.product(*frames)}
+            cpts.append(Cpt(node, tuple(parents), rows))
+            previous = node
+    return build_model(nodes, arrows, cpts, model.constraints, model.value, model.objective)
+
+
+def rule_models(seed):
+    """Parsed random and certificate models, and random models with barren
+    chains, for checking the structural rules against their definitions."""
+    rng = np.random.default_rng(seed)
+    return [
+        random_model(seed + 900, n_decisions=(0, 3)),
+        certificate_model(seed),
+        with_barren_chains(random_model(seed + 1900, n_decisions=(1, 3)), rng),
+    ]
+
+
+def survivors_of_repeated_deletion(model):
+    """Delete childless non-value nodes until none is left."""
+    alive = set(model.variables)
+    while True:
+        barren = {
+            v for v in alive if v != model.value_var and alive.isdisjoint(model.children(v))
+        }
+        if not barren:
+            return alive
+        alive -= barren
+
+
+def blocks_by_first_new_observation(model):
+    """Block 0 holds what the first decision observes; block i what decision
+    i + 1 observes and decision i does not, for the first such i; the last
+    block everything else, with decision i in block i."""
+    decisions = model.decisions
+    k = len(decisions)
+    observed_by = {d: set(model.parents(d)) for d in decisions}
+    blocks = [set() for _ in range(k + 1)]
+    for i, d in enumerate(decisions):
+        blocks[i + 1].add(d)
+    for v in model.chance_vars:
+        if k == 0 or v in observed_by[decisions[0]]:
+            blocks[0].add(v)
+            continue
+        placed = False
+        for i in range(1, k):
+            if v in observed_by[decisions[i]] and v not in observed_by[decisions[i - 1]]:
+                blocks[i].add(v)
+                placed = True
+                break
+        if not placed:
+            blocks[k].add(v)
+    return tuple(frozenset(b) for b in blocks)
+
+
+class TestRulesMatchTheirDefinitions:
+    """`remove_barren`, `compute_partition` and the parent and child maps
+    against the definitions they compute."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_remove_barren_keeps_what_repeated_deletion_keeps(self, seed):
+        removed = 0
+        for m in rule_models(seed):
+            kept = set(remove_barren(m).variables)
+            assert kept == survivors_of_repeated_deletion(m)
+            removed += len(m.variables) - len(kept)
+        assert removed
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_compute_partition_matches_the_first_new_observation(self, seed):
+        for m in rule_models(seed):
+            for model in (m, remove_barren(m)):
+                assert compute_partition(model).blocks == blocks_by_first_new_observation(model)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_parents_and_children_in_model_order(self, seed, monkeypatch):
+        derived = record_derived_models(monkeypatch)
+        parsed = [parse_model(serialize_model(m)) for m in rule_models(seed)]
+        for m in parsed:
+            irid.solver.solve(m)
+        assert len(derived) > len(parsed)
+        for model in [*parsed, *derived]:
+            position = {v: i for i, v in enumerate(model.variables)}
+            for v in model.variables:
+                parents = [a.source for a in model.arrows if a.target == v]
+                children = [a.target for a in model.arrows if a.source == v]
+                assert model.parents(v) == tuple(sorted(parents, key=position.get))
+                assert model.children(v) == tuple(sorted(children, key=position.get))

@@ -301,6 +301,27 @@ class TestValidationRejectsCorruption:
         with pytest.raises(DecisionsNotTotallyOrdered):
             rebuild(wildcatter, arrows=arrows)
 
+    def test_unchained_decisions_name_the_pair_their_order_forces(self):
+        # D3 -> C -> D2 puts D3 before D2 in every topological order, so the
+        # decisions run D1, D3, D2 and the arrow D3 -> D2 is the one missing
+        frame = Frame(("a", "b"))
+        with pytest.raises(DecisionsNotTotallyOrdered, match="'D3' and 'D2'"):
+            build_model(
+                nodes=(
+                    *(NodeSpec(d, "decision", frame) for d in ("D1", "D2", "D3")),
+                    NodeSpec("C", "chance", frame),
+                    NodeSpec("V", "value"),
+                ),
+                arrows=(
+                    ArrowSpec("D1", "D3", "informational"),
+                    ArrowSpec("D3", "C", "relevance"),
+                    ArrowSpec("C", "D2", "informational"),
+                    ArrowSpec("D2", "V", "relevance"),
+                ),
+                cpts=(Cpt("C", ("D3",), {(d,): {"a": 0.5, "b": 0.5} for d in "ab"}),),
+                value_table=ValueTable(("D2",), {("a",): 1.0, ("b",): 2.0}),
+            )
+
     def test_deleted_inherited_arrow(self, wildcatter):
         arrows = tuple(a for a in wildcatter.arrows if (a.source, a.target) != ("B", "D"))
         with pytest.raises(NoForgettingViolated):
