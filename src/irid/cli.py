@@ -10,16 +10,20 @@
 The sampler flags (--seed, --burn-in, --samples, --thinning, --crn) apply to
 the Gibbs backend only; `solve --backend exact` rejects them.
 
-Exit codes: 0 success (for compare: full policy agreement), 1 usage error
-(sampler flags out of range or given to the exact backend, and a solution
-file that cannot be written, included), 2 model/validation error (a model
-file that cannot be read included), 3 runtime error (budget exceeded,
-impossible conditioning configuration), 4 compare only: the policies differ.
+Exit codes: 0 success (for compare: the policies agree, or differ only in
+ties: the sampled policies' exact expected value is the exact optimum to
+1e-9 relative), 1 usage error (sampler flags out of range or given to the
+exact backend, and a solution file that cannot be written, included), 2
+model/validation error (a model file that cannot be read included), 3 runtime
+error (budget exceeded, impossible conditioning configuration), 4 compare
+only: the policies differ, and the sampled ones fall short of the optimum or
+are too large to evaluate by enumeration.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import oracle as oracle_mod
@@ -39,10 +43,13 @@ from .errors import (
 from .gibbs import SamplerConfig
 from .model import IridModel, Policy
 from .modelfile import read_model, serialize_solution
-from .solver import SolveOptions, solve
+from .solver import Solution, SolveOptions, solve
 
 _VALIDATION_ERRORS = (ModelError, ModelSyntaxError, SchemaError, ValueNotInFrame, IncompleteConfig)
 _RUNTIME_ERRORS = (BudgetExceeded, NoPositiveState, ZeroNormalizer, AllZeroSupport, StageOutOfRange)
+
+#: relative gap below which a differing policy set counts as a tie
+_TIE_TOLERANCE = 1e-9
 
 
 class _UsageError(Exception):
@@ -198,17 +205,35 @@ def _cmd_compare(args) -> int:
             f"  stage {d.stage} {d.decision}({cfg}) {d.alternative:>8}  "
             f"exact={exact_txt}  estimate={est_txt}"
         )
-    agree = True
-    for dec, pol in exact_solution.policies.items():
-        same = pol.table == gibbs_solution.policies[dec].table
-        agree &= same
-        print(f"policy for {dec}: {'agrees' if same else 'DIFFERS'}")
+    differing = {
+        dec
+        for dec, pol in exact_solution.policies.items()
+        if pol.table != gibbs_solution.policies[dec].table
+    }
+    tie = bool(differing) and _reaches_optimum(model, gibbs_solution, exact_solution)
+    for dec in exact_solution.policies:
+        verdict = "agrees" if dec not in differing else "agrees (tie)" if tie else "DIFFERS"
+        print(f"policy for {dec}: {verdict}")
     print(
         f"expected value: exact={exact_solution.expected_value:.2f} "
         f"gibbs={gibbs_solution.expected_value:.2f}"
     )
-    print("policies agree" if agree else "policies differ")
-    return 0 if agree else 4
+    if differing and not tie:
+        print("policies differ")
+        return 4
+    print("policies agree (tie)" if tie else "policies agree")
+    return 0
+
+
+def _reaches_optimum(model: IridModel, gibbs_solution: Solution, exact_solution: Solution) -> bool:
+    """Whether the sampled policies' exact expected value, by enumeration,
+    is the exact optimum to 1e-9 relative: a tie broken the other way.  An
+    enumeration over its budget cannot show it."""
+    try:
+        value = oracle_mod.exact_expectation(model, gibbs_solution.policies)
+    except BudgetExceeded:
+        return False
+    return math.isclose(value, exact_solution.expected_value, rel_tol=_TIE_TOLERANCE, abs_tol=0.0)
 
 
 def _cmd_oracle(args) -> int:

@@ -35,7 +35,7 @@ of uniforms at a time in numpy, through inverse-CDF rows:
 
 Run without -O, the block draw checks every 64th kept state for a positive
 product of the probability factors, in numpy, as the chain checks its kept
-states.
+states, once all blocks are drawn.
 
 Only coupled cells with evidence run the single-site chain, and there support
 restriction does not repair reducibility: if table zeros split the positive
@@ -43,12 +43,24 @@ support into disconnected components, the chain explores only the component
 it starts in and reports a small standard error around a wrong value.  The
 exact backend does not have this failure.
 
+A stage is compiled once per `StageContext`, in its `cache["gibbs"]`, so it
+is freed with the context (`_CompiledStage`): each factor flattened once,
+with integer strides for its free slots and its fixed variables, the free
+slots and their sizes, and the `iid` and `evidence` flags, which depend on
+the stage alone.  A cell (`_CompiledCell`) adds only the base offsets its
+fixed configuration selects in the flattened factors.
+
 One kind of table, `_SiteTable`, serves every draw: one variable's
 inverse-CDF rows, one per state of the other free variables its factors
 hold, so a draw is an index computation and a bisection.  A cell has one
 table per variable over its full conditionals, which the chain and i.i.d.
 cells read, and one over its own conditional, which forward initialization
-and logic sampling read in topological order.  The chain and the block
+and logic sampling read in topological order.  The stage keeps every table
+it builds, keyed by the variable and the factors' base offsets, so cells
+and alternatives whose factors sit at the same offsets share its rows and
+their flat numpy form (`_SiteTable.arrays`), in which a block draw takes
+each value with one 1-D `take` from the flattened supports.  Value factors
+are compiled once per factor passed in.  The chain and the block
 draws take their uniforms from one block loop, `_blocks`.  A block holds at
 most 8 192 sweeps and 65 536 uniforms: at 8 192 rows a block draw's per-site
 numpy temporaries take 64 KiB each, so they stay in cache and under glibc's
@@ -93,9 +105,7 @@ _BLOCK_SWEEPS = 8192
 
 #: one variable's draw: (slot, row parents as (slot, radix) pairs, rows); it
 #: takes the `_cdf` row `rows[sum(radix * state[s] for s, radix in parents)]`
-_Site = tuple[
-    int, tuple[tuple[int, int], ...], "_SiteTable | list[tuple[list[int], list[float], float]]"
-]
+_Site = tuple[int, tuple[tuple[int, int], ...], "_SiteTable"]
 
 
 @dataclass(frozen=True)
@@ -130,26 +140,39 @@ class Estimate:
 
 
 class _CompiledFactor:
-    """A factor flattened to a list with integer strides, with the fixed
-    variables' contribution folded into a constant offset."""
+    """A factor flattened once per stage, as a list for scalar reads and as
+    an array for block reads, with integer strides for its free slots and
+    for the variables a cell fixes.  `at` gives a copy that shares the
+    tables, with one cell's fixed variables folded into its offset `base`."""
 
-    __slots__ = ("flat", "free_pairs", "base")
+    __slots__ = ("flat", "array", "free_pairs", "fixed_strides", "base")
 
-    def __init__(self, factor: Factor, slot_of: dict[str, int], fixed: Mapping[str, str]):
+    def __init__(self, factor: Factor, slot_of: Mapping[str, int]):
         arr = factor.values
-        self.flat = arr.ravel().tolist()
-        base = 0
+        self.array = arr.ravel()
+        self.flat = self.array.tolist()
         free_pairs: list[tuple[int, int]] = []
+        fixed_strides = []
         for var, frame, stride in zip(factor.scope, factor.frames, arr.strides):
             stride //= arr.itemsize
             if var in slot_of:
                 free_pairs.append((slot_of[var], stride))
-            elif var in fixed:
-                base += stride * frame.index(fixed[var])
             else:
-                raise IncompleteConfig(f"factor variable {var!r} is neither free nor fixed")
-        self.base = base
+                fixed_strides.append((var, frame, stride))
         self.free_pairs = tuple(free_pairs)
+        self.fixed_strides = tuple(fixed_strides)
+        self.base = 0
+
+    def at(self, fixed: Mapping[str, str]) -> _CompiledFactor:
+        base = 0
+        for var, frame, stride in self.fixed_strides:
+            if var not in fixed:
+                raise IncompleteConfig(f"factor variable {var!r} is neither free nor fixed")
+            base += stride * frame.index(fixed[var])
+        bound = object.__new__(_CompiledFactor)
+        bound.flat, bound.array, bound.free_pairs = self.flat, self.array, self.free_pairs
+        bound.fixed_strides, bound.base = self.fixed_strides, base
+        return bound
 
     def value_at(self, state: list[int]) -> float:
         off = self.base
@@ -194,9 +217,10 @@ class _SiteTable(dict):
 
     A row is built the first time a draw reads it, so the table holds no
     more rows than have been read, and a blanket state whose weights are all
-    zero raises AllZeroSupport only when read."""
+    zero raises AllZeroSupport only when read.  `arrays` builds every row,
+    for block draws."""
 
-    __slots__ = ("slot", "size", "sizes", "factors", "blanket")
+    __slots__ = ("slot", "size", "sizes", "factors", "blanket", "_arrays")
 
     def __init__(self, slot: int, factors: list[_CompiledFactor], sizes: tuple[int, ...]):
         super().__init__()
@@ -211,6 +235,7 @@ class _SiteTable(dict):
             blanket.append((s, radix))
             radix *= sizes[s]
         self.blanket = tuple(blanket)
+        self._arrays = None
 
     def weights(self, state: Mapping[int, int]) -> list[float]:
         """Weights of every value of the variable given `state[s]` for each
@@ -239,48 +264,69 @@ class _SiteTable(dict):
     def site(self) -> _Site:
         return self.slot, self.blanket, self
 
+    def arrays(self) -> tuple[int, np.ndarray, list[np.ndarray], np.ndarray]:
+        """Every row in flat form, built once: (width, support, thresholds,
+        totals).  Row `r` holds its positive support at `support[r * width:]`,
+        padded with its last value to the widest row's `width`; threshold
+        `j` holds each row's `j`-th running sum, or +inf past the row's
+        last-but-one.  A draw's position is then the count of its row's
+        thresholds at most `u * total`, as `_cdf` describes: the last running
+        sum is never compared, because a position past it reads the repeated
+        last value, which the last position already holds."""
+        if self._arrays is None:
+            rows = [self[i] for i in range(math.prod(self.sizes[s] for s, _ in self.blanket))]
+            width = max(len(cumulative) for _, cumulative, _ in rows)
+            support = np.array(
+                [sup[:-1] + sup[-1:] * (width - len(sup) + 1) for sup, _, _ in rows],
+                dtype=np.intp,
+            ).ravel()
+            thresholds = [
+                np.array([cum[j] if j < len(cum) - 1 else np.inf for _, cum, _ in rows])
+                for j in range(width - 1)
+            ]
+            totals = np.array([total for _, _, total in rows])
+            self._arrays = width, support, thresholds, totals
+        return self._arrays
 
-class _CompiledCell:
-    """Stage factors compiled against one fixed configuration."""
 
-    def __init__(self, ctx: StageContext, fixed_config: Mapping[str, str], value_factor: Factor):
-        needed = set(ctx.dependency_set)
-        if ctx.decision is not None:
-            needed.add(ctx.decision)
-        missing = needed - set(fixed_config)
-        if missing:
-            raise IncompleteConfig(f"fixed configuration misses {sorted(missing)}")
+class _CompiledStage:
+    """What a cell's compilation takes from its stage alone, built once per
+    `StageContext` and kept in its `cache["gibbs"]`, so it is freed with the
+    context: the free slots and their sizes, each factor flattened, the
+    `iid` and `evidence` flags of every cell, and the site tables and value
+    factors that cells share.
 
+    A site table is shared by every cell whose factors for it have the same
+    base offsets, so a row is built once per stage; value factors are
+    compiled once per factor passed in."""
+
+    def __init__(self, ctx: StageContext):
         self.free = ctx.free_vars
         self.sizes = tuple(len(ctx.cpt_of(v).frame_of(v)) for v in self.free)
-        slot_of = {v: i for i, v in enumerate(self.free)}
-        for var in fixed_config:
-            if var in slot_of:
-                raise IncompleteConfig(f"{var!r} is free in this stage, cannot be fixed")
+        self.slot_of = slot_of = {v: i for i, v in enumerate(self.free)}
+        self.needed = set(ctx.dependency_set)
+        if ctx.decision is not None:
+            self.needed.add(ctx.decision)
 
-        prob = []
-        per_var: list[list[_CompiledFactor]] = [[] for _ in self.free]
-        # each free variable's own conditional, compiled once with the rest
-        own: dict[str, _CompiledFactor] = {}
+        prob: list[_CompiledFactor] = []
+        per_var: list[list[int]] = [[] for _ in self.free]
+        # each free variable's own conditional
+        own: dict[str, int] = {}
         for sf in ctx.factors:
             if sf.role == VALUE:
                 continue
-            cf = _CompiledFactor(sf.factor, slot_of, fixed_config)
-            prob.append(cf)
+            cf = _CompiledFactor(sf.factor, slot_of)
             for slot, _ in cf.free_pairs:
-                per_var[slot].append(cf)
+                per_var[slot].append(len(prob))
             if sf.role == CHANCE and sf.child in slot_of:
-                own.setdefault(sf.child, cf)
-        self.prob_factors = prob
-        # the full conditionals, in model order, for the chain and i.i.d.
-        # cells; the own conditionals, in topological order, for forward
-        # initialization and logic sampling
-        self.sites = tuple(
-            _SiteTable(slot, factors, self.sizes).site() for slot, factors in enumerate(per_var)
-        )
-        self.own = tuple(
-            _SiteTable(slot_of[v], [own[v]], self.sizes).site() for v in ctx.free_topological
-        )
+                own.setdefault(sf.child, len(prob))
+            prob.append(cf)
+        self.prob = tuple(prob)
+        # the factors of each slot's full conditional, in model order, for
+        # the chain and i.i.d. cells; each slot's own conditional, in
+        # topological order, for forward initialization and logic sampling
+        self.full = tuple(enumerate(map(tuple, per_var)))
+        self.own = tuple((slot_of[v], (own[v],)) for v in ctx.free_topological)
         # no probability factor couples two free sites: every site's full
         # conditional is fixed by the cell, so successive sweeps are i.i.d.
         self.iid = all(len(cf.free_pairs) <= 1 for cf in prob)
@@ -294,7 +340,58 @@ class _CompiledCell:
             and not free.isdisjoint(sf.factor.scope)
             for sf in ctx.factors
         )
-        self.value = _CompiledFactor(value_factor, slot_of, fixed_config)
+        self.values: dict[Factor, _CompiledFactor] = {}
+        self.tables: dict[tuple, _SiteTable] = {}
+
+    def value(self, factor: Factor) -> _CompiledFactor:
+        cf = self.values.get(factor)
+        if cf is None:
+            cf = self.values[factor] = _CompiledFactor(factor, self.slot_of)
+        return cf
+
+    def sites(
+        self, plan: Sequence[tuple[int, tuple[int, ...]]], factors: list[_CompiledFactor]
+    ) -> tuple[_Site, ...]:
+        """The sites of `plan` (slot, factor indices) pairs over one cell's
+        bound `factors`, each table shared by the cells whose factors it
+        reads have the same bases."""
+        sites = []
+        for slot, indices in plan:
+            key = (slot, indices, tuple(factors[i].base for i in indices))
+            table = self.tables.get(key)
+            if table is None:
+                table = self.tables[key] = _SiteTable(
+                    slot, [factors[i] for i in indices], self.sizes
+                )
+            sites.append(table.site())
+        return tuple(sites)
+
+
+class _CompiledCell:
+    """A stage's compiled factors bound to one fixed configuration: base
+    offsets, and the stage's site tables for those offsets."""
+
+    def __init__(self, ctx: StageContext, fixed_config: Mapping[str, str], value_factor: Factor):
+        stage = ctx.cache.get("gibbs")
+        if stage is None:
+            stage = ctx.cache["gibbs"] = _CompiledStage(ctx)
+        missing = stage.needed - set(fixed_config)
+        if missing:
+            raise IncompleteConfig(f"fixed configuration misses {sorted(missing)}")
+        for var in fixed_config:
+            if var in stage.slot_of:
+                raise IncompleteConfig(f"{var!r} is free in this stage, cannot be fixed")
+
+        self.stage = stage
+        self.free, self.sizes = stage.free, stage.sizes
+        self.iid, self.evidence = stage.iid, stage.evidence
+        self.prob_factors = [cf.at(fixed_config) for cf in stage.prob]
+        self.own = stage.sites(stage.own, self.prob_factors)
+        self.value = stage.value(value_factor).at(fixed_config)
+
+    @cached_property
+    def sites(self) -> tuple[_Site, ...]:
+        return self.stage.sites(self.stage.full, self.prob_factors)
 
     def block_sites(self) -> list[_Site] | None:
         """The sites of a cell whose sweeps are i.i.d. draws, in the order a
@@ -306,16 +403,14 @@ class _CompiledCell:
         its sites are its own conditionals, in topological order, with one
         row per state of their free parents."""
         if self.iid:
-            tables = self.sites
+            sites = self.sites
         elif self.evidence:
             return None
         else:
-            tables = self.own
-        sizes = self.sizes
-        return [
-            (slot, parents, [rows[i] for i in range(math.prod(sizes[s] for s, _ in parents))])
-            for slot, parents, rows in tables
-        ]
+            sites = self.own
+        for _, _, table in sites:
+            table.arrays()
+        return list(sites)
 
     def run(
         self,
@@ -360,20 +455,17 @@ class _CompiledCell:
                 return 0.0
         return p
 
-    @cached_property
-    def _prob_arrays(self) -> list[tuple[np.ndarray, int, tuple[tuple[int, int], ...]]]:
-        return [(np.array(cf.flat), cf.base, cf.free_pairs) for cf in self.prob_factors]
-
-    def products(self, states: np.ndarray) -> np.ndarray:
+    def products(self, columns: Sequence, n: int) -> np.ndarray:
         """The product of the probability factors, in factor order, at each
-        row of `states` (one column per slot): `product_at` in numpy, with
-        the same sign."""
-        product = np.ones(len(states))
-        for flat, base, free_pairs in self._prob_arrays:
-            off = np.full(len(states), base, dtype=np.intp)
-            for slot, stride in free_pairs:
-                off += stride * states[:, slot]
-            product *= flat[off]
+        of `n` states given by `columns[slot]`, an array of the slot's value
+        in each state or one value for all: `product_at` in numpy, with the
+        same sign."""
+        product = np.ones(n)
+        for cf in self.prob_factors:
+            off = cf.base
+            for slot, stride in cf.free_pairs:
+                off = off + stride * columns[slot]
+            product *= cf.array.take(off)
         return product
 
     def certainly_empty(self) -> bool:
@@ -413,7 +505,7 @@ class _CompiledCell:
             states = np.empty((len(index), n), dtype=np.intp)
             for slot in reversed(range(n)):
                 index, states[:, slot] = np.divmod(index, self.sizes[slot])
-            positive = np.flatnonzero(self.products(states) > 0.0)
+            positive = np.flatnonzero(self.products(states.T, len(states)) > 0.0)
             if len(positive):
                 return states[positive[0]].tolist()
         raise NoPositiveState(_NO_POSITIVE_STATE)
@@ -493,46 +585,88 @@ def _iid_chain(
 
     The uniforms of burn-in and thinned-out sweeps are dropped.  Each site,
     in order, maps its slot's column through the row its row parents select,
-    as `support[bisect_right(cumulative, u * total)]` does."""
-    tables = []
-    for slot, parents, rows in sites:
-        # rows padded to one width with +inf running sums, so the count of
-        # running sums <= u * total is the bisection and stays inside the
-        # row's own support
-        width = max(len(cumulative) for _, cumulative, _ in rows)
-        cumulative = np.full((len(rows), width), np.inf)
-        support = np.zeros((len(rows), width + 1), dtype=np.intp)
-        for r, (sup, cum, _) in enumerate(rows):
-            cumulative[r, : len(cum)] = cum
-            support[r, : len(sup)] = sup
-        totals = np.array([row_total for _, _, row_total in rows])
-        tables.append((slot, parents, cumulative, support, totals))
+    as `support[bisect_right(cumulative, u * total)]` does, in the flat form
+    of `_SiteTable.arrays`: one position per draw, counted against the row's
+    thresholds, and one `take` from the flat support.  A site whose row is
+    fixed by the cell and holds one positive value is a constant, with no
+    array; a site's values are taken only where a later site reads them as
+    row parents or the value factor reads them with another site's.  When
+    the value factor reads exactly one drawn site, its value is read through
+    that site's support, by position."""
+    # per site: its one value, or its draw: the row parents that vary per
+    # draw, the part of the row index the constant ones fix, and the flat
+    # form of its table
+    const: dict[int, int] = {}
+    draws = []
+    for slot, parents, table in sites:
+        row = 0
+        varying = []
+        for s, radix in parents:
+            if s in const:
+                row += radix * const[s]
+            else:
+                varying.append((s, radix))
+        if not varying and len(table[row][1]) == 1:
+            const[slot] = table[row][0][0]
+        else:
+            draws.append((slot, varying, row, *table.arrays()))
+    support_of = {draw[0]: draw[4] for draw in draws}
+
     value = cell.value
-    flat = np.array(value.flat)
+    base = value.base
+    reads = []
+    for s, stride in value.free_pairs:
+        if s in const:
+            base += stride * const[s]
+        else:
+            reads.append((s, stride))
+    taken = {s for draw in draws for s, _ in draw[1]}
+    lut = None
+    if len(reads) == 1:
+        (lut_slot, stride), = reads
+        lut = value.array.take(base + stride * support_of[lut_slot])
+    else:
+        taken.update(s for s, _ in reads)
+
     kept = np.empty(cfg.samples // cfg.thinning, dtype=float)
+    probed: dict[int, list[np.ndarray]] = {s: [] for s in support_of}
     k = 0
     for uniforms, keep in _blocks(rng, cfg, len(cell.free)):
-        uniforms = uniforms[keep]
-        states = np.empty(uniforms.shape, dtype=np.intp)
-        for slot, parents, cumulative, support, totals in tables:
-            row = 0
-            for s, radix in parents:
-                row = row + radix * states[:, s]
-            target = uniforms[:, slot] * totals[row]
-            pos = np.zeros(len(target), dtype=np.intp)
-            for column in cumulative.T:
-                pos += column[row] <= target
-            states[:, slot] = support[row, pos]
-        off = np.full(len(states), value.base, dtype=np.intp)
-        for slot, stride in value.free_pairs:
-            off += stride * states[:, slot]
-        m = len(states)
-        kept[k : k + m] = flat[off]
-        # every 64th kept draw, as the chain checks its kept states
-        if __debug__ and (cell.products(states[-k % 64 :: 64]) <= 0.0).any():
-            raise AllZeroSupport("chain reached a zero-probability state")
+        m = len(range(len(uniforms))[keep])
+        if not m:
+            continue
+        states: dict[int, np.ndarray] = {}
+        positions: dict[int, np.ndarray] = {}
+        for slot, varying, row, width, support, thresholds, totals in draws:
+            for s, radix in varying:
+                row = row + radix * states[s]
+            target = uniforms[keep, slot] * totals.take(row)
+            pos = row * width
+            for column in thresholds:
+                pos += column.take(row) <= target
+            positions[slot] = pos
+            if slot in taken:
+                states[slot] = support.take(pos)
+        if lut is not None:
+            kept[k : k + m] = lut.take(positions[lut_slot])
+        else:
+            off = base
+            for s, stride in reads:
+                off = off + stride * states[s]
+            kept[k : k + m] = value.array.take(off)
+        if __debug__:
+            # every 64th kept draw, as the chain checks its kept states
+            for s, pos in positions.items():
+                probed[s].append(pos[-k % 64 :: 64])
         k += m
     assert k == len(kept)
+    if __debug__:
+        columns = [
+            const[s] if s in const else support_of[s].take(np.concatenate(probed[s]))
+            for s in range(len(cell.free))
+        ]
+        if (cell.products(columns, -(-k // 64)) <= 0.0).any():
+            raise AllZeroSupport("chain reached a zero-probability state")
     return kept
 
 

@@ -17,6 +17,7 @@ choice (first admissible alternative) and are flagged in the diagnostics.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -143,8 +144,12 @@ def solve(model: IridModel, options: SolveOptions = SolveOptions()) -> Solution:
         dep_vars = tuple(v for v in working.variables if v in ctx.dependency_set)
 
         choices: dict[tuple[str, ...], str] = {}
-        for cell_index, dep_cfg in enumerate(iter_configs(dep_vars, working.frames)):
-            cfg_map = dict(zip(dep_vars, dep_cfg))
+        # every cell's config is built from one set of (variable, label)
+        # pairs, which the diagnostics share instead of holding copies
+        pairs = [[(v, label) for label in working.frames[v].labels] for v in dep_vars]
+        for cell_index, config in enumerate(itertools.product(*pairs)):
+            dep_cfg = tuple(label for _, label in config)
+            cfg_map = dict(config)
             adm = working.admissible(decision, cfg_map)
             # (alternative, value, SE, n); value None where the alternative's
             # conditioning event has probability zero
@@ -161,7 +166,6 @@ def solve(model: IridModel, options: SolveOptions = SolveOptions()) -> Solution:
             ranked = [r for r in results if r[1] is not None]
             pick = max if objective == MAXIMIZE else min
             alt = pick(ranked, key=lambda r: r[1])[0] if ranked else adm[0]
-            config = tuple(zip(dep_vars, dep_cfg))
             for a, v, se, n in results:
                 diagnostics.append(
                     CellDiagnostic(

@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import irid
+import irid.cli
 from irid.cli import run_cli
 from irid.data import bundled_bytes
+from irid.errors import BudgetExceeded
 from irid.model import (
     ArrowSpec,
     Cpt,
@@ -188,6 +190,39 @@ class TestCompare:
         text = capsys.readouterr().out
         assert "policies agree" in text
         assert "exact=" in text and "estimate=" in text
+
+    def test_a_tie_broken_the_other_way_agrees(self, tmp_path, capsys):
+        """At seed 0 the sampler picks `nd` in the stage-2 cell B=$1M, T=t2 of
+        the deterministic workaround, where `d` and `nd` have the same exact
+        value: the policies differ, and reach the same optimum."""
+        path = tmp_path / "workaround.json"
+        path.write_bytes(bundled_bytes("wildcatter_deterministic_workaround"))
+        assert run_cli(["compare", str(path), "--seed", "0"]) == 0
+        text = capsys.readouterr().out
+        assert "policy for D: agrees (tie)" in text
+        assert "policy for T: agrees\n" in text
+        assert "policies agree (tie)" in text and "DIFFERS" not in text
+
+    def test_a_worse_policy_differs(self, wildcatter_file, capsys):
+        """Twenty sweeps without burn-in pick a policy worth 250 000, not
+        the optimal 334 750."""
+        argv = ["compare", wildcatter_file, "--seed", "0", "--burn-in", "0", "--samples", "20"]
+        assert run_cli(argv) == 4
+        text = capsys.readouterr().out
+        assert "DIFFERS" in text and "(tie)" not in text
+        assert text.endswith("policies differ\n")
+
+    def test_a_policy_too_large_to_evaluate_differs(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "workaround.json"
+        path.write_bytes(bundled_bytes("wildcatter_deterministic_workaround"))
+
+        def over_budget(model, policies):
+            raise BudgetExceeded("too many joint configurations")
+
+        monkeypatch.setattr(irid.cli.oracle_mod, "exact_expectation", over_budget)
+        assert run_cli(["compare", str(path), "--seed", "0"]) == 4
+        text = capsys.readouterr().out
+        assert "policy for D: DIFFERS" in text and "(tie)" not in text
 
 
 class TestOracle:

@@ -1,4 +1,6 @@
 import collections
+import copy
+import functools
 import itertools
 from bisect import bisect_right
 
@@ -24,6 +26,7 @@ from irid.gibbs import (
     _kept_rows,
     estimate_expectation,
 )
+from irid.factors import Factor
 from irid.graph_ops import (
     absorb_decision,
     build_stage_context,
@@ -1014,8 +1017,9 @@ def _probed_states(cell, sites, cfg):
 @pytest.mark.skipif(not __debug__, reason="the positivity probe runs only without -O")
 class TestPositivityProbe:
     """`_iid_chain` checks every 64th kept draw for a positive product of the
-    probability factors.  With one entry of one factor zeroed in the cell's
-    copy, it must raise exactly when a checked draw reads that entry."""
+    probability factors.  With one entry of one factor zeroed in a private
+    copy of the cell's factor, it must raise exactly when a checked draw
+    reads that entry."""
 
     @pytest.mark.parametrize(
         "name, stage, sampler, blocks",
@@ -1062,8 +1066,13 @@ class TestPositivityProbe:
             for off in sorted(o for o in offsets if factor.flat[o] > 0.0):
                 zeroed = _CompiledCell(ctx, fixed, value_factor=ctx.value_factor)
                 sites = zeroed.block_sites()
-                cf = zeroed.prob_factors[index]
-                cf.flat[off] = 0.0
+                # zeroed in a private copy: the cell's factors share their
+                # tables with every cell of the stage
+                cf = copy.copy(zeroed.prob_factors[index])
+                cf.flat = [0.0 if o == off else w for o, w in enumerate(cf.flat)]
+                cf.array = np.array(cf.flat)
+                zeroed.prob_factors[index] = cf
+                assert factor.flat[off] > 0.0
                 reads = any(
                     cf.base + sum(stride * st[slot] for slot, stride in cf.free_pairs) == off
                     for st in probed
@@ -1076,6 +1085,84 @@ class TestPositivityProbe:
                     _iid_chain(zeroed, rng, sampler, sites)
                 outcomes[reads] += 1
         assert outcomes[True] and outcomes[False], outcomes
+
+
+def _stage_builders(model):
+    """Per stage of `model`, with the exact policies absorbed, and for its
+    terminal value: a function that builds the stage's context afresh, so
+    with an empty cache, and the fixed configurations of its cells."""
+    policies = solve(model).policies
+    working = remove_barren(model)
+    stages = []
+    while working.decisions:
+        part = compute_partition(working)
+        build = functools.partial(
+            build_stage_context,
+            working,
+            part,
+            moralize(relevance_subgraph(working)),
+            part.stage_count,
+        )
+        ctx = build()
+        deps = sorted(ctx.dependency_set)
+        cells = []
+        for cfg in iter_configs(deps, working.frames):
+            fixed = dict(zip(deps, cfg))
+            cells += [{**fixed, ctx.decision: a} for a in working.admissible(ctx.decision, fixed)]
+        stages.append((build, cells))
+        working = absorb_decision(working, ctx.decision, policies[ctx.decision])
+    return [*stages, (functools.partial(terminal_stage_context, working), [{}])]
+
+
+def _outcome(ctx, fixed, value_factor, sampler):
+    """The estimate, or the type of the error it raises."""
+    try:
+        return estimate_expectation(ctx, fixed, value_factor, sampler)
+    except (NoPositiveState, AllZeroSupport) as e:
+        return type(e)
+
+
+class TestStageCache:
+    """Each context compiles its stage once and its cells share the site
+    tables, so no estimate may depend on which cells ran before it on the
+    same context."""
+
+    SAMPLER = {"burn_in": 20, "samples": 300, "thinning": 2}
+
+    @pytest.mark.parametrize("source", [*BUNDLED, 33, 127])
+    def test_estimates_ignore_order_and_cache(self, source):
+        model = load_bundled(source) if isinstance(source, str) else _point_mass_model(source)
+        chain_cells = 0
+        for build, cells in _stage_builders(model):
+            samplers = [SamplerConfig(seed=i, **self.SAMPLER) for i in range(len(cells))]
+            runs = list(zip(cells, samplers))
+            ctx = build()
+            in_order = [_outcome(ctx, fixed, ctx.value_factor, s) for fixed, s in runs]
+            ctx = build()
+            reverse = [_outcome(ctx, fixed, ctx.value_factor, s) for fixed, s in runs[::-1]]
+            cold = [_outcome(c, fixed, c.value_factor, s) for (fixed, s), c in
+                    zip(runs, (build() for _ in runs))]
+            assert in_order == reverse[::-1] == cold
+            assert "gibbs" in ctx.cache
+            if _is_coupled(ctx) and _has_evidence(ctx):
+                chain_cells += sum(isinstance(e, Estimate) for e in cold)
+        # the two generated models hold cells that run the chain
+        assert (chain_cells > 0) == (source in (33, 127))
+
+    def test_a_second_value_factor_leaves_the_first_alone(self):
+        sampler = SamplerConfig(seed=3, **self.SAMPLER)
+        differs = 0
+        for build, cells in _stage_builders(load_bundled("wildcatter_irid")):
+            ctx = build()
+            value = ctx.value_factor
+            other = Factor(value.scope, value.frames, 7.0 - 2.0 * value.values)
+            for fixed in cells:
+                expected = _outcome(build(), fixed, value, sampler)
+                expected_other = _outcome(build(), fixed, other, sampler)
+                assert _outcome(ctx, fixed, other, sampler) == expected_other
+                assert _outcome(ctx, fixed, value, sampler) == expected
+                differs += expected != expected_other
+        assert differs
 
 
 class TestKernelInvariance:
