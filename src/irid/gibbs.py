@@ -310,7 +310,7 @@ class _CompiledStage:
 
         prob: list[_CompiledFactor] = []
         per_var: list[list[int]] = [[] for _ in self.free]
-        # each free variable's own conditional
+        # the index of each free variable's own conditional
         own: dict[str, int] = {}
         for sf in ctx.factors:
             if sf.role == VALUE:
@@ -352,9 +352,10 @@ class _CompiledStage:
     def sites(
         self, plan: Sequence[tuple[int, tuple[int, ...]]], factors: list[_CompiledFactor]
     ) -> tuple[_Site, ...]:
-        """The sites of `plan` (slot, factor indices) pairs over one cell's
-        bound `factors`, each table shared by the cells whose factors it
-        reads have the same bases."""
+        """One cell's sites for `plan`, pairs of a slot and the indices of
+        the factors its table multiplies, over the cell's bound `factors`.
+        A table is built once per slot, factors and base offsets, and shared
+        by every cell that asks for it."""
         sites = []
         for slot, indices in plan:
             key = (slot, indices, tuple(factors[i].base for i in indices))
@@ -586,13 +587,11 @@ def _iid_chain(
     The uniforms of burn-in and thinned-out sweeps are dropped.  Each site,
     in order, maps its slot's column through the row its row parents select,
     as `support[bisect_right(cumulative, u * total)]` does, in the flat form
-    of `_SiteTable.arrays`: one position per draw, counted against the row's
-    thresholds, and one `take` from the flat support.  A site whose row is
-    fixed by the cell and holds one positive value is a constant, with no
-    array; a site's values are taken only where a later site reads them as
-    row parents or the value factor reads them with another site's.  When
-    the value factor reads exactly one drawn site, its value is read through
-    that site's support, by position."""
+    of `_SiteTable.arrays`: a position counted against the row's thresholds,
+    then one `take`.  A site whose row the cell fixes to one positive value
+    is a constant.  When the value factor reads exactly one drawn site, it
+    is read through that site's support by position, and the site's values
+    are taken only if a later site reads them as row parents."""
     # per site: its one value, or its draw: the row parents that vary per
     # draw, the part of the row index the constant ones fix, and the flat
     # form of its table
@@ -633,8 +632,6 @@ def _iid_chain(
     k = 0
     for uniforms, keep in _blocks(rng, cfg, len(cell.free)):
         m = len(range(len(uniforms))[keep])
-        if not m:
-            continue
         states: dict[int, np.ndarray] = {}
         positions: dict[int, np.ndarray] = {}
         for slot, varying, row, width, support, thresholds, totals in draws:
