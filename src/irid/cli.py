@@ -2,13 +2,14 @@
 
     irid validate <model>
     irid solve    <model> --backend exact|gibbs [--seed N] [--burn-in N]
-                  [--samples N] [--thinning N] [--objective max|min] [--crn]
+                  [--samples N] [--thinning N] [--objective max|min]
                   --out <file>
     irid compare  <model> [sampler flags]
     irid oracle   <model>
 
-The sampler flags (--seed, --burn-in, --samples, --thinning, --crn) apply to
-the Gibbs backend only; `solve --backend exact` rejects them.
+The sampler flags (--seed, --burn-in, --samples, --thinning) apply to the
+Gibbs backend only; `solve --backend exact` rejects them.  The alternatives
+of a cell are always ranked on one shared stream drawn from the seed.
 
 Exit codes: 0 success (for compare: the policies agree, or differ only in
 ties: the sampled policies' exact expected value is the exact optimum to
@@ -73,13 +74,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--backend", required=True, choices=("exact", "gibbs"))
     _sampler_flags(p)
     p.add_argument("--objective", choices=("max", "min"))
-    p.add_argument("--crn", action="store_true", help="common random numbers across alternatives")
     p.add_argument("--out", required=True, help="solution file to write")
 
     p = sub.add_parser("compare", help="run both backends and compare")
     p.add_argument("model")
     _sampler_flags(p)
-    p.add_argument("--crn", action="store_true")
 
     p = sub.add_parser("oracle", help="exhaustive policy search")
     p.add_argument("model")
@@ -154,14 +153,10 @@ def _cmd_solve(args) -> int:
     objective = {"max": "maximize", "min": "minimize", None: None}[args.objective]
     if args.backend == "gibbs":
         options = SolveOptions(
-            backend="gibbs",
-            sampler=_sampler_from(args),
-            objective_override=objective,
-            common_random_numbers=args.crn,
+            backend="gibbs", sampler=_sampler_from(args), objective_override=objective
         )
     else:
         given = [flag for flag, dest in _SAMPLER_FLAGS if getattr(args, dest) is not None]
-        given += ["--crn"] if args.crn else []
         if given:
             raise _UsageError(f"{', '.join(given)}: only for --backend gibbs")
         options = SolveOptions(backend="exact", objective_override=objective)
@@ -182,9 +177,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    gibbs_options = SolveOptions(
-        backend="gibbs", sampler=_sampler_from(args), common_random_numbers=args.crn
-    )
+    gibbs_options = SolveOptions(backend="gibbs", sampler=_sampler_from(args))
     model = read_model(args.model)
     exact_solution = solve(model, SolveOptions(backend="exact"))
     gibbs_solution = solve(model, gibbs_options)

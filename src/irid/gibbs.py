@@ -114,7 +114,8 @@ class SamplerConfig:
     `thinning`-th one contributes to the estimate.  Cells whose sweeps are
     i.i.d. draw and drop the burn-in and thinned-out sweeps' uniforms all the
     same, so the estimate keeps `samples // thinning` draws and its place in
-    the seeded stream."""
+    the seeded stream.  `seed` is an integer in [0, 2**64), numpy integers
+    included and `bool` not, kept as an `int`."""
 
     seed: int
     burn_in: int = 1000
@@ -122,6 +123,11 @@ class SamplerConfig:
     thinning: int = 1
 
     def __post_init__(self):
+        seed = self.seed
+        integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+        if not (integer and 0 <= int(seed) < 2**64):
+            raise InvalidModel("seed must be an integer in [0, 2**64)")
+        object.__setattr__(self, "seed", int(seed))
         if self.burn_in < 0:
             raise InvalidModel("burn_in must be >= 0")
         if self.samples < 1:
@@ -387,12 +393,16 @@ class _CompiledCell:
         self.free, self.sizes = stage.free, stage.sizes
         self.iid, self.evidence = stage.iid, stage.evidence
         self.prob_factors = [cf.at(fixed_config) for cf in stage.prob]
-        self.own = stage.sites(stage.own, self.prob_factors)
         self.value = stage.value(value_factor).at(fixed_config)
 
+    # built on first read, so a cell that `certainly_empty` rejects binds none
     @cached_property
     def sites(self) -> tuple[_Site, ...]:
         return self.stage.sites(self.stage.full, self.prob_factors)
+
+    @cached_property
+    def own(self) -> tuple[_Site, ...]:
+        return self.stage.sites(self.stage.own, self.prob_factors)
 
     def block_sites(self) -> list[_Site] | None:
         """The sites of a cell whose sweeps are i.i.d. draws, in the order a
@@ -548,7 +558,8 @@ def estimate_expectation(
         kept = np.array(values)
     else:
         kept = np.full(cfg.samples // cfg.thinning, cell.value.value_at(state))
-    mean = float(kept.mean())
+    # numpy's mean, in its operation order, without its Python wrapper's cost
+    mean = float(np.add.reduce(kept)) / len(kept)
     return Estimate(mean=mean, std_error=_batch_means_se(kept), n=len(kept))
 
 
@@ -680,5 +691,7 @@ def _batch_means_se(values: np.ndarray) -> float:
         return 0.0
     b = min(_BATCHES, n)
     m = n // b
-    batch_means = values[: b * m].reshape(b, m).mean(axis=1)
-    return float(batch_means.std(ddof=1) / math.sqrt(b))
+    batch_means = np.add.reduce(values[: b * m].reshape(b, m), axis=1) / m
+    deviations = batch_means - float(np.add.reduce(batch_means)) / b
+    variance = float(np.add.reduce(deviations * deviations)) / (b - 1)
+    return math.sqrt(variance) / math.sqrt(b)

@@ -4,11 +4,13 @@ Stages are solved last decision first.  For each configuration of the
 variables the stage's decision depends on, `_evaluate` gives the conditional
 expectation of the value node for every admissible alternative: exactly
 (`oracle.exact_stage_expectation`), or by Gibbs sampling
-(`gibbs.estimate_expectation`) with a seed derived from (stage, cell,
-alternative).  The best alternative is chosen (ties to frame order), and the
-solved decision function is absorbed into the diagram before the next stage.
-After the first decision is absorbed, `_evaluate` on the remaining
-chance-only network gives the terminal expected value.
+(`gibbs.estimate_expectation`) with one seed per (stage, cell): its
+alternatives are ranked on common random numbers, as the exact backend ranks
+them on one table, so an exact tie stays a tie.  The best alternative is
+chosen (ties to frame order), and the solved decision function is absorbed
+into the diagram before the next stage.  After the first decision is
+absorbed, `_evaluate` on the remaining chance-only network gives the terminal
+expected value.
 
 Cells whose conditioning event has probability zero cannot be ranked: Eq-style
 conditional expectations are undefined there.  They still get a deterministic
@@ -47,7 +49,6 @@ class SolveOptions:
     backend: str = BACKEND_EXACT
     sampler: SamplerConfig | None = None
     objective_override: str | None = None
-    common_random_numbers: bool = False
 
     def __post_init__(self):
         if self.backend not in (BACKEND_EXACT, BACKEND_GIBBS):
@@ -86,32 +87,25 @@ class Solution:
     expected_value_n: int | None = None
 
 
-def _cell_seed(sampler: SamplerConfig, crn: bool, key: tuple[int, int, int]) -> int:
-    """Seed of one (stage, cell, alternative): cells are independent and
-    reproducible in any evaluation order.  With common random numbers the
-    alternatives of a cell share a stream, which sharpens their comparison at
-    the cost of coupling them."""
-    stage, cell_index, alt_index = key
-    ss = np.random.SeedSequence(
-        entropy=sampler.seed & ((1 << 64) - 1),
-        spawn_key=(stage, cell_index, 0 if crn else alt_index),
-    )
-    return int(ss.generate_state(1, np.uint64)[0])
+def _cell_sampler(options: SolveOptions, stage: int, cell: int) -> SamplerConfig | None:
+    """The sampler of every alternative of one (stage, cell), or None for the
+    exact backend.  Cells and stages draw independent streams, reproducible
+    in any evaluation order; the terminal value is cell 0 of stage 0."""
+    if options.sampler is None:
+        return None
+    ss = np.random.SeedSequence(entropy=options.sampler.seed, spawn_key=(stage, cell, 0))
+    return replace(options.sampler, seed=int(ss.generate_state(1, np.uint64)[0]))
 
 
 def _evaluate(
-    ctx: StageContext,
-    fixed: Mapping[str, str],
-    options: SolveOptions,
-    key: tuple[int, int, int] = (0, 0, 0),
+    ctx: StageContext, fixed: Mapping[str, str], sampler: SamplerConfig | None
 ) -> tuple[float, float | None, int | None]:
     """(value, standard error, sample count) of the value node's conditional
-    expectation at `fixed`; the exact backend reports no error or count."""
-    if options.backend == BACKEND_EXACT:
+    expectation at `fixed`, by Gibbs sampling with `sampler`, or exactly, with
+    no error or count, when it is None."""
+    if sampler is None:
         return oracle.exact_stage_expectation(ctx, fixed), None, None
-    sampler = options.sampler
-    cfg = replace(sampler, seed=_cell_seed(sampler, options.common_random_numbers, key))
-    est = gibbs.estimate_expectation(ctx, fixed, ctx.value_factor, cfg)
+    est = gibbs.estimate_expectation(ctx, fixed, ctx.value_factor, sampler)
     return est.mean, est.std_error, est.n
 
 
@@ -151,14 +145,13 @@ def solve(model: IridModel, options: SolveOptions = SolveOptions()) -> Solution:
             dep_cfg = tuple(label for _, label in config)
             cfg_map = dict(config)
             adm = working.admissible(decision, cfg_map)
+            sampler = _cell_sampler(options, stage, cell_index)
             # (alternative, value, SE, n); value None where the alternative's
             # conditioning event has probability zero
             results = []
-            for alt_index, a in enumerate(adm):
+            for a in adm:
                 try:
-                    v, se, n = _evaluate(
-                        ctx, {**cfg_map, decision: a}, options, (stage, cell_index, alt_index)
-                    )
+                    v, se, n = _evaluate(ctx, {**cfg_map, decision: a}, sampler)
                 except (ZeroNormalizer, NoPositiveState):
                     v = se = n = None
                 results.append((a, v, se, n))
@@ -185,7 +178,7 @@ def solve(model: IridModel, options: SolveOptions = SolveOptions()) -> Solution:
         policies[decision] = _materialize_policy(working, decision, dep_vars, choices)
         working = absorb_decision(working, decision, policies[decision])
 
-    ev, ev_se, ev_n = _evaluate(terminal_stage_context(working), {}, options)
+    ev, ev_se, ev_n = _evaluate(terminal_stage_context(working), {}, _cell_sampler(options, 0, 0))
     ordered_policies = {d: policies[d] for d in original_decisions}
     return Solution(
         policies=ordered_policies,

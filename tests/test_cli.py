@@ -108,7 +108,7 @@ class TestUsageErrors:
         assert run_cli(["solve", wildcatter_file, "--backend", "magic", "--out", out]) == 1
 
     @pytest.mark.parametrize(
-        "flag", [("--samples", "0"), ("--thinning", "0"), ("--burn-in", "-1")]
+        "flag", [("--samples", "0"), ("--thinning", "0"), ("--burn-in", "-1"), ("--seed", "-1")]
     )
     def test_bad_sampler_flag(self, wildcatter_file, tmp_path, capsys, flag):
         out = tmp_path / "s.json"
@@ -121,7 +121,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "flag",
-        [("--seed", "3"), ("--burn-in", "10"), ("--samples", "0"), ("--thinning", "2"), ("--crn",)],
+        [("--seed", "3"), ("--burn-in", "10"), ("--samples", "0"), ("--thinning", "2")],
     )
     def test_sampler_flag_with_exact_backend(self, wildcatter_file, tmp_path, capsys, flag):
         out = tmp_path / "s.json"
@@ -191,36 +191,34 @@ class TestCompare:
         assert "policies agree" in text
         assert "exact=" in text and "estimate=" in text
 
-    def test_a_tie_broken_the_other_way_agrees(self, tmp_path, capsys):
-        """At seed 0 the sampler picks `nd` in the stage-2 cell B=$1M, T=t2 of
-        the deterministic workaround, where `d` and `nd` have the same exact
-        value: the policies differ, and reach the same optimum."""
-        path = tmp_path / "workaround.json"
-        path.write_bytes(bundled_bytes("wildcatter_deterministic_workaround"))
-        assert run_cli(["compare", str(path), "--seed", "0"]) == 0
+    #: 1 000 sweeps after 100 of burn-in at seed 0 pick `nd` in the stage-2
+    #: cell B=$2M, T=t1, R=o, which the optimal policies never reach
+    _SHORT_RUN = ["--seed", "0", "--burn-in", "100", "--samples", "1000"]
+
+    def test_a_tie_broken_the_other_way_agrees(self, wildcatter_file, capsys):
+        """The short run's policies differ from the exact ones only in a cell
+        the optimum never reaches, so they reach the same optimum."""
+        assert run_cli(["compare", wildcatter_file, *self._SHORT_RUN]) == 0
         text = capsys.readouterr().out
         assert "policy for D: agrees (tie)" in text
         assert "policy for T: agrees\n" in text
         assert "policies agree (tie)" in text and "DIFFERS" not in text
 
     def test_a_worse_policy_differs(self, wildcatter_file, capsys):
-        """Twenty sweeps without burn-in pick a policy worth 250 000, not
-        the optimal 334 750."""
-        argv = ["compare", wildcatter_file, "--seed", "0", "--burn-in", "0", "--samples", "20"]
+        """Twenty sweeps without burn-in at seed 1 skip test t2 with the
+        $2M budget, a policy worth 250 000, not the optimal 334 750."""
+        argv = ["compare", wildcatter_file, "--seed", "1", "--burn-in", "0", "--samples", "20"]
         assert run_cli(argv) == 4
         text = capsys.readouterr().out
         assert "DIFFERS" in text and "(tie)" not in text
         assert text.endswith("policies differ\n")
 
-    def test_a_policy_too_large_to_evaluate_differs(self, tmp_path, monkeypatch, capsys):
-        path = tmp_path / "workaround.json"
-        path.write_bytes(bundled_bytes("wildcatter_deterministic_workaround"))
-
+    def test_a_policy_too_large_to_evaluate_differs(self, wildcatter_file, monkeypatch, capsys):
         def over_budget(model, policies):
             raise BudgetExceeded("too many joint configurations")
 
         monkeypatch.setattr(irid.cli.oracle_mod, "exact_expectation", over_budget)
-        assert run_cli(["compare", str(path), "--seed", "0"]) == 4
+        assert run_cli(["compare", wildcatter_file, *self._SHORT_RUN]) == 4
         text = capsys.readouterr().out
         assert "policy for D: DIFFERS" in text and "(tie)" not in text
 

@@ -83,6 +83,19 @@ class TestSamplerConfig:
         with pytest.raises(InvalidModel):
             SamplerConfig(seed=1, **kwargs)
 
+    @pytest.mark.parametrize(
+        "seed, stored",
+        [(0, 0), (2**64 - 1, 2**64 - 1), (np.int64(5), 5), (np.uint64(5), 5)],
+    )
+    def test_seed_is_kept_as_an_int(self, seed, stored):
+        cfg = SamplerConfig(seed=seed)
+        assert cfg.seed == stored and type(cfg.seed) is int
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, np.True_, "5", None])
+    def test_rejects_a_seed_outside_the_64_bit_integers(self, seed):
+        with pytest.raises(InvalidModel):
+            SamplerConfig(seed=seed)
+
 
 class TestInitState:
     def test_single_free_variable(self, stage2):

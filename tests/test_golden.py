@@ -25,15 +25,11 @@ from irid.solver import SolveOptions, solve
 
 SETTINGS = {
     **{
-        f"gibbs_seed{seed}": SolveOptions(
-            backend="gibbs", sampler=SamplerConfig(seed=seed), common_random_numbers=True
-        )
+        f"gibbs_seed{seed}": SolveOptions(backend="gibbs", sampler=SamplerConfig(seed=seed))
         for seed in range(3)
     },
     "gibbs_thinned": SolveOptions(
-        backend="gibbs",
-        sampler=SamplerConfig(seed=0, burn_in=37, samples=7001, thinning=3),
-        common_random_numbers=True,
+        backend="gibbs", sampler=SamplerConfig(seed=0, burn_in=37, samples=7001, thinning=3)
     ),
     "exact": SolveOptions(backend="exact"),
 }

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import types
 from pathlib import Path
@@ -76,6 +77,19 @@ def test_top_level_names_are_pinned():
         if not name.startswith("_") and not isinstance(obj, types.ModuleType)
     }
     assert names == PUBLIC
+
+
+@pytest.mark.parametrize(
+    "options, fields",
+    [
+        (irid.SolveOptions, ("backend", "sampler", "objective_override")),
+        (irid.SamplerConfig, ("seed", "burn_in", "samples", "thinning")),
+    ],
+)
+def test_option_fields_are_pinned(options, fields):
+    """Every field is a setting that tests and the benchmark must cover, so
+    a new one shows up here."""
+    assert tuple(f.name for f in dataclasses.fields(options)) == fields
 
 
 def _module_ast(module):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import irid.gibbs
+from irid.data import BUNDLED, load_bundled
 from irid.errors import InvalidModel, StageOutOfRange
-from irid.gibbs import SamplerConfig
+from irid.gibbs import SamplerConfig, estimate_expectation
 from irid.graph_ops import absorb_decision, terminal_stage_context
 from irid.model import (
     ArrowSpec,
@@ -13,7 +15,7 @@ from irid.model import (
     build_model,
 )
 from irid.oracle import exact_stage_expectation, exhaustive_policy_search
-from irid.solver import SolveOptions, _cell_seed, solve
+from irid.solver import SolveOptions, solve
 
 from model_gen import chain_model, chain_tables, random_model, with_point_masses
 
@@ -423,26 +425,33 @@ class TestGibbsBackend:
         assert a.expected_value == b.expected_value
         assert a.per_cell_diagnostics == b.per_cell_diagnostics
 
-    def test_derived_seeds_distinguish_alternatives(self):
-        sampler = SamplerConfig(seed=5)
-        assert _cell_seed(sampler, False, (2, 3, 0)) != _cell_seed(sampler, False, (2, 3, 1))
-        assert _cell_seed(sampler, False, (2, 3, 0)) != _cell_seed(sampler, False, (2, 4, 0))
+    def test_alternatives_of_a_cell_share_one_seed(self, wildcatter, monkeypatch):
+        """One seed per (stage, cell), drawn by every admissible alternative
+        of the cell; cells, stages and the terminal value draw apart."""
+        seeds: dict[tuple, set[int]] = {}
 
-    def test_common_random_numbers_share_seed_within_cell(self):
-        sampler = SamplerConfig(seed=5)
-        assert _cell_seed(sampler, True, (2, 3, 0)) == _cell_seed(sampler, True, (2, 3, 1))
-        assert _cell_seed(sampler, True, (2, 3, 0)) != _cell_seed(sampler, True, (2, 4, 0))
+        def recording(ctx, fixed, value_factor, sampler):
+            cell = tuple(sorted((v, lab) for v, lab in fixed.items() if v != ctx.decision))
+            seeds.setdefault((ctx.decision, cell), set()).add(sampler.seed)
+            return estimate_expectation(ctx, fixed, value_factor, sampler)
 
-    def test_crn_solve_runs(self, wildcatter):
-        sol = solve(
-            wildcatter,
-            SolveOptions(
-                backend="gibbs",
-                sampler=SamplerConfig(seed=1, burn_in=100, samples=1000),
-                common_random_numbers=True,
-            ),
-        )
-        assert set(sol.policies) == {"T", "D"}
+        monkeypatch.setattr(irid.gibbs, "estimate_expectation", recording)
+        sampler = SamplerConfig(seed=5, burn_in=10, samples=100)
+        solve(wildcatter, SolveOptions(backend="gibbs", sampler=sampler))
+        assert {d for d, _ in seeds} == {"T", "D", None}
+        assert all(len(group) == 1 for group in seeds.values())
+        assert len(set.union(*seeds.values())) == len(seeds)
+
+    def test_default_sampler_returns_the_exact_policies(self):
+        """Alternatives ranked on one stream keep the exact ties of the
+        bundled models, which ties break to frame order as exact does."""
+        for name in BUNDLED:
+            model = load_bundled(name)
+            exact_sol = solve(model)
+            for seed in range(20):
+                sol = solve(model, SolveOptions(backend="gibbs", sampler=SamplerConfig(seed=seed)))
+                for d, pol in exact_sol.policies.items():
+                    assert sol.policies[d].table == pol.table, (name, seed, d)
 
 
 class TestSolveOptions:
