@@ -2,14 +2,14 @@
 
     irid validate <model>
     irid solve    <model> --backend exact|gibbs [--seed N] [--burn-in N]
-                  [--samples N] [--thinning N] [--objective max|min]
-                  --out <file>
+                  [--samples N] [--objective max|min] --out <file>
     irid compare  <model> [sampler flags]
     irid oracle   <model>
 
-The sampler flags (--seed, --burn-in, --samples, --thinning) apply to the
-Gibbs backend only; `solve --backend exact` rejects them.  The alternatives
-of a cell are always ranked on one shared stream drawn from the seed.
+The sampler flags (--seed, --burn-in, --samples) apply to the Gibbs backend
+only; `solve --backend exact` rejects them.  Every sweep after the burn-in
+is kept.  The alternatives of a cell are always ranked on one shared stream
+drawn from the seed.
 
 Exit codes: 0 success (for compare: the policies agree, or differ only in
 ties: the sampled policies' exact expected value is the exact optimum to
@@ -86,12 +86,11 @@ def _build_parser() -> _Parser:
 
 
 #: (flag, argparse dest); a flag not given stays None, and the sampler takes
-#: seed 0 and SamplerConfig's defaults (burn-in 1000, samples 20000, thinning 1)
+#: seed 0 and SamplerConfig's defaults (burn-in 1000, samples 20000)
 _SAMPLER_FLAGS = (
     ("--seed", "seed"),
     ("--burn-in", "burn_in"),
     ("--samples", "samples"),
-    ("--thinning", "thinning"),
 )
 
 

@@ -110,17 +110,15 @@ _Site = tuple[int, tuple[tuple[int, int], ...], "_SiteTable"]
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Run-length knobs.  `samples` sweeps are run after `burn_in`; every
-    `thinning`-th one contributes to the estimate.  Cells whose sweeps are
-    i.i.d. draw and drop the burn-in and thinned-out sweeps' uniforms all the
-    same, so the estimate keeps `samples // thinning` draws and its place in
-    the seeded stream.  `seed` is an integer in [0, 2**64), numpy integers
-    included and `bool` not, kept as an `int`."""
+    """Run-length knobs.  `samples` sweeps are run after `burn_in`, and every
+    one of them contributes to the estimate.  Cells whose sweeps are i.i.d.
+    draw and drop the burn-in sweeps' uniforms all the same, so the estimate
+    keeps its place in the seeded stream.  `seed` is an integer in
+    [0, 2**64), numpy integers included and `bool` not, kept as an `int`."""
 
     seed: int
     burn_in: int = 1000
     samples: int = 20000
-    thinning: int = 1
 
     def __post_init__(self):
         seed = self.seed
@@ -132,10 +130,6 @@ class SamplerConfig:
             raise InvalidModel("burn_in must be >= 0")
         if self.samples < 1:
             raise InvalidModel("samples must be >= 1")
-        if self.thinning < 1:
-            raise InvalidModel("thinning must be >= 1")
-        if self.samples // self.thinning < 1:
-            raise InvalidModel("samples // thinning must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -530,10 +524,10 @@ def estimate_expectation(
 ) -> Estimate:
     """Estimate the conditional expectation of the value factor.
 
-    Runs `burn_in` discard sweeps, then `samples` sweeps keeping every
-    `thinning`-th state; the value factor is evaluated at each kept state
-    composed with the fixed configuration.  The standard error comes from
-    batch means over 20 equal batches.  When the sweeps are i.i.d. draws
+    Runs `burn_in` discard sweeps, then keeps the `samples` sweeps that
+    follow; the value factor is evaluated at each kept state composed with
+    the fixed configuration.  The standard error comes from batch means over
+    20 equal batches.  When the sweeps are i.i.d. draws
     (`_CompiledCell.block_sites`) they are computed a block at a time; an
     i.i.d. cell then gives the same result as sweeping, and a cell without
     evidence draws each kept state exactly, by logic sampling.  A cell that
@@ -557,7 +551,7 @@ def estimate_expectation(
             cell.run(state, cell.sites, uniforms.tolist(), range(len(uniforms))[keep], values)
         kept = np.array(values)
     else:
-        kept = np.full(cfg.samples // cfg.thinning, cell.value.value_at(state))
+        kept = np.full(cfg.samples, cell.value.value_at(state))
     # numpy's mean, in its operation order, without its Python wrapper's cost
     mean = float(np.add.reduce(kept)) / len(kept)
     return Estimate(mean=mean, std_error=_batch_means_se(kept), n=len(kept))
@@ -567,20 +561,20 @@ def _blocks(
     rng: np.random.Generator, cfg: SamplerConfig, n_free: int
 ) -> Iterator[tuple[np.ndarray, slice]]:
     """The uniforms of the `burn_in + samples` sweeps, a block at a time, one
-    row per sweep and one column per slot, each with the `_kept_rows` slice
-    of its kept sweeps.  A block holds at most 8 192 sweeps, so that the
-    per-site temporaries of `_iid_chain` (8 bytes a row) stay in cache and
-    are not page-faulted in fresh, and at most 65 536 uniforms, but at
-    least one sweep.  A block is drawn at its exact size, so the stream, and
+    row per sweep and one column per slot, each with the slice of its kept
+    rows, those past the burn-in.  A block holds at most 8 192 sweeps, so
+    that the per-site temporaries of `_iid_chain` (8 bytes a row) stay in
+    cache and are not page-faulted in fresh, and at most 65 536 uniforms,
+    but at least one sweep.  A block is drawn at its exact size, so the stream, and
     every estimate, is that of single sweeps with the same seed, whatever
     the caps."""
-    burn, total = cfg.burn_in, cfg.burn_in + cfg.samples
+    total = cfg.burn_in + cfg.samples
     block_sweeps = max(1, min(_BLOCK_SWEEPS, _BLOCK_UNIFORMS // n_free))
     done = 0
     while done < total:
         count = min(block_sweeps, total - done)
         uniforms = rng.random(count * n_free).reshape(count, n_free)
-        yield uniforms, _kept_rows(done, burn, cfg.thinning)
+        yield uniforms, slice(max(cfg.burn_in - done, 0), None)
         done += count
 
 
@@ -595,10 +589,10 @@ def _iid_chain(
     a time.  Every array it makes per block and site has one entry per kept
     sweep of the block, at most 8 192, which keeps them in cache.
 
-    The uniforms of burn-in and thinned-out sweeps are dropped.  Each site,
-    in order, maps its slot's column through the row its row parents select,
-    as `support[bisect_right(cumulative, u * total)]` does, in the flat form
-    of `_SiteTable.arrays`: a position counted against the row's thresholds,
+    The uniforms of burn-in sweeps are dropped.  Each site, in order, maps
+    its slot's column through the row its row parents select, as
+    `support[bisect_right(cumulative, u * total)]` does, in the flat form of
+    `_SiteTable.arrays`: a position counted against the row's thresholds,
     then one `take`.  A site whose row the cell fixes to one positive value
     is a constant.  When the value factor reads exactly one drawn site, it
     is read through that site's support by position, and the site's values
@@ -638,7 +632,7 @@ def _iid_chain(
     else:
         taken.update(s for s, _ in reads)
 
-    kept = np.empty(cfg.samples // cfg.thinning, dtype=float)
+    kept = np.empty(cfg.samples, dtype=float)
     probed: dict[int, list[np.ndarray]] = {s: [] for s in support_of}
     k = 0
     for uniforms, keep in _blocks(rng, cfg, len(cell.free)):
@@ -676,13 +670,6 @@ def _iid_chain(
         if (cell.products(columns, -(-k // 64)) <= 0.0).any():
             raise AllZeroSupport("chain reached a zero-probability state")
     return kept
-
-
-def _kept_rows(done: int, burn: int, thin: int) -> slice:
-    """The rows of a block of sweeps `done + 1, done + 2, ...` whose sweep
-    `i` is kept: `i > burn` and `(i - burn) % thin == 0`."""
-    first = burn + thin * max(1, -((burn - done - 1) // thin))
-    return slice(first - done - 1, None, thin)
 
 
 def _batch_means_se(values: np.ndarray) -> float:

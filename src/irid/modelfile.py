@@ -381,7 +381,6 @@ def serialize_solution(solution) -> bytes:
             "seed": solution.sampler.seed,
             "burn_in": solution.sampler.burn_in,
             "samples": solution.sampler.samples,
-            "thinning": solution.sampler.thinning,
         }
     policies = []
     for d, pol in solution.policies.items():

@@ -108,7 +108,9 @@ class TestUsageErrors:
         assert run_cli(["solve", wildcatter_file, "--backend", "magic", "--out", out]) == 1
 
     @pytest.mark.parametrize(
-        "flag", [("--samples", "0"), ("--thinning", "0"), ("--burn-in", "-1"), ("--seed", "-1")]
+        "flag",
+        # the last is no flag of the parser: every sweep after the burn-in is kept
+        [("--samples", "0"), ("--burn-in", "-1"), ("--seed", "-1"), ("--thinning", "2")],
     )
     def test_bad_sampler_flag(self, wildcatter_file, tmp_path, capsys, flag):
         out = tmp_path / "s.json"
@@ -119,10 +121,7 @@ class TestUsageErrors:
         assert run_cli(["compare", wildcatter_file, *flag]) == 1
         assert capsys.readouterr().err.startswith("usage error:")
 
-    @pytest.mark.parametrize(
-        "flag",
-        [("--seed", "3"), ("--burn-in", "10"), ("--samples", "0"), ("--thinning", "2")],
-    )
+    @pytest.mark.parametrize("flag", [("--seed", "3"), ("--burn-in", "10"), ("--samples", "0")])
     def test_sampler_flag_with_exact_backend(self, wildcatter_file, tmp_path, capsys, flag):
         out = tmp_path / "s.json"
         argv = ["solve", wildcatter_file, "--backend", "exact", *flag, "--out", str(out)]

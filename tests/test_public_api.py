@@ -83,7 +83,7 @@ def test_top_level_names_are_pinned():
     "options, fields",
     [
         (irid.SolveOptions, ("backend", "sampler", "objective_override")),
-        (irid.SamplerConfig, ("seed", "burn_in", "samples", "thinning")),
+        (irid.SamplerConfig, ("seed", "burn_in", "samples")),
     ],
 )
 def test_option_fields_are_pinned(options, fields):
