@@ -113,23 +113,22 @@ class SamplerConfig:
     """Run-length knobs.  `samples` sweeps are run after `burn_in`, and every
     one of them contributes to the estimate.  Cells whose sweeps are i.i.d.
     draw and drop the burn-in sweeps' uniforms all the same, so the estimate
-    keeps its place in the seeded stream.  `seed` is an integer in
-    [0, 2**64), numpy integers included and `bool` not, kept as an `int`."""
+    keeps its place in the seeded stream.  Each field is an integer, numpy
+    integers included and `bool` not, kept as an `int`: `seed` in
+    [0, 2**64), `burn_in` at least 0 and `samples` at least 1."""
 
     seed: int
     burn_in: int = 1000
     samples: int = 20000
 
     def __post_init__(self):
-        seed = self.seed
-        integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
-        if not (integer and 0 <= int(seed) < 2**64):
-            raise InvalidModel("seed must be an integer in [0, 2**64)")
-        object.__setattr__(self, "seed", int(seed))
-        if self.burn_in < 0:
-            raise InvalidModel("burn_in must be >= 0")
-        if self.samples < 1:
-            raise InvalidModel("samples must be >= 1")
+        for name, low, high in (("seed", 0, 2**64), ("burn_in", 0, None), ("samples", 1, None)):
+            value = getattr(self, name)
+            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not (integer and low <= int(value) and (high is None or int(value) < high)):
+                bounds = f"in [{low}, 2**64)" if high else f">= {low}"
+                raise InvalidModel(f"{name} must be an integer {bounds}")
+            object.__setattr__(self, name, int(value))
 
 
 @dataclass(frozen=True)

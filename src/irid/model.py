@@ -82,6 +82,8 @@ class Frame:
     labels: tuple[str, ...]
 
     def __post_init__(self):
+        if isinstance(self.labels, str):
+            raise InvalidModel(f"frame labels must be a sequence of strings, got {self.labels!r}")
         object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) < 1:
             raise InvalidModel("frame must have at least one value")
@@ -114,6 +116,8 @@ class NodeSpec:
     frame: Frame | None = None
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise InvalidModel(f"node id must be a string, got {self.id!r}")
         if self.kind not in NODE_KINDS:
             raise InvalidModel(f"unknown node kind {self.kind!r} for {self.id!r}")
         if self.kind == VALUE and self.frame is not None:

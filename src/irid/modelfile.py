@@ -35,6 +35,7 @@ from .errors import (
     MissingTableEntry,
     ModelError,
     ModelSyntaxError,
+    NonFiniteValue,
     SchemaError,
 )
 from .model import (
@@ -71,6 +72,8 @@ def parse_model(data: bytes | str) -> IridModel:
         raise ModelSyntaxError(
             f"line {e.lineno}, column {e.colno}: {e.msg}", e.lineno, e.colno
         ) from None
+    except RecursionError:
+        raise ModelSyntaxError("arrays or objects nested too deeply") from None
     return model_from_document(doc)
 
 
@@ -129,11 +132,7 @@ def model_from_document(doc: Any) -> IridModel:
             _expect(row, dict, rpath)
             given = _given(row, parents, rpath)
             p = _req(row, "p", dict, rpath)
-            probs = {}
-            for lab, prob in p.items():
-                if not isinstance(prob, (int, float)) or isinstance(prob, bool):
-                    raise SchemaError(f"{rpath}.p.{lab}", "probability must be a number")
-                probs[str(lab)] = float(prob)
+            probs = {lab: _req_number(p, lab, f"{rpath}.p") for lab in p}
             if given in rows:
                 raise SchemaError(f"{rpath}.given", "duplicate row configuration")
             rows[given] = probs
@@ -188,7 +187,10 @@ def _req_number(obj: Mapping, key: str, path: str) -> float:
     v = obj[key]
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise SchemaError(f"{path}.{key}", "must be a number")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:  # an integer literal beyond the doubles
+        raise SchemaError(f"{path}.{key}", "number out of range") from None
 
 
 def _expect(value, typ, path: str):
@@ -253,6 +255,11 @@ def _locate(e: ModelError, doc: Mapping) -> str | None:
                 )
                 return f"constraints[{i}].cells"
             return "value.cells"
+        if isinstance(e, NonFiniteValue):
+            # the model checks the cells in document order: the first such
+            cells = doc["value"]["cells"]
+            j = next(j for j, c in enumerate(cells) if not math.isfinite(c["v"]))
+            return f"value.cells[{j}].v"
     except (StopIteration, KeyError, TypeError):
         return None
     return None

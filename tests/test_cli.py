@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -87,6 +89,22 @@ class TestValidate:
         assert run_cli(["validate", str(path)]) == 2
         err = capsys.readouterr().err
         assert err == "invalid model at cpts[0].rows[0].given: expected dict, got list\n"
+
+    def test_deep_nesting_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert run_cli(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("invalid model: ")
+
+    @pytest.mark.parametrize("literal", ["1e400", "NaN"])
+    def test_non_finite_value_names_its_cell(self, tmp_path, capsys, literal):
+        text = bundled_bytes("wildcatter_irid").decode()
+        doc = json.loads(text)
+        doc["value"]["cells"][3]["v"] = "@v@"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc).replace('"@v@"', literal))
+        assert run_cli(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("invalid model at value.cells[3].v: ")
 
     def test_non_utf8_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "utf16.json"
@@ -324,3 +342,23 @@ class TestReadme:
         assert expected[0] == "334750.0"
         exec(compile(code, "README.md", "exec"), {})
         assert capsys.readouterr().out.splitlines() == expected
+
+    @pytest.mark.parametrize("source", ["README.md", "cli.py"])
+    def test_documented_flags_are_the_parser_flags(self, source):
+        """The README's "Command line" section and the `irid.cli` docstring
+        name exactly the flags the parser defines, `--help` aside."""
+        if source == "README.md":
+            readme = (REPO_ROOT / "README.md").read_text()
+            text = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+        else:
+            text = irid.cli.__doc__
+        parser = irid.cli._build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        defined = {
+            flag
+            for sub in commands.choices.values()
+            for action in sub._actions
+            for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"
+        }
+        assert set(re.findall(r"--[a-z][a-z-]*", text)) == defined

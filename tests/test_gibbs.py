@@ -75,10 +75,27 @@ class TestSamplerConfig:
         cfg = SamplerConfig(seed=1)
         assert (cfg.burn_in, cfg.samples) == (1000, 20000)
 
-    @pytest.mark.parametrize("kwargs", [{"burn_in": -1}, {"samples": 0}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"burn_in": -1},
+            {"samples": 0},
+            {"burn_in": 1.5},
+            {"burn_in": None},
+            {"burn_in": True},
+            {"samples": 2.5},
+            {"samples": True},
+            {"samples": "5"},
+        ],
+    )
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(InvalidModel):
             SamplerConfig(seed=1, **kwargs)
+
+    def test_run_lengths_are_kept_as_ints(self):
+        cfg = SamplerConfig(seed=1, burn_in=np.int64(0), samples=np.uint32(7))
+        assert (cfg.burn_in, cfg.samples) == (0, 7)
+        assert type(cfg.burn_in) is int and type(cfg.samples) is int
 
     @pytest.mark.parametrize(
         "seed, stored",

@@ -13,6 +13,7 @@ from irid.errors import (
     EmptyConstraintCell,
     IncompleteConfig,
     IncompletePolicy,
+    InvalidModel,
     MissingPolicy,
     MissingTableEntry,
     MultipleValueNodes,
@@ -80,6 +81,14 @@ class TestBuildModel:
             rebuild(wildcatter, constraints=(wildcatter.constraint("T"), bad))
         assert exc.value.decision == "D"
         assert exc.value.config == ("$1M", "t2")
+
+    def test_node_id_must_be_a_string(self):
+        with pytest.raises(InvalidModel):
+            NodeSpec(7, "chance", Frame(("a", "b")))
+
+    def test_frame_rejects_a_bare_string(self):
+        with pytest.raises(InvalidModel):
+            Frame("abc")
 
 
 class TestTopologicalSort:

@@ -9,6 +9,7 @@ from irid.errors import (
     CptRowNotNormalized,
     EmptyConstraintCell,
     ModelSyntaxError,
+    NonFiniteValue,
     SchemaError,
 )
 from irid.gibbs import SamplerConfig
@@ -122,6 +123,32 @@ class TestParseErrors:
         with pytest.raises(EmptyConstraintCell) as exc:
             parse_model(json.dumps(doc))
         assert exc.value.field == "constraints[1].cells[1].allow"
+
+    def test_deep_nesting_is_a_syntax_error(self):
+        with pytest.raises(ModelSyntaxError):
+            parse_model("[" * 100_000 + "]" * 100_000)
+
+    @pytest.mark.parametrize("literal", ["1e400", "-Infinity", "NaN"])
+    def test_non_finite_value_carries_field_path(self, wildcatter, literal):
+        doc = model_to_document(wildcatter)
+        doc["value"]["cells"][5]["v"] = "@v@"
+        with pytest.raises(NonFiniteValue) as exc:
+            parse_model(json.dumps(doc).replace('"@v@"', literal))
+        assert exc.value.field == "value.cells[5].v"
+
+    @pytest.mark.parametrize(
+        "section, field",
+        [("value", "value.cells[5].v"), ("cpts", "cpts[2].rows[0].p.o")],
+    )
+    def test_integer_beyond_the_doubles_is_a_schema_error(self, wildcatter, section, field):
+        doc = model_to_document(wildcatter)
+        if section == "value":
+            doc["value"]["cells"][5]["v"] = 10**400
+        else:
+            doc["cpts"][2]["rows"][0]["p"]["o"] = 10**400
+        with pytest.raises(SchemaError) as exc:
+            parse_model(json.dumps(doc))
+        assert exc.value.field == field
 
     def test_duplicate_row(self, wildcatter):
         doc = model_to_document(wildcatter)
