@@ -122,12 +122,15 @@ class SamplerConfig:
     samples: int = 20000
 
     def __post_init__(self):
-        for name, low, high in (("seed", 0, 2**64), ("burn_in", 0, None), ("samples", 1, None)):
+        for name, low, high, domain in (
+            ("seed", 0, 2**64, "in [0, 2**64)"),
+            ("burn_in", 0, math.inf, ">= 0"),
+            ("samples", 1, math.inf, ">= 1"),
+        ):
             value = getattr(self, name)
             integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            if not (integer and low <= int(value) and (high is None or int(value) < high)):
-                bounds = f"in [{low}, 2**64)" if high else f">= {low}"
-                raise InvalidModel(f"{name} must be an integer {bounds}")
+            if not (integer and low <= int(value) < high):
+                raise InvalidModel(f"{name} must be an integer {domain}")
             object.__setattr__(self, name, int(value))
 
 
@@ -564,9 +567,9 @@ def _blocks(
     rows, those past the burn-in.  A block holds at most 8 192 sweeps, so
     that the per-site temporaries of `_iid_chain` (8 bytes a row) stay in
     cache and are not page-faulted in fresh, and at most 65 536 uniforms,
-    but at least one sweep.  A block is drawn at its exact size, so the stream, and
-    every estimate, is that of single sweeps with the same seed, whatever
-    the caps."""
+    but at least one sweep.  A block is drawn at its exact size, so the
+    stream, and every estimate, is that of single sweeps with the same seed,
+    whatever the caps."""
     total = cfg.burn_in + cfg.samples
     block_sweeps = max(1, min(_BLOCK_SWEEPS, _BLOCK_UNIFORMS // n_free))
     done = 0

@@ -256,7 +256,7 @@ def _locate(e: ModelError, doc: Mapping) -> str | None:
                 return f"constraints[{i}].cells"
             return "value.cells"
         if isinstance(e, NonFiniteValue):
-            # the model checks the cells in document order: the first such
+            # the model reports the first non-finite cell in document order
             cells = doc["value"]["cells"]
             j = next(j for j, c in enumerate(cells) if not math.isfinite(c["v"]))
             return f"value.cells[{j}].v"
