@@ -98,8 +98,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("literal", ["1e400", "NaN"])
     def test_non_finite_value_names_its_cell(self, tmp_path, capsys, literal):
-        text = bundled_bytes("wildcatter_irid").decode()
-        doc = json.loads(text)
+        doc = json.loads(bundled_bytes("wildcatter_irid"))
         doc["value"]["cells"][3]["v"] = "@v@"
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc).replace('"@v@"', literal))

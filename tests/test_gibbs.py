@@ -1030,6 +1030,8 @@ class TestPositivityProbe:
             pytest.param(
                 "wildcatter_irid",
                 2,
+                # one probe, the first draw: it reads one value of the one
+                # free site, so the entries of the others stay unread
                 SamplerConfig(seed=0, burn_in=5, samples=64),
                 1,
                 id="iid",
