@@ -16,9 +16,10 @@ ties: the sampled policies' exact expected value is the exact optimum to
 1e-9 relative), 1 usage error (sampler flags out of range or given to the
 exact backend, and a solution file that cannot be written, included), 2
 model/validation error (a model file that cannot be read included), 3 runtime
-error (budget exceeded, impossible conditioning configuration), 4 compare
-only: the policies differ, and the sampled ones fall short of the optimum or
-are too large to evaluate by enumeration.
+error (budget exceeded, impossible conditioning configuration, out of memory,
+with the sampler's run length where it samples), 4 compare only: the
+policies differ, and the sampled ones fall short of the optimum or are too
+large to evaluate by enumeration.
 """
 
 from __future__ import annotations
@@ -100,8 +101,10 @@ def _sampler_flags(p):
 
 
 def run_cli(argv=None) -> int:
+    args = None
     try:
-        return _dispatch(_build_parser().parse_args(argv))
+        args = _build_parser().parse_args(argv)
+        return _dispatch(args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
@@ -116,6 +119,22 @@ def run_cli(argv=None) -> int:
     except _RUNTIME_ERRORS as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print(f"runtime error: out of memory{_run_length(args)}", file=sys.stderr)
+        return 3
+
+
+def _run_length(args) -> str:
+    """The sampler run length of a command that samples, as a message
+    suffix; empty for one that does not."""
+    command = getattr(args, "command", None)
+    if command not in ("solve", "compare") or getattr(args, "backend", "gibbs") != "gibbs":
+        return ""
+    sampler = _sampler_from(args)
+    return (
+        f" in a sampler run of {sampler.burn_in} burn-in and {sampler.samples} kept"
+        " sweeps per estimate"
+    )
 
 
 def main() -> None:

@@ -28,15 +28,24 @@ class InvalidModel(ModelError):
 
 
 class DuplicateVariable(ModelError):
-    pass
+    def __init__(self, ids: tuple[str, ...]):
+        self.ids = ids
+        super().__init__(f"duplicate node ids: {list(ids)}")
 
 
 class UnknownVariable(ModelError):
-    pass
+    """`arrow` is the (source, target) of the arrow that names the unknown
+    variable, where an arrow does."""
+
+    def __init__(self, message: str, arrow: tuple[str, str] | None = None):
+        self.arrow = arrow
+        super().__init__(message)
 
 
 class CycleDetected(ModelError):
-    pass
+    def __init__(self, cycle: list[str]):
+        self.cycle = cycle
+        super().__init__(f"cycle through {cycle}")
 
 
 class MultipleValueNodes(ModelError):

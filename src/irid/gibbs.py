@@ -7,19 +7,27 @@ Averaging the value table over the visited states estimates the conditional
 expectation of the value node for that cell.
 
 `estimate_expectation` is the one way in; the rest of the module is private.
+One call estimates every admissible alternative of one cell, on common
+random numbers: each alternative's configuration draws its initial state
+from the cell's seed, and those whose generator then stands at the same
+place (in the bundled models, all of a cell's) draw the rest of their
+sweeps from one shared stream.  Block-drawn alternatives skip the burn-in
+uniforms by advancing the generator, and draw each site they share (the
+same table, fixed part of the row and row parents' draws) once per block;
+chain alternatives each run their own state over the shared uniform rows.
+Every estimate is bit-identical to that of its configuration alone.
 
 Zeros in the tables are handled by support restriction, not smoothing: a full
 conditional never proposes a zero-probability value, and initialization
 forward-samples a positive-probability state.  After 100 failed attempts it
 searches the cell's states in row-major order, a chunk at a time in numpy,
-but raises BudgetExceeded
-instead when they number more than 10**7, and NoPositiveState when none is
-positive.  Where no state can be positive without a search (a factor is zero
-at every state of its free variables, which covers a zero product in a cell
-without free variables, or an i.i.d. cell has a site whose weights are all
-zero), the estimate raises NoPositiveState before it draws a uniform.  Every
-other cell draws its initial state first, so its seeded stream does not
-depend on this check.
+but raises BudgetExceeded instead when they number more than 10**7; where
+none is positive, the configuration gets no estimate.  Where no state can be
+positive without a search (a factor is zero at every state of its free
+variables, which covers a zero product in a cell without free variables, or
+an i.i.d. cell has a site whose weights are all zero), it gets none before
+it draws a uniform.  Every other configuration draws its initial state
+first, so its seeded stream does not depend on this check.
 
 Two kinds of cell need no chain, and their sweeps are drawn i.i.d., a block
 of uniforms at a time in numpy, through inverse-CDF rows:
@@ -74,7 +82,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
@@ -342,6 +350,8 @@ class _CompiledStage:
             and not free.isdisjoint(sf.factor.scope)
             for sf in ctx.factors
         )
+        # the sweeps are i.i.d. draws, made a block at a time
+        self.block = self.iid or not self.evidence
         self.values: dict[Factor, _CompiledFactor] = {}
         self.tables: dict[tuple, _SiteTable] = {}
 
@@ -400,21 +410,15 @@ class _CompiledCell:
     def own(self) -> tuple[_Site, ...]:
         return self.stage.sites(self.stage.own, self.prob_factors)
 
-    def block_sites(self) -> list[_Site] | None:
-        """The sites of a cell whose sweeps are i.i.d. draws, in the order a
-        draw visits them, with every row built; None for a coupled cell with
-        evidence.
+    def block_sites(self) -> list[_Site]:
+        """The sites of a cell whose sweeps are i.i.d. draws (`stage.block`),
+        in the order a draw visits them, with every row built.
 
         An i.i.d. cell's sites are its full conditionals, each with one row
         and no row parents.  A cell without evidence draws by logic sampling:
         its sites are its own conditionals, in topological order, with one
         row per state of their free parents."""
-        if self.iid:
-            sites = self.sites
-        elif self.evidence:
-            return None
-        else:
-            sites = self.own
+        sites = self.sites if self.iid else self.own
         for _, _, table in sites:
             table.arrays()
         return list(sites)
@@ -520,43 +524,69 @@ class _CompiledCell:
 
 def estimate_expectation(
     stage_context: StageContext,
-    fixed_config: Mapping[str, str],
+    fixed_configs: Sequence[Mapping[str, str]],
     value_factor: Factor,
     sampler_config: SamplerConfig,
-) -> Estimate:
-    """Estimate the conditional expectation of the value factor.
+) -> list[Estimate | None]:
+    """Estimate the conditional expectation of the value factor at each of
+    `fixed_configs`, the admissible alternatives of one cell (`[{}]` for the
+    terminal value), all from the one stream of `sampler_config.seed`.
 
-    Runs `burn_in` discard sweeps, then keeps the `samples` sweeps that
-    follow; the value factor is evaluated at each kept state composed with
-    the fixed configuration.  The standard error comes from batch means over
-    20 equal batches.  When the sweeps are i.i.d. draws
-    (`_CompiledCell.block_sites`) they are computed a block at a time; an
-    i.i.d. cell then gives the same result as sweeping, and a cell without
-    evidence draws each kept state exactly, by logic sampling.  A cell that
-    `_CompiledCell.certainly_empty` shows has no positive state raises
-    NoPositiveState before drawing anything.
+    Each configuration runs `burn_in` discard sweeps, then keeps the
+    `samples` sweeps that follow; the value factor is evaluated at each kept
+    state composed with the configuration.  The standard error comes from
+    batch means over 20 equal batches.  Returns one Estimate per
+    configuration, in order, or None where it has no positive state:
+    `_CompiledCell.certainly_empty` shows it before anything is drawn, or
+    `initial_state` finds none.
+
+    Every entry is bit-identical to the same configuration estimated alone:
+    each configuration draws its initial state from the seed, and those
+    whose generator then stands at the same place share the uniforms that
+    follow.  In block-drawn cells (`_block_draws`) they skip the burn-in
+    uniforms without drawing them and share the draws of the sites they
+    have in common; chain cells run each state over the shared rows.
     """
-    cell = _CompiledCell(stage_context, fixed_config, value_factor)
-    n_free = len(cell.free)
-    if cell.certainly_empty():
-        raise NoPositiveState(_NO_POSITIVE_STATE)
+    cells = [_CompiledCell(stage_context, fixed, value_factor) for fixed in fixed_configs]
     rng = np.random.default_rng(sampler_config.seed)
-    state = cell.initial_state(rng)
-    cfg = sampler_config
-    sites = cell.block_sites() if n_free else None
+    start = rng.bit_generator.state
+    # (index, cell, initial state) of each drawn configuration, grouped by
+    # the generator's state after its initialization
+    groups: dict[int, tuple[dict, list[tuple[int, _CompiledCell, list[int]]]]] = {}
+    for i, cell in enumerate(cells):
+        if cell.certainly_empty():
+            continue
+        rng.bit_generator.state = start
+        try:
+            state = cell.initial_state(rng)
+        except NoPositiveState:
+            continue
+        place = rng.bit_generator.state
+        groups.setdefault(place["state"]["state"], (place, []))[1].append((i, cell, state))
 
-    if sites is not None:
-        kept = _iid_chain(cell, rng, cfg, sites)
-    elif n_free:
-        values: list[float] = []
-        for uniforms, keep in _blocks(rng, cfg, n_free):
-            cell.run(state, cell.sites, uniforms.tolist(), range(len(uniforms))[keep], values)
-        kept = np.array(values)
-    else:
-        kept = np.full(cfg.samples, cell.value.value_at(state))
-    # numpy's mean, in its operation order, without its Python wrapper's cost
-    mean = float(np.add.reduce(kept)) / len(kept)
-    return Estimate(mean=mean, std_error=_batch_means_se(kept), n=len(kept))
+    cfg = sampler_config
+    estimates: list[Estimate | None] = [None] * len(cells)
+    for place, members in groups.values():
+        rng.bit_generator.state = place
+        stage = members[0][1].stage
+        if not stage.free:
+            kept = [np.full(cfg.samples, cell.value.value_at(state)) for _, cell, state in members]
+        elif stage.block:
+            kept = _block_draws([cell for _, cell, _ in members], rng, cfg)
+        else:
+            values: list[list[float]] = [[] for _ in members]
+            for uniforms, keep in _blocks(rng, cfg, len(stage.free)):
+                rows = uniforms.tolist()
+                kept_rows = range(len(rows))[keep]
+                for (_, cell, state), vals in zip(members, values):
+                    cell.run(state, cell.sites, rows, kept_rows, vals)
+            kept = [np.array(vals) for vals in values]
+        for (i, _, _), sample in zip(members, kept):
+            # numpy's mean, in its operation order, without its Python wrapper's cost
+            mean = float(np.add.reduce(sample)) / cfg.samples
+            # every n is the one `samples` int, not an int object per estimate
+            estimates[i] = Estimate(mean=mean, std_error=_batch_means_se(sample), n=cfg.samples)
+    return estimates
 
 
 def _blocks(
@@ -565,7 +595,7 @@ def _blocks(
     """The uniforms of the `burn_in + samples` sweeps, a block at a time, one
     row per sweep and one column per slot, each with the slice of its kept
     rows, those past the burn-in.  A block holds at most 8 192 sweeps, so
-    that the per-site temporaries of `_iid_chain` (8 bytes a row) stay in
+    that the per-site temporaries of `_block_draws` (8 bytes a row) stay in
     cache and are not page-faulted in fresh, and at most 65 536 uniforms,
     but at least one sweep.  A block is drawn at its exact size, so the
     stream, and every estimate, is that of single sweeps with the same seed,
@@ -580,97 +610,113 @@ def _blocks(
         done += count
 
 
-def _iid_chain(
-    cell: _CompiledCell,
-    rng: np.random.Generator,
-    cfg: SamplerConfig,
-    sites: list[_Site],
-) -> np.ndarray:
-    """The kept values of a cell whose sweeps are i.i.d. draws through the
-    rows of `sites` (`_CompiledCell.block_sites`), one block of `_blocks` at
-    a time.  Every array it makes per block and site has one entry per kept
-    sweep of the block, at most 8 192, which keeps them in cache.
+def _block_draws(
+    cells: Sequence[_CompiledCell], rng: np.random.Generator, cfg: SamplerConfig
+) -> list[np.ndarray]:
+    """The kept values of each of `cells`, configurations of one stage whose
+    sweeps are i.i.d. draws through the rows of their `block_sites`, from
+    the uniforms of one `rng`, a block of `_blocks` at a time.  Every array
+    it makes per block and site has one entry per sweep of the block, at
+    most 8 192, which keeps them in cache.
 
-    The uniforms of burn-in sweeps are dropped.  Each site, in order, maps
-    its slot's column through the row its row parents select, as
-    `support[bisect_right(cumulative, u * total)]` does, in the flat form of
-    `_SiteTable.arrays`: a position counted against the row's thresholds,
-    then one `take`.  A site whose row the cell fixes to one positive value
-    is a constant.  When the value factor reads exactly one drawn site, it
-    is read through that site's support by position, and the site's values
-    are taken only if a later site reads them as row parents."""
-    # per site: its one value, or its draw: the row parents that vary per
-    # draw, the part of the row index the constant ones fix, and the flat
-    # form of its table
-    const: dict[int, int] = {}
-    draws = []
-    for slot, parents, table in sites:
-        row = 0
-        varying = []
-        for s, radix in parents:
+    The burn-in sweeps are skipped by advancing the generator past their
+    uniforms, which is exact: PCG64 spends one step per double.  Each site,
+    in order, maps its slot's column through the row its row parents select,
+    as `support[bisect_right(cumulative, u * total)]` does, in the flat form
+    of `_SiteTable.arrays`: a position counted against the row's thresholds,
+    then one `take`.  A site whose row a cell fixes to one positive value is
+    a constant.  The other sites are drawn once for every cell with the same
+    table, fixed part of the row and row parents' draws.  When a cell's
+    value factor reads exactly one drawn site, it is read through that
+    site's support by position, and the site's values are taken only if a
+    later site reads them as row parents."""
+    n_free = len(cells[0].free)
+    # the distinct draws: (slot, row parents as (draw, radix) pairs, the part
+    # of the row index the constant ones fix, and the flat form of its table)
+    draws: list[tuple] = []
+    index_of: dict[tuple, int] = {}
+    # per cell: its constant slots' values and the draw of each drawn slot
+    plans: list[tuple[dict[int, int], dict[int, int]]] = []
+    for cell in cells:
+        const: dict[int, int] = {}
+        drawn: dict[int, int] = {}
+        for slot, parents, table in cell.block_sites():
+            row = 0
+            varying = []
+            for s, radix in parents:
+                if s in const:
+                    row += radix * const[s]
+                else:
+                    varying.append((drawn[s], radix))
+            if not varying and len(table[row][1]) == 1:
+                const[slot] = table[row][0][0]
+                continue
+            key = (id(table), row, tuple(varying))
+            if key not in index_of:
+                index_of[key] = len(draws)
+                draws.append((slot, varying, row, *table.arrays()))
+            drawn[slot] = index_of[key]
+        plans.append((const, drawn))
+    taken = {p for draw in draws for p, _ in draw[1]}
+
+    # per cell, how its value factor reads the draws: (lookup table, draw,
+    # None) through one draw's positions, else (flat values, base offset,
+    # (draw, stride) pairs) through the drawn values
+    readers = []
+    for cell, (const, drawn) in zip(cells, plans):
+        value = cell.value
+        base = value.base
+        reads = []
+        for s, stride in value.free_pairs:
             if s in const:
-                row += radix * const[s]
+                base += stride * const[s]
             else:
-                varying.append((s, radix))
-        if not varying and len(table[row][1]) == 1:
-            const[slot] = table[row][0][0]
+                reads.append((drawn[s], stride))
+        if len(reads) == 1:
+            (d, stride), = reads
+            readers.append((value.array.take(base + stride * draws[d][4]), d, None))
         else:
-            draws.append((slot, varying, row, *table.arrays()))
-    support_of = {draw[0]: draw[4] for draw in draws}
+            taken.update(d for d, _ in reads)
+            readers.append((value.array, base, reads))
 
-    value = cell.value
-    base = value.base
-    reads = []
-    for s, stride in value.free_pairs:
-        if s in const:
-            base += stride * const[s]
-        else:
-            reads.append((s, stride))
-    taken = {s for draw in draws for s, _ in draw[1]}
-    lut = None
-    if len(reads) == 1:
-        (lut_slot, stride), = reads
-        lut = value.array.take(base + stride * support_of[lut_slot])
-    else:
-        taken.update(s for s, _ in reads)
-
-    kept = np.empty(cfg.samples, dtype=float)
-    probed: dict[int, list[np.ndarray]] = {s: [] for s in support_of}
+    kept = [np.empty(cfg.samples, dtype=float) for _ in cells]
+    probed: list[list[np.ndarray]] = [[] for _ in draws]
+    rng.bit_generator.advance(cfg.burn_in * n_free)
     k = 0
-    for uniforms, keep in _blocks(rng, cfg, len(cell.free)):
-        m = len(range(len(uniforms))[keep])
+    for uniforms, _ in _blocks(rng, replace(cfg, burn_in=0), n_free):
+        m = len(uniforms)
         states: dict[int, np.ndarray] = {}
-        positions: dict[int, np.ndarray] = {}
-        for slot, varying, row, width, support, thresholds, totals in draws:
-            for s, radix in varying:
-                row = row + radix * states[s]
-            target = uniforms[keep, slot] * totals.take(row)
+        positions = []
+        for d, (slot, varying, row, width, support, thresholds, totals) in enumerate(draws):
+            for p, radix in varying:
+                row = row + radix * states[p]
+            target = uniforms[:, slot] * totals.take(row)
             pos = row * width
             for column in thresholds:
                 pos += column.take(row) <= target
-            positions[slot] = pos
-            if slot in taken:
-                states[slot] = support.take(pos)
-        if lut is not None:
-            kept[k : k + m] = lut.take(positions[lut_slot])
-        else:
-            off = base
-            for s, stride in reads:
-                off = off + stride * states[s]
-            kept[k : k + m] = value.array.take(off)
+            positions.append(pos)
+            if d in taken:
+                states[d] = support.take(pos)
+        for values, (array, at, reads) in zip(kept, readers):
+            if reads is None:
+                values[k : k + m] = array.take(positions[at])
+            else:
+                for d, stride in reads:
+                    at = at + stride * states[d]
+                values[k : k + m] = array.take(at)
         if __debug__:
-            # every 64th kept draw, as the chain checks its kept states
-            for s, pos in positions.items():
-                probed[s].append(pos[-k % 64 :: 64])
+            # every 64th kept draw, as the chain checks its kept states, in
+            # copies: a view would keep the block's positions alive
+            for d, pos in enumerate(positions):
+                probed[d].append(pos[-k % 64 :: 64].copy())
         k += m
-    assert k == len(kept)
+    assert k == cfg.samples
     if __debug__:
-        columns = [
-            const[s] if s in const else support_of[s].take(np.concatenate(probed[s]))
-            for s in range(len(cell.free))
-        ]
-        if (cell.products(columns, -(-k // 64)) <= 0.0).any():
-            raise AllZeroSupport("chain reached a zero-probability state")
+        probes = [draw[4].take(np.concatenate(p)) for draw, p in zip(draws, probed)]
+        for cell, (const, drawn) in zip(cells, plans):
+            columns = [const[s] if s in const else probes[drawn[s]] for s in range(n_free)]
+            if (cell.products(columns, -(-k // 64)) <= 0.0).any():
+                raise AllZeroSupport("chain reached a zero-probability state")
     return kept
 
 

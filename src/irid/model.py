@@ -232,7 +232,7 @@ def topological_sort(
             if not waiting[c]:
                 heapq.heappush(ready, position[c])
     if len(order) < len(nodes):
-        raise CycleDetected(f"cycle through {_one_cycle(nodes, children, waiting)}")
+        raise CycleDetected(_one_cycle(nodes, children, waiting))
     return tuple(order)
 
 
@@ -471,8 +471,7 @@ def build_model(
     nodes = tuple(nodes)
     ids = [n.id for n in nodes]
     if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise DuplicateVariable(f"duplicate node ids: {dupes}")
+        raise DuplicateVariable(tuple(sorted({i for i in ids if ids.count(i) > 1})))
     known = set(ids)
 
     if objective not in OBJECTIVES:
@@ -489,7 +488,10 @@ def build_model(
     for a in arrows:
         for end in (a.source, a.target):
             if end not in known:
-                raise UnknownVariable(f"arrow {a.source!r}->{a.target!r} references unknown {end!r}")
+                raise UnknownVariable(
+                    f"arrow {a.source!r}->{a.target!r} references unknown {end!r}",
+                    arrow=(a.source, a.target),
+                )
     if len({(a.source, a.target) for a in arrows}) != len(arrows):
         raise InvalidModel("duplicate arrows")
 

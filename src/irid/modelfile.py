@@ -31,12 +31,15 @@ from typing import Any, Mapping
 
 from .errors import (
     CptRowNotNormalized,
+    CycleDetected,
+    DuplicateVariable,
     EmptyConstraintCell,
     MissingTableEntry,
     ModelError,
     ModelSyntaxError,
     NonFiniteValue,
     SchemaError,
+    UnknownVariable,
 )
 from .model import (
     OBJECTIVES,
@@ -219,6 +222,16 @@ def _wrap(fn, path: str):
 def _locate(e: ModelError, doc: Mapping) -> str | None:
     """Best-effort field path for a validation error raised by build_model."""
     try:
+        if isinstance(e, DuplicateVariable):
+            seen = set()
+            for i, node in enumerate(doc["nodes"]):
+                if node["id"] in seen:  # the second node with its id
+                    return f"nodes[{i}].id"
+                seen.add(node["id"])
+        if isinstance(e, UnknownVariable) and e.arrow is not None:
+            return _arrow_field(doc, {e.arrow})
+        if isinstance(e, CycleDetected):
+            return _arrow_field(doc, set(zip(e.cycle, e.cycle[1:] + e.cycle[:1])))
         if isinstance(e, CptRowNotNormalized):
             i, cpt = next(
                 (i, c) for i, c in enumerate(doc["cpts"]) if c.get("child") == e.child
@@ -263,6 +276,12 @@ def _locate(e: ModelError, doc: Mapping) -> str | None:
     except (StopIteration, KeyError, TypeError):
         return None
     return None
+
+
+def _arrow_field(doc: Mapping, arrows: set[tuple[str, str]]) -> str:
+    """The path of the first arrow in the document that is one of `arrows`."""
+    i = next(i for i, a in enumerate(doc["arrows"]) if (a["from"], a["to"]) in arrows)
+    return f"arrows[{i}]"
 
 
 # --------------------------------------------------------------------------

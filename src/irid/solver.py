@@ -3,14 +3,15 @@
 Stages are solved last decision first.  For each configuration of the
 variables the stage's decision depends on, `_evaluate` gives the conditional
 expectation of the value node for every admissible alternative: exactly
-(`oracle.exact_stage_expectation`), or by Gibbs sampling
-(`gibbs.estimate_expectation`) with one seed per (stage, cell): its
-alternatives are ranked on common random numbers, as the exact backend ranks
-them on one table, so an exact tie stays a tie.  The best alternative is
-chosen (ties to frame order), and the solved decision function is absorbed
-into the diagram before the next stage.  After the first decision is
-absorbed, `_evaluate` on the remaining chance-only network gives the terminal
-expected value.
+(`oracle.exact_stage_expectation`, one call per alternative), or by Gibbs
+sampling (`gibbs.estimate_expectation`, one call per cell) with one seed per
+(stage, cell): its alternatives are ranked on common random numbers, as the
+exact backend ranks them on one table, so an exact tie stays a tie, and
+they share the uniforms and the site draws they have in common.  The best
+alternative is chosen (ties to frame order), and the solved decision
+function is absorbed into the diagram before the next stage.  After the
+first decision is absorbed, `_evaluate` on the remaining chance-only network
+gives the terminal expected value.
 
 Cells whose conditioning event has probability zero cannot be ranked: Eq-style
 conditional expectations are undefined there.  They still get a deterministic
@@ -26,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from . import gibbs, oracle
-from .errors import InvalidModel, NoPositiveState, ZeroNormalizer
+from .errors import InvalidModel, ZeroNormalizer
 from .gibbs import SamplerConfig
 from .graph_ops import (
     StageContext,
@@ -98,15 +99,23 @@ def _cell_sampler(options: SolveOptions, stage: int, cell: int) -> SamplerConfig
 
 
 def _evaluate(
-    ctx: StageContext, fixed: Mapping[str, str], sampler: SamplerConfig | None
-) -> tuple[float, float | None, int | None]:
+    ctx: StageContext, fixed_configs: list[dict[str, str]], sampler: SamplerConfig | None
+) -> list[tuple[float, float | None, int | None] | None]:
     """(value, standard error, sample count) of the value node's conditional
-    expectation at `fixed`, by Gibbs sampling with `sampler`, or exactly, with
-    no error or count, when it is None."""
+    expectation at each of `fixed_configs`, or None where its conditioning
+    event has probability zero: by one Gibbs sampling call with `sampler`,
+    or exactly, one call per configuration, with no error or count, when it
+    is None."""
     if sampler is None:
-        return oracle.exact_stage_expectation(ctx, fixed), None, None
-    est = gibbs.estimate_expectation(ctx, fixed, ctx.value_factor, sampler)
-    return est.mean, est.std_error, est.n
+        results = []
+        for fixed in fixed_configs:
+            try:
+                results.append((oracle.exact_stage_expectation(ctx, fixed), None, None))
+            except ZeroNormalizer:
+                results.append(None)
+        return results
+    estimates = gibbs.estimate_expectation(ctx, fixed_configs, ctx.value_factor, sampler)
+    return [None if est is None else (est.mean, est.std_error, est.n) for est in estimates]
 
 
 def solve(model: IridModel, options: SolveOptions = SolveOptions()) -> Solution:
@@ -145,16 +154,14 @@ def solve(model: IridModel, options: SolveOptions = SolveOptions()) -> Solution:
             dep_cfg = tuple(label for _, label in config)
             cfg_map = dict(config)
             adm = working.admissible(decision, cfg_map)
-            sampler = _cell_sampler(options, stage, cell_index)
+            evaluated = _evaluate(
+                ctx,
+                [{**cfg_map, decision: a} for a in adm],
+                _cell_sampler(options, stage, cell_index),
+            )
             # (alternative, value, SE, n); value None where the alternative's
             # conditioning event has probability zero
-            results = []
-            for a in adm:
-                try:
-                    v, se, n = _evaluate(ctx, {**cfg_map, decision: a}, sampler)
-                except (ZeroNormalizer, NoPositiveState):
-                    v = se = n = None
-                results.append((a, v, se, n))
+            results = [(a, *(r or (None, None, None))) for a, r in zip(adm, evaluated)]
             # max and min keep the first of equal values: ties go to frame order
             ranked = [r for r in results if r[1] is not None]
             pick = max if objective == MAXIMIZE else min
@@ -178,7 +185,10 @@ def solve(model: IridModel, options: SolveOptions = SolveOptions()) -> Solution:
         policies[decision] = _materialize_policy(working, decision, dep_vars, choices)
         working = absorb_decision(working, decision, policies[decision])
 
-    ev, ev_se, ev_n = _evaluate(terminal_stage_context(working), {}, _cell_sampler(options, 0, 0))
+    # the terminal event is certain, so it has a value
+    ((ev, ev_se, ev_n),) = _evaluate(
+        terminal_stage_context(working), [{}], _cell_sampler(options, 0, 0)
+    )
     ordered_policies = {d: policies[d] for d in original_decisions}
     return Solution(
         policies=ordered_policies,

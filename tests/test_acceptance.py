@@ -155,8 +155,8 @@ def test_criterion_06_gibbs_statistical_accuracy(wildcatter):
                         1, np.uint64
                     )[0]
                 )
-                est = estimate_expectation(
-                    ctx, fixed, ctx.value_factor, SamplerConfig(seed=seed)
+                (est,) = estimate_expectation(
+                    ctx, [fixed], ctx.value_factor, SamplerConfig(seed=seed)
                 )
                 assert est.n == 20000
                 if abs(est.mean - exact) <= 3 * est.std_error:

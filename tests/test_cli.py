@@ -105,6 +105,28 @@ class TestValidate:
         assert run_cli(["validate", str(path)]) == 2
         assert capsys.readouterr().err.startswith("invalid model at value.cells[3].v: ")
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            pytest.param(lambda doc: doc["arrows"][4].update(to="Q"), "arrows[4]", id="unknown"),
+            pytest.param(
+                lambda doc: doc["nodes"].append(dict(doc["nodes"][0])), "nodes[6].id", id="duplicate"
+            ),
+            pytest.param(
+                lambda doc: doc["arrows"].append({"from": "R", "to": "O", "kind": "relevance"}),
+                "arrows[1]",
+                id="cycle",
+            ),
+        ],
+    )
+    def test_graph_errors_name_their_field(self, tmp_path, capsys, edit, field):
+        doc = json.loads(bundled_bytes("wildcatter_irid"))
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"invalid model at {field}: ")
+
     def test_non_utf8_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "utf16.json"
         path.write_bytes(b"\xff\xfe" + '{"schema_version": "1"}'.encode("utf-16-le"))
@@ -189,6 +211,29 @@ class TestSolve:
         out.write_bytes(b"old")
         assert run_cli(["solve", str(model), "--backend", "exact", "--out", str(out)]) == 2
         assert out.read_bytes() == b"old"
+
+    @pytest.mark.parametrize(
+        "backend, message",
+        [
+            (
+                ["--backend", "gibbs", "--burn-in", "7", "--samples", "1000000000000"],
+                "runtime error: out of memory in a sampler run of 7 burn-in and"
+                " 1000000000000 kept sweeps per estimate\n",
+            ),
+            (["--backend", "exact"], "runtime error: out of memory\n"),
+        ],
+    )
+    def test_out_of_memory_is_a_runtime_error(
+        self, wildcatter_file, tmp_path, monkeypatch, capsys, backend, message
+    ):
+        def too_large(model, options):
+            raise MemoryError
+
+        monkeypatch.setattr(irid.cli, "solve", too_large)
+        out = tmp_path / "s.json"
+        assert run_cli(["solve", wildcatter_file, *backend, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
     def test_objective_flag(self, wildcatter_file, tmp_path, capsys):
         out = str(tmp_path / "s.json")

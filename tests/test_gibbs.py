@@ -2,6 +2,7 @@ import collections
 import copy
 import functools
 import itertools
+import types
 from bisect import bisect_right
 
 import numpy as np
@@ -22,7 +23,7 @@ from irid.gibbs import (
     _cdf,
     _blocks,
     _CompiledCell,
-    _iid_chain,
+    _block_draws,
     estimate_expectation,
 )
 from irid.factors import Factor
@@ -220,9 +221,9 @@ class TestSweep:
 
 class TestEstimateExpectation:
     def test_no_test_drill_expectation(self, stage2):
-        est = estimate_expectation(
+        (est,) = estimate_expectation(
             stage2,
-            {"B": "$2M", "T": "nt", "R": "nr", "D": "d"},
+            [{"B": "$2M", "T": "nt", "R": "nr", "D": "d"}],
             stage2.value_factor,
             SamplerConfig(seed=11),
         )
@@ -230,9 +231,9 @@ class TestEstimateExpectation:
         assert abs(est.mean - 250000.0) <= 3 * est.std_error
 
     def test_no_test_no_drill_expectation(self, stage2):
-        est = estimate_expectation(
+        (est,) = estimate_expectation(
             stage2,
-            {"B": "$1M", "T": "nt", "R": "nr", "D": "nd"},
+            [{"B": "$1M", "T": "nt", "R": "nr", "D": "nd"}],
             stage2.value_factor,
             SamplerConfig(seed=13),
         )
@@ -241,8 +242,8 @@ class TestEstimateExpectation:
     def test_matches_exact_counterpart(self, stage2):
         fixed = {"B": "$2M", "T": "t2", "R": "o", "D": "nd"}
         exact = exact_stage_expectation(stage2, fixed)
-        est = estimate_expectation(
-            stage2, fixed, stage2.value_factor, SamplerConfig(seed=21)
+        (est,) = estimate_expectation(
+            stage2, [fixed], stage2.value_factor, SamplerConfig(seed=21)
         )
         assert abs(est.mean - exact) <= 3 * est.std_error
 
@@ -258,31 +259,31 @@ class TestEstimateExpectation:
             value_table=ValueTable(("X",), {("x0",): 42.0, ("x1",): 42.0}),
         )
         ctx = terminal_stage_context(m)
-        est = estimate_expectation(ctx, {}, ctx.value_factor, SamplerConfig(seed=1))
+        (est,) = estimate_expectation(ctx, [{}], ctx.value_factor, SamplerConfig(seed=1))
         assert est.mean == 42.0
         assert est.std_error == 0.0
 
     def test_bit_identical_for_same_seed(self, stage2):
         fixed = {"B": "$2M", "T": "t1", "R": "o", "D": "d"}
         cfg = SamplerConfig(seed=77, burn_in=50, samples=500)
-        a = estimate_expectation(stage2, fixed, stage2.value_factor, cfg)
-        b = estimate_expectation(stage2, fixed, stage2.value_factor, cfg)
+        a = estimate_expectation(stage2, [fixed], stage2.value_factor, cfg)
+        b = estimate_expectation(stage2, [fixed], stage2.value_factor, cfg)
         assert a == b
 
     def test_seed_changes_estimate(self, stage2):
         fixed = {"B": "$2M", "T": "t1", "R": "o", "D": "d"}
-        a = estimate_expectation(
-            stage2, fixed, stage2.value_factor, SamplerConfig(seed=1, burn_in=10, samples=200)
+        (a,) = estimate_expectation(
+            stage2, [fixed], stage2.value_factor, SamplerConfig(seed=1, burn_in=10, samples=200)
         )
-        b = estimate_expectation(
-            stage2, fixed, stage2.value_factor, SamplerConfig(seed=2, burn_in=10, samples=200)
+        (b,) = estimate_expectation(
+            stage2, [fixed], stage2.value_factor, SamplerConfig(seed=2, burn_in=10, samples=200)
         )
         assert a.mean != b.mean
 
     def test_equals_manual_sweep_composition(self, stage2):
         fixed = {"B": "$2M", "T": "t1", "R": "c", "D": "d"}
         cfg = SamplerConfig(seed=7, burn_in=3, samples=10)
-        est = estimate_expectation(stage2, fixed, stage2.value_factor, cfg)
+        (est,) = estimate_expectation(stage2, [fixed], stage2.value_factor, cfg)
         steps = itertools.islice(
             _chain(stage2, fixed, np.random.default_rng(7)), 1, cfg.burn_in + cfg.samples + 1
         )
@@ -293,14 +294,13 @@ class TestEstimateExpectation:
         assert float(np.mean(vals)) == est.mean
         assert len(vals) == est.n
 
-    def test_impossible_cell_raises(self, stage2):
-        with pytest.raises(NoPositiveState):
-            estimate_expectation(
-                stage2,
-                {"B": "$1M", "T": "t2", "R": "nr", "D": "nd"},
-                stage2.value_factor,
-                SamplerConfig(seed=5),
-            )
+    def test_impossible_cell_has_no_estimate(self, stage2):
+        assert estimate_expectation(
+            stage2,
+            [{"B": "$1M", "T": "t2", "R": "nr", "D": "nd"}],
+            stage2.value_factor,
+            SamplerConfig(seed=5),
+        ) == [None]
 
 
 def _sweep_chain_estimate(ctx, fixed, cfg):
@@ -404,10 +404,11 @@ class TestIidCells:
                 try:
                     expected = _sweep_chain_estimate(stage2, fixed, sampler)
                 except NoPositiveState:
-                    with pytest.raises(NoPositiveState):
-                        estimate_expectation(stage2, fixed, stage2.value_factor, sampler)
+                    assert estimate_expectation(
+                        stage2, [fixed], stage2.value_factor, sampler
+                    ) == [None]
                     continue
-                est = estimate_expectation(stage2, fixed, stage2.value_factor, sampler)
+                (est,) = estimate_expectation(stage2, [fixed], stage2.value_factor, sampler)
                 assert est == expected, fixed
                 compared += 1
         assert compared == 18
@@ -447,7 +448,7 @@ class TestIidCells:
         )
         assert ctx.free_vars == ("X", "Y")
         sampler = SamplerConfig(seed=11, **kwargs)
-        est = estimate_expectation(ctx, {"D1": "b"}, ctx.value_factor, sampler)
+        (est,) = estimate_expectation(ctx, [{"D1": "b"}], ctx.value_factor, sampler)
         assert est == _sweep_chain_estimate(ctx, {"D1": "b"}, sampler)
 
 
@@ -543,7 +544,7 @@ class TestCoupledCells:
         for cell_seed, (ctx, fixed) in enumerate(cells):
             assert _has_zero_total_conditional(ctx, fixed)
             sampler = SamplerConfig(seed=cell_seed, **kwargs)
-            est = estimate_expectation(ctx, fixed, ctx.value_factor, sampler)
+            (est,) = estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)
             assert est == _reference_chain_estimate(ctx, fixed, sampler), (ctx.stage, fixed)
 
 
@@ -627,7 +628,7 @@ class TestAncestralCells:
         for seed, (ctx, fixed) in enumerate(cells):
             assert not _has_evidence(ctx)
             sampler = SamplerConfig(seed=seed, **kwargs)
-            est = estimate_expectation(ctx, fixed, ctx.value_factor, sampler)
+            (est,) = estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)
             assert est == _reference_ancestral_estimate(ctx, fixed, sampler), (ctx.stage, fixed)
 
     @pytest.mark.parametrize("kwargs", COUPLED_CONFIGS)
@@ -638,7 +639,7 @@ class TestAncestralCells:
                 if not _is_coupled(ctx) or _has_evidence(ctx):
                     continue
                 sampler = SamplerConfig(seed=seed, **kwargs)
-                est = estimate_expectation(ctx, fixed, ctx.value_factor, sampler)
+                (est,) = estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)
                 expected = _reference_ancestral_estimate(ctx, fixed, sampler)
                 assert est == expected, (seed, ctx.stage, fixed)
                 compared += 1
@@ -649,7 +650,7 @@ class TestAncestralCells:
         ctx = terminal_stage_context(_child_listed_first())
         assert ctx.free_vars == ("Y", "X") and ctx.free_topological == ("X", "Y")
         sampler = SamplerConfig(seed=5, **kwargs)
-        est = estimate_expectation(ctx, {}, ctx.value_factor, sampler)
+        (est,) = estimate_expectation(ctx, [{}], ctx.value_factor, sampler)
         assert est == _reference_ancestral_estimate(ctx, {}, sampler)
 
     @pytest.mark.parametrize(
@@ -664,7 +665,7 @@ class TestAncestralCells:
         sizes = _block_sizes(sampler, len(ctx.free_vars))
         assert len(sizes) == blocks
         assert sampler.burn_in % sizes[0]
-        est = estimate_expectation(ctx, fixed, ctx.value_factor, sampler)
+        (est,) = estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)
         assert est == _reference_ancestral_estimate(ctx, fixed, sampler)
 
     def test_a_uniform_of_one_draws_the_last_positive_value(self):
@@ -674,17 +675,19 @@ class TestAncestralCells:
         cell = _CompiledCell(ctx, {}, value_factor=ctx.value_factor)
 
         class Ones:
+            bit_generator = types.SimpleNamespace(advance=lambda steps: None)
+
             def random(self, n):
                 return np.ones(n)
 
         sampler = SamplerConfig(seed=0, burn_in=3, samples=40)
-        kept = _iid_chain(cell, Ones(), sampler, cell.block_sites())
+        (kept,) = _block_draws([cell], Ones(), sampler)
         assert kept.tolist() == [12.0] * 40  # X = x1, Y = y2
 
     @pytest.mark.parametrize("seed", range(8))
     def test_wildcatter_terminal_value_within_4_se(self, wildcatter, seed):
         ctx, fixed = _stage_cells(wildcatter)[-1]
-        est = estimate_expectation(ctx, fixed, ctx.value_factor, SamplerConfig(seed=seed))
+        (est,) = estimate_expectation(ctx, [fixed], ctx.value_factor, SamplerConfig(seed=seed))
         assert abs(est.mean - 334750.0) <= 4 * est.std_error
 
 
@@ -749,7 +752,7 @@ class TestBlockSizeInvariance:
         for cap in self.CAPS:
             monkeypatch.setattr(gibbs, "_BLOCK_SWEEPS", cap)
             block_counts.append(len(_block_sizes(sampler, len(ctx.free_vars))))
-            estimates.append(estimate_expectation(ctx, fixed, ctx.value_factor, sampler))
+            estimates += estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)
         assert block_counts == sorted(set(block_counts), reverse=True)
         assert estimates == [estimates[0]] * len(self.CAPS)
 
@@ -759,12 +762,11 @@ def _initial_state_first_estimate(ctx, fixed, cfg):
     `initial_state` takes its uniforms first, then the block draw, or the
     `_chain` steps when there is no block."""
     cell = _CompiledCell(ctx, fixed, value_factor=ctx.value_factor)
-    sites = cell.block_sites() if cell.free else None
-    if sites is None:
+    if not (cell.free and cell.stage.block):
         return _sweep_chain_estimate(ctx, fixed, cfg)
     rng = np.random.default_rng(cfg.seed)
     cell.initial_state(rng)
-    return _batch_means_estimate(_iid_chain(cell, rng, cfg, sites))
+    return _batch_means_estimate(_block_draws([cell], rng, cfg)[0])
 
 
 class TestEmptyCells:
@@ -783,12 +785,11 @@ class TestEmptyCells:
                 )
                 sampler = SamplerConfig(seed=index, burn_in=10, samples=200)
                 if empty:
-                    with pytest.raises(NoPositiveState):
-                        estimate_expectation(ctx, fixed, ctx.value_factor, sampler)
+                    assert estimate_expectation(ctx, [fixed], ctx.value_factor, sampler) == [None]
                     counts["early" if cell.certainly_empty() else "late"] += 1
                     continue
                 assert not cell.certainly_empty(), (source, ctx.stage, fixed)
-                est = estimate_expectation(ctx, fixed, ctx.value_factor, sampler)
+                (est,) = estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)
                 assert est == _initial_state_first_estimate(ctx, fixed, sampler), (
                     source,
                     ctx.stage,
@@ -834,6 +835,49 @@ def _reference_init(ctx, fixed, rng):
     raise NoPositiveState("reference found no positive state")
 
 
+def _rare_evidence_stage():
+    """The stage of a decision that observes `R`, a copy of `X`, where `X`
+    takes `x1` with probability 2^-20: forward sampling meets `R = r1` with
+    that probability per attempt, and `R = r0` almost always at once."""
+    rare = 2.0**-20
+    m = build_model(
+        nodes=(
+            NodeSpec("X", "chance", Frame(("x0", "x1"))),
+            NodeSpec("Y", "chance", Frame(("y0", "y1"))),
+            NodeSpec("R", "chance", Frame(("r0", "r1"))),
+            NodeSpec("D1", "decision", Frame(("a", "b"))),
+            NodeSpec("V", "value"),
+        ),
+        arrows=(
+            ArrowSpec("X", "R", "relevance"),
+            ArrowSpec("R", "D1", "informational"),
+            ArrowSpec("X", "V", "relevance"),
+            ArrowSpec("Y", "V", "relevance"),
+            ArrowSpec("D1", "V", "relevance"),
+        ),
+        cpts=(
+            Cpt("X", (), {(): {"x0": 1.0 - rare, "x1": rare}}),
+            Cpt("Y", (), {(): {"y0": 0.5, "y1": 0.5}}),
+            Cpt(
+                "R",
+                ("X",),
+                {("x0",): {"r0": 1.0, "r1": 0.0}, ("x1",): {"r0": 0.0, "r1": 1.0}},
+            ),
+        ),
+        constraints=(),
+        value_table=ValueTable(
+            ("X", "Y", "D1"),
+            {
+                (x, y, d): float(i + 2 * j + 4 * k)
+                for i, x in enumerate(("x0", "x1"))
+                for j, y in enumerate(("y0", "y1"))
+                for k, d in enumerate(("a", "b"))
+            },
+        ),
+    )
+    return build_stage_context(m, compute_partition(m), moralize(relevance_subgraph(m)), 1)
+
+
 class TestInitStateReference:
     """`_CompiledCell.initial_state` draws what forward sampling on labels draws, from the
     same uniforms, and leaves its generator where the reference leaves
@@ -872,43 +916,7 @@ class TestInitStateReference:
     def test_rare_evidence_falls_back_to_row_major_search(self):
         """Evidence that forward sampling meets with probability 2^-20 per
         attempt: both give the first positive state in row-major order."""
-        rare = 2.0**-20
-        m = build_model(
-            nodes=(
-                NodeSpec("X", "chance", Frame(("x0", "x1"))),
-                NodeSpec("Y", "chance", Frame(("y0", "y1"))),
-                NodeSpec("R", "chance", Frame(("r0", "r1"))),
-                NodeSpec("D1", "decision", Frame(("a", "b"))),
-                NodeSpec("V", "value"),
-            ),
-            arrows=(
-                ArrowSpec("X", "R", "relevance"),
-                ArrowSpec("R", "D1", "informational"),
-                ArrowSpec("X", "V", "relevance"),
-                ArrowSpec("Y", "V", "relevance"),
-                ArrowSpec("D1", "V", "relevance"),
-            ),
-            cpts=(
-                Cpt("X", (), {(): {"x0": 1.0 - rare, "x1": rare}}),
-                Cpt("Y", (), {(): {"y0": 0.5, "y1": 0.5}}),
-                Cpt(
-                    "R",
-                    ("X",),
-                    {("x0",): {"r0": 1.0, "r1": 0.0}, ("x1",): {"r0": 0.0, "r1": 1.0}},
-                ),
-            ),
-            constraints=(),
-            value_table=ValueTable(
-                ("X", "Y", "D1"),
-                {
-                    (x, y, d): float(i + 2 * j + 4 * k)
-                    for i, x in enumerate(("x0", "x1"))
-                    for j, y in enumerate(("y0", "y1"))
-                    for k, d in enumerate(("a", "b"))
-                },
-            ),
-        )
-        ctx = build_stage_context(m, compute_partition(m), moralize(relevance_subgraph(m)), 1)
+        ctx = _rare_evidence_stage()
         fixed = {"R": "r1", "D1": "a"}
         assert ctx.free_vars == ("X", "Y")
         ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
@@ -963,7 +971,7 @@ class TestInitialSearchBudget:
         ctx, fixed = _evidence_chain(24)  # 2^24 states
         sampler = SamplerConfig(seed=0, burn_in=0, samples=1)
         with pytest.raises(BudgetExceeded):
-            estimate_expectation(ctx, fixed, ctx.value_factor, sampler)
+            estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)
 
     def test_search_within_the_budget_finds_the_positive_state(self):
         self.finds_the_positive_state(16)
@@ -997,11 +1005,11 @@ class TestInitialSearchBudget:
         theirs.random(100 * n)
         assert ours.random() == theirs.random()
         sampler = SamplerConfig(seed=0, burn_in=0, samples=1)
-        assert estimate_expectation(ctx, fixed, ctx.value_factor, sampler).mean == 2.0
+        assert estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)[0].mean == 2.0
 
 
 def _probed_states(cell, sites, cfg):
-    """The kept states the positivity check of `_iid_chain` reads, every
+    """The kept states the positivity check of `_block_draws` reads, every
     64th from the first, drawn one sweep at a time through `sites` with the
     uniforms of `default_rng(cfg.seed)`."""
     rng = np.random.default_rng(cfg.seed)
@@ -1019,7 +1027,7 @@ def _probed_states(cell, sites, cfg):
 
 @pytest.mark.skipif(not __debug__, reason="the positivity probe runs only without -O")
 class TestPositivityProbe:
-    """`_iid_chain` checks every 64th kept draw for a positive product of the
+    """`_block_draws` checks every 64th kept draw for a positive product of the
     probability factors.  With one entry of one factor zeroed in a private
     copy of the cell's factor, it must raise exactly when a checked draw
     reads that entry."""
@@ -1070,7 +1078,8 @@ class TestPositivityProbe:
             }
             for off in sorted(o for o in offsets if factor.flat[o] > 0.0):
                 zeroed = _CompiledCell(ctx, fixed, value_factor=ctx.value_factor)
-                sites = zeroed.block_sites()
+                # its tables bound before the zero: they hold the true rows
+                zeroed.block_sites()
                 # zeroed in a private copy: the cell's factors share their
                 # tables with every cell of the stage
                 cf = copy.copy(zeroed.prob_factors[index])
@@ -1085,9 +1094,9 @@ class TestPositivityProbe:
                 rng = np.random.default_rng(sampler.seed)
                 if reads:
                     with pytest.raises(AllZeroSupport):
-                        _iid_chain(zeroed, rng, sampler, sites)
+                        _block_draws([zeroed], rng, sampler)
                 else:
-                    _iid_chain(zeroed, rng, sampler, sites)
+                    _block_draws([zeroed], rng, sampler)
                 outcomes[reads] += 1
         assert outcomes[True] and outcomes[False], outcomes
 
@@ -1120,11 +1129,13 @@ def _stage_builders(model):
 
 
 def _outcome(ctx, fixed, value_factor, sampler):
-    """The estimate, or the type of the error it raises."""
+    """The estimate, NoPositiveState where there is none, or the type of the
+    error it raises."""
     try:
-        return estimate_expectation(ctx, fixed, value_factor, sampler)
-    except (NoPositiveState, AllZeroSupport) as e:
+        (est,) = estimate_expectation(ctx, [fixed], value_factor, sampler)
+    except AllZeroSupport as e:
         return type(e)
+    return NoPositiveState if est is None else est
 
 
 class TestStageCache:
@@ -1168,6 +1179,81 @@ class TestStageCache:
                 assert _outcome(ctx, fixed, value, sampler) == expected
                 differs += expected != expected_other
         assert differs
+
+
+def _by_cell(ctx, configs):
+    """`configs` split into the alternatives of each cell, in order."""
+    cells: dict[tuple, list[dict]] = {}
+    for fixed in configs:
+        key = tuple((v, lab) for v, lab in fixed.items() if v != ctx.decision)
+        cells.setdefault(key, []).append(fixed)
+    return list(cells.values())
+
+
+def _places(ctx, configs, sampler):
+    """The distinct places the generator stands at after each configuration's
+    `initial_state`, over the configurations that have one."""
+    places = set()
+    for fixed in configs:
+        rng = np.random.default_rng(sampler.seed)
+        try:
+            _CompiledCell(ctx, fixed, ctx.value_factor).initial_state(rng)
+        except NoPositiveState:
+            continue
+        places.add(rng.random())
+    return places
+
+
+class TestSharedCall:
+    """One call estimates every alternative of a cell from one stream: each
+    entry must equal its configuration estimated alone, on a fresh context."""
+
+    SAMPLER = {"burn_in": 37, "samples": 901}
+
+    @pytest.mark.parametrize("source", [*BUNDLED, 0, 127])
+    def test_each_entry_equals_its_configuration_alone(self, source):
+        model = load_bundled(source) if isinstance(source, str) else _point_mass_model(source)
+        shared_draws = collections.Counter()
+        for build, configs in _stage_builders(model):
+            ctx = build()
+            for index, alternatives in enumerate(_by_cell(ctx, configs)):
+                sampler = SamplerConfig(seed=index, **self.SAMPLER)
+                shared = estimate_expectation(ctx, alternatives, ctx.value_factor, sampler)
+                alone = []
+                for fixed in alternatives:
+                    c = build()
+                    alone += estimate_expectation(c, [fixed], c.value_factor, sampler)
+                assert shared == alone, (ctx.stage, alternatives)
+                if sum(est is not None for est in shared) > 1:
+                    kind = "block" if ctx.cache["gibbs"].block else "chain"
+                    shared_draws[kind] += 1
+        # bundled cells draw blocks together, and generated ones run chains
+        # together
+        assert shared_draws["block" if isinstance(source, str) else "chain"] > 0
+
+    @pytest.mark.parametrize("kind", ["block", "chain"])
+    def test_configurations_whose_initial_states_draw_apart(self, kind):
+        """Configurations whose initialization takes different numbers of
+        forward samples draw from different places of the stream."""
+        if kind == "block":
+            ctx = _rare_evidence_stage()
+            configs = [{"R": r, "D1": d} for d in ("a", "b") for r in ("r0", "r1")]
+        else:
+            ctx, _ = _evidence_chain(3)
+            es = sorted(v for v in ctx.dependency_set if v.startswith("E"))
+            configs = [
+                {**dict(zip(es, labels)), "D1": d}
+                for labels in itertools.product(("e0", "e1"), repeat=len(es))
+                for d in ("a", "b")
+            ]
+        sampler = SamplerConfig(seed=2, **self.SAMPLER)
+        assert len(_places(ctx, configs, sampler)) > 1
+        shared = estimate_expectation(ctx, configs, ctx.value_factor, sampler)
+        assert ctx.cache["gibbs"].block == (kind == "block")
+        assert None not in shared
+        assert shared == [
+            estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)[0] for fixed in configs
+        ]
 
 
 class TestKernelInvariance:

@@ -7,10 +7,13 @@ import irid.modelfile
 from irid.data import BUNDLED, bundled_bytes, load_bundled
 from irid.errors import (
     CptRowNotNormalized,
+    CycleDetected,
+    DuplicateVariable,
     EmptyConstraintCell,
     ModelSyntaxError,
     NonFiniteValue,
     SchemaError,
+    UnknownVariable,
 )
 from irid.gibbs import SamplerConfig
 from irid.model import ArrowSpec, Cpt, Frame, NodeSpec, ValueTable, build_model
@@ -123,6 +126,32 @@ class TestParseErrors:
         with pytest.raises(EmptyConstraintCell) as exc:
             parse_model(json.dumps(doc))
         assert exc.value.field == "constraints[1].cells[1].allow"
+
+    def test_arrow_to_an_unknown_node_carries_field_path(self, wildcatter):
+        doc = model_to_document(wildcatter)
+        doc["arrows"][4]["to"] = "Q"
+        with pytest.raises(UnknownVariable) as exc:
+            parse_model(json.dumps(doc))
+        assert exc.value.arrow == ("T", "Q")
+        assert exc.value.field == "arrows[4]"
+
+    def test_repeated_node_id_names_the_second_node(self, wildcatter):
+        doc = model_to_document(wildcatter)
+        assert doc["nodes"][1]["id"] == "O"
+        doc["nodes"].insert(3, {"id": "O", "kind": "chance", "frame": ["w", "y"]})
+        with pytest.raises(DuplicateVariable) as exc:
+            parse_model(json.dumps(doc))
+        assert exc.value.ids == ("O",)
+        assert exc.value.field == "nodes[3].id"
+
+    def test_cycle_names_its_first_arrow(self, wildcatter):
+        doc = model_to_document(wildcatter)
+        doc["arrows"].append({"from": "R", "to": "O", "kind": "relevance"})
+        assert (doc["arrows"][1]["from"], doc["arrows"][1]["to"]) == ("O", "R")
+        with pytest.raises(CycleDetected) as exc:
+            parse_model(json.dumps(doc))
+        assert exc.value.cycle == ["R", "O"]
+        assert exc.value.field == "arrows[1]"
 
     def test_deep_nesting_is_a_syntax_error(self):
         with pytest.raises(ModelSyntaxError):

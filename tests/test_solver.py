@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import irid.gibbs
 from irid.data import BUNDLED, load_bundled
 from irid.errors import InvalidModel, StageOutOfRange
 from irid.gibbs import SamplerConfig, estimate_expectation
-from irid.graph_ops import absorb_decision, terminal_stage_context
+from irid.graph_ops import StageContext, absorb_decision, terminal_stage_context
 from irid.model import (
     ArrowSpec,
     Cpt,
@@ -425,23 +427,46 @@ class TestGibbsBackend:
         assert a.expected_value == b.expected_value
         assert a.per_cell_diagnostics == b.per_cell_diagnostics
 
-    def test_alternatives_of_a_cell_share_one_seed(self, wildcatter, monkeypatch):
-        """One seed per (stage, cell), drawn by every admissible alternative
-        of the cell; cells, stages and the terminal value draw apart."""
-        seeds: dict[tuple, list[int]] = {}
+    def test_one_sampler_call_per_cell(self, wildcatter, monkeypatch):
+        """The solver asks the sampler once per (stage, cell), with the cell's
+        admissible alternatives in order, and once for the terminal value:
+        positionally, with the context first and the sampler fourth, as the
+        benchmark's tracer reads them.  Each call draws its own seed."""
+        calls = []
 
-        def recording(ctx, fixed, value_factor, sampler):
-            cell = tuple(sorted((v, lab) for v, lab in fixed.items() if v != ctx.decision))
-            seeds.setdefault((ctx.decision, cell), []).append(sampler.seed)
-            return estimate_expectation(ctx, fixed, value_factor, sampler)
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return estimate_expectation(*args, **kwargs)
 
         monkeypatch.setattr(irid.gibbs, "estimate_expectation", recording)
         sampler = SamplerConfig(seed=5, burn_in=10, samples=100)
         solve(wildcatter, SolveOptions(backend="gibbs", sampler=sampler))
-        assert {d for d, _ in seeds} == {"T", "D", None}
-        assert max(len(group) for group in seeds.values()) == 3
-        assert all(len(set(group)) == 1 for group in seeds.values())
-        assert len({group[0] for group in seeds.values()}) == len(seeds)
+        cells: dict[int, list[dict]] = {}
+        for args, kwargs in calls:
+            assert kwargs == {} and len(args) == 4
+            ctx, configs, value_factor, cell_sampler = args
+            assert isinstance(ctx, StageContext) and value_factor is ctx.value_factor
+            assert isinstance(cell_sampler, SamplerConfig)
+            assert (cell_sampler.burn_in, cell_sampler.samples) == (10, 100)
+            assert isinstance(configs, list) and all(type(c) is dict for c in configs)
+            if ctx.decision is None:
+                assert configs == [{}]
+            cell = {v: lab for v, lab in configs[0].items() if v != ctx.decision}
+            assert set(cell) == ctx.dependency_set
+            if ctx.decision is not None:
+                alternatives = wildcatter.admissible(ctx.decision, cell)
+                assert configs == [{**cell, ctx.decision: a} for a in alternatives]
+            cells.setdefault(ctx.stage, []).append(cell)
+        # every cell of stage 2 (over B, T and R) and of stage 1 (over B) once,
+        # and the terminal value
+        assert {stage: len(c) for stage, c in cells.items()} == {2: 18, 1: 2, 0: 1}
+        for stage_cells in cells.values():
+            deps = sorted(stage_cells[0])
+            frames = [wildcatter.frames[v].labels for v in deps]
+            expected = {tuple(zip(deps, labels)) for labels in itertools.product(*frames)}
+            assert sorted(tuple(sorted(c.items())) for c in stage_cells) == sorted(expected)
+        assert [args[0].stage for args, _ in calls][-1] == 0
+        assert len({args[3].seed for args, _ in calls}) == len(calls)
 
     def test_default_sampler_returns_the_exact_policies(self):
         """Alternatives ranked on one stream tie where their exact values
