@@ -1204,15 +1204,60 @@ def _places(ctx, configs, sampler):
     return places
 
 
+def _shared_table_model():
+    """D1 -> X -> Y, with V reading Y and D1: every alternative draws Y
+    through the one table of `P(Y | X)`, but X is the constant `x0` under
+    `a` and `x1` under `d`, and drawn from different rows of `P(X | D1)`
+    under `b` and `c`, so the alternatives' Y draws differ in their fixed
+    row part or in their row parent's draws."""
+    return build_model(
+        nodes=(
+            NodeSpec("D1", "decision", Frame(("a", "b", "c", "d"))),
+            NodeSpec("X", "chance", Frame(("x0", "x1"))),
+            NodeSpec("Y", "chance", Frame(("y0", "y1"))),
+            NodeSpec("V", "value"),
+        ),
+        arrows=(
+            ArrowSpec("D1", "X", "relevance"),
+            ArrowSpec("X", "Y", "relevance"),
+            ArrowSpec("D1", "V", "relevance"),
+            ArrowSpec("Y", "V", "relevance"),
+        ),
+        cpts=(
+            Cpt(
+                "X",
+                ("D1",),
+                {
+                    ("a",): {"x0": 1.0, "x1": 0.0},
+                    ("b",): {"x0": 0.25, "x1": 0.75},
+                    ("c",): {"x0": 0.625, "x1": 0.375},
+                    ("d",): {"x0": 0.0, "x1": 1.0},
+                },
+            ),
+            Cpt("Y", ("X",), {("x0",): {"y0": 0.125, "y1": 0.875}, ("x1",): {"y0": 0.5, "y1": 0.5}}),
+        ),
+        constraints=(),
+        value_table=ValueTable(
+            ("D1", "Y"),
+            {(d, y): float(10 * i + j) for i, d in enumerate("abcd") for j, y in enumerate(("y0", "y1"))},
+        ),
+    )
+
+
 class TestSharedCall:
     """One call estimates every alternative of a cell from one stream: each
     entry must equal its configuration estimated alone, on a fresh context."""
 
     SAMPLER = {"burn_in": 37, "samples": 901}
 
-    @pytest.mark.parametrize("source", [*BUNDLED, 0, 127])
+    @pytest.mark.parametrize("source", [*BUNDLED, "shared_table", 0, 127])
     def test_each_entry_equals_its_configuration_alone(self, source):
-        model = load_bundled(source) if isinstance(source, str) else _point_mass_model(source)
+        if source == "shared_table":
+            model = _shared_table_model()
+        elif isinstance(source, str):
+            model = load_bundled(source)
+        else:
+            model = _point_mass_model(source)
         shared_draws = collections.Counter()
         for build, configs in _stage_builders(model):
             ctx = build()
