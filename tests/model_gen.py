@@ -237,3 +237,15 @@ def chain_model(p0, p1, steps, values) -> IridModel:
         for j, d in enumerate(frames["D"].labels)
         for i, x in enumerate(binary.labels)})
     return build_model(tuple(nodes), tuple(arrows), tuple(cpts), (), value)
+
+
+def escaped_label_model() -> IridModel:
+    """One chance node whose name and labels need JSON escapes."""
+    labels = ("é", '"q"', "back\\slash", "line\nbreak")
+    return build_model(
+        (NodeSpec("X é", "chance", Frame(labels)), NodeSpec("V", "value")),
+        (ArrowSpec("X é", "V", "relevance"),),
+        (Cpt("X é", (), {(): {lab: 0.25 for lab in labels}}),),
+        (),
+        ValueTable(("X é",), {(lab,): float(i) for i, lab in enumerate(labels)}),
+    )
