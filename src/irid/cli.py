@@ -187,8 +187,13 @@ def _cmd_solve(args) -> int:
     except OSError as e:
         raise _UsageError(f"cannot write solution: {e}") from None
     _print_policies(model, solution.policies)
-    se = solution.expected_value_std_error
-    extra = f"  (std error {se:.2f}, n {solution.expected_value_n})" if se is not None else ""
+    se, n = solution.expected_value_std_error, solution.expected_value_n
+    if n is None:  # exact
+        extra = ""
+    elif se is None:  # fewer than two samples
+        extra = f"  (std error undefined, n {n})"
+    else:
+        extra = f"  (std error {se:.2f}, n {n})"
     print(f"expected value: {solution.expected_value:.2f}{extra}")
     print(f"solution written to {args.out}")
     return 0
@@ -211,7 +216,8 @@ def _cmd_compare(args) -> int:
         if d.value is None:
             est_txt = "---".rjust(15) + "  (zero-probability cell)"
         else:
-            est_txt = f"{d.value:>15.2f}  se={d.std_error:>12.2f}"
+            se_txt = "n/a" if d.std_error is None else f"{d.std_error:>12.2f}"
+            est_txt = f"{d.value:>15.2f}  se={se_txt}"
         print(
             f"  stage {d.stage} {d.decision}({cfg}) {d.alternative:>8}  "
             f"exact={exact_txt}  estimate={est_txt}"

@@ -144,8 +144,11 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class Estimate:
+    """A sampled conditional expectation: the mean of `n` kept sweeps and
+    its batch-means standard error, None (undefined) for fewer than two."""
+
     mean: float
-    std_error: float
+    std_error: float | None
     n: int
 
 
@@ -720,10 +723,12 @@ def _block_draws(
     return kept
 
 
-def _batch_means_se(values: np.ndarray) -> float:
+def _batch_means_se(values: np.ndarray) -> float | None:
+    """Standard error of the mean of `values` by batch means; None for
+    fewer than two values, from which no spread can be estimated."""
     n = len(values)
     if n < 2:
-        return 0.0
+        return None
     b = min(_BATCHES, n)
     m = n // b
     batch_means = np.add.reduce(values[: b * m].reshape(b, m), axis=1) / m

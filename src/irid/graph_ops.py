@@ -28,9 +28,9 @@ That is computed here:
 All functions are pure.  `remove_barren` and `absorb_decision` keep every
 invariant `build_model` checks, so they assemble their output from the input's
 validated parts through `model.derived_model` without checking it again (only
-the policy is validated); table factors that do not change are carried over,
-and a table the decision was a parent of is composed by one gather on the old
-array.  The graph code is plain Python over dicts and sets (the topological
+the policy is validated); tables that do not change are carried over as they
+are, and a table the decision was a parent of is composed by one gather on
+its old array.  The graph code is plain Python over dicts and sets (the topological
 sort lives in `model`).
 """
 
@@ -50,11 +50,9 @@ from .model import (
     RELEVANCE,
     VALUE,
     ArrowSpec,
-    Cpt,
     Frame,
     IridModel,
     Policy,
-    ValueTable,
     build_model,  # noqa: F401  the benchmark's tracer patches graph_ops.build_model
     derived_model,
     iter_configs,
@@ -155,9 +153,8 @@ def remove_barren(model: IridModel) -> IridModel:
         return model
     nodes = tuple(n for n in model.nodes if n.id in alive)
     arrows = tuple(a for a in model.arrows if a.source in alive and a.target in alive)
-    cpts = tuple(c for c in model.cpts if c.child in alive)
     constraints = tuple(c for c in model.constraints if c.decision in alive)
-    return derived_model(model, nodes, arrows, cpts, constraints, model.value, {})
+    return derived_model(model, nodes, arrows, constraints, {})
 
 
 def compute_partition(model: IridModel) -> StagePartition:
@@ -306,11 +303,13 @@ def _stage_factors(model: IridModel, gamma_prime: frozenset[str]) -> tuple[Stage
 def absorb_decision(model: IridModel, decision: str, policy: Policy) -> IridModel:
     """Substitute a solved decision function into the diagram.
 
-    Every table where the decision was a parent is recomposed: the decision's
-    slot is replaced by the policy's scope variables (deduplicated against
-    existing parents), and each row is copied from the old table at the
-    alternative the policy picks.  The decision node disappears; its zero-one
-    conditional is not added anywhere.
+    Every table where the decision was a parent is recomposed on its array
+    (`_compose`): the decision's slot is replaced by the policy's scope
+    variables (deduplicated against existing parents), and each row is
+    copied from the old table at the alternative the policy picks.  The new
+    arrays become the derived model's tables as they are; no label-keyed
+    rows are made.  The decision node disappears; its zero-one conditional
+    is not added anywhere.
     """
     if decision not in model.variables or model.kind(decision) != DECISION:
         raise UnknownDecision(f"no decision {decision!r}")
@@ -340,34 +339,18 @@ def absorb_decision(model: IridModel, decision: str, policy: Policy) -> IridMode
     index = model._node_index
     arrows.sort(key=lambda a: (index[a.target], index[a.source]))
 
+    # the decision's children are chance nodes and the value node (it is
+    # the last decision); a CPT's scope ends in its child
     changed: dict[str, Factor] = {}
-    new_cpts = []
-    for c in model.cpts:
-        if decision in c.parents:
-            merged = _composed_parents(c.parents, policy)
-            table = changed[c.child] = _compose(
-                model.cpt_factor(c.child), merged + (c.child,), policy, choice, frames
-            )
-            child_labels = frames[c.child].labels
-            rows = table.values.reshape(-1, len(child_labels)).tolist()
-            c = Cpt(c.child, merged, {
-                cfg: dict(zip(child_labels, row))
-                for cfg, row in zip(iter_configs(merged, frames), rows)
-            })
-        new_cpts.append(c)
-    new_value = model.value
-    if decision in new_value.parents:
-        merged = _composed_parents(new_value.parents, policy)
-        table = changed[model.value_var] = _compose(
-            model.value_factor, merged, policy, choice, frames
-        )
-        new_value = ValueTable(
-            merged, dict(zip(iter_configs(merged, frames), table.values.reshape(-1).tolist()))
-        )
+    for child in children:
+        table = model._table(child)
+        if child == model.value_var:
+            scope = _composed_parents(table.scope, policy)
+        else:
+            scope = _composed_parents(table.scope[:-1], policy) + (child,)
+        changed[child] = _compose(table, scope, policy, choice, frames)
     new_constraints = tuple(c for c in model.constraints if c.decision != decision)
-    return derived_model(
-        model, new_nodes, tuple(arrows), tuple(new_cpts), new_constraints, new_value, changed
-    )
+    return derived_model(model, new_nodes, tuple(arrows), new_constraints, changed)
 
 
 def _composed_parents(old_parents: tuple[str, ...], policy: Policy) -> tuple[str, ...]:

@@ -8,10 +8,19 @@ not restrict the choice).  Each chance node carries a conditional probability
 table, each decision a constraint mapping scope configurations to nonempty
 sets of permitted alternatives, and the single value node a real-valued table.
 
-`build_model` validates a model assembled from outside parts; `derived_model`
-assembles, without checks, one that a transformation (barren-node removal,
-decision absorption) made from a validated model, and carries over the parent's
-table factors.  Models are immutable and safe to share across threads.
+A model holds each table as one float array over its scope, row-major in frame
+order: the `Factor` the solver reads.  A chance node's is its CPT over
+(parents..., child), the value node's the value table over its parents, and a
+decision's the all-ones placeholder over (constraint scope..., decision).
+`Cpt` and `ValueTable` are the label-keyed form callers build models from;
+`IridModel.cpts`, `cpt` and `value` make that form from the arrays on demand,
+and nothing on the solve path asks for it.
+
+`build_model` validates a model assembled from outside parts and turns each
+table into its array once; `derived_model` assembles, without checks, one
+that a transformation (barren-node removal, decision absorption) made from a
+validated model, from the parent's arrays and the changed ones.  Models are
+immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -20,8 +29,9 @@ import hashlib
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -41,6 +51,7 @@ from .errors import (
     MissingPolicy,
     MissingTableEntry,
     MissingValueNode,
+    ModelError,
     MultipleValueNodes,
     NoForgettingViolated,
     NonFiniteValue,
@@ -139,7 +150,12 @@ class ArrowSpec:
 
 @dataclass(frozen=True)
 class Cpt:
-    """Conditional probability table: one probability row per parent configuration."""
+    """Conditional probability table: one probability row per parent configuration.
+
+    `rows` maps each configuration of `parents` (a tuple of labels, in
+    `parents` order) to the child's distribution, label -> probability.  It
+    is kept as given; `build_model` checks it and turns it into an array.
+    """
 
     child: str
     parents: tuple[str, ...]
@@ -147,11 +163,6 @@ class Cpt:
 
     def __post_init__(self):
         object.__setattr__(self, "parents", tuple(self.parents))
-        rows = {
-            tuple(cfg): {str(v): float(p) for v, p in row.items()}
-            for cfg, row in self.rows.items()
-        }
-        object.__setattr__(self, "rows", rows)
 
 
 @dataclass(frozen=True)
@@ -170,13 +181,15 @@ class Constraint:
 
 @dataclass(frozen=True)
 class ValueTable:
+    """The value node's table: one real value per configuration of `parents`
+    (a tuple of labels, in `parents` order).  `cells` is kept as given;
+    `build_model` checks it and turns it into an array."""
+
     parents: tuple[str, ...]
     cells: Mapping[tuple[str, ...], float]
 
     def __post_init__(self):
         object.__setattr__(self, "parents", tuple(self.parents))
-        cells = {tuple(cfg): float(v) for cfg, v in self.cells.items()}
-        object.__setattr__(self, "cells", cells)
 
 
 @dataclass(frozen=True)
@@ -256,24 +269,39 @@ def iter_configs(scope: Sequence[str], frames: Mapping[str, Frame]) -> Iterator[
     return itertools.product(*(frames[v].labels for v in scope))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IridModel:
     """Validated influence diagram.
 
     Construct it through `build_model`, which checks every invariant, or,
     for a model derived from a validated one, through `derived_model`.
-    Table factors and the content hash are computed on first use and cached.
+    `_tables` holds every node's table as a factor (see the module
+    docstring); two models are equal when their structure, constraints,
+    objective and table arrays are.  The content hash is computed on first
+    use and cached.
     """
 
     nodes: tuple[NodeSpec, ...]
     arrows: tuple[ArrowSpec, ...]
-    cpts: tuple[Cpt, ...]
     constraints: tuple[Constraint, ...]
-    value: ValueTable
+    #: every node's table, by owner: CPTs by child, the value table by the
+    #: value node, placeholders by decision
+    _tables: Mapping[str, Factor]
     objective: str = MAXIMIZE
-    #: table factors built so far, by owner: CPTs by child, the value table
-    #: by the value node, placeholders by decision
-    _tables: dict[str, Factor] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IridModel):
+            return NotImplemented
+        return (
+            (self.nodes, self.arrows, self.constraints, self.objective)
+            == (other.nodes, other.arrows, other.constraints, other.objective)
+            and self._tables.keys() == other._tables.keys()
+            and all(
+                t.scope == other._tables[v].scope
+                and np.array_equal(t.values, other._tables[v].values)
+                for v, t in self._tables.items()
+            )
+        )
 
     # -- structure ---------------------------------------------------------
 
@@ -358,14 +386,19 @@ class IridModel:
     # -- tables ------------------------------------------------------------
 
     @cached_property
-    def _cpt_map(self) -> dict[str, Cpt]:
-        return {c.child: c for c in self.cpts}
+    def cpts(self) -> tuple[Cpt, ...]:
+        """The CPTs in label-keyed form, in chance-node order, built on demand."""
+        return tuple(_label_view(CHANCE, self._tables[v]) for v in self.chance_vars)
 
     def cpt(self, var: str) -> Cpt:
-        try:
-            return self._cpt_map[var]
-        except KeyError:
-            raise UnknownVariable(f"no CPT for {var!r}") from None
+        if var not in self._node_map or self._node_map[var].kind != CHANCE:
+            raise UnknownVariable(f"no CPT for {var!r}")
+        return self.cpts[self.chance_vars.index(var)]
+
+    @cached_property
+    def value(self) -> ValueTable:
+        """The value table in label-keyed form, built on demand."""
+        return _label_view(VALUE, self._tables[self.value_var])
 
     @cached_property
     def _constraint_map(self) -> dict[str, Constraint]:
@@ -381,45 +414,17 @@ class IridModel:
     def cpt_factor(self, var: str) -> Factor:
         if self.kind(var) != CHANCE:
             raise UnknownVariable(f"no CPT for {var!r}")
-        return self._table(var)
+        return self._tables[var]
 
     @property
     def value_factor(self) -> Factor:
-        return self._table(self.value_var)
-
-    def placeholder_factor(self, decision: str) -> Factor:
-        """All-ones table over (constraint scope, decision): the stand-in for
-        a decision function not chosen yet.  Its scope is fixed during a
-        stage, so it contributes a constant and never perturbs weights or
-        support."""
-        if self.kind(decision) != DECISION:
-            raise UnknownDecision(f"{decision!r} is not a decision node")
-        return self._table(decision)
+        return self._tables[self.value_var]
 
     def _table(self, var: str) -> Factor:
-        table = self._tables.get(var)
-        if table is None:
-            table = self._tables[var] = self._build_table(var)
-        return table
-
-    def _build_table(self, var: str) -> Factor:
-        # build_model checked every entry, so Factor's checks are not repeated
-        kind = self.kind(var)
-        if kind == CHANCE:
-            c = self.cpt(var)
-            scope = c.parents + (var,)
-            labels = self.frame(var).labels
-            flat = [c.rows[cfg][lab] for cfg in iter_configs(c.parents, self.frames) for lab in labels]
-        elif kind == VALUE:
-            scope = self.value.parents
-            flat = [self.value.cells[cfg] for cfg in iter_configs(scope, self.frames)]
-        else:
-            scope = self.constraint(var).scope + (var,)
-            flat = None
-        frames = tuple(self.frame(v) for v in scope)
-        shape = tuple(len(f) for f in frames)
-        values = np.ones(shape) if flat is None else np.array(flat, dtype=float).reshape(shape)
-        return Factor.trusted(scope, frames, values)
+        """The table `var` owns: its CPT, the value table, or a decision's
+        placeholder.  The placeholder's scope is fixed during a stage, so it
+        contributes a constant and never perturbs weights or support."""
+        return self._tables[var]
 
     @cached_property
     def _content_hash(self) -> str:
@@ -565,23 +570,20 @@ def build_model(
         if c.child in cpt_map:
             raise InvalidModel(f"duplicate CPT for {c.child!r}")
         cpt_map[c.child] = c
-    chance_ids = [n.id for n in nodes if n.kind == CHANCE]
-    for v in chance_ids:
-        if v not in cpt_map:
-            raise CptParentsMismatch(f"chance node {v!r} has no CPT")
-        _validate_cpt(cpt_map[v], parents[v], frames)
-    ordered_cpts = tuple(cpt_map[v] for v in chance_ids)
+    tables = _cpt_tables([n.id for n in nodes if n.kind == CHANCE], cpt_map, parents, frames)
 
     if value_table is None:
         raise InvalidModel("a value table is required")
-    _validate_value_table(value_table, value_var, parents[value_var], frames)
+    tables[value_var] = _value_table(value_table, value_var, parents[value_var], frames)
+    for con in normalized_constraints:
+        scope = con.scope + (con.decision,)
+        tables[con.decision] = _factor(scope, frames, np.ones(math.prod(len(frames[v]) for v in scope)))
 
     return IridModel(
         nodes=nodes,
         arrows=arrows,
-        cpts=ordered_cpts,
         constraints=normalized_constraints,
-        value=value_table,
+        _tables={n.id: tables[n.id] for n in nodes},
         objective=objective,
     )
 
@@ -590,9 +592,7 @@ def derived_model(
     parent: IridModel,
     nodes: tuple[NodeSpec, ...],
     arrows: tuple[ArrowSpec, ...],
-    cpts: tuple[Cpt, ...],
     constraints: tuple[Constraint, ...],
-    value_table: ValueTable,
     changed: Mapping[str, Factor],
 ) -> IridModel:
     """Assemble, without checks, a model made from the validated `parent` by a
@@ -600,18 +600,13 @@ def derived_model(
     barren nodes, absorbing the last decision).
 
     The parts must be in `build_model`'s normal form: nodes in the parent's
-    order, arrows sorted by (target, source) position, CPTs in chance-node
-    order and constraints in decision order.  `changed` holds the table
-    factor of every surviving owner whose table differs from the parent's;
-    every other table factor the parent has built is carried over.
+    order, arrows sorted by (target, source) position and constraints in
+    decision order.  `changed` holds the table of every surviving node whose
+    table differs from the parent's; every other node keeps the parent's.
     """
-    model = IridModel(nodes, arrows, cpts, constraints, value_table, parent.objective)
-    alive = model._node_map
-    model._tables.update(
-        (v, t) for v, t in parent._tables.items() if v in alive and v not in changed
-    )
-    model._tables.update(changed)
-    return model
+    tables = {n.id: parent._tables[n.id] for n in nodes}
+    tables.update(changed)
+    return IridModel(nodes, arrows, constraints, tables, parent.objective)
 
 
 def _check_no_forgetting(dec_order: list[str], parents: Mapping[str, tuple[str, ...]]):
@@ -623,39 +618,153 @@ def _check_no_forgetting(dec_order: list[str], parents: Mapping[str, tuple[str, 
             )
 
 
-def _validate_cpt(cpt: Cpt, graph_parents: tuple[str, ...], frames: Mapping[str, Frame]):
-    if set(cpt.parents) != set(graph_parents):
-        raise CptParentsMismatch(
-            f"CPT for {cpt.child!r} declares parents {list(cpt.parents)}, "
-            f"graph has {list(graph_parents)}"
+def _factor(scope: tuple[str, ...], frames: Mapping[str, Frame], values: np.ndarray) -> Factor:
+    """A factor over `scope` holding `values`, any array of its size in
+    row-major order.  build_model checked the entries, so Factor's checks
+    are not repeated."""
+    table_frames = tuple(map(frames.__getitem__, scope))
+    return Factor.trusted(scope, table_frames, values.reshape(tuple(map(len, table_frames))))
+
+
+def _positions(
+    keys: list, scope: tuple[str, ...], frames: Mapping[str, Frame], section: str, owner: str
+) -> np.ndarray | None:
+    """The row-major position of each of `keys` among the configurations of
+    `scope`, -1 for a key that is none of them; None when the keys are the
+    configurations in row-major order.  Raises MissingTableEntry at the
+    first configuration (row-major) that no key names."""
+    configs = list(iter_configs(scope, frames))
+    if keys == configs:
+        return None
+    index = dict(zip(configs, range(len(configs))))
+    at = np.array([index.get(key, -1) for key in keys], dtype=np.intp)
+    named = np.zeros(len(configs), dtype=bool)
+    named[at[at >= 0]] = True
+    if not named.all():
+        raise MissingTableEntry(section, owner, configs[int(np.argmin(named))])
+    return at
+
+
+def _in_order(values: np.ndarray, at: np.ndarray | None) -> np.ndarray:
+    """`values`, one entry or row per key, moved to the keys' positions."""
+    if at is None:
+        return values
+    out = np.empty_like(values)
+    out[at] = values
+    return out
+
+
+def _stray_label(key: tuple, scope: tuple[str, ...], frames: Mapping[str, Frame]):
+    """The first (variable, label) of `key` whose label is outside the frame."""
+    return next((v, lab) for v, lab in zip(scope, key) if lab not in frames[v])
+
+
+def _cpt_tables(
+    chance: list[str],
+    cpt_map: Mapping[str, Cpt],
+    parents: Mapping[str, tuple[str, ...]],
+    frames: Mapping[str, Frame],
+) -> dict[str, Factor]:
+    """The CPT of each chance node as an array over (parents..., child),
+    once every row is checked.
+
+    The rows of all CPTs are checked together, in numpy.  The error raised
+    is that of the first chance node, in model order, whose CPT has one: the
+    CPT is missing, its declared parents differ from the graph's, a
+    configuration has no row, or a row is bad.  The first bad row in `rows`
+    order counts; within a row its key comes first, then its set of labels,
+    then the range of each probability in frame order, then its sum."""
+    # per CPT: (cpt, keys, rows, positions as `_positions` gives them,
+    # whether each row has exactly the frame's labels or None when all do,
+    # its first row among all CPTs' rows, its first probability in `flat`)
+    checked = []
+    flat: list[float] = []  # every row's probabilities in frame order
+    widths: list[int] = []  # every row's frame size
+    irregular: list[int] = []  # the rows with a bad key or set of labels
+    stop = None
+    for v in chance:
+        try:
+            if v not in cpt_map:
+                raise CptParentsMismatch(f"chance node {v!r} has no CPT")
+            cpt = cpt_map[v]
+            declared = cpt.parents
+            if declared != parents[v]:
+                if set(declared) != set(parents[v]):
+                    raise CptParentsMismatch(
+                        f"CPT for {v!r} declares parents {list(declared)}, "
+                        f"graph has {list(parents[v])}"
+                    )
+                if len(set(declared)) != len(declared):
+                    raise CptParentsMismatch(f"CPT for {v!r} repeats a parent")
+            keys = list(cpt.rows)
+            at = _positions(keys, declared, frames, "cpt", v)
+        except ModelError as e:
+            stop = e
+            break
+        labels = frames[v].labels
+        k = len(labels)
+        rows = list(cpt.rows.values())
+        get = itemgetter(*labels)  # a tuple, or one number for one label
+        shaped = None
+        try:
+            if sum(map(len, rows)) != len(rows) * k:
+                raise KeyError
+            values = list(map(get, rows))
+        except KeyError:
+            shaped = [row.keys() == set(labels) for row in rows]
+            gap = (math.nan,) * k if k > 1 else math.nan
+            values = [get(row) if ok else gap for row, ok in zip(rows, shaped)]
+            irregular += [len(widths) + i for i, ok in enumerate(shaped) if not ok]
+        if at is not None:
+            irregular += (len(widths) + np.flatnonzero(at < 0)).tolist()
+        checked.append((cpt, keys, rows, at, shaped, len(widths), len(flat)))
+        flat += itertools.chain.from_iterable(values) if k > 1 else values
+        widths += [k] * len(rows)
+
+    p = np.array(flat, dtype=float)
+    p.flags.writeable = False
+    # one row per CPT row, padded with zeros, which leave a running sum as it is
+    width = max(widths, default=0)
+    grid = np.zeros((len(widths), width))
+    grid[np.arange(width) < np.array(widths)[:, None]] = p
+    in_range = (grid >= 0.0) & (grid <= 1.0)  # False at NaN
+    total = np.zeros(len(widths))
+    for column in grid.T:  # a running sum in frame order, as Python adds
+        total += column
+    bad = ~in_range.all(axis=1) | (np.abs(total - 1.0) > PROB_TOL)
+    bad[irregular] = True
+    if bad.any():
+        i = int(np.argmax(bad))
+        cpt, keys, rows, at, shaped, first, _ = next(
+            r for r in reversed(checked) if r[5] <= i
         )
-    if len(set(cpt.parents)) != len(cpt.parents):
-        raise CptParentsMismatch(f"CPT for {cpt.child!r} repeats a parent")
-    child_frame = frames[cpt.child]
-    for cfg in iter_configs(cpt.parents, frames):
-        if cfg not in cpt.rows:
-            raise MissingTableEntry("cpt", cpt.child, cfg)
-    for cfg, row in cpt.rows.items():
-        if len(cfg) != len(cpt.parents):
-            raise InvalidModel(f"CPT row key {cfg!r} does not match parents of {cpt.child!r}")
-        for v, lab in zip(cpt.parents, cfg):
-            if lab not in frames[v]:
-                raise ValueNotInFrame(f"{lab!r} not in frame of {v!r} (CPT of {cpt.child!r})")
-        if set(row) != set(child_frame.labels):
-            extra = set(row) - set(child_frame.labels)
+        child, j = cpt.child, i - first
+        key = keys[j]
+        if at is not None and at[j] < 0:
+            if len(key) != len(cpt.parents):
+                raise InvalidModel(f"CPT row key {key!r} does not match parents of {child!r}")
+            v, lab = _stray_label(key, cpt.parents, frames)
+            raise ValueNotInFrame(f"{lab!r} not in frame of {v!r} (CPT of {child!r})")
+        if shaped is not None and not shaped[j]:
+            extra = set(rows[j]) - set(frames[child].labels)
             if extra:
                 raise ValueNotInFrame(
-                    f"CPT row of {cpt.child!r} mentions {sorted(extra)} outside the frame"
+                    f"CPT row of {child!r} mentions {sorted(extra)} outside the frame"
                 )
-            raise CptRowNotNormalized(cpt.child, cfg, "missing probabilities")
-        total = 0.0
-        for lab in child_frame.labels:
-            p = row[lab]
-            if not (0.0 <= p <= 1.0):
-                raise CptRowNotNormalized(cpt.child, cfg, f"P={p!r} outside [0,1]")
-            total += p
-        if abs(total - 1.0) > PROB_TOL:
-            raise CptRowNotNormalized(cpt.child, cfg, f"row sums to {total!r}")
+            raise CptRowNotNormalized(child, key, "missing probabilities")
+        if not in_range[i].all():
+            p_bad = grid[i, int(np.argmin(in_range[i]))].item()
+            raise CptRowNotNormalized(child, key, f"P={p_bad!r} outside [0,1]")
+        raise CptRowNotNormalized(child, key, f"row sums to {total[i].item()!r}")
+    if stop is not None:
+        raise stop
+
+    tables = {}
+    for cpt, keys, rows, at, shaped, first, entry in checked:
+        k = len(frames[cpt.child])
+        values = p[entry:entry + len(rows) * k].reshape(len(rows), k)
+        tables[cpt.child] = _factor(cpt.parents + (cpt.child,), frames, _in_order(values, at))
+    return tables
 
 
 def _validate_constraint(
@@ -693,26 +802,50 @@ def _validate_constraint(
     return Constraint(con.decision, con.scope, cells)
 
 
-def _validate_value_table(
+def _value_table(
     vt: ValueTable, value_var: str, graph_parents: tuple[str, ...], frames: Mapping[str, Frame]
-):
-    if set(vt.parents) != set(graph_parents):
+) -> Factor:
+    """`vt` as an array over its parents, once every cell is checked; an
+    invalid table raises the error of its first bad cell in `cells` order."""
+    parents = vt.parents
+    if set(parents) != set(graph_parents):
         raise InvalidModel(
-            f"value table declares parents {list(vt.parents)}, graph has {list(graph_parents)}"
+            f"value table declares parents {list(parents)}, graph has {list(graph_parents)}"
         )
-    if len(set(vt.parents)) != len(vt.parents):
+    if len(set(parents)) != len(parents):
         raise InvalidModel("value table repeats a parent")
-    for cfg in iter_configs(vt.parents, frames):
-        if cfg not in vt.cells:
-            raise MissingTableEntry("value", value_var, cfg)
-    for cfg, v in vt.cells.items():
-        if len(cfg) != len(vt.parents):
-            raise InvalidModel(f"value cell key {cfg!r} does not match value parents")
-        for var, lab in zip(vt.parents, cfg):
-            if lab not in frames[var]:
-                raise ValueNotInFrame(f"{lab!r} not in frame of {var!r} (value table)")
-        if not math.isfinite(v):
-            raise NonFiniteValue(f"value table entry at {cfg!r} is {v!r}")
+    keys = list(vt.cells)
+    at = _positions(keys, parents, frames, "value", value_var)
+    v = np.array(list(vt.cells.values()), dtype=float)
+    bad = ~np.isfinite(v)
+    if at is not None:
+        bad |= at < 0
+    if bad.any():
+        i = int(np.argmax(bad))
+        key = keys[i]
+        if at is not None and at[i] < 0:
+            if len(key) != len(parents):
+                raise InvalidModel(f"value cell key {key!r} does not match value parents")
+            var, lab = _stray_label(key, parents, frames)
+            raise ValueNotInFrame(f"{lab!r} not in frame of {var!r} (value table)")
+        raise NonFiniteValue(f"value table entry at {key!r} is {v[i].item()!r}")
+    return _factor(parents, frames, _in_order(v, at))
+
+
+def _label_view(kind: str, table: Factor) -> Cpt | ValueTable:
+    """The label-keyed form of a model's table: a chance node's CPT, whose
+    scope ends in the child, or the value table."""
+    if kind == VALUE:
+        configs = itertools.product(*(f.labels for f in table.frames))
+        return ValueTable(table.scope, dict(zip(configs, table.values.ravel().tolist())))
+    labels = table.frames[-1].labels
+    configs = itertools.product(*(f.labels for f in table.frames[:-1]))
+    rows = table.values.reshape(-1, len(labels)).tolist()
+    return Cpt(
+        table.scope[-1],
+        table.scope[:-1],
+        {cfg: dict(zip(labels, row)) for cfg, row in zip(configs, rows)},
+    )
 
 
 # --------------------------------------------------------------------------
@@ -778,14 +911,6 @@ class BayesNetView:
     @property
     def variables(self) -> tuple[str, ...]:
         return tuple(v for v in self.model.variables if v != self.model.value_var)
-
-    def joint_probability(self, config: Config) -> float:
-        p = 1.0
-        for v in self.variables:
-            p *= self.conditionals[v].evaluate(config)
-            if p == 0.0:
-                return 0.0
-        return p
 
 
 def fix_policies(model: IridModel, policies: Mapping[str, Policy]) -> BayesNetView:

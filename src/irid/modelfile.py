@@ -18,13 +18,21 @@ The model format mirrors the domain types one-to-one:
 
 Parsing reports the offending field path in the error's `field`; validation
 errors from model construction are annotated with one where it can be
-located.  Serialization is canonical (fixed key order, full-precision
-numbers), so parse(serialize(m)) reproduces m field-by-field and the
-serialized bytes hash stably.
+located.  Well-formed table entries take a fast path through the parser; any
+other entry gets the full checks, which name the first bad field.
+
+`serialize_model` writes the canonical bytes straight from the model's frames
+and table arrays, through %-templates of the `json.dumps(doc, indent=2)`
+layout: fixed key order, rows and cells row-major over their parents, numbers
+as `float.__repr__`.  So parse(serialize(m)) == m, and the bytes hash stably:
+`model_content_hash` is their sha256, computed once per model object.
+Solution files go through `_to_json`, a faster `json.dumps(obj, indent=2)`
+for the documents irid writes.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from typing import Any, Mapping
@@ -42,6 +50,7 @@ from .errors import (
     UnknownVariable,
 )
 from .model import (
+    ARROW_KINDS,
     OBJECTIVES,
     ArrowSpec,
     Constraint,
@@ -104,24 +113,24 @@ def model_from_document(doc: Any) -> IridModel:
         frame = None
         if "frame" in item:
             labels = _expect(item["frame"], list, f"{path}.frame")
-            frame = _wrap(lambda: Frame(tuple(str(x) for x in labels)), f"{path}.frame")
-        node = _wrap(lambda: NodeSpec(nid, kind, frame), path)
-        nodes.append(node)
+            frame = _wrap(Frame, f"{path}.frame", tuple(map(str, labels)))
+        nodes.append(_wrap(NodeSpec, path, nid, kind, frame))
 
     arrows = []
     for i, item in enumerate(_req(doc, "arrows", list, "$")):
+        if (
+            type(item) is dict
+            and type(source := item.get("from")) is str
+            and type(target := item.get("to")) is str
+            and item.get("kind") in ARROW_KINDS
+        ):
+            arrows.append(ArrowSpec(source, target, item["kind"]))
+            continue
         path = f"arrows[{i}]"
         _expect(item, dict, path)
-        arrows.append(
-            _wrap(
-                lambda: ArrowSpec(
-                    _req(item, "from", str, path),
-                    _req(item, "to", str, path),
-                    _req(item, "kind", str, path),
-                ),
-                path,
-            )
-        )
+        source = _req(item, "from", str, path)
+        target = _req(item, "to", str, path)
+        arrows.append(_wrap(ArrowSpec, path, source, target, _req(item, "kind", str, path)))
 
     cpts = []
     for i, item in enumerate(_req(doc, "cpts", list, "$")):
@@ -130,14 +139,18 @@ def model_from_document(doc: Any) -> IridModel:
         child = _req(item, "child", str, path)
         parents = tuple(str(p) for p in _req(item, "parents", list, path))
         rows = {}
+        names = set(parents)
         for j, row in enumerate(_req(item, "rows", list, path)):
-            rpath = f"{path}.rows[{j}]"
-            _expect(row, dict, rpath)
-            given = _given(row, parents, rpath)
-            p = _req(row, "p", dict, rpath)
-            probs = {lab: _req_number(p, lab, f"{rpath}.p") for lab in p}
+            given = _well_formed_given(row, parents, names)
+            probs = row.get("p") if given is not None else None
+            if type(probs) is not dict or not _FLOAT.issuperset(map(type, probs.values())):
+                rpath = f"{path}.rows[{j}]"
+                _expect(row, dict, rpath)
+                given = _given(row, parents, rpath)
+                p = _req(row, "p", dict, rpath)
+                probs = {lab: _req_number(p, lab, f"{rpath}.p") for lab in p}
             if given in rows:
-                raise SchemaError(f"{rpath}.given", "duplicate row configuration")
+                raise SchemaError(f"{path}.rows[{j}].given", "duplicate row configuration")
             rows[given] = probs
         cpts.append(Cpt(child, parents, rows))
 
@@ -148,26 +161,36 @@ def model_from_document(doc: Any) -> IridModel:
         decision = _req(item, "decision", str, path)
         scope = tuple(str(s) for s in _req(item, "scope", list, path))
         cells = {}
+        names = set(scope)
         for j, cell in enumerate(_req(item, "cells", list, path)):
-            cpath = f"{path}.cells[{j}]"
-            _expect(cell, dict, cpath)
-            given = _given(cell, scope, cpath)
-            allow = _req(cell, "allow", list, cpath)
+            given = _well_formed_given(cell, scope, names)
+            allow = cell.get("allow") if given is not None else None
+            if type(allow) is not list:
+                cpath = f"{path}.cells[{j}]"
+                _expect(cell, dict, cpath)
+                given = _given(cell, scope, cpath)
+                allow = _req(cell, "allow", list, cpath)
             if given in cells:
-                raise SchemaError(f"{cpath}.given", "duplicate cell configuration")
-            cells[given] = tuple(str(a) for a in allow)
+                raise SchemaError(f"{path}.cells[{j}].given", "duplicate cell configuration")
+            cells[given] = tuple(map(str, allow))
         constraints.append(Constraint(decision, scope, cells))
 
     vdoc = _req(doc, "value", dict, "$")
     vparents = tuple(str(p) for p in _req(vdoc, "parents", list, "value"))
     vcells = {}
+    names = set(vparents)
     for j, cell in enumerate(_req(vdoc, "cells", list, "value")):
-        cpath = f"value.cells[{j}]"
-        _expect(cell, dict, cpath)
-        given = _given(cell, vparents, cpath)
-        v = _req_number(cell, "v", cpath)
+        given = _well_formed_given(cell, vparents, names)
+        v = cell.get("v") if given is not None else None
+        if type(v) is int and abs(v) < 2**53:  # exactly a float
+            v = float(v)
+        if type(v) is not float:
+            cpath = f"value.cells[{j}]"
+            _expect(cell, dict, cpath)
+            given = _given(cell, vparents, cpath)
+            v = _req_number(cell, "v", cpath)
         if given in vcells:
-            raise SchemaError(f"{cpath}.given", "duplicate cell configuration")
+            raise SchemaError(f"value.cells[{j}].given", "duplicate cell configuration")
         vcells[given] = v
     value = ValueTable(vparents, vcells)
 
@@ -211,9 +234,25 @@ def _given(obj: Mapping, scope: tuple[str, ...], path: str) -> tuple[str, ...]:
     return tuple(str(given[v]) for v in scope)
 
 
-def _wrap(fn, path: str):
+#: the types of a row's probabilities that need no conversion
+_FLOAT = frozenset({float})
+
+
+def _well_formed_given(entry, scope: tuple[str, ...], names: set[str]) -> tuple[str, ...] | None:
+    """What `_given` returns for a table entry that passes its checks, or
+    None; the loops above take this fast path and fall back to the full
+    checks, which raise the error, for any entry it does not accept."""
+    if type(entry) is dict:
+        given = entry.get("given")
+        if type(given) is dict and given.keys() == names:
+            return tuple(map(str, map(given.__getitem__, scope)))
+    return None
+
+
+def _wrap(make, path: str, *args):
+    """`make(*args)`, with `path` as the field of a ModelError it raises."""
     try:
-        return fn()
+        return make(*args)
     except ModelError as e:
         e.field = path
         raise
@@ -288,50 +327,6 @@ def _arrow_field(doc: Mapping, arrows: set[tuple[str, str]]) -> str:
 # serialization
 
 
-def model_to_document(model: IridModel) -> dict:
-    nodes = []
-    for n in model.nodes:
-        item: dict[str, Any] = {"id": n.id, "kind": n.kind}
-        if n.frame is not None:
-            item["frame"] = list(n.frame.labels)
-        nodes.append(item)
-    cpts = []
-    for c in model.cpts:
-        rows = []
-        for cfg in iter_configs(c.parents, model.frames):
-            rows.append(
-                {
-                    "given": dict(zip(c.parents, cfg)),
-                    "p": {lab: c.rows[cfg][lab] for lab in model.frame(c.child).labels},
-                }
-            )
-        cpts.append({"child": c.child, "parents": list(c.parents), "rows": rows})
-    constraints = []
-    for con in model.constraints:
-        cells = [
-            {"given": dict(zip(con.scope, cfg)), "allow": list(con.cells[cfg])}
-            for cfg in iter_configs(con.scope, model.frames)
-        ]
-        constraints.append(
-            {"decision": con.decision, "scope": list(con.scope), "cells": cells}
-        )
-    vcells = [
-        {"given": dict(zip(model.value.parents, cfg)), "v": model.value.cells[cfg]}
-        for cfg in iter_configs(model.value.parents, model.frames)
-    ]
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "objective": model.objective,
-        "nodes": nodes,
-        "arrows": [
-            {"from": a.source, "to": a.target, "kind": a.kind} for a in model.arrows
-        ],
-        "cpts": cpts,
-        "constraints": constraints,
-        "value": {"parents": list(model.value.parents), "cells": vcells},
-    }
-
-
 def _to_json(obj, newline: str = "\n") -> str:
     """Exactly `json.dumps(obj, indent=2)` for the documents irid writes.
 
@@ -375,14 +370,98 @@ def _to_json(obj, newline: str = "\n") -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+#: the line break and indentation before an item at each nesting depth
+_NL = tuple("\n" + "  " * depth for depth in range(7))
+
+
+def _block(brackets: str, items: list[str], depth: int) -> str:
+    """A JSON object or array at `depth` whose items are written already, in
+    `json.dumps(..., indent=2)` layout."""
+    if not items:
+        return brackets
+    inner = _NL[depth + 1]
+    return brackets[0] + inner + ("," + inner).join(items) + _NL[depth] + brackets[1]
+
+
+def _strings(labels, depth: int) -> str:
+    return _block("[]", [_escape(lab) for lab in labels], depth)
+
+
+def _object(keys: str, depth: int) -> str:
+    """A %-template of an object at `depth` with the space-separated keys
+    and a %s slot for each value."""
+    return _block("{}", [_escape(key) + ": %s" for key in keys.split()], depth)
+
+
+_NODE = _object("id kind", 2)
+_FRAMED_NODE = _object("id kind frame", 2)
+_ARROW = _object("from to kind", 2)
+_CPT = _object("child parents rows", 2)
+_CONSTRAINT = _object("decision scope cells", 2)
+_VALUE = _object("parents cells", 1)
+_DOCUMENT = _object("schema_version objective nodes arrows cpts constraints value", 0)
+
+
 def serialize_model(model: IridModel) -> bytes:
-    """Canonical bytes; numbers keep full precision so round-trips are exact."""
-    return (_to_json(model_to_document(model)) + "\n").encode("utf-8")
+    """Canonical bytes: `json.dumps(doc, indent=2)` of the document
+    `parse_model` reads back as `model`, written straight from its frames
+    and table arrays.  Rows and cells come in row-major order over their
+    parents; numbers are `float.__repr__`, so round-trips are exact."""
+    name = {n.id: _escape(n.id) for n in model.nodes}
+    labels = {v: [_escape(lab) for lab in f.labels] for v, f in model.frames.items()}
+    # a `"name": ` key as %-template text
+    key = {v: escaped.replace("%", "%%") + ": " for v, escaped in name.items()}
+
+    def names(scope, depth):
+        return _block("[]", [name[v] for v in scope], depth)
+
+    def cells(scope, depth, field, fmt, values):
+        # the array of {"given": {...}, field: value} objects at `depth`,
+        # one per configuration of `scope`, row-major; each of `values` is
+        # the tuple that fills `fmt`
+        given = _block("{}", [key[v] + "%s" for v in scope], depth + 2)
+        template = _block("{}", ['"given": ' + given, field + ": " + fmt], depth + 1)
+        configs = itertools.product(*[labels[v] for v in scope])
+        return _block("[]", [template % (cfg + x) for cfg, x in zip(configs, values)], depth)
+
+    nodes = [
+        _NODE % (name[n.id], _escape(n.kind)) if n.frame is None
+        else _FRAMED_NODE % (name[n.id], _escape(n.kind), _block("[]", labels[n.id], 3))
+        for n in model.nodes
+    ]
+    arrows = [_ARROW % (name[a.source], name[a.target], _escape(a.kind)) for a in model.arrows]
+    cpts = []
+    for v in model.chance_vars:
+        table = model.cpt_factor(v)
+        parents = table.scope[:-1]
+        k = len(labels[v])
+        p = _block("{}", [lab.replace("%", "%%") + ": %r" for lab in labels[v]], 5)
+        rows = map(tuple, table.values.reshape(-1, k).tolist())
+        cpts.append(_CPT % (name[v], names(parents, 3), cells(parents, 3, '"p"', p, rows)))
+    constraints = [
+        _CONSTRAINT % (name[con.decision], names(con.scope, 3), cells(
+            con.scope, 3, '"allow"', "%s",
+            ((_strings(con.cells[cfg], 5),) for cfg in iter_configs(con.scope, model.frames)),
+        ))
+        for con in model.constraints
+    ]
+    value = model.value_factor
+    vcells = cells(value.scope, 2, '"v"', "%r", zip(value.values.ravel().tolist()))
+    doc = _DOCUMENT % (
+        _escape(SCHEMA_VERSION),
+        _escape(model.objective),
+        _block("[]", nodes, 1),
+        _block("[]", arrows, 1),
+        _block("[]", cpts, 1),
+        _block("[]", constraints, 1),
+        _VALUE % (names(value.scope, 2), vcells),
+    )
+    return (doc + "\n").encode("utf-8")
 
 
 def model_content_hash(model: IridModel) -> str:
     """sha256 of `serialize_model(model)`, computed once per model object
-    (models are immutable)."""
+    (models are immutable) and kept on it."""
     return model._content_hash
 
 

@@ -62,7 +62,12 @@ class SolveOptions:
 
 @dataclass(frozen=True, slots=True)
 class CellDiagnostic:
-    """One evaluated (stage, predecessor configuration, alternative)."""
+    """One evaluated (stage, predecessor configuration, alternative).
+
+    `value` is None where the alternative's conditioning event has
+    probability zero.  `std_error` and `n` are None for an exact value;
+    `std_error` is None too for a sampled value of fewer than two samples,
+    whose spread is undefined."""
 
     stage: int
     decision: str

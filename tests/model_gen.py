@@ -12,6 +12,8 @@ no-forgetting already forces on it.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from irid.data import load_bundled
@@ -237,6 +239,59 @@ def chain_model(p0, p1, steps, values) -> IridModel:
         for j, d in enumerate(frames["D"].labels)
         for i, x in enumerate(binary.labels)})
     return build_model(tuple(nodes), tuple(arrows), tuple(cpts), (), value)
+
+
+def multisite_model(k: int, rng: np.random.Generator) -> IridModel:
+    """A wildcatter with `k` drill sites and a budget of 1 or 2 drills.
+
+    Site i has oil `Oi` and a seismic reading `Ri`, observed before the drill
+    decision `Di`.  The budget `B` and the earlier decisions are relevance
+    arrows into each `Di`: its constraint allows drilling only while fewer
+    than `B` drills have been made.  `V` sums the sites' payoffs: a gain for
+    oil drilled, a loss for a dry hole, nothing for a site passed.  The
+    probabilities are dyadic, as in `random_model`.
+    """
+    budget = Frame(("1", "2"))
+    oil, reading, drill = Frame(("oil", "dry")), Frame(("good", "bad")), Frame(("drill", "pass"))
+    sites = range(1, k + 1)
+    nodes = [NodeSpec("B", "chance", budget)]
+    for i in sites:
+        nodes += [NodeSpec(f"O{i}", "chance", oil), NodeSpec(f"R{i}", "chance", reading),
+                  NodeSpec(f"D{i}", "decision", drill)]
+    nodes.append(NodeSpec("V", "value"))
+    arrows = []
+    for i in sites:
+        arrows += [ArrowSpec(f"O{i}", f"R{i}", "relevance"), ArrowSpec("B", f"D{i}", "relevance")]
+        arrows += [ArrowSpec(f"D{j}", f"D{i}", "relevance") for j in range(1, i)]
+        arrows += [ArrowSpec(f"R{j}", f"D{i}", "informational") for j in range(1, i + 1)]
+        arrows += [ArrowSpec(f"O{i}", "V", "relevance"), ArrowSpec(f"D{i}", "V", "relevance")]
+
+    def row(frame, sixteenths):
+        return {frame.labels[0]: sixteenths / 16, frame.labels[1]: (16 - sixteenths) / 16}
+
+    cpts = [Cpt("B", (), {(): row(budget, int(rng.integers(4, 13)))})]
+    constraints = []
+    payoffs = []
+    for i in sites:
+        hit, miss = int(rng.integers(10, 15)), int(rng.integers(10, 15))
+        cpts += [
+            Cpt(f"O{i}", (), {(): row(oil, int(rng.integers(3, 10)))}),
+            Cpt(f"R{i}", (f"O{i}",), {("oil",): row(reading, hit), ("dry",): row(reading, 16 - miss)}),
+        ]
+        scope = ("B", *(f"D{j}" for j in range(1, i)))
+        constraints.append(Constraint(f"D{i}", scope, {
+            (b, *done): ("drill", "pass") if done.count("drill") < int(b) else ("pass",)
+            for b, *done in itertools.product(budget.labels, *[drill.labels] * (i - 1))
+        }))
+        gain, loss = 1000.0 * int(rng.integers(40, 121)), -1000.0 * int(rng.integers(10, 41))
+        payoffs.append({("oil", "drill"): gain, ("dry", "drill"): loss,
+                        ("oil", "pass"): 0.0, ("dry", "pass"): 0.0})
+    v_parents = tuple(v for i in sites for v in (f"O{i}", f"D{i}"))
+    cells = {
+        cfg: sum(pay[cfg[2 * i], cfg[2 * i + 1]] for i, pay in enumerate(payoffs))
+        for cfg in itertools.product(*[oil.labels, drill.labels] * k)
+    }
+    return build_model(nodes, arrows, cpts, constraints, ValueTable(v_parents, cells))
 
 
 def escaped_label_model() -> IridModel:

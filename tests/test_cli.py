@@ -198,6 +198,21 @@ class TestSolve:
         assert run_cli(argv + [out2]) == 0
         assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
+    @pytest.mark.parametrize("samples", ["1", "2"])
+    def test_std_error_of_one_sample_is_undefined(self, wildcatter_file, tmp_path, capsys, samples):
+        out = tmp_path / "s.json"
+        argv = ["solve", wildcatter_file, "--backend", "gibbs", "--seed", "0", "--burn-in", "0"]
+        assert run_cli([*argv, "--samples", samples, "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        doc = json.loads(out.read_bytes())
+        if samples == "1":
+            assert "(std error undefined, n 1)" in text
+            assert doc["expected_value_std_error"] is None
+            assert all(d["std_error"] is None for d in doc["diagnostics"])
+        else:
+            assert re.search(r"\(std error [0-9.]+, n 2\)", text)
+            assert doc["expected_value_std_error"] is not None
+
     def test_unwritable_solution_file_is_a_usage_error(self, wildcatter_file, tmp_path, capsys):
         out = tmp_path / "missing" / "s.json"
         assert run_cli(["solve", wildcatter_file, "--backend", "exact", "--out", str(out)]) == 1
@@ -273,6 +288,16 @@ class TestCompare:
         text = capsys.readouterr().out
         assert "DIFFERS" in text and "(tie)" not in text
         assert text.endswith("policies differ\n")
+
+    def test_std_error_of_one_sample_prints_as_not_available(self, wildcatter_file, capsys):
+        argv = ["compare", wildcatter_file, "--seed", "0", "--burn-in", "0", "--samples", "1"]
+        assert run_cli(argv) in (0, 4)
+        estimates = [line for line in capsys.readouterr().out.splitlines() if "estimate=" in line]
+        assert estimates
+        assert all(
+            line.endswith("se=n/a") or line.endswith("(zero-probability cell)")
+            for line in estimates
+        )
 
     def test_a_policy_too_large_to_evaluate_differs(self, wildcatter_file, monkeypatch, capsys):
         def over_budget(model, policies):

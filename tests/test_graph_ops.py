@@ -426,7 +426,7 @@ class TestDerivedModelCertificate:
             for v in m.chance_vars:
                 assert_same_table(m.cpt_factor(v), rebuilt.cpt_factor(v))
             for d in m.decisions:
-                assert_same_table(m.placeholder_factor(d), rebuilt.placeholder_factor(d))
+                assert_same_table(m._table(d), rebuilt._table(d))
             assert_same_table(m.value_factor, rebuilt.value_factor)
 
 

@@ -1,4 +1,6 @@
 import ast
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from irid.errors import (
     MissingTableEntry,
     MultipleValueNodes,
     NoForgettingViolated,
+    NonFiniteValue,
     PolicyViolatesConstraint,
     UnknownDecision,
     ValueNodeNotSink,
@@ -238,10 +241,10 @@ class TestFixPolicies:
             "D": constrained_constant_policy(wildcatter, "D", "d"),
         }
         view = fix_policies(wildcatter, policies)
-        total = sum(
-            view.joint_probability(dict(zip(view.variables, cfg)))
-            for cfg in iter_configs(view.variables, wildcatter.frames)
-        )
+        total = 0.0
+        for cfg in iter_configs(view.variables, wildcatter.frames):
+            assign = dict(zip(view.variables, cfg))
+            total += math.prod(view.conditionals[v].evaluate(assign) for v in view.variables)
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_classic_testing_policy_becomes_belief_network(self, wildcatter_info_only):
@@ -264,10 +267,10 @@ class TestFixPolicies:
             ),
         }
         view = fix_policies(m, policies)
-        total = sum(
-            view.joint_probability(dict(zip(view.variables, cfg)))
-            for cfg in iter_configs(view.variables, m.frames)
-        )
+        total = 0.0
+        for cfg in iter_configs(view.variables, m.frames):
+            assign = dict(zip(view.variables, cfg))
+            total += math.prod(view.conditionals[v].evaluate(assign) for v in view.variables)
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_one_hot_conditionals_zero_other_branches(self, wildcatter):
@@ -278,7 +281,7 @@ class TestFixPolicies:
         view = fix_policies(wildcatter, policies)
         for cfg in iter_configs(view.variables, wildcatter.frames):
             assign = dict(zip(view.variables, cfg))
-            p = view.joint_probability(assign)
+            p = math.prod(view.conditionals[v].evaluate(assign) for v in view.variables)
             if assign["T"] != "nt" or assign["D"] != "nd":
                 assert p == 0.0
 
@@ -428,3 +431,192 @@ class TestValidationRejectsCorruption:
                 wildcatter,
                 constraints=(wildcatter.constraint("T"), Constraint("D", con.scope, cells)),
             )
+
+
+class TestTablesAreArrays:
+    """A model holds its tables as arrays; `cpts` and `value` are label views
+    of them, made on demand, and nothing on the solve path asks for them."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_views_give_back_the_tables_built_from(self, seed):
+        rng = np.random.default_rng(seed)
+        m = random_model(seed, n_decisions=(0, 3), allow_zeros=seed % 2 == 0)
+        # the same tables with shuffled parents, rows and labels
+        cpts = []
+        for c in m.cpts:
+            order = rng.permutation(len(c.parents))
+            rows = [
+                (tuple(cfg[i] for i in order), dict(sorted(row.items(), reverse=True)))
+                for cfg, row in c.rows.items()
+            ]
+            rng.shuffle(rows)
+            cpts.append(Cpt(c.child, tuple(c.parents[i] for i in order), dict(rows)))
+        cells = list(m.value.cells.items())
+        rng.shuffle(cells)
+        shuffled = rebuild(m, cpts=cpts, value=ValueTable(m.value.parents, dict(cells)))
+        assert shuffled.cpts == tuple(cpts)
+        assert shuffled.value == ValueTable(m.value.parents, dict(cells))
+        for c, s in zip(m.cpts, cpts):
+            table = shuffled.cpt_factor(c.child)
+            assert table.scope == s.parents + (c.child,)
+            for cfg, row in s.rows.items():
+                for lab, p in row.items():
+                    assert table.evaluate({**dict(zip(s.parents, cfg)), c.child: lab}) == p
+
+    def test_first_bad_row_in_rows_order_is_reported(self, wildcatter):
+        c = wildcatter.cpt("R")
+        first, second = list(c.rows)[:2]
+        for order, expected in (((first, second), "sums to"), ((second, first), "outside")):
+            rows = {k: dict(c.rows[k]) for k in (*order, *c.rows)}
+            rows[first]["o"] += 0.01
+            rows[second]["o"] = -0.5
+            bad = tuple(Cpt("R", c.parents, rows) if x.child == "R" else x for x in wildcatter.cpts)
+            with pytest.raises(CptRowNotNormalized, match=expected) as exc:
+                rebuild(wildcatter, cpts=bad)
+            assert exc.value.config == order[0]
+
+    def test_an_earlier_table_error_wins_over_a_later_missing_table(self, wildcatter):
+        # chance nodes come in model order B, O, R: a bad row of O is
+        # reported although R has no CPT at all
+        o = wildcatter.cpt("O")
+        rows = {k: {**row, "w": 2.0} for k, row in o.rows.items()}
+        cpts = (wildcatter.cpt("B"), Cpt("O", o.parents, rows))
+        with pytest.raises(CptRowNotNormalized, match="outside"):
+            rebuild(wildcatter, cpts=cpts)
+        with pytest.raises(CptParentsMismatch, match="'R' has no CPT"):
+            rebuild(wildcatter, cpts=(wildcatter.cpt("B"), o))
+
+    def test_solve_path_builds_no_label_view(self, monkeypatch):
+        import irid.model
+        from irid.data import BUNDLED, bundled_bytes
+        from irid.gibbs import SamplerConfig
+        from irid.graph_ops import absorb_decision
+        from irid.modelfile import model_content_hash, parse_model, serialize_model
+        from irid.modelfile import serialize_solution
+        from irid.solver import SolveOptions, solve
+
+        inputs = [bundled_bytes(name) for name in BUNDLED]
+        inputs += [serialize_model(random_model(s, n_decisions=(0, 3))) for s in range(20)]
+
+        def no_views(*args):
+            raise AssertionError("a label view was built")
+
+        monkeypatch.setattr(irid.model, "_label_view", no_views)
+        gibbs = SolveOptions(backend="gibbs", sampler=SamplerConfig(seed=3, burn_in=10, samples=50))
+        for data in inputs:
+            for options in (SolveOptions(), gibbs):
+                serialize_solution(solve(parse_model(data), options))
+            model = parse_model(data)
+            model_content_hash(model)
+            if model.decisions:
+                d = model.decisions[-1]
+                absorb_decision(model, d, constrained_constant_policy(model, d, "v0"))
+        with pytest.raises(AssertionError, match="label view"):
+            parse_model(inputs[0]).cpts
+
+
+def _reference_row_error(owner, scope, entries, frames, labels):
+    """The first error in a CPT's rows (`labels` its child's frame) or in
+    the value table's cells (`labels` None), by the row-by-row loop the
+    array checks replace."""
+    section, what = ("value", "value table") if labels is None else ("cpt", f"CPT of {owner!r}")
+    for cfg in itertools.product(*(frames[v].labels for v in scope)):
+        if cfg not in entries:
+            return MissingTableEntry(section, owner, cfg)
+    for cfg, entry in entries.items():
+        if len(cfg) != len(scope):
+            if labels is None:
+                return InvalidModel(f"value cell key {cfg!r} does not match value parents")
+            return InvalidModel(f"CPT row key {cfg!r} does not match parents of {owner!r}")
+        for v, lab in zip(scope, cfg):
+            if lab not in frames[v]:
+                return ValueNotInFrame(f"{lab!r} not in frame of {v!r} ({what})")
+        if labels is None:
+            if not math.isfinite(entry):
+                return NonFiniteValue(f"value table entry at {cfg!r} is {float(entry)!r}")
+            continue
+        if set(entry) != set(labels):
+            extra = set(entry) - set(labels)
+            if extra:
+                return ValueNotInFrame(f"CPT row of {owner!r} mentions {sorted(extra)} outside the frame")
+            return CptRowNotNormalized(owner, cfg, "missing probabilities")
+        total = 0.0
+        for lab in labels:
+            p = float(entry[lab])
+            if not (0.0 <= p <= 1.0):
+                return CptRowNotNormalized(owner, cfg, f"P={p!r} outside [0,1]")
+            total += p
+        if abs(total - 1.0) > 1e-9:
+            return CptRowNotNormalized(owner, cfg, f"row sums to {total!r}")
+    return None
+
+
+def _corrupted(entries, rng, fill):
+    """`entries` with one to three random faults: a dropped, misshapen or
+    stray key, a bad number, or a shuffle; `fill` makes a fresh entry."""
+    entries = {k: dict(e) if isinstance(e, dict) else e for k, e in entries.items()}
+    for _ in range(int(rng.integers(1, 4))):
+        keys = list(entries)
+        if not keys:
+            break
+        key = keys[int(rng.integers(len(keys)))]
+        fault = int(rng.integers(7))
+        if fault == 0:
+            del entries[key]
+        elif fault == 1:
+            entries[key + ("zz",)] = fill()
+        elif fault == 2 and key:
+            entries[key[:-1] + ("stray",)] = fill()
+        elif fault == 3:
+            items = list(entries.items())
+            rng.shuffle(items)
+            entries = dict(items)
+        elif not isinstance(entries[key], dict):
+            entries[key] = [math.nan, math.inf, -0.0, 7.0][int(rng.integers(4))]
+        elif entries[key]:
+            row = entries[key]
+            lab = list(row)[int(rng.integers(len(row)))]
+            if fault == 4:
+                row[lab] = [-0.25, 1.5, math.nan, math.inf, -0.0][int(rng.integers(5))]
+            elif fault == 5:
+                row[lab] += [1e-10, 2e-9, -0.01][int(rng.integers(3))]
+            elif rng.random() < 0.5:
+                row["extra"] = 0.0
+            else:
+                del row[lab]
+    return entries
+
+
+class TestTableChecksMatchTheLoop:
+    """The array checks raise what the row-by-row loop raises: the first bad
+    entry in mapping order, and within a row its key, then its labels, then
+    each probability in frame order, then the sum."""
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_corrupted_tables(self, block):
+        outcomes = set()
+        for seed in range(block * 100, block * 100 + 100):
+            rng = np.random.default_rng(seed)
+            m = random_model(seed, n_decisions=(0, 3), allow_zeros=seed % 2 == 0)
+            frames = m.frames
+            target = int(rng.integers(len(m.cpts) + 1))
+            if target < len(m.cpts):
+                c = m.cpts[target]
+                labels = frames[c.child].labels
+                rows = _corrupted(c.rows, rng, lambda: dict.fromkeys(labels, 1 / len(labels)))
+                bad = tuple(Cpt(c.child, c.parents, rows) if x is c else x for x in m.cpts)
+                expected = _reference_row_error(c.child, c.parents, rows, frames, labels)
+                build = lambda: rebuild(m, cpts=bad)  # noqa: E731
+            else:
+                cells = _corrupted(m.value.cells, rng, lambda: 1.0)
+                expected = _reference_row_error(m.value_var, m.value.parents, cells, frames, None)
+                build = lambda: rebuild(m, value=ValueTable(m.value.parents, cells))  # noqa: E731
+            if expected is None:
+                build()
+                outcomes.add("ok")
+                continue
+            with pytest.raises(type(expected)) as exc:
+                build()
+            assert str(exc.value) == str(expected)
+            outcomes.add(type(expected).__name__)
+        assert len(outcomes) >= 4

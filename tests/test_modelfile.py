@@ -16,18 +16,16 @@ from irid.errors import (
     UnknownVariable,
 )
 from irid.gibbs import SamplerConfig
-from irid.model import ArrowSpec, Cpt, Frame, NodeSpec, ValueTable, build_model
 from irid.modelfile import (
     _to_json,
     model_content_hash,
-    model_to_document,
     parse_model,
     serialize_model,
     serialize_solution,
 )
 from irid.solver import SolveOptions, solve
 
-from model_gen import random_model
+from model_gen import escaped_label_model, random_model
 
 
 class TestRoundTrip:
@@ -73,7 +71,7 @@ class TestParseErrors:
         assert exc.value.line == 3
 
     def test_unsupported_schema_version(self, wildcatter):
-        doc = model_to_document(wildcatter)
+        doc = json.loads(serialize_model(wildcatter))
         doc["schema_version"] = "99"
         with pytest.raises(SchemaError):
             parse_model(json.dumps(doc))
@@ -84,7 +82,7 @@ class TestParseErrors:
         assert exc.value.field == "nodes"
 
     def test_wrong_type(self, wildcatter):
-        doc = model_to_document(wildcatter)
+        doc = json.loads(serialize_model(wildcatter))
         doc["nodes"] = "not-a-list"
         with pytest.raises(SchemaError) as exc:
             parse_model(json.dumps(doc))
@@ -92,27 +90,27 @@ class TestParseErrors:
 
     @pytest.mark.parametrize("constraints", [None, 3, {}, {"D": []}], ids=repr)
     def test_constraints_must_be_a_list(self, wildcatter, constraints):
-        doc = model_to_document(wildcatter)
+        doc = json.loads(serialize_model(wildcatter))
         doc["constraints"] = constraints
         with pytest.raises(SchemaError) as exc:
             parse_model(json.dumps(doc))
         assert exc.value.field == "constraints"
 
     def test_bad_objective(self, wildcatter):
-        doc = model_to_document(wildcatter)
+        doc = json.loads(serialize_model(wildcatter))
         doc["objective"] = "optimize"
         with pytest.raises(SchemaError):
             parse_model(json.dumps(doc))
 
     def test_given_must_match_parents(self, wildcatter):
-        doc = model_to_document(wildcatter)
+        doc = json.loads(serialize_model(wildcatter))
         del doc["cpts"][2]["rows"][0]["given"]["T"]
         with pytest.raises(SchemaError) as exc:
             parse_model(json.dumps(doc))
         assert "given" in exc.value.field
 
     def test_denormalized_row_carries_field_path(self, wildcatter):
-        doc = model_to_document(wildcatter)
+        doc = json.loads(serialize_model(wildcatter))
         assert doc["cpts"][2]["child"] == "R"
         doc["cpts"][2]["rows"][0]["p"]["o"] = 0.17  # row now sums to 0.97
         with pytest.raises(CptRowNotNormalized) as exc:
@@ -120,7 +118,7 @@ class TestParseErrors:
         assert exc.value.field == "cpts[2].rows[0].p"
 
     def test_empty_constraint_cell_carries_field_path(self, wildcatter):
-        doc = model_to_document(wildcatter)
+        doc = json.loads(serialize_model(wildcatter))
         assert doc["constraints"][1]["decision"] == "D"
         doc["constraints"][1]["cells"][1]["allow"] = []
         with pytest.raises(EmptyConstraintCell) as exc:
@@ -128,7 +126,7 @@ class TestParseErrors:
         assert exc.value.field == "constraints[1].cells[1].allow"
 
     def test_arrow_to_an_unknown_node_carries_field_path(self, wildcatter):
-        doc = model_to_document(wildcatter)
+        doc = json.loads(serialize_model(wildcatter))
         doc["arrows"][4]["to"] = "Q"
         with pytest.raises(UnknownVariable) as exc:
             parse_model(json.dumps(doc))
@@ -136,7 +134,7 @@ class TestParseErrors:
         assert exc.value.field == "arrows[4]"
 
     def test_repeated_node_id_names_the_second_node(self, wildcatter):
-        doc = model_to_document(wildcatter)
+        doc = json.loads(serialize_model(wildcatter))
         assert doc["nodes"][1]["id"] == "O"
         doc["nodes"].insert(3, {"id": "O", "kind": "chance", "frame": ["w", "y"]})
         with pytest.raises(DuplicateVariable) as exc:
@@ -145,7 +143,7 @@ class TestParseErrors:
         assert exc.value.field == "nodes[3].id"
 
     def test_cycle_names_its_first_arrow(self, wildcatter):
-        doc = model_to_document(wildcatter)
+        doc = json.loads(serialize_model(wildcatter))
         doc["arrows"].append({"from": "R", "to": "O", "kind": "relevance"})
         assert (doc["arrows"][1]["from"], doc["arrows"][1]["to"]) == ("O", "R")
         with pytest.raises(CycleDetected) as exc:
@@ -159,7 +157,7 @@ class TestParseErrors:
 
     @pytest.mark.parametrize("literal", ["1e400", "-Infinity", "NaN"])
     def test_non_finite_value_carries_field_path(self, wildcatter, literal):
-        doc = model_to_document(wildcatter)
+        doc = json.loads(serialize_model(wildcatter))
         doc["value"]["cells"][5]["v"] = "@v@"
         with pytest.raises(NonFiniteValue) as exc:
             parse_model(json.dumps(doc).replace('"@v@"', literal))
@@ -170,7 +168,7 @@ class TestParseErrors:
         [("value", "value.cells[5].v"), ("cpts", "cpts[2].rows[0].p.o")],
     )
     def test_integer_beyond_the_doubles_is_a_schema_error(self, wildcatter, section, field):
-        doc = model_to_document(wildcatter)
+        doc = json.loads(serialize_model(wildcatter))
         if section == "value":
             doc["value"]["cells"][5]["v"] = 10**400
         else:
@@ -180,7 +178,7 @@ class TestParseErrors:
         assert exc.value.field == field
 
     def test_duplicate_row(self, wildcatter):
-        doc = model_to_document(wildcatter)
+        doc = json.loads(serialize_model(wildcatter))
         doc["cpts"][2]["rows"].append(doc["cpts"][2]["rows"][0])
         with pytest.raises(SchemaError):
             parse_model(json.dumps(doc))
@@ -243,7 +241,7 @@ def _dumped(doc) -> bytes:
 
 
 class TestCanonicalWriter:
-    """The writer behind serialize_model and serialize_solution produces
+    """serialize_model and serialize_solution (through `_to_json`) produce
     exactly json.dumps(doc, indent=2)."""
 
     @pytest.fixture
@@ -263,7 +261,8 @@ class TestCanonicalWriter:
     @pytest.mark.parametrize("name", BUNDLED)
     def test_bundled_models_and_solutions(self, name, top_level_documents):
         model = load_bundled(name)
-        assert serialize_model(model) == _dumped(model_to_document(model))
+        data = serialize_model(model)
+        assert data == _dumped(json.loads(data))
         gibbs = SolveOptions(
             backend="gibbs", sampler=SamplerConfig(seed=1, burn_in=20, samples=200)
         )
@@ -273,16 +272,9 @@ class TestCanonicalWriter:
             assert top_level_documents[-1]["model_hash"] == model_content_hash(model)
 
     def test_escaped_labels(self):
-        labels = ("é", '"q"', "back\\slash", "line\nbreak")
-        model = build_model(
-            (NodeSpec("X é", "chance", Frame(labels)), NodeSpec("V", "value")),
-            (ArrowSpec("X é", "V", "relevance"),),
-            (Cpt("X é", (), {(): {lab: 0.25 for lab in labels}}),),
-            (),
-            ValueTable(("X é",), {(lab,): float(i) for i, lab in enumerate(labels)}),
-        )
+        model = escaped_label_model()
         data = serialize_model(model)
-        assert data == _dumped(model_to_document(model))
+        assert data == _dumped(json.loads(data))
         assert parse_model(data) == model
 
     @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -16,10 +17,17 @@ from irid.model import (
     ValueTable,
     build_model,
 )
-from irid.oracle import exact_stage_expectation, exhaustive_policy_search
+from irid.modelfile import serialize_solution
+from irid.oracle import exact_expectation, exact_stage_expectation, exhaustive_policy_search
 from irid.solver import SolveOptions, solve
 
-from model_gen import chain_model, chain_tables, random_model, with_point_masses
+from model_gen import (
+    chain_model,
+    chain_tables,
+    multisite_model,
+    random_model,
+    with_point_masses,
+)
 
 # backward induction on the budget-constrained wildcatter, done by hand:
 # test2 is worth buying only with the big budget; with the small one the
@@ -340,6 +348,19 @@ class TestBackwardInductionCertificate:
         _, value = exhaustive_policy_search(m)
         assert abs(sol.expected_value - value) <= 1e-9
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_multisite_wildcatter(self, seed):
+        """Two sites under a budget: constrained decisions whose constraint
+        scopes grow with the earlier drills."""
+        m = multisite_model(2, np.random.default_rng(seed))
+        sol = solve(m, SolveOptions(backend="exact"))
+        _, value = exhaustive_policy_search(m)
+        assert abs(sol.expected_value - value) <= 1e-9 * abs(value)
+        assert abs(exact_expectation(m, sol.policies) - value) <= 1e-9 * abs(value)
+        # a budget of 1 forbids the second drill after the first
+        assert m.admissible("D2", {"B": "1", "D1": "drill"}) == ("pass",)
+        assert m.admissible("D2", {"B": "2", "D1": "drill"}) == ("drill", "pass")
+
     @pytest.mark.parametrize("seed", range(5))
     def test_barren_decision_still_gets_policy(self, seed):
         # graft an unused final decision onto a random model: it cannot reach
@@ -426,6 +447,22 @@ class TestGibbsBackend:
         b = solve(wildcatter, opts)
         assert a.expected_value == b.expected_value
         assert a.per_cell_diagnostics == b.per_cell_diagnostics
+
+    def test_one_sample_has_no_standard_error(self, wildcatter):
+        """One kept sweep gives an estimate but no spread: its standard
+        error is undefined (None), not 0, in the solution and its file."""
+        one = SamplerConfig(seed=0, burn_in=0, samples=1)
+        sol = solve(wildcatter, SolveOptions(backend="gibbs", sampler=one))
+        assert sol.expected_value_std_error is None and sol.expected_value_n == 1
+        valued = [d for d in sol.per_cell_diagnostics if d.value is not None]
+        assert valued and all(d.std_error is None and d.n == 1 for d in valued)
+        doc = json.loads(serialize_solution(sol))
+        assert doc["expected_value_std_error"] is None
+        assert all(d["std_error"] is None for d in doc["diagnostics"])
+        two = SamplerConfig(seed=0, burn_in=0, samples=2)
+        sol = solve(wildcatter, SolveOptions(backend="gibbs", sampler=two))
+        assert sol.expected_value_std_error is not None
+        assert all(d.std_error is not None for d in sol.per_cell_diagnostics if d.value is not None)
 
     def test_one_sampler_call_per_cell(self, wildcatter, monkeypatch):
         """The solver asks the sampler once per (stage, cell), with the cell's
