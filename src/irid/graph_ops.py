@@ -29,9 +29,9 @@ All functions are pure.  `remove_barren` and `absorb_decision` keep every
 invariant `build_model` checks, so they assemble their output from the input's
 validated parts through `model.derived_model` without checking it again (only
 the policy is validated); tables that do not change are carried over as they
-are, and a table the decision was a parent of is composed by one gather on
-its old array.  The graph code is plain Python over dicts and sets (the topological
-sort lives in `model`).
+are, and a table the decision was a parent of is composed by one gather on its
+old array.  The graph code is plain Python over dicts and sets (the
+topological sort lives in `model`).
 """
 
 from __future__ import annotations

@@ -383,10 +383,6 @@ def _block(brackets: str, items: list[str], depth: int) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + _NL[depth] + brackets[1]
 
 
-def _strings(labels, depth: int) -> str:
-    return _block("[]", [_escape(lab) for lab in labels], depth)
-
-
 def _object(keys: str, depth: int) -> str:
     """A %-template of an object at `depth` with the space-separated keys
     and a %s slot for each value."""
@@ -438,13 +434,15 @@ def serialize_model(model: IridModel) -> bytes:
         p = _block("{}", [lab.replace("%", "%%") + ": %r" for lab in labels[v]], 5)
         rows = map(tuple, table.values.reshape(-1, k).tolist())
         cpts.append(_CPT % (name[v], names(parents, 3), cells(parents, 3, '"p"', p, rows)))
-    constraints = [
-        _CONSTRAINT % (name[con.decision], names(con.scope, 3), cells(
-            con.scope, 3, '"allow"', "%s",
-            ((_strings(con.cells[cfg], 5),) for cfg in iter_configs(con.scope, model.frames)),
-        ))
-        for con in model.constraints
-    ]
+    constraints = []
+    for con in model.constraints:
+        allowed = (
+            (_block("[]", list(map(_escape, con.cells[cfg])), 5),)
+            for cfg in iter_configs(con.scope, model.frames)
+        )
+        scope = names(con.scope, 3)
+        con_cells = cells(con.scope, 3, '"allow"', "%s", allowed)
+        constraints.append(_CONSTRAINT % (name[con.decision], scope, con_cells))
     value = model.value_factor
     vcells = cells(value.scope, 2, '"v"', "%r", zip(value.values.ravel().tolist()))
     doc = _DOCUMENT % (
