@@ -723,14 +723,17 @@ def _cpt_tables(
 
     p = np.array(flat, dtype=float)
     p.flags.writeable = False
-    # one row per CPT row, padded with zeros, which leave a running sum as it is
-    width = max(widths, default=0)
-    grid = np.zeros((len(widths), width))
-    grid[np.arange(width) < np.array(widths)[:, None]] = p
+    # one row per CPT row; shorter rows are padded with zeros, which leave a
+    # running sum as it is
+    width = max(widths, default=1)
+    if widths.count(width) == len(widths):
+        grid = p.reshape(len(widths), width)
+    else:
+        grid = np.zeros((len(widths), width))
+        grid[np.arange(width) < np.array(widths)[:, None]] = p
     in_range = (grid >= 0.0) & (grid <= 1.0)  # False at NaN
-    total = np.zeros(len(widths))
-    for column in grid.T:  # a running sum in frame order, as Python adds
-        total += column
+    # a running sum in frame order, as Python adds (+ 0.0 turns -0.0 into 0.0)
+    total = np.cumsum(grid, axis=1)[:, -1] + 0.0
     bad = ~in_range.all(axis=1) | (np.abs(total - 1.0) > PROB_TOL)
     bad[irregular] = True
     if bad.any():
@@ -761,9 +764,10 @@ def _cpt_tables(
 
     tables = {}
     for cpt, keys, rows, at, shaped, first, entry in checked:
-        k = len(frames[cpt.child])
-        values = p[entry:entry + len(rows) * k].reshape(len(rows), k)
-        tables[cpt.child] = _factor(cpt.parents + (cpt.child,), frames, _in_order(values, at))
+        values = p[entry:entry + len(rows) * len(frames[cpt.child])]
+        if at is not None:
+            values = _in_order(values.reshape(len(rows), -1), at)
+        tables[cpt.child] = _factor(cpt.parents + (cpt.child,), frames, values)
     return tables
 
 
