@@ -36,7 +36,6 @@ topological sort lives in `model`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -373,9 +372,9 @@ def _compose(
     decision at the alternative `choice` holds for that configuration.  One
     gather on the old array; row-major over `scope`."""
     shape = tuple(len(frames[v]) for v in scope)
-    size = math.prod(shape)
-    # the label index of every variable at each entry of the result
-    at = dict(zip(scope, np.indices(shape).reshape(len(scope), size)))
+    # the label index of each variable of `scope`, on its own axis of the
+    # result, so the indices broadcast to it and no full grid is built
+    at = dict(zip(scope, np.ix_(*map(range, shape))))
     at[policy.decision] = choice[tuple(at[v] for v in policy.scope)]
     # a scalar when every index is one (an empty `scope`)
     values = np.asarray(table.values[tuple(at[v] for v in table.scope)]).reshape(shape)
