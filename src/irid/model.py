@@ -577,7 +577,8 @@ def build_model(
     tables[value_var] = _value_table(value_table, value_var, parents[value_var], frames)
     for con in normalized_constraints:
         scope = con.scope + (con.decision,)
-        tables[con.decision] = _factor(scope, frames, np.ones(math.prod(len(frames[v]) for v in scope)))
+        ones = np.ones(math.prod(len(frames[v]) for v in scope))
+        tables[con.decision] = _factor(scope, frames, ones)
 
     return IridModel(
         nodes=nodes,

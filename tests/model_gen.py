@@ -276,7 +276,8 @@ def multisite_model(k: int, rng: np.random.Generator) -> IridModel:
         hit, miss = int(rng.integers(10, 15)), int(rng.integers(10, 15))
         cpts += [
             Cpt(f"O{i}", (), {(): row(oil, int(rng.integers(3, 10)))}),
-            Cpt(f"R{i}", (f"O{i}",), {("oil",): row(reading, hit), ("dry",): row(reading, 16 - miss)}),
+            Cpt(f"R{i}", (f"O{i}",),
+                {("oil",): row(reading, hit), ("dry",): row(reading, 16 - miss)}),
         ]
         scope = ("B", *(f"D{j}" for j in range(1, i)))
         constraints.append(Constraint(f"D{i}", scope, {

@@ -538,7 +538,9 @@ def _reference_row_error(owner, scope, entries, frames, labels):
         if set(entry) != set(labels):
             extra = set(entry) - set(labels)
             if extra:
-                return ValueNotInFrame(f"CPT row of {owner!r} mentions {sorted(extra)} outside the frame")
+                return ValueNotInFrame(
+                    f"CPT row of {owner!r} mentions {sorted(extra)} outside the frame"
+                )
             return CptRowNotNormalized(owner, cfg, "missing probabilities")
         total = 0.0
         for lab in labels:
