@@ -31,7 +31,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -570,7 +569,11 @@ def build_model(
         if c.child in cpt_map:
             raise InvalidModel(f"duplicate CPT for {c.child!r}")
         cpt_map[c.child] = c
-    tables = _cpt_tables([n.id for n in nodes if n.kind == CHANCE], cpt_map, parents, frames)
+    tables: dict[str, Factor] = {}
+    for v in (n.id for n in nodes if n.kind == CHANCE):
+        if v not in cpt_map:
+            raise CptParentsMismatch(f"chance node {v!r} has no CPT")
+        tables[v] = _cpt_table(cpt_map[v], parents[v], frames)
 
     if value_table is None:
         raise InvalidModel("a value table is required")
@@ -627,149 +630,69 @@ def _factor(scope: tuple[str, ...], frames: Mapping[str, Frame], values: np.ndar
     return Factor.trusted(scope, table_frames, values.reshape(tuple(map(len, table_frames))))
 
 
-def _positions(
-    keys: list, scope: tuple[str, ...], frames: Mapping[str, Frame], section: str, owner: str
-) -> np.ndarray | None:
-    """The row-major position of each of `keys` among the configurations of
-    `scope`, -1 for a key that is none of them; None when the keys are the
-    configurations in row-major order.  Raises MissingTableEntry at the
-    first configuration (row-major) that no key names."""
+def _config_index(
+    scope: tuple[str, ...], entries: Mapping, frames: Mapping[str, Frame], section: str, owner: str
+) -> dict[tuple[str, ...], int]:
+    """The row-major position of each configuration of `scope`; raises
+    MissingTableEntry at the first one (row-major) that `entries` lacks."""
     configs = list(iter_configs(scope, frames))
-    if keys == configs:
-        return None
-    index = dict(zip(configs, range(len(configs))))
-    at = np.array([index.get(key, -1) for key in keys], dtype=np.intp)
-    named = np.zeros(len(configs), dtype=bool)
-    named[at[at >= 0]] = True
-    if not named.all():
-        raise MissingTableEntry(section, owner, configs[int(np.argmin(named))])
-    return at
+    for cfg in configs:
+        if cfg not in entries:
+            raise MissingTableEntry(section, owner, cfg)
+    return dict(zip(configs, range(len(configs))))
 
 
-def _in_order(values: np.ndarray, at: np.ndarray | None) -> np.ndarray:
-    """`values`, one entry or row per key, moved to the keys' positions."""
-    if at is None:
-        return values
-    out = np.empty_like(values)
-    out[at] = values
-    return out
+def _bad_key(
+    key, scope: tuple[str, ...], frames: Mapping[str, Frame], mismatch: str, where: str
+) -> ModelError:
+    """The error for a table key that is no configuration of `scope`: a
+    label outside its variable's frame, else `mismatch`."""
+    if type(key) is tuple and len(key) == len(scope):
+        for v, lab in zip(scope, key):
+            if lab not in frames[v]:
+                return ValueNotInFrame(f"{lab!r} not in frame of {v!r} ({where})")
+    return InvalidModel(mismatch)
 
 
-def _stray_label(key: tuple, scope: tuple[str, ...], frames: Mapping[str, Frame]):
-    """The first (variable, label) of `key` whose label is outside the frame."""
-    return next((v, lab) for v, lab in zip(scope, key) if lab not in frames[v])
-
-
-def _cpt_tables(
-    chance: list[str],
-    cpt_map: Mapping[str, Cpt],
-    parents: Mapping[str, tuple[str, ...]],
-    frames: Mapping[str, Frame],
-) -> dict[str, Factor]:
-    """The CPT of each chance node as an array over (parents..., child),
-    once every row is checked.
-
-    The rows of all CPTs are checked together, in numpy.  The error raised
-    is that of the first chance node, in model order, whose CPT has one: the
-    CPT is missing, its declared parents differ from the graph's, a
-    configuration has no row, or a row is bad.  The first bad row in `rows`
-    order counts; within a row its key comes first, then its set of labels,
-    then the range of each probability in frame order, then its sum."""
-    # per CPT: (cpt, keys, rows, positions as `_positions` gives them,
-    # whether each row has exactly the frame's labels or None when all do,
-    # its first row among all CPTs' rows, its first probability in `flat`)
-    checked = []
-    flat: list[float] = []  # every row's probabilities in frame order
-    widths: list[int] = []  # every row's frame size
-    irregular: list[int] = []  # the rows with a bad key or set of labels
-    stop = None
-    for v in chance:
-        try:
-            if v not in cpt_map:
-                raise CptParentsMismatch(f"chance node {v!r} has no CPT")
-            cpt = cpt_map[v]
-            declared = cpt.parents
-            if declared != parents[v]:
-                if set(declared) != set(parents[v]):
-                    raise CptParentsMismatch(
-                        f"CPT for {v!r} declares parents {list(declared)}, "
-                        f"graph has {list(parents[v])}"
-                    )
-                if len(set(declared)) != len(declared):
-                    raise CptParentsMismatch(f"CPT for {v!r} repeats a parent")
-            keys = list(cpt.rows)
-            at = _positions(keys, declared, frames, "cpt", v)
-        except ModelError as e:
-            stop = e
-            break
-        labels = frames[v].labels
-        k = len(labels)
-        rows = list(cpt.rows.values())
-        get = itemgetter(*labels)  # a tuple, or one number for one label
-        shaped = None
-        try:
-            if sum(map(len, rows)) != len(rows) * k:
-                raise KeyError
-            values = list(map(get, rows))
-        except KeyError:
-            shaped = [row.keys() == set(labels) for row in rows]
-            gap = (math.nan,) * k if k > 1 else math.nan
-            values = [get(row) if ok else gap for row, ok in zip(rows, shaped)]
-            irregular += [len(widths) + i for i, ok in enumerate(shaped) if not ok]
-        if at is not None:
-            irregular += (len(widths) + np.flatnonzero(at < 0)).tolist()
-        checked.append((cpt, keys, rows, at, shaped, len(widths), len(flat)))
-        flat += itertools.chain.from_iterable(values) if k > 1 else values
-        widths += [k] * len(rows)
-
-    p = np.array(flat, dtype=float)
-    p.flags.writeable = False
-    # one row per CPT row; shorter rows are padded with zeros, which leave a
-    # running sum as it is
-    width = max(widths, default=1)
-    if widths.count(width) == len(widths):
-        grid = p.reshape(len(widths), width)
-    else:
-        grid = np.zeros((len(widths), width))
-        grid[np.arange(width) < np.array(widths)[:, None]] = p
-    in_range = (grid >= 0.0) & (grid <= 1.0)  # False at NaN
-    # a running sum in frame order, as Python adds (+ 0.0 turns -0.0 into 0.0)
-    total = np.cumsum(grid, axis=1)[:, -1] + 0.0
-    bad = ~in_range.all(axis=1) | (np.abs(total - 1.0) > PROB_TOL)
-    bad[irregular] = True
-    if bad.any():
-        i = int(np.argmax(bad))
-        cpt, keys, rows, at, shaped, first, _ = next(
-            r for r in reversed(checked) if r[5] <= i
+def _cpt_table(cpt: Cpt, graph_parents: tuple[str, ...], frames: Mapping[str, Frame]) -> Factor:
+    """`cpt` as an array over (parents..., child), once every row is checked;
+    a bad CPT raises the error of its first bad row in `rows` order."""
+    child, parents = cpt.child, cpt.parents
+    if set(parents) != set(graph_parents):
+        raise CptParentsMismatch(
+            f"CPT for {child!r} declares parents {list(parents)}, "
+            f"graph has {list(graph_parents)}"
         )
-        child, j = cpt.child, i - first
-        key = keys[j]
-        if at is not None and at[j] < 0:
-            if len(key) != len(cpt.parents):
-                raise InvalidModel(f"CPT row key {key!r} does not match parents of {child!r}")
-            v, lab = _stray_label(key, cpt.parents, frames)
-            raise ValueNotInFrame(f"{lab!r} not in frame of {v!r} (CPT of {child!r})")
-        if shaped is not None and not shaped[j]:
-            extra = set(rows[j]) - set(frames[child].labels)
+    if len(set(parents)) != len(parents):
+        raise CptParentsMismatch(f"CPT for {child!r} repeats a parent")
+    labels = frames[child].labels
+    label_set = set(labels)
+    index = _config_index(parents, cpt.rows, frames, "cpt", child)
+    ordered: list = [None] * len(index)
+    for cfg, row in cpt.rows.items():
+        i = index.get(cfg)
+        if i is None:
+            raise _bad_key(
+                cfg, parents, frames,
+                f"CPT row key {cfg!r} does not match parents of {child!r}", f"CPT of {child!r}",
+            )
+        if row.keys() != label_set:
+            extra = set(row) - label_set
             if extra:
                 raise ValueNotInFrame(
                     f"CPT row of {child!r} mentions {sorted(extra)} outside the frame"
                 )
-            raise CptRowNotNormalized(child, key, "missing probabilities")
-        if not in_range[i].all():
-            p_bad = grid[i, int(np.argmin(in_range[i]))].item()
-            raise CptRowNotNormalized(child, key, f"P={p_bad!r} outside [0,1]")
-        raise CptRowNotNormalized(child, key, f"row sums to {total[i].item()!r}")
-    if stop is not None:
-        raise stop
-
-    tables = {}
-    for cpt, keys, rows, at, shaped, first, entry in checked:
-        values = p[entry:entry + len(rows) * len(frames[cpt.child])]
-        if at is not None:
-            values = _in_order(values.reshape(len(rows), -1), at)
-        tables[cpt.child] = _factor(cpt.parents + (cpt.child,), frames, values)
-    return tables
+            raise CptRowNotNormalized(child, cfg, "missing probabilities")
+        probs = [float(row[lab]) for lab in labels]
+        total = 0.0
+        for p in probs:
+            if not (0.0 <= p <= 1.0):
+                raise CptRowNotNormalized(child, cfg, f"P={p!r} outside [0,1]")
+            total += p
+        if abs(total - 1.0) > PROB_TOL:
+            raise CptRowNotNormalized(child, cfg, f"row sums to {total!r}")
+        ordered[i] = probs
+    return _factor(parents + (child,), frames, np.array(ordered, dtype=float))
 
 
 def _validate_constraint(
@@ -819,22 +742,20 @@ def _value_table(
         )
     if len(set(parents)) != len(parents):
         raise InvalidModel("value table repeats a parent")
-    keys = list(vt.cells)
-    at = _positions(keys, parents, frames, "value", value_var)
-    v = np.array(list(vt.cells.values()), dtype=float)
-    bad = ~np.isfinite(v)
-    if at is not None:
-        bad |= at < 0
-    if bad.any():
-        i = int(np.argmax(bad))
-        key = keys[i]
-        if at is not None and at[i] < 0:
-            if len(key) != len(parents):
-                raise InvalidModel(f"value cell key {key!r} does not match value parents")
-            var, lab = _stray_label(key, parents, frames)
-            raise ValueNotInFrame(f"{lab!r} not in frame of {var!r} (value table)")
-        raise NonFiniteValue(f"value table entry at {key!r} is {v[i].item()!r}")
-    return _factor(parents, frames, _in_order(v, at))
+    index = _config_index(parents, vt.cells, frames, "value", value_var)
+    ordered = [0.0] * len(index)
+    for cfg, v in vt.cells.items():
+        i = index.get(cfg)
+        if i is None:
+            raise _bad_key(
+                cfg, parents, frames,
+                f"value cell key {cfg!r} does not match value parents", "value table",
+            )
+        v = float(v)
+        if not math.isfinite(v):
+            raise NonFiniteValue(f"value table entry at {cfg!r} is {v!r}")
+        ordered[i] = v
+    return _factor(parents, frames, np.array(ordered))
 
 
 def _label_view(kind: str, table: Factor) -> Cpt | ValueTable:

@@ -18,8 +18,7 @@ The model format mirrors the domain types one-to-one:
 
 Parsing reports the offending field path in the error's `field`; validation
 errors from model construction are annotated with one where it can be
-located.  Well-formed table entries take a fast path through the parser; any
-other entry gets the full checks, which name the first bad field.
+located.
 
 `serialize_model` writes the canonical bytes straight from the model's frames
 and table arrays, through %-templates of the `json.dumps(doc, indent=2)`
@@ -50,7 +49,6 @@ from .errors import (
     UnknownVariable,
 )
 from .model import (
-    ARROW_KINDS,
     OBJECTIVES,
     ArrowSpec,
     Constraint,
@@ -118,14 +116,6 @@ def model_from_document(doc: Any) -> IridModel:
 
     arrows = []
     for i, item in enumerate(_req(doc, "arrows", list, "$")):
-        if (
-            type(item) is dict
-            and type(source := item.get("from")) is str
-            and type(target := item.get("to")) is str
-            and item.get("kind") in ARROW_KINDS
-        ):
-            arrows.append(ArrowSpec(source, target, item["kind"]))
-            continue
         path = f"arrows[{i}]"
         _expect(item, dict, path)
         source = _req(item, "from", str, path)
@@ -138,19 +128,17 @@ def model_from_document(doc: Any) -> IridModel:
         _expect(item, dict, path)
         child = _req(item, "child", str, path)
         parents = tuple(str(p) for p in _req(item, "parents", list, path))
-        rows = {}
         names = set(parents)
+        rows = {}
         for j, row in enumerate(_req(item, "rows", list, path)):
-            given = _well_formed_given(row, parents, names)
-            probs = row.get("p") if given is not None else None
-            if type(probs) is not dict or not _FLOAT.issuperset(map(type, probs.values())):
-                rpath = f"{path}.rows[{j}]"
-                _expect(row, dict, rpath)
-                given = _given(row, parents, rpath)
-                p = _req(row, "p", dict, rpath)
-                probs = {lab: _req_number(p, lab, f"{rpath}.p") for lab in p}
+            rpath = f"{path}.rows[{j}]"
+            _expect(row, dict, rpath)
+            given = _given(row, parents, names, rpath)
+            p = _req(row, "p", dict, rpath)
+            ppath = f"{rpath}.p"
+            probs = {lab: _number(x, ppath, lab) for lab, x in p.items()}
             if given in rows:
-                raise SchemaError(f"{path}.rows[{j}].given", "duplicate row configuration")
+                raise SchemaError(f"{rpath}.given", "duplicate row configuration")
             rows[given] = probs
         cpts.append(Cpt(child, parents, rows))
 
@@ -160,37 +148,31 @@ def model_from_document(doc: Any) -> IridModel:
         _expect(item, dict, path)
         decision = _req(item, "decision", str, path)
         scope = tuple(str(s) for s in _req(item, "scope", list, path))
-        cells = {}
         names = set(scope)
+        cells = {}
         for j, cell in enumerate(_req(item, "cells", list, path)):
-            given = _well_formed_given(cell, scope, names)
-            allow = cell.get("allow") if given is not None else None
-            if type(allow) is not list:
-                cpath = f"{path}.cells[{j}]"
-                _expect(cell, dict, cpath)
-                given = _given(cell, scope, cpath)
-                allow = _req(cell, "allow", list, cpath)
+            cpath = f"{path}.cells[{j}]"
+            _expect(cell, dict, cpath)
+            given = _given(cell, scope, names, cpath)
+            allow = _req(cell, "allow", list, cpath)
             if given in cells:
-                raise SchemaError(f"{path}.cells[{j}].given", "duplicate cell configuration")
+                raise SchemaError(f"{cpath}.given", "duplicate cell configuration")
             cells[given] = tuple(map(str, allow))
         constraints.append(Constraint(decision, scope, cells))
 
     vdoc = _req(doc, "value", dict, "$")
     vparents = tuple(str(p) for p in _req(vdoc, "parents", list, "value"))
-    vcells = {}
     names = set(vparents)
+    vcells = {}
     for j, cell in enumerate(_req(vdoc, "cells", list, "value")):
-        given = _well_formed_given(cell, vparents, names)
-        v = cell.get("v") if given is not None else None
-        if type(v) is int and abs(v) < 2**53:  # exactly a float
-            v = float(v)
-        if type(v) is not float:
-            cpath = f"value.cells[{j}]"
-            _expect(cell, dict, cpath)
-            given = _given(cell, vparents, cpath)
-            v = _req_number(cell, "v", cpath)
+        cpath = f"value.cells[{j}]"
+        _expect(cell, dict, cpath)
+        given = _given(cell, vparents, names, cpath)
+        if "v" not in cell:
+            raise SchemaError(f"{cpath}.v", "missing")
+        v = _number(cell["v"], cpath, "v")
         if given in vcells:
-            raise SchemaError(f"value.cells[{j}].given", "duplicate cell configuration")
+            raise SchemaError(f"{cpath}.given", "duplicate cell configuration")
         vcells[given] = v
     value = ValueTable(vparents, vcells)
 
@@ -203,14 +185,19 @@ def model_from_document(doc: Any) -> IridModel:
 
 def _req(obj: Mapping, key: str, typ, path: str):
     if key not in obj:
-        raise SchemaError(f"{path}.{key}" if path != "$" else key, "missing")
-    return _expect(obj[key], typ, f"{path}.{key}" if path != "$" else key)
+        raise SchemaError(_field(path, key), "missing")
+    value = obj[key]
+    if not isinstance(value, typ):  # the field is formatted only to raise
+        _expect(value, typ, _field(path, key))
+    return value
 
 
-def _req_number(obj: Mapping, key: str, path: str) -> float:
-    if key not in obj:
-        raise SchemaError(f"{path}.{key}", "missing")
-    v = obj[key]
+def _field(path: str, key: str) -> str:
+    return f"{path}.{key}" if path != "$" else key
+
+
+def _number(v, path: str, key: str) -> float:
+    """`v` as a float; the error names the field `path`.`key`."""
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise SchemaError(f"{path}.{key}", "must be a number")
     try:
@@ -225,28 +212,14 @@ def _expect(value, typ, path: str):
     return value
 
 
-def _given(obj: Mapping, scope: tuple[str, ...], path: str) -> tuple[str, ...]:
+def _given(obj: Mapping, scope: tuple[str, ...], names: set[str], path: str) -> tuple[str, ...]:
+    """The entry's configuration of `scope`, whose variables are `names`."""
     given = _req(obj, "given", dict, path)
-    if set(given) != set(scope):
+    if given.keys() != names:
         raise SchemaError(
             f"{path}.given", f"must assign exactly {list(scope)}, got {sorted(given)}"
         )
-    return tuple(str(given[v]) for v in scope)
-
-
-#: the types of a row's probabilities that need no conversion
-_FLOAT = frozenset({float})
-
-
-def _well_formed_given(entry, scope: tuple[str, ...], names: set[str]) -> tuple[str, ...] | None:
-    """What `_given` returns for a table entry that passes its checks, or
-    None; the loops above take this fast path and fall back to the full
-    checks, which raise the error, for any entry it does not accept."""
-    if type(entry) is dict:
-        given = entry.get("given")
-        if type(given) is dict and given.keys() == names:
-            return tuple(map(str, map(given.__getitem__, scope)))
-    return None
+    return tuple(map(str, map(given.__getitem__, scope)))
 
 
 def _wrap(make, path: str, *args):

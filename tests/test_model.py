@@ -486,6 +486,25 @@ class TestTablesAreArrays:
         with pytest.raises(CptParentsMismatch, match="'R' has no CPT"):
             rebuild(wildcatter, cpts=(wildcatter.cpt("B"), o))
 
+    def test_keys_must_be_label_tuples(self):
+        # a one-parent table keyed by a bare label instead of a 1-tuple
+        frame = Frame(("a", "b"))
+        nodes = (NodeSpec("X", "chance", frame), NodeSpec("Y", "chance", frame), NodeSpec("V", "value"))
+        arrows = (ArrowSpec("X", "Y", "relevance"), ArrowSpec("Y", "V", "relevance"))
+        half = {"a": 0.5, "b": 0.5}
+        x = Cpt("X", (), {(): half})
+        y = Cpt("Y", ("X",), {("a",): half, ("b",): half})
+        value = ValueTable(("Y",), {("a",): 1.0, ("b",): 2.0})
+        build_model(nodes, arrows, (x, y), (), value)
+        bare = Cpt("Y", ("X",), {**y.rows, "a": half})
+        with pytest.raises(InvalidModel, match="CPT row key 'a' does not match parents of 'Y'"):
+            build_model(nodes, arrows, (x, bare), (), value)
+        with pytest.raises(MissingTableEntry):
+            build_model(nodes, arrows, (x, Cpt("Y", ("X",), {"a": half, "b": half})), (), value)
+        bare_value = ValueTable(("Y",), {**value.cells, "a": 1.0})
+        with pytest.raises(InvalidModel, match="value cell key 'a' does not match value parents"):
+            build_model(nodes, arrows, (x, y), (), bare_value)
+
     def test_solve_path_builds_no_label_view(self, monkeypatch):
         import irid.model
         from irid.data import BUNDLED, bundled_bytes
@@ -517,8 +536,8 @@ class TestTablesAreArrays:
 
 def _reference_row_error(owner, scope, entries, frames, labels):
     """The first error in a CPT's rows (`labels` its child's frame) or in
-    the value table's cells (`labels` None), by the row-by-row loop the
-    array checks replace."""
+    the value table's cells (`labels` None), by a plain row-by-row loop
+    written apart from `build_model`."""
     section, what = ("value", "value table") if labels is None else ("cpt", f"CPT of {owner!r}")
     for cfg in itertools.product(*(frames[v].labels for v in scope)):
         if cfg not in entries:
@@ -590,9 +609,9 @@ def _corrupted(entries, rng, fill):
 
 
 class TestTableChecksMatchTheLoop:
-    """The array checks raise what the row-by-row loop raises: the first bad
-    entry in mapping order, and within a row its key, then its labels, then
-    each probability in frame order, then the sum."""
+    """The table checks raise what the reference loop below raises: the
+    first bad entry in mapping order, and within a row its key, then its
+    labels, then each probability in frame order, then the sum."""
 
     @pytest.mark.parametrize("block", range(4))
     def test_corrupted_tables(self, block):

@@ -261,8 +261,8 @@ class TestCanonicalWriter:
     @pytest.mark.parametrize("name", BUNDLED)
     def test_bundled_models_and_solutions(self, name, top_level_documents):
         model = load_bundled(name)
-        data = serialize_model(model)
-        assert data == _dumped(json.loads(data))
+        # the bundled files were written by json.dumps(doc, indent=2)
+        assert serialize_model(model) == bundled_bytes(name)
         gibbs = SolveOptions(
             backend="gibbs", sampler=SamplerConfig(seed=1, burn_in=20, samples=200)
         )
@@ -273,8 +273,26 @@ class TestCanonicalWriter:
 
     def test_escaped_labels(self):
         model = escaped_label_model()
+        x, labels = model.chance_vars[0], model.frame("X é").labels
+        doc = {
+            "schema_version": "1",
+            "objective": "maximize",
+            "nodes": [
+                {"id": x, "kind": "chance", "frame": list(labels)},
+                {"id": "V", "kind": "value"},
+            ],
+            "arrows": [{"from": x, "to": "V", "kind": "relevance"}],
+            "cpts": [
+                {"child": x, "parents": [], "rows": [{"given": {}, "p": dict.fromkeys(labels, 0.25)}]}
+            ],
+            "constraints": [],
+            "value": {
+                "parents": [x],
+                "cells": [{"given": {x: lab}, "v": float(i)} for i, lab in enumerate(labels)],
+            },
+        }
         data = serialize_model(model)
-        assert data == _dumped(json.loads(data))
+        assert data == _dumped(doc)
         assert parse_model(data) == model
 
     @pytest.mark.parametrize(
