@@ -305,3 +305,38 @@ def escaped_label_model() -> IridModel:
         (),
         ValueTable(("X é",), {(lab,): float(i) for i, lab in enumerate(labels)}),
     )
+
+
+def escaped_decision_model() -> IridModel:
+    """A chance node and a constrained decision that observes it, whose
+    names and labels hold `%`, `%s`, quotes, backslashes, line breaks and
+    non-ASCII text; its values need rounding to two decimals."""
+    c, d = 'C %s "é"', "D\\50%\n"
+    c_labels = ("100%", '%s "q"', "back\\slash\né")
+    d_labels = ("go %d", "stay\n€")
+    return build_model(
+        (
+            NodeSpec(c, "chance", Frame(c_labels)),
+            NodeSpec(d, "decision", Frame(d_labels)),
+            NodeSpec("V %", "value"),
+        ),
+        (
+            ArrowSpec(c, d, "relevance"),
+            ArrowSpec(c, "V %", "relevance"),
+            ArrowSpec(d, "V %", "relevance"),
+        ),
+        (Cpt(c, (), {(): dict(zip(c_labels, (0.5, 0.25, 0.25)))}),),
+        (Constraint(d, (c,), {
+            (c_labels[0],): d_labels,
+            (c_labels[1],): d_labels[1:],
+            (c_labels[2],): d_labels,
+        }),),
+        ValueTable((c, d), {
+            (c_labels[0], d_labels[0]): 12.345,
+            (c_labels[0], d_labels[1]): -0.004,
+            (c_labels[1], d_labels[0]): 7.0,
+            (c_labels[1], d_labels[1]): 1 / 3,
+            (c_labels[2], d_labels[0]): -2.5,
+            (c_labels[2], d_labels[1]): 2.675,
+        }),
+    )

@@ -1,8 +1,9 @@
 """Seeded solution bytes and canonical model bytes, pinned.
 
 The sha256 of the `serialize_solution` bytes of every bundled model under
-the Gibbs backend at seeds 0-2 and the exact backend, and of the
-`serialize_model` bytes of generated models.  A change that claims
+the Gibbs backend at seeds 0-2 and the exact backend, of the
+`serialize_model` bytes of generated models, and of the solution bytes of
+those models, of one-sample Gibbs solves and of names that need escapes.  A change that claims
 to keep seeded output must keep these digests; one that changes output on
 purpose records the new ones here and says which files changed and why.
 """
@@ -25,7 +26,12 @@ from irid.gibbs import SamplerConfig
 from irid.modelfile import serialize_model, serialize_solution
 from irid.solver import SolveOptions, solve
 
-from model_gen import escaped_label_model, random_model, with_point_masses
+from model_gen import (
+    escaped_decision_model,
+    escaped_label_model,
+    random_model,
+    with_point_masses,
+)
 
 SETTINGS = {
     **{
@@ -84,7 +90,10 @@ def test_optimized_interpreter_writes_the_same_bytes(in_process):
     must not depend on them."""
     here = Path(__file__).resolve().parent
     paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
-    script = "import json, test_golden; print(json.dumps([__debug__, test_golden.digests()]))"
+    script = (
+        "import json, test_golden; print(json.dumps("
+        "[__debug__, test_golden.digests(), test_golden.solution_digests()]))"
+    )
     out = subprocess.run(
         [sys.executable, "-O", "-c", script],
         env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
@@ -92,9 +101,10 @@ def test_optimized_interpreter_writes_the_same_bytes(in_process):
         check=True,
         text=True,
     )
-    debug, optimized = json.loads(out.stdout)
+    debug, optimized, solutions = json.loads(out.stdout)
     assert debug is False
     assert optimized == in_process
+    assert solutions == SOLUTION_GOLDEN
 
 
 #: sha256 of `serialize_model` for random models (with and without zeros
@@ -164,7 +174,7 @@ MODEL_GOLDEN = {
 }
 
 
-def model_digests() -> dict[str, str]:
+def generated_models() -> dict:
     models = {
         f"random{s}": random_model(s, n_decisions=(0, 3), allow_zeros=s % 2 == 0)
         for s in range(50)
@@ -173,8 +183,110 @@ def model_digests() -> dict[str, str]:
         base = random_model(7000 + s, n_chance=(1, 5), n_decisions=(1, 3))
         models[f"point_masses{s}"] = with_point_masses(base, np.random.default_rng(s))
     models["escaped_labels"] = escaped_label_model()
-    return {name: hashlib.sha256(serialize_model(m)).hexdigest() for name, m in models.items()}
+    return models
+
+
+def model_digests() -> dict[str, str]:
+    return {
+        name: hashlib.sha256(serialize_model(m)).hexdigest()
+        for name, m in generated_models().items()
+    }
 
 
 def test_model_bytes_match_the_pinned_digests():
     assert model_digests() == MODEL_GOLDEN
+
+
+#: sha256 of `serialize_solution` for exact solves of the generated models
+#: (some without a decision), one-sample Gibbs solves of the bundled models,
+#: whose standard errors are all undefined, and a decision whose names and
+#: labels need escapes
+SOLUTION_GOLDEN = {
+    "exact/random0": "a3fbdb3311549d9c6f897c54a9ae37b84ad2ac60d5f119d5a23fef25280edcd5",
+    "exact/random1": "cc9f643897f9a4fd24ad7c4e68f81bbe1f40ba25c6b007e7fba39808aecbed9b",
+    "exact/random2": "4af8459ce9134e1d642a9d331abd8ee66798e68512d65a75d950a1c4f488a233",
+    "exact/random3": "3d6a3a80376d58b0c88500aa4db6d41ddde22574fb46b909cd6f8617e3231732",
+    "exact/random4": "0e46bd1c93968e18b39909ea7975bfe4acb986f9a8b38fbc22c039b1f58fecab",
+    "exact/random5": "c9e2c32c2d46f6aaf9b9d5711cc26bd2de0546c1227cb6df9743920c9a00d77d",
+    "exact/random6": "e0f17249459afd6534704433457e70c6952c343deb7cf2edefdc09750cd9c1a2",
+    "exact/random7": "c8cb5e5d41b609062d06bafb7793f4f2d4a852ddda14dfc36b63a135987661ef",
+    "exact/random8": "8b534fd46bad8bb75b5977e4e27a2f2a4eb9d363f43d36bae782a84cec5bef6e",
+    "exact/random9": "bbf2db1a887276ce9e0f788ab0546da5b61e72cf2e6def97b6a78aa4f6d60ee4",
+    "exact/random10": "c9b2d54c0afddb8d58065bcf739fd40f3b029ded264ba1aa566154eae1db0531",
+    "exact/random11": "d25bf849c5764f6ab3b3ec468dc8710efe21f7acc296193c271b3d3b752c9ff5",
+    "exact/random12": "ed0437cd6e44ea33d0c174f9a9f8566770876f35d6279f863f75453837d47704",
+    "exact/random13": "25b5cec847bcf822aea89e7adb0fa1a6d7fd0f5f262a38906d11e5e7b359802e",
+    "exact/random14": "f3fdfb5c23747e9800632750e00c4b2b18d3cf417859a454d608909df1dd3ef2",
+    "exact/random15": "1b0239980d672ce2d7b432aa888a6f57a8e3351929cf52e090a1d3d9b04ef71e",
+    "exact/random16": "7ce552405c7550106e3bca4cfdba8b51021d22d9d485d27ed83ecf1ea0d2fb57",
+    "exact/random17": "07ff54a61ea651d32769681cfc64ac44ad239a1ce57f9e7dcde9aab1074ea852",
+    "exact/random18": "e578d6413e2f2947212c742d711bd679144644d2c373de2e5503d1e74caded83",
+    "exact/random19": "a0ea94c4f5f92fcbbcf29d7d6161657f16d9046f67f62a5c60f7cf1dcd315025",
+    "exact/random20": "322f31a1c15d7a6b90dd88aa2849d9765ae6de38f4e331ae7dd975cf961dc8b7",
+    "exact/random21": "e131f84273c7ee0a6444b0f9b6b9e14aab712d43ca2ebc9838c9bf74dbe3d8c3",
+    "exact/random22": "83c9213de248a0d7b20d1dfa974fd5ee9fc998080d2fe1395f3eee339f0d5966",
+    "exact/random23": "a8f0f97f85d18c58f96a0355976cb63695a171c19e9b455e343c7beec8339f1a",
+    "exact/random24": "b28d907c2ad373baaf0b2856fdc6013bda0d1b004e0a844600187751aae321c8",
+    "exact/random25": "2f09a51873ca1f0346a32763bed09561535d86e968fb4edebf406b6e81af0162",
+    "exact/random26": "48318dc763cf3d5e069ec01e150085d8481551a30426e5bad74399374f469b91",
+    "exact/random27": "825e0e1e8470002588ab04ffb080043b7b9ca693b98eac719103b976efdae26b",
+    "exact/random28": "7ad9fbea5e54415fff090f0b53263fc8f3751a1d3d7e36298c1d80bb12444d3b",
+    "exact/random29": "5abfaf5c0e0e3a51f07fa0c5996487bb3932724c5d2367ffeedb4f2ad540f365",
+    "exact/random30": "dabbc7f2f32cd76f923cb464de6c63cfb250979bfe678313ed46549c94e5afd8",
+    "exact/random31": "df01895e89482ba5a22df728a10d007d49dfbfcb54ac1b60b15c77d126e55db8",
+    "exact/random32": "c1cba7642d5a4628ef3f3358a865519e5d947a6813d3fbecbd8e2aa9883e2d5a",
+    "exact/random33": "6e1e53b072a80e0fe05350c19140a4ad01a2fd2ff88e7991b92602208e06bfe0",
+    "exact/random34": "083e065e3c9d2225d7d20e1a9f7d5f57893307b50ba3076e9affe992927860f3",
+    "exact/random35": "145fcad0613c29ee6ad6a117dd5c3d70d46ff258358891acf83c131ef052a994",
+    "exact/random36": "86686857b8aec22b2315aa11e611f7a16ef41d30ea7728836751806920929bb7",
+    "exact/random37": "8c651ab6bd03eda04aa098ca8d7444929555195cdbf67fe587a43dfdd669e76f",
+    "exact/random38": "84c0403523053ec30312485598518e2dbef0da853acd90e19de9221add2784ea",
+    "exact/random39": "f261cfc0c08c1652cb9e1eb877cef168e6113a6d212a383b8a519e657ee8de9c",
+    "exact/random40": "cc84fa345acb8d52625a19fb114611905b0778f0211d7466ba58cba5389b8585",
+    "exact/random41": "c391b4e82365f9eed0f191731c2583c4b3ff8a01c15aefc4a1bd53e363a9efc4",
+    "exact/random42": "bfbe12d80ab7623fd5d116a3ec1be62bef3b80bcd7820e51891796656e30f74d",
+    "exact/random43": "d5117fead218c0f9a9d1ba2cf961f8ff95b0e626cb1d77e0abd20d171b804b77",
+    "exact/random44": "b842d09c4d38d1dad173a51721b06a1a1e1cb73b77633287ec1a4d6c5ed1a8c5",
+    "exact/random45": "02b7da03d0c36a60d9440c3f00ec2b27c4ef01e210d9967cb82cbfc5c292e4cf",
+    "exact/random46": "6c645b004665ee58c7898eec736ed4ddf7dfe1ee922fa8fd45d125bee65a3be5",
+    "exact/random47": "78f0b3e4908df89db746952499d6d8bb7b107e71f433a2ad29c6ff408fd747e9",
+    "exact/random48": "8a178b14f5096fb44b38ebbaef1c30447b4e5b665aaf508e4a75f051a1268de8",
+    "exact/random49": "93b81b89fa5285df84f4a303de675cf4350130a79d7640e1d6df414b8c862103",
+    "exact/point_masses0": "006651b1034c3aca538b2090e6a91efde8c52a76bbbaeeda0be5fa7e93c3ca44",
+    "exact/point_masses1": "121af058c1e156a8167cfeb24435928974dc7fec820a3abb2590f939640a6b1c",
+    "exact/point_masses2": "7c1aafc9cdba67f5e9de1800c8ca0b6821e042e57d371ab1fdcf2d1d5cfb03e5",
+    "exact/point_masses3": "d04a85e70c2b7053f544654549f994ce461f8771e6c1abbfa14b1e6410538a54",
+    "exact/point_masses4": "b5ee3914994889f459e16562be1411f375570609fc168d5ec53c15f3b91c9a6a",
+    "exact/point_masses5": "2841a7c67fa2d2c8db0b563f7b5f00129c62ba32ce3e6726d75da44ac66db17a",
+    "exact/point_masses6": "2654488a35e50371cfd895df945a786011f1b373347a5bfd7355f582dcccf25f",
+    "exact/point_masses7": "fb7f86390f5164b31445b9a1d3409824fb8b30a3799196778ead5dbb90368a11",
+    "exact/point_masses8": "90af28c3c292fc892f818f0490e2794b8c7057acee26e46c5a8eadd1a19d7966",
+    "exact/point_masses9": "729475248ea5de70c9934eac2b4b14f9e89ea94d60a260dfb26d43b3faa16f0a",
+    "exact/escaped_labels": "d00afa3bc5ba84265ea41bbcefd6328381ddbd006669ddb3923b018bbc01228d",
+    "gibbs_samples1/wildcatter_irid": "91f864fde93328a4c72f616c33bb3b6766f17a466d56b7a9cc49c7bd701c13db",
+    "gibbs_samples1/wildcatter_irid_alt_probs": "516ad7e36337b4c1b93905e177d96e128ef7d1bd728ac08f145b928a3c719c44",
+    "gibbs_samples1/wildcatter_irid_payoff_values": "f14512f5ae42a5a6818ee359bed1951e638e52fe0ea0d3f58c6901536ae53329",
+    "gibbs_samples1/wildcatter_info_only": "4596eb02d806c52afaa32ac62d7f4051e39a592c006851e480ae8cbc2f0e1e65",
+    "gibbs_samples1/wildcatter_deterministic_workaround": "d98ffe35b8299b9e916565c7fe48a5f276666d485cd3da9d1d0ebd0166ba0ffc",
+    "exact/escaped_decision": "26c210724d60a01ebd196fc0123eda111392b92722e4fd59ee6c6c76cbbfd0f9",
+    "gibbs_seed0/escaped_decision": "ca19533f875b04669214fecb453c369e8382d93da6ab0e9619d6fd0ee441834f",
+}
+
+
+def solution_digests() -> dict[str, str]:
+    exact = SolveOptions(backend="exact")
+    one_sample = SolveOptions(backend="gibbs", sampler=SamplerConfig(seed=0, samples=1))
+    gibbs = SolveOptions(backend="gibbs", sampler=SamplerConfig(seed=0))
+    escaped = escaped_decision_model()
+    runs = {f"exact/{name}": (m, exact) for name, m in generated_models().items()}
+    runs.update({f"gibbs_samples1/{name}": (load_bundled(name), one_sample) for name in BUNDLED})
+    runs["exact/escaped_decision"] = (escaped, exact)
+    runs["gibbs_seed0/escaped_decision"] = (escaped, gibbs)
+    return {
+        key: hashlib.sha256(serialize_solution(solve(m, options))).hexdigest()
+        for key, (m, options) in runs.items()
+    }
+
+
+def test_solution_bytes_of_generated_and_escaped_models_match_the_pinned_digests():
+    assert solution_digests() == SOLUTION_GOLDEN
