@@ -25,8 +25,7 @@ and table arrays, through %-templates of the `json.dumps(doc, indent=2)`
 layout: fixed key order, rows and cells row-major over their parents, numbers
 as `float.__repr__`.  So parse(serialize(m)) == m, and the bytes hash stably:
 `model_content_hash` is their sha256, computed once per model object.
-Solution files go through `_to_json`, a faster `json.dumps(obj, indent=2)`
-for the documents irid writes.
+`serialize_solution` writes solution files through the same templates.
 """
 
 from __future__ import annotations
@@ -300,49 +299,6 @@ def _arrow_field(doc: Mapping, arrows: set[tuple[str, str]]) -> str:
 # serialization
 
 
-def _to_json(obj, newline: str = "\n") -> str:
-    """Exactly `json.dumps(obj, indent=2)` for the documents irid writes.
-
-    CPython's json uses its pure-Python generator encoder whenever `indent` is
-    set; building each container with one `str.join` is faster for the same
-    bytes.  `newline` is the line break plus the indentation of `obj`'s level.
-    """
-    if isinstance(obj, str):
-        return _escape(obj)
-    if isinstance(obj, float):
-        if obj != obj:
-            return "NaN"
-        if obj == math.inf:
-            return "Infinity"
-        if obj == -math.inf:
-            return "-Infinity"
-        return float.__repr__(obj)
-    inner = newline + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(_escape(key) + ": " + _to_json(value, inner))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_to_json(value, inner) for value in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 #: the line break and indentation before an item at each nesting depth
 _NL = tuple("\n" + "  " * depth for depth in range(7))
 
@@ -362,6 +318,21 @@ def _object(keys: str, depth: int) -> str:
     return _block("{}", [_escape(key) + ": %s" for key in keys.split()], depth)
 
 
+def _key(name: str) -> str:
+    """`"name": ` as %-template text."""
+    return _escape(name).replace("%", "%%") + ": "
+
+
+def _cells(keys: list[str], configs, depth: int, field: str, fmt: str, values) -> str:
+    """The array at `depth` of {"given": {...}, field: value} objects, one per
+    configuration: `keys` are the `_key`s of the given variables, each of
+    `configs` a tuple of escaped labels, and each of `values` the tuple that
+    fills `fmt`."""
+    given = _block("{}", [k + "%s" for k in keys], depth + 2)
+    template = _block("{}", ['"given": ' + given, field + ": " + fmt], depth + 1)
+    return _block("[]", [template % (cfg + x) for cfg, x in zip(configs, values)], depth)
+
+
 _NODE = _object("id kind", 2)
 _FRAMED_NODE = _object("id kind frame", 2)
 _ARROW = _object("from to kind", 2)
@@ -378,20 +349,13 @@ def serialize_model(model: IridModel) -> bytes:
     parents; numbers are `float.__repr__`, so round-trips are exact."""
     name = {n.id: _escape(n.id) for n in model.nodes}
     labels = {v: [_escape(lab) for lab in f.labels] for v, f in model.frames.items()}
-    # a `"name": ` key as %-template text
-    key = {v: escaped.replace("%", "%%") + ": " for v, escaped in name.items()}
 
     def names(scope, depth):
         return _block("[]", [name[v] for v in scope], depth)
 
     def cells(scope, depth, field, fmt, values):
-        # the array of {"given": {...}, field: value} objects at `depth`,
-        # one per configuration of `scope`, row-major; each of `values` is
-        # the tuple that fills `fmt`
-        given = _block("{}", [key[v] + "%s" for v in scope], depth + 2)
-        template = _block("{}", ['"given": ' + given, field + ": " + fmt], depth + 1)
         configs = itertools.product(*[labels[v] for v in scope])
-        return _block("[]", [template % (cfg + x) for cfg, x in zip(configs, values)], depth)
+        return _cells(list(map(_key, scope)), configs, depth, field, fmt, values)
 
     nodes = [
         _NODE % (name[n.id], _escape(n.kind)) if n.frame is None
@@ -436,60 +400,59 @@ def model_content_hash(model: IridModel) -> str:
     return model._content_hash
 
 
-def _currency(x: float | None):
-    """Integers stay integers; anything else is fixed to two decimals."""
+def _amount(x) -> str:
+    """A number of a solution file: null for None, an integral amount below
+    2**53 as an integer, anything else rounded to two decimals."""
     if x is None:
-        return None
+        return "null"
+    x = float(x)
     if x == int(x) and abs(x) < 2**53:
-        return int(x)
-    return round(float(x), 2)
+        return int.__repr__(int(x))
+    return float.__repr__(round(x, 2))
+
+
+_SOLUTION = _object(
+    "schema_version backend objective expected_value expected_value_std_error"
+    " expected_value_n model_hash sampler policies diagnostics", 0
+)
+_SAMPLER = _object("seed burn_in samples", 1)
+_POLICY = _object("decision scope cells", 2)
+_DIAGNOSTIC = _object(
+    "stage decision given alternative value std_error n chosen zero_probability", 2
+)
+_BOOL = ("false", "true")
 
 
 def serialize_solution(solution) -> bytes:
-    """Canonical solution bytes: stable key order, currency-style numbers.
-
+    """Canonical solution bytes, in the layout of `json.dumps(doc, indent=2)`:
+    stable key order, currency-style numbers, policy cells in table order.
     Identical solutions (same policies, values, sampler, model hash) always
-    produce byte-identical output.
-    """
-    sampler = None
-    if solution.sampler is not None:
-        sampler = {
-            "seed": solution.sampler.seed,
-            "burn_in": solution.sampler.burn_in,
-            "samples": solution.sampler.samples,
-        }
+    produce byte-identical output."""
+    s = solution.sampler
+    sampler = "null" if s is None else _SAMPLER % (s.seed, s.burn_in, s.samples)
     policies = []
     for d, pol in solution.policies.items():
-        cells = [
-            {"given": dict(zip(pol.scope, cfg)), "choose": alt}
-            for cfg, alt in pol.table.items()
-        ]
-        policies.append({"decision": d, "scope": list(pol.scope), "cells": cells})
+        configs = [tuple(map(_escape, cfg)) for cfg in pol.table]
+        choices = zip(map(_escape, pol.table.values()))
+        cells = _cells(list(map(_key, pol.scope)), configs, 3, '"choose"', "%s", choices)
+        scope = _block("[]", list(map(_escape, pol.scope)), 3)
+        policies.append(_POLICY % (_escape(d), scope, cells))
+    templates = {}  # the diagnostic template for each tuple of given variables
     diagnostics = []
     for diag in solution.per_cell_diagnostics:
-        diagnostics.append(
-            {
-                "stage": diag.stage,
-                "decision": diag.decision,
-                "given": dict(diag.config),
-                "alternative": diag.alternative,
-                "value": _currency(diag.value),
-                "std_error": _currency(diag.std_error),
-                "n": diag.n,
-                "chosen": diag.chosen,
-                "zero_probability": diag.zero_probability,
-            }
-        )
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "backend": solution.backend_used,
-        "objective": solution.objective,
-        "expected_value": _currency(solution.expected_value),
-        "expected_value_std_error": _currency(solution.expected_value_std_error),
-        "expected_value_n": solution.expected_value_n,
-        "model_hash": solution.model_hash,
-        "sampler": sampler,
-        "policies": policies,
-        "diagnostics": diagnostics,
-    }
-    return (_to_json(doc) + "\n").encode("utf-8")
+        names = tuple(v for v, _ in diag.config)
+        if names not in templates:
+            given = _block("{}", [_key(v) + "%s" for v in names], 3)
+            templates[names] = _DIAGNOSTIC.replace('"given": %s', '"given": ' + given)
+        diagnostics.append(templates[names] % (
+            diag.stage, _escape(diag.decision), *[_escape(lab) for _, lab in diag.config],
+            _escape(diag.alternative), _amount(diag.value), _amount(diag.std_error),
+            _amount(diag.n), _BOOL[diag.chosen], _BOOL[diag.zero_probability],
+        ))
+    doc = _SOLUTION % (
+        _escape(SCHEMA_VERSION), _escape(solution.backend_used), _escape(solution.objective),
+        _amount(solution.expected_value), _amount(solution.expected_value_std_error),
+        _amount(solution.expected_value_n), _escape(solution.model_hash), sampler,
+        _block("[]", policies, 1), _block("[]", diagnostics, 1),
+    )
+    return (doc + "\n").encode("utf-8")

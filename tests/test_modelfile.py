@@ -1,5 +1,4 @@
 import json
-import math
 
 import pytest
 
@@ -17,7 +16,6 @@ from irid.errors import (
 )
 from irid.gibbs import SamplerConfig
 from irid.modelfile import (
-    _to_json,
     model_content_hash,
     parse_model,
     serialize_model,
@@ -25,7 +23,7 @@ from irid.modelfile import (
 )
 from irid.solver import SolveOptions, solve
 
-from model_gen import escaped_label_model, random_model
+from model_gen import escaped_decision_model, escaped_label_model, random_model
 
 
 class TestRoundTrip:
@@ -240,36 +238,84 @@ def _dumped(doc) -> bytes:
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
+def _amount(x):
+    """A solution number as the solution file writes it."""
+    if x is None:
+        return None
+    return int(x) if float(x).is_integer() and abs(x) < 2**53 else round(x, 2)
+
+
+def _solution_document(solution) -> dict:
+    """The solution file's document, from the Solution's fields."""
+    sampler = solution.sampler
+    return {
+        "schema_version": "1",
+        "backend": solution.backend_used,
+        "objective": solution.objective,
+        "expected_value": _amount(solution.expected_value),
+        "expected_value_std_error": _amount(solution.expected_value_std_error),
+        "expected_value_n": solution.expected_value_n,
+        "model_hash": solution.model_hash,
+        "sampler": None if sampler is None else {
+            "seed": sampler.seed, "burn_in": sampler.burn_in, "samples": sampler.samples,
+        },
+        "policies": [
+            {
+                "decision": d,
+                "scope": list(pol.scope),
+                "cells": [
+                    {"given": dict(zip(pol.scope, cfg)), "choose": alt}
+                    for cfg, alt in pol.table.items()
+                ],
+            }
+            for d, pol in solution.policies.items()
+        ],
+        "diagnostics": [
+            {
+                "stage": diag.stage,
+                "decision": diag.decision,
+                "given": dict(diag.config),
+                "alternative": diag.alternative,
+                "value": _amount(diag.value),
+                "std_error": _amount(diag.std_error),
+                "n": diag.n,
+                "chosen": diag.chosen,
+                "zero_probability": diag.zero_probability,
+            }
+            for diag in solution.per_cell_diagnostics
+        ],
+    }
+
+
+#: exact, Gibbs with 200 samples, and Gibbs with one sample, whose
+#: standard errors are all undefined
+SOLVE_SETTINGS = (
+    SolveOptions(),
+    SolveOptions(backend="gibbs", sampler=SamplerConfig(seed=1, burn_in=20, samples=200)),
+    SolveOptions(backend="gibbs", sampler=SamplerConfig(seed=0, samples=1)),
+)
+
+
 class TestCanonicalWriter:
-    """serialize_model and serialize_solution (through `_to_json`) produce
-    exactly json.dumps(doc, indent=2)."""
+    """serialize_model and serialize_solution write exactly
+    json.dumps(doc, indent=2) of the documents they stand for."""
 
-    @pytest.fixture
-    def top_level_documents(self, monkeypatch):
-        """Every document the serializers hand to the writer."""
-        docs = []
-        writer = irid.modelfile._to_json
-
-        def spy(obj, *nested):
-            if not nested:
-                docs.append(obj)
-            return writer(obj, *nested)
-
-        monkeypatch.setattr(irid.modelfile, "_to_json", spy)
-        return docs
+    @staticmethod
+    def check_solutions(model):
+        for options in SOLVE_SETTINGS:
+            solution = solve(model, options)
+            assert solution.model_hash == model_content_hash(model)
+            assert serialize_solution(solution) == _dumped(_solution_document(solution))
 
     @pytest.mark.parametrize("name", BUNDLED)
-    def test_bundled_models_and_solutions(self, name, top_level_documents):
+    def test_bundled_models_and_solutions(self, name):
         model = load_bundled(name)
         # the bundled files were written by json.dumps(doc, indent=2)
         assert serialize_model(model) == bundled_bytes(name)
-        gibbs = SolveOptions(
-            backend="gibbs", sampler=SamplerConfig(seed=1, burn_in=20, samples=200)
-        )
-        for options in (SolveOptions(), gibbs):
-            data = serialize_solution(solve(model, options))
-            assert data == _dumped(top_level_documents[-1])
-            assert top_level_documents[-1]["model_hash"] == model_content_hash(model)
+        self.check_solutions(model)
+
+    def test_escaped_decision_solutions(self):
+        self.check_solutions(escaped_decision_model())
 
     def test_escaped_labels(self):
         model = escaped_label_model()
@@ -294,25 +340,3 @@ class TestCanonicalWriter:
         data = serialize_model(model)
         assert data == _dumped(doc)
         assert parse_model(data) == model
-
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            {"numbers": [-0.0, 1e-300, 0.1, 2**60, -(2**60), 0, 1.5e300, -7]},
-            {"specials": [math.nan, math.inf, -math.inf]},
-            {"constants": [True, False, None]},
-            {"empty": [{}, [], ""], "nested": {"a": [[1, {"b": []}], {}]}, "": {}},
-            [],
-            {},
-            "é\u2028\x00",
-            [[[]]],
-            (1, ("tuple",)),
-        ],
-    )
-    def test_crafted_documents(self, doc):
-        assert _to_json(doc) == json.dumps(doc, indent=2)
-
-    @pytest.mark.parametrize("doc", [{1: "int key"}, {"set": {1}}, [b"bytes"], [object()]])
-    def test_rejects_what_it_does_not_write(self, doc):
-        with pytest.raises(TypeError):
-            _to_json(doc)
