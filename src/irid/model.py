@@ -166,7 +166,9 @@ class Cpt:
 
 @dataclass(frozen=True)
 class Constraint:
-    """Maps configurations of the scope to the alternatives the decision may take."""
+    """Maps configurations of the scope (tuples of labels, in `scope` order)
+    to the alternatives the decision may take.  `cells` is kept as given;
+    `build_model` checks it and keeps the alternatives in frame order."""
 
     decision: str
     scope: tuple[str, ...]
@@ -174,8 +176,6 @@ class Constraint:
 
     def __post_init__(self):
         object.__setattr__(self, "scope", tuple(self.scope))
-        cells = {tuple(cfg): tuple(allowed) for cfg, allowed in self.cells.items()}
-        object.__setattr__(self, "cells", cells)
 
 
 @dataclass(frozen=True)
@@ -654,6 +654,12 @@ def _bad_key(
     return InvalidModel(mismatch)
 
 
+def _is_real(x) -> bool:
+    """Whether a table entry is a number: an int, a float or a numpy integer
+    or floating scalar, but not a bool."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 def _cpt_table(cpt: Cpt, graph_parents: tuple[str, ...], frames: Mapping[str, Frame]) -> Factor:
     """`cpt` as an array over (parents..., child), once every row is checked;
     a bad CPT raises the error of its first bad row in `rows` order."""
@@ -683,7 +689,12 @@ def _cpt_table(cpt: Cpt, graph_parents: tuple[str, ...], frames: Mapping[str, Fr
                     f"CPT row of {child!r} mentions {sorted(extra)} outside the frame"
                 )
             raise CptRowNotNormalized(child, cfg, "missing probabilities")
-        probs = [float(row[lab]) for lab in labels]
+        probs = []
+        for lab in labels:
+            p = row[lab]
+            if not _is_real(p):
+                raise CptRowNotNormalized(child, cfg, f"P({lab!r})={p!r} is not a number")
+            probs.append(float(p))
         total = 0.0
         for p in probs:
             if not (0.0 <= p <= 1.0):
@@ -751,6 +762,8 @@ def _value_table(
                 cfg, parents, frames,
                 f"value cell key {cfg!r} does not match value parents", "value table",
             )
+        if not _is_real(v):
+            raise InvalidModel(f"value table entry at {cfg!r} is {v!r}, not a number")
         v = float(v)
         if not math.isfinite(v):
             raise NonFiniteValue(f"value table entry at {cfg!r} is {v!r}")

@@ -432,6 +432,49 @@ class TestValidationRejectsCorruption:
                 constraints=(wildcatter.constraint("T"), Constraint("D", con.scope, cells)),
             )
 
+    @pytest.mark.parametrize(
+        "row", [{"w": "x", "y": 0.5}, {"w": None, "y": 0.5}, {"w": "0.5", "y": "0.5"},
+                {"w": True, "y": False}],
+    )
+    def test_cpt_entry_that_is_not_a_number(self, wildcatter, row):
+        cpts = tuple(Cpt("O", (), {(): row}) if c.child == "O" else c for c in wildcatter.cpts)
+        with pytest.raises(CptRowNotNormalized, match="'w'.* is not a number") as exc:
+            rebuild(wildcatter, cpts=cpts)
+        assert (exc.value.child, exc.value.config) == ("O", ())
+
+    @pytest.mark.parametrize("entry", [None, "3", False])
+    def test_value_entry_that_is_not_a_number(self, wildcatter, entry):
+        cells = {**wildcatter.value.cells, ("w", "t1", "nd"): entry}
+        with pytest.raises(InvalidModel, match=r"\('w', 't1', 'nd'\) is .*, not a number"):
+            rebuild(wildcatter, value=ValueTable(wildcatter.value.parents, cells))
+
+    def test_numpy_scalars_are_numbers(self, wildcatter):
+        cpts = tuple(
+            Cpt("O", (), {(): {"w": np.float32(0.5), "y": np.float64(0.5)}}) if c.child == "O"
+            else c
+            for c in wildcatter.cpts
+        )
+        cells = {cfg: np.int64(v) for cfg, v in wildcatter.value.cells.items()}
+        model = rebuild(wildcatter, cpts=cpts, value=ValueTable(wildcatter.value.parents, cells))
+        assert model.cpt("O").rows == {(): {"w": 0.5, "y": 0.5}}
+        assert model.value == wildcatter.value
+
+    def test_string_key_of_a_one_variable_constraint(self):
+        frame = Frame(("a", "b"))
+        nodes = (NodeSpec("A", "chance", frame), NodeSpec("D", "decision", frame),
+                 NodeSpec("V", "value"))
+        arrows = (ArrowSpec("A", "D", "relevance"), ArrowSpec("D", "V", "relevance"))
+        cpts = (Cpt("A", (), {(): {"a": 0.5, "b": 0.5}}),)
+        value = ValueTable(("D",), {("a",): 1.0, ("b",): 0.0})
+        cells = {("a",): ("a",), ("b",): ("a", "b")}
+        built = build_model(nodes, arrows, cpts, (Constraint("D", ("A",), cells),), value)
+        assert built.constraint("D").cells == cells
+        # a bare label is no configuration: keys are tuples, as in Cpt and ValueTable
+        bare = Constraint("D", ("A",), {"a": ("a",), "b": ("a", "b")})
+        with pytest.raises(MissingTableEntry) as exc:
+            build_model(nodes, arrows, cpts, (bare,), value)
+        assert exc.value.config == ("a",)
+
 
 class TestTablesAreArrays:
     """A model holds its tables as arrays; `cpts` and `value` are label views
