@@ -654,10 +654,16 @@ def _bad_key(
     return InvalidModel(mismatch)
 
 
-def _is_real(x) -> bool:
-    """Whether a table entry is a number: an int, a float or a numpy integer
-    or floating scalar, but not a bool."""
-    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+def _real(x) -> float | None:
+    """A table entry as a float, or None if it is not a number: an int, a
+    float or a numpy integer or floating scalar, but not a bool.  An integer
+    beyond the doubles becomes an infinity."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        return None
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def _cpt_table(cpt: Cpt, graph_parents: tuple[str, ...], frames: Mapping[str, Frame]) -> Factor:
@@ -689,12 +695,10 @@ def _cpt_table(cpt: Cpt, graph_parents: tuple[str, ...], frames: Mapping[str, Fr
                     f"CPT row of {child!r} mentions {sorted(extra)} outside the frame"
                 )
             raise CptRowNotNormalized(child, cfg, "missing probabilities")
-        probs = []
-        for lab in labels:
-            p = row[lab]
-            if not _is_real(p):
-                raise CptRowNotNormalized(child, cfg, f"P({lab!r})={p!r} is not a number")
-            probs.append(float(p))
+        probs = [_real(row[lab]) for lab in labels]
+        if None in probs:
+            lab = labels[probs.index(None)]
+            raise CptRowNotNormalized(child, cfg, f"P({lab!r})={row[lab]!r} is not a number")
         total = 0.0
         for p in probs:
             if not (0.0 <= p <= 1.0):
@@ -762,12 +766,12 @@ def _value_table(
                 cfg, parents, frames,
                 f"value cell key {cfg!r} does not match value parents", "value table",
             )
-        if not _is_real(v):
+        number = _real(v)
+        if number is None:
             raise InvalidModel(f"value table entry at {cfg!r} is {v!r}, not a number")
-        v = float(v)
-        if not math.isfinite(v):
-            raise NonFiniteValue(f"value table entry at {cfg!r} is {v!r}")
-        ordered[i] = v
+        if not math.isfinite(number):
+            raise NonFiniteValue(f"value table entry at {cfg!r} is {number!r}")
+        ordered[i] = number
     return _factor(parents, frames, np.array(ordered))
 
 

@@ -349,13 +349,14 @@ def serialize_model(model: IridModel) -> bytes:
     parents; numbers are `float.__repr__`, so round-trips are exact."""
     name = {n.id: _escape(n.id) for n in model.nodes}
     labels = {v: [_escape(lab) for lab in f.labels] for v, f in model.frames.items()}
+    key = {v: _key(v) for v in name}
 
     def names(scope, depth):
         return _block("[]", [name[v] for v in scope], depth)
 
     def cells(scope, depth, field, fmt, values):
         configs = itertools.product(*[labels[v] for v in scope])
-        return _cells(list(map(_key, scope)), configs, depth, field, fmt, values)
+        return _cells([key[v] for v in scope], configs, depth, field, fmt, values)
 
     nodes = [
         _NODE % (name[n.id], _escape(n.kind)) if n.frame is None

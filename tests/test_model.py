@@ -448,6 +448,17 @@ class TestValidationRejectsCorruption:
         with pytest.raises(InvalidModel, match=r"\('w', 't1', 'nd'\) is .*, not a number"):
             rebuild(wildcatter, value=ValueTable(wildcatter.value.parents, cells))
 
+    def test_integers_beyond_the_doubles_are_infinite(self, wildcatter):
+        cpts = tuple(
+            Cpt("O", (), {(): {"w": 10**400, "y": 0.0}}) if c.child == "O" else c
+            for c in wildcatter.cpts
+        )
+        with pytest.raises(CptRowNotNormalized, match="P=inf outside"):
+            rebuild(wildcatter, cpts=cpts)
+        cells = {**wildcatter.value.cells, ("w", "t1", "nd"): -(10**400)}
+        with pytest.raises(NonFiniteValue, match="is -inf"):
+            rebuild(wildcatter, value=ValueTable(wildcatter.value.parents, cells))
+
     def test_numpy_scalars_are_numbers(self, wildcatter):
         cpts = tuple(
             Cpt("O", (), {(): {"w": np.float32(0.5), "y": np.float64(0.5)}}) if c.child == "O"
