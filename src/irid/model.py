@@ -695,15 +695,20 @@ def _cpt_table(cpt: Cpt, graph_parents: tuple[str, ...], frames: Mapping[str, Fr
                     f"CPT row of {child!r} mentions {sorted(extra)} outside the frame"
                 )
             raise CptRowNotNormalized(child, cfg, "missing probabilities")
-        probs = [_real(row[lab]) for lab in labels]
-        if None in probs:
-            lab = labels[probs.index(None)]
-            raise CptRowNotNormalized(child, cfg, f"P({lab!r})={row[lab]!r} is not a number")
+        probs = []
         total = 0.0
-        for p in probs:
+        for lab in labels:
+            p = row[lab]
+            if type(p) is not float:  # the parser gives floats
+                p = _real(p)
+                if p is None:
+                    raise CptRowNotNormalized(
+                        child, cfg, f"P({lab!r})={row[lab]!r} is not a number"
+                    )
             if not (0.0 <= p <= 1.0):
                 raise CptRowNotNormalized(child, cfg, f"P={p!r} outside [0,1]")
             total += p
+            probs.append(p)
         if abs(total - 1.0) > PROB_TOL:
             raise CptRowNotNormalized(child, cfg, f"row sums to {total!r}")
         ordered[i] = probs
@@ -766,12 +771,14 @@ def _value_table(
                 cfg, parents, frames,
                 f"value cell key {cfg!r} does not match value parents", "value table",
             )
-        number = _real(v)
-        if number is None:
-            raise InvalidModel(f"value table entry at {cfg!r} is {v!r}, not a number")
-        if not math.isfinite(number):
-            raise NonFiniteValue(f"value table entry at {cfg!r} is {number!r}")
-        ordered[i] = number
+        if type(v) is not float:  # the parser gives floats
+            real = _real(v)
+            if real is None:
+                raise InvalidModel(f"value table entry at {cfg!r} is {v!r}, not a number")
+            v = real
+        if not math.isfinite(v):
+            raise NonFiniteValue(f"value table entry at {cfg!r} is {v!r}")
+        ordered[i] = v
     return _factor(parents, frames, np.array(ordered))
 
 
