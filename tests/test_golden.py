@@ -3,9 +3,10 @@
 The sha256 of the `serialize_solution` bytes of every bundled model under
 the Gibbs backend at seeds 0-2 and the exact backend, of the
 `serialize_model` bytes of generated models, and of the solution bytes of
-those models, of one-sample Gibbs solves and of names that need escapes.  A change that claims
-to keep seeded output must keep these digests; one that changes output on
-purpose records the new ones here and says which files changed and why.
+those models, of one-sample Gibbs solves and of names that need escapes.
+A change that claims to keep seeded output must keep these digests; one
+that changes output on purpose records the new ones here and says which
+files changed and why.
 """
 
 from __future__ import annotations
