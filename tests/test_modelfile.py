@@ -1,5 +1,7 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 import irid.modelfile
@@ -316,6 +318,29 @@ class TestCanonicalWriter:
 
     def test_escaped_decision_solutions(self):
         self.check_solutions(escaped_decision_model())
+
+    @pytest.mark.parametrize(
+        "amount",
+        [
+            -0.0, 0.004, -2.5, 1.005, -12345.678, 1e-7, 1e300, -1e22,
+            2.0**53 - 1, 2.0**53, -(2.0**53), np.float64(0.1), np.int64(7),
+        ],
+        ids=repr,
+    )
+    def test_number_rule(self, wildcatter, amount):
+        """Amounts that real solves rarely produce: signed zero, rounding
+        edges, magnitudes at and beyond 2**53, numpy scalars."""
+        sol = solve(wildcatter, SolveOptions(backend="exact"))
+        first = dataclasses.replace(
+            sol.per_cell_diagnostics[0], value=amount, std_error=-amount
+        )
+        crafted = dataclasses.replace(
+            sol,
+            expected_value=amount,
+            expected_value_std_error=amount,
+            per_cell_diagnostics=(first, *sol.per_cell_diagnostics[1:]),
+        )
+        assert serialize_solution(crafted) == _dumped(_solution_document(crafted))
 
     def test_escaped_labels(self):
         model = escaped_label_model()
