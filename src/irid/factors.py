@@ -12,7 +12,7 @@ double arithmetic: no sparsity, no log-space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -48,15 +48,6 @@ class Factor:
             raise ValueError("scope and frames differ in length")
         if len(set(self.scope)) != len(self.scope):
             raise ValueError(f"scope repeats a variable: {self.scope}")
-
-    @classmethod
-    def from_flat(
-        cls, scope: Sequence[str], frames: Sequence["Frame"], flat: Iterable[float]
-    ) -> "Factor":
-        """Build from a row-major flat list (last scope variable varies fastest)."""
-        shape = tuple(len(f) for f in frames)
-        arr = np.asarray(list(flat), dtype=float).reshape(shape)
-        return cls(tuple(scope), tuple(frames), arr)
 
     @classmethod
     def trusted(

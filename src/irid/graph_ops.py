@@ -54,7 +54,6 @@ from .model import (
     Policy,
     build_model,  # noqa: F401  the benchmark's tracer patches graph_ops.build_model
     derived_model,
-    iter_configs,
     validate_policy,
 )
 
@@ -290,7 +289,7 @@ def _stage_factors(model: IridModel, gamma_prime: frozenset[str]) -> tuple[Stage
     """Each node's table whose scope meets gamma_prime, in model order."""
     out: list[StageFactor] = []
     for n in model.nodes:
-        table = model._table(n.id)
+        table = model._tables[n.id]
         if not gamma_prime.isdisjoint(table.scope):
             out.append(StageFactor(n.kind, n.id, table))
     return tuple(out)
@@ -316,15 +315,9 @@ def absorb_decision(model: IridModel, decision: str, policy: Policy) -> IridMode
         raise NotLastDecision(
             f"{decision!r} is not the last decision; absorb {model.decisions[-1]!r} first"
         )
-    validate_policy(model, policy)
-
-    frames = model.frames
-    labels = frames[decision].labels
     # the chosen alternative's index per configuration of the policy's scope
-    choice = np.array(
-        [labels.index(policy.table[cfg]) for cfg in iter_configs(policy.scope, frames)],
-        dtype=np.intp,
-    ).reshape(tuple(len(frames[v]) for v in policy.scope))
+    choice = validate_policy(model, policy)
+    frames = model.frames
 
     children = model.children(decision)
     new_nodes = tuple(n for n in model.nodes if n.id != decision)
@@ -342,7 +335,7 @@ def absorb_decision(model: IridModel, decision: str, policy: Policy) -> IridMode
     # the last decision); a CPT's scope ends in its child
     changed: dict[str, Factor] = {}
     for child in children:
-        table = model._table(child)
+        table = model._tables[child]
         if child == model.value_var:
             scope = _composed_parents(table.scope, policy)
         else:

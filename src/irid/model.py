@@ -47,7 +47,6 @@ from .errors import (
     IncompleteConfig,
     IncompletePolicy,
     InvalidModel,
-    MissingPolicy,
     MissingTableEntry,
     MissingValueNode,
     ModelError,
@@ -95,13 +94,13 @@ class Frame:
         if isinstance(self.labels, str):
             raise InvalidModel(f"frame labels must be a sequence of strings, got {self.labels!r}")
         object.__setattr__(self, "labels", tuple(self.labels))
+        for lab in self.labels:
+            if not isinstance(lab, str):
+                raise InvalidModel(f"frame labels must be strings, got {lab!r}")
         if len(self.labels) < 1:
             raise InvalidModel("frame must have at least one value")
         if len(set(self.labels)) != len(self.labels):
             raise InvalidModel(f"frame labels not unique: {self.labels!r}")
-        for lab in self.labels:
-            if not isinstance(lab, str):
-                raise InvalidModel(f"frame labels must be strings, got {lab!r}")
 
     def index(self, label: str) -> int:
         try:
@@ -196,7 +195,8 @@ class Policy:
     """Deterministic decision function: one chosen alternative per scope configuration.
 
     The scope is the decision's full parent list; the table must pick an
-    admissible alternative for every configuration.
+    admissible alternative for every configuration and hold nothing else.
+    `table` is kept as given; `validate_policy` checks it.
     """
 
     decision: str
@@ -205,9 +205,6 @@ class Policy:
 
     def __post_init__(self):
         object.__setattr__(self, "scope", tuple(self.scope))
-        object.__setattr__(
-            self, "table", {tuple(cfg): str(v) for cfg, v in self.table.items()}
-        )
 
     def choice(self, config: Config) -> str:
         try:
@@ -284,7 +281,9 @@ class IridModel:
     arrows: tuple[ArrowSpec, ...]
     constraints: tuple[Constraint, ...]
     #: every node's table, by owner: CPTs by child, the value table by the
-    #: value node, placeholders by decision
+    #: value node, placeholders by decision.  A placeholder's scope is fixed
+    #: during a stage, so it contributes a constant and never perturbs
+    #: weights or support
     _tables: Mapping[str, Factor]
     objective: str = MAXIMIZE
 
@@ -418,12 +417,6 @@ class IridModel:
     @property
     def value_factor(self) -> Factor:
         return self._tables[self.value_var]
-
-    def _table(self, var: str) -> Factor:
-        """The table `var` owns: its CPT, the value table, or a decision's
-        placeholder.  The placeholder's scope is fixed during a stage, so it
-        contributes a constant and never perturbs weights or support."""
-        return self._tables[var]
 
     @cached_property
     def _content_hash(self) -> str:
@@ -726,24 +719,21 @@ def _validate_constraint(
     if len(set(con.scope)) != len(con.scope):
         raise ConstraintScopeNotParents(f"constraint scope of {con.decision!r} repeats a variable")
     dec_frame = frames[con.decision]
+    index = _config_index(con.scope, con.cells, frames, "constraint", con.decision)
     cells = {}
-    for cfg in iter_configs(con.scope, frames):
-        if cfg not in con.cells:
-            raise MissingTableEntry("constraint", con.decision, cfg)
     for cfg, allowed in con.cells.items():
-        if len(cfg) != len(con.scope):
-            raise InvalidModel(
-                f"constraint cell key {cfg!r} does not match scope of {con.decision!r}"
+        if cfg not in index:
+            raise _bad_key(
+                cfg, con.scope, frames,
+                f"constraint cell key {cfg!r} does not match scope of {con.decision!r}",
+                f"constraint of {con.decision!r}",
             )
-        for v, lab in zip(con.scope, cfg):
-            if lab not in frames[v]:
-                raise ValueNotInFrame(f"{lab!r} not in frame of {v!r} (constraint of {con.decision!r})")
         for alt in allowed:
             if alt not in dec_frame:
                 raise ValueNotInFrame(
                     f"constraint of {con.decision!r} permits {alt!r} outside the frame"
                 )
-        ordered = tuple(lab for lab in dec_frame.labels if lab in set(allowed))
+        ordered = tuple(filter(set(allowed).__contains__, dec_frame.labels))
         if not ordered:
             raise EmptyConstraintCell(con.decision, cfg)
         cells[cfg] = ordered
@@ -802,72 +792,52 @@ def _label_view(kind: str, table: Factor) -> Cpt | ValueTable:
 # operations
 
 
-def validate_policy(model: IridModel, policy: Policy) -> None:
-    """Raise unless `policy` is a total, constraint-respecting decision function."""
-    if policy.decision not in model.variables or model.kind(policy.decision) != DECISION:
-        raise UnknownDecision(f"no decision {policy.decision!r}")
-    want = set(model.parents(policy.decision))
-    if set(policy.scope) != want:
+def validate_policy(model: IridModel, policy: Policy) -> np.ndarray:
+    """Raise unless `policy` is a total, constraint-respecting decision
+    function with no entry outside its scope.  Returns the chosen
+    alternative's frame index at each configuration of the policy's scope,
+    an `np.intp` array with one axis per scope variable."""
+    dec = policy.decision
+    if dec not in model.variables or model.kind(dec) != DECISION:
+        raise UnknownDecision(f"no decision {dec!r}")
+    want = set(model.parents(dec))
+    if len(policy.scope) != len(want) or set(policy.scope) != want:
         raise IncompletePolicy(
-            f"policy scope for {policy.decision!r} is {sorted(policy.scope)}, "
+            f"policy scope for {dec!r} is {sorted(policy.scope)}, "
             f"parents are {sorted(want)}"
         )
-    frame = model.frame(policy.decision)
-    con = model.constraint(policy.decision)
+    frames = model.frames
+    position = {lab: i for i, lab in enumerate(frames[dec].labels)}
+    con = model.constraint(dec)
     # build_model keeps a constraint's scope inside the decision's parents
     # and gives every configuration of it a cell
     pos = [policy.scope.index(v) for v in con.scope]
-    for cfg in iter_configs(policy.scope, model.frames):
-        if cfg not in policy.table:
-            raise IncompletePolicy(f"policy for {policy.decision!r} misses {cfg!r}")
-        chosen = policy.table[cfg]
-        if chosen not in frame:
-            raise ValueNotInFrame(f"policy picks {chosen!r} outside frame of {policy.decision!r}")
+    table = policy.table
+    choice = []
+    for cfg in iter_configs(policy.scope, frames):
+        if cfg not in table:
+            raise IncompletePolicy(f"policy for {dec!r} misses {cfg!r}")
+        chosen = table[cfg]
+        if not isinstance(chosen, str) or chosen not in position:
+            raise ValueNotInFrame(f"policy picks {chosen!r} outside frame of {dec!r}")
         allowed = con.cells[tuple(cfg[i] for i in pos)]
         if chosen not in allowed:
             raise PolicyViolatesConstraint(
                 f"policy picks {chosen!r} at {cfg!r} but constraint allows {list(allowed)}"
             )
+        choice.append(position[chosen])
+    if len(table) != len(choice):
+        raise IncompletePolicy(
+            f"policy for {dec!r} has {len(table)} entries, its scope "
+            f"{list(policy.scope)} has {len(choice)} configurations"
+        )
+    return np.array(choice, dtype=np.intp).reshape(tuple(len(frames[v]) for v in policy.scope))
 
 
 def policy_to_conditional(model: IridModel, policy: Policy) -> Factor:
-    """Zero-one conditional for a decision: each row is one-hot on the chosen alternative."""
-    validate_policy(model, policy)
-    dec = policy.decision
-    frame = model.frame(dec)
-    scope = policy.scope + (dec,)
-    frames = tuple(model.frame(v) for v in scope)
-    values = []
-    for cfg in iter_configs(policy.scope, model.frames):
-        chosen = policy.table[cfg]
-        values.extend(1.0 if lab == chosen else 0.0 for lab in frame.labels)
-    return Factor.from_flat(scope, frames, values)
-
-
-@dataclass(frozen=True)
-class BayesNetView:
-    """The belief network obtained by fixing a policy for every decision.
-
-    `conditionals` holds one probability factor per non-value variable (chance
-    CPTs plus the zero-one policy conditionals); their product is the joint
-    distribution.  The value table stays separate: it is real-valued, not a
-    probability.
-    """
-
-    model: IridModel
-    conditionals: Mapping[str, Factor]
-    value_factor: Factor
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return tuple(v for v in self.model.variables if v != self.model.value_var)
-
-
-def fix_policies(model: IridModel, policies: Mapping[str, Policy]) -> BayesNetView:
-    """Turn the diagram into a belief network by fixing one policy per decision."""
-    conditionals: dict[str, Factor] = {v: model.cpt_factor(v) for v in model.chance_vars}
-    for d in model.decisions:
-        if d not in policies:
-            raise MissingPolicy(d)
-        conditionals[d] = policy_to_conditional(model, policies[d])
-    return BayesNetView(model=model, conditionals=conditionals, value_factor=model.value_factor)
+    """Zero-one conditional for a decision over (scope..., decision): each
+    row is one-hot on the chosen alternative."""
+    choice = validate_policy(model, policy)
+    scope = policy.scope + (policy.decision,)
+    frames = tuple(map(model.frames.__getitem__, scope))
+    return Factor.trusted(scope, frames, np.eye(len(frames[-1]))[choice])

@@ -110,7 +110,7 @@ def model_from_document(doc: Any) -> IridModel:
         frame = None
         if "frame" in item:
             labels = _expect(item["frame"], list, f"{path}.frame")
-            frame = _wrap(Frame, f"{path}.frame", tuple(map(str, labels)))
+            frame = _wrap(Frame, f"{path}.frame", labels)
         nodes.append(_wrap(NodeSpec, path, nid, kind, frame))
 
     arrows = []
@@ -126,7 +126,7 @@ def model_from_document(doc: Any) -> IridModel:
         path = f"cpts[{i}]"
         _expect(item, dict, path)
         child = _req(item, "child", str, path)
-        parents = tuple(str(p) for p in _req(item, "parents", list, path))
+        parents = _names(_req(item, "parents", list, path), f"{path}.parents")
         names = set(parents)
         rows = {}
         for j, row in enumerate(_req(item, "rows", list, path)):
@@ -146,21 +146,21 @@ def model_from_document(doc: Any) -> IridModel:
         path = f"constraints[{i}]"
         _expect(item, dict, path)
         decision = _req(item, "decision", str, path)
-        scope = tuple(str(s) for s in _req(item, "scope", list, path))
+        scope = _names(_req(item, "scope", list, path), f"{path}.scope")
         names = set(scope)
         cells = {}
         for j, cell in enumerate(_req(item, "cells", list, path)):
             cpath = f"{path}.cells[{j}]"
             _expect(cell, dict, cpath)
             given = _given(cell, scope, names, cpath)
-            allow = _req(cell, "allow", list, cpath)
+            allow = _names(_req(cell, "allow", list, cpath), f"{cpath}.allow")
             if given in cells:
                 raise SchemaError(f"{cpath}.given", "duplicate cell configuration")
-            cells[given] = tuple(map(str, allow))
+            cells[given] = allow
         constraints.append(Constraint(decision, scope, cells))
 
     vdoc = _req(doc, "value", dict, "$")
-    vparents = tuple(str(p) for p in _req(vdoc, "parents", list, "value"))
+    vparents = _names(_req(vdoc, "parents", list, "value"), "value.parents")
     names = set(vparents)
     vcells = {}
     for j, cell in enumerate(_req(vdoc, "cells", list, "value")):
@@ -218,7 +218,20 @@ def _given(obj: Mapping, scope: tuple[str, ...], names: set[str], path: str) -> 
         raise SchemaError(
             f"{path}.given", f"must assign exactly {list(scope)}, got {sorted(given)}"
         )
-    return tuple(map(str, map(given.__getitem__, scope)))
+    key = tuple(map(given.__getitem__, scope))
+    for var, label in zip(scope, key):
+        if not isinstance(label, str):
+            _expect(label, str, f"{path}.given.{var}")
+    return key
+
+
+def _names(items: list, path: str) -> tuple[str, ...]:
+    """`items` as a tuple, once each is a string; the error names the
+    first that is not, as `path`[i]."""
+    for i, x in enumerate(items):
+        if not isinstance(x, str):
+            _expect(x, str, f"{path}[{i}]")
+    return tuple(items)
 
 
 def _wrap(make, path: str, *args):
@@ -249,7 +262,7 @@ def _locate(e: ModelError, doc: Mapping) -> str | None:
             )
             parents = tuple(cpt.get("parents", ()))
             for j, row in enumerate(cpt.get("rows", [])):
-                key = tuple(str(row.get("given", {}).get(p)) for p in parents)
+                key = tuple(map(row.get("given", {}).get, parents))
                 if key == tuple(e.config):
                     return f"cpts[{i}].rows[{j}].p"
             return f"cpts[{i}]"
@@ -261,7 +274,7 @@ def _locate(e: ModelError, doc: Mapping) -> str | None:
             )
             scope = tuple(con.get("scope", ()))
             for j, cell in enumerate(con.get("cells", [])):
-                key = tuple(str(cell.get("given", {}).get(s)) for s in scope)
+                key = tuple(map(cell.get("given", {}).get, scope))
                 if key == tuple(e.config):
                     return f"constraints[{i}].cells[{j}].allow"
             return f"constraints[{i}]"

@@ -30,9 +30,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import BudgetExceeded, IncompleteConfig, InvalidModel, ZeroNormalizer
+from .errors import BudgetExceeded, IncompleteConfig, InvalidModel, MissingPolicy, ZeroNormalizer
 from .graph_ops import StageContext
-from .model import Frame, IridModel, Policy, fix_policies, iter_configs
+from .model import CHANCE, Frame, IridModel, Policy, iter_configs, policy_to_conditional
 
 
 @dataclass(frozen=True)
@@ -76,14 +76,21 @@ def exact_expectation(
 ) -> float:
     """Expected value of the value node under the given policies, by full
     enumeration of the joint distribution (chance conditionals times the
-    zero-one policy conditionals)."""
+    zero-one policy conditionals, multiplied in model order).  Raises
+    MissingPolicy for a decision `policies` leaves out."""
     n = _joint_config_count(model)
     if n > budget.max_joint_configs:
         raise BudgetExceeded(f"{n} joint configurations exceed {budget.max_joint_configs}")
-    view = fix_policies(model, policies)
-    variables = view.variables
-    conditionals = [view.conditionals[v] for v in variables]
-    value_factor = view.value_factor
+    variables = tuple(v for v in model.variables if v != model.value_var)
+    conditionals = []
+    for v in variables:
+        if model.kind(v) == CHANCE:
+            conditionals.append(model.cpt_factor(v))
+        elif v in policies:
+            conditionals.append(policy_to_conditional(model, policies[v]))
+        else:
+            raise MissingPolicy(v)
+    value_factor = model.value_factor
     total = 0.0
     for cfg in iter_configs(variables, model.frames):
         assign = dict(zip(variables, cfg))

@@ -154,4 +154,4 @@ class TestFactorBasics:
 
     def test_entries_must_be_finite(self):
         with pytest.raises(ValueError):
-            Factor.from_flat(("A",), (Frame(("x", "y")),), [1.0, float("nan")])
+            Factor(("A",), (Frame(("x", "y")),), np.array([1.0, float("nan")]))

@@ -1,10 +1,12 @@
 import ast
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from irid.data import BUNDLED, load_bundled
 from irid.errors import (
     ArrowKindMismatch,
     CptParentsMismatch,
@@ -35,15 +37,16 @@ from irid.model import (
     Policy,
     ValueTable,
     build_model,
-    fix_policies,
     iter_configs,
     policy_to_conditional,
     topological_sort,
     validate_policy,
 )
 
+from irid.oracle import exact_expectation
+
 from conftest import constrained_constant_policy
-from model_gen import random_model
+from model_gen import random_model, random_policies
 
 
 def rebuild(model, nodes=None, arrows=None, cpts=None, constraints=None, value=None):
@@ -230,22 +233,61 @@ class TestValidatePolicy:
             validate_policy(wildcatter, Policy("D", pol.scope, table))
 
 
-class TestFixPolicies:
+    def test_entries_outside_the_scope(self, wildcatter):
+        pol = constrained_constant_policy(wildcatter, "D", "nd")
+        validate_policy(wildcatter, pol)
+        for extra in (("zz", "zz", "zz"), 5):
+            with pytest.raises(IncompletePolicy, match="entries, its scope"):
+                validate_policy(wildcatter, Policy("D", pol.scope, {**pol.table, extra: "nd"}))
+
+    def test_table_is_kept_as_given(self, wildcatter):
+        table = dict(constrained_constant_policy(wildcatter, "D", "nd").table)
+        assert Policy("D", wildcatter.parents("D"), table).table is table
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_returns_the_chosen_frame_index(self, name):
+        model = load_bundled(name)
+        frames = model.frames
+        for seed in range(5):
+            for d, pol in random_policies(model, np.random.default_rng(seed)).items():
+                choice = validate_policy(model, pol)
+                assert choice.dtype == np.intp
+                assert choice.shape == tuple(len(frames[v]) for v in pol.scope)
+                labels = frames[d].labels
+                for cfg in iter_configs(pol.scope, frames):
+                    index = tuple(frames[v].index(lab) for v, lab in zip(pol.scope, cfg))
+                    assert choice[index] == labels.index(pol.table[cfg])
+
+
+def _with_value(model, value_of):
+    """`model` with `value_of(assignment)` as its value at each
+    configuration of the value node's parents."""
+    parents = model.parents(model.value_var)
+    cells = {
+        cfg: float(value_of(dict(zip(parents, cfg))))
+        for cfg in iter_configs(parents, model.frames)
+    }
+    return rebuild(model, value=ValueTable(parents, cells))
+
+
+class TestPoliciesFixTheJoint:
+    """`exact_expectation` multiplies the CPTs and the policies' zero-one
+    conditionals into the joint: under an all-ones value table it reads the
+    joint's total mass, under an indicator the mass of what it marks."""
+
     def test_missing_policy(self, wildcatter):
         with pytest.raises(MissingPolicy):
-            fix_policies(wildcatter, {"T": constrained_constant_policy(wildcatter, "T", "nt")})
+            exact_expectation(
+                wildcatter, {"T": constrained_constant_policy(wildcatter, "T", "nt")}
+            )
 
     def test_joint_sums_to_one(self, wildcatter):
         policies = {
             "T": constrained_constant_policy(wildcatter, "T", "t2"),
             "D": constrained_constant_policy(wildcatter, "D", "d"),
         }
-        view = fix_policies(wildcatter, policies)
-        total = 0.0
-        for cfg in iter_configs(view.variables, wildcatter.frames):
-            assign = dict(zip(view.variables, cfg))
-            total += math.prod(view.conditionals[v].evaluate(assign) for v in view.variables)
-        assert total == pytest.approx(1.0, abs=1e-9)
+        ones = _with_value(wildcatter, lambda a: 1.0)
+        assert exact_expectation(ones, policies) == pytest.approx(1.0, abs=1e-9)
 
     def test_classic_testing_policy_becomes_belief_network(self, wildcatter_info_only):
         # always buy the advanced test, drill only when it reports a closed
@@ -266,24 +308,17 @@ class TestFixPolicies:
                 },
             ),
         }
-        view = fix_policies(m, policies)
-        total = 0.0
-        for cfg in iter_configs(view.variables, m.frames):
-            assign = dict(zip(view.variables, cfg))
-            total += math.prod(view.conditionals[v].evaluate(assign) for v in view.variables)
-        assert total == pytest.approx(1.0, abs=1e-9)
+        ones = _with_value(m, lambda a: 1.0)
+        assert exact_expectation(ones, policies) == pytest.approx(1.0, abs=1e-9)
 
     def test_one_hot_conditionals_zero_other_branches(self, wildcatter):
         policies = {
             "T": constrained_constant_policy(wildcatter, "T", "nt"),
             "D": constrained_constant_policy(wildcatter, "D", "nd"),
         }
-        view = fix_policies(wildcatter, policies)
-        for cfg in iter_configs(view.variables, wildcatter.frames):
-            assign = dict(zip(view.variables, cfg))
-            p = math.prod(view.conditionals[v].evaluate(assign) for v in view.variables)
-            if assign["T"] != "nt" or assign["D"] != "nd":
-                assert p == 0.0
+        assert set(wildcatter.parents("V")) >= {"T", "D"}
+        others = _with_value(wildcatter, lambda a: a["T"] != "nt" or a["D"] != "nd")
+        assert exact_expectation(others, policies) == 0.0
 
 
 class TestCptInvariants:
@@ -432,6 +467,19 @@ class TestValidationRejectsCorruption:
                 constraints=(wildcatter.constraint("T"), Constraint("D", con.scope, cells)),
             )
 
+    @pytest.mark.parametrize("key", [5, "ab", ("$2M",), ("$2M", "nt", "d")], ids=repr)
+    def test_constraint_key_that_is_no_configuration(self, wildcatter, key):
+        con = wildcatter.constraint("D")
+        assert len(con.scope) == 2
+        cells = {**con.cells, key: ("nd",)}
+        with pytest.raises(InvalidModel) as exc:
+            rebuild(
+                wildcatter,
+                constraints=(wildcatter.constraint("T"), Constraint("D", con.scope, cells)),
+            )
+        assert type(exc.value) is InvalidModel
+        assert str(exc.value) == f"constraint cell key {key!r} does not match scope of 'D'"
+
     @pytest.mark.parametrize(
         "row", [{"w": "x", "y": 0.5}, {"w": None, "y": 0.5}, {"w": "0.5", "y": "0.5"},
                 {"w": True, "y": False}],
@@ -574,7 +622,13 @@ class TestTablesAreArrays:
         def no_views(*args):
             raise AssertionError("a label view was built")
 
+        def no_conditionals(*args):
+            raise AssertionError("a zero-one conditional was built")
+
         monkeypatch.setattr(irid.model, "_label_view", no_views)
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("irid") and hasattr(module, "policy_to_conditional"):
+                monkeypatch.setattr(module, "policy_to_conditional", no_conditionals)
         gibbs = SolveOptions(backend="gibbs", sampler=SamplerConfig(seed=3, burn_in=10, samples=50))
         for data in inputs:
             for options in (SolveOptions(), gibbs):
@@ -586,6 +640,9 @@ class TestTablesAreArrays:
                 absorb_decision(model, d, constrained_constant_policy(model, d, "v0"))
         with pytest.raises(AssertionError, match="label view"):
             parse_model(inputs[0]).cpts
+        model = parse_model(inputs[0])
+        with pytest.raises(AssertionError, match="zero-one conditional"):
+            exact_expectation(model, solve(model).policies)
 
 
 def _reference_row_error(owner, scope, entries, frames, labels):
@@ -660,6 +717,78 @@ def _corrupted(entries, rng, fill):
             else:
                 del row[lab]
     return entries
+
+
+def _reference_cell_error(con, frames):
+    """The first error in a constraint's cells, by a plain loop written
+    apart from `build_model`: missing cells row-major, then each cell in
+    mapping order, its key and then its alternatives."""
+    labels = frames[con.decision].labels
+    for cfg in itertools.product(*(frames[v].labels for v in con.scope)):
+        if cfg not in con.cells:
+            return MissingTableEntry("constraint", con.decision, cfg)
+    for cfg, allowed in con.cells.items():
+        if type(cfg) is not tuple or len(cfg) != len(con.scope):
+            return InvalidModel(
+                f"constraint cell key {cfg!r} does not match scope of {con.decision!r}"
+            )
+        for v, lab in zip(con.scope, cfg):
+            if lab not in frames[v]:
+                return ValueNotInFrame(
+                    f"{lab!r} not in frame of {v!r} (constraint of {con.decision!r})"
+                )
+        for alt in allowed:
+            if alt not in labels:
+                return ValueNotInFrame(
+                    f"constraint of {con.decision!r} permits {alt!r} outside the frame"
+                )
+        if not set(allowed) & set(labels):
+            return EmptyConstraintCell(con.decision, cfg)
+    return None
+
+
+class TestConstraintChecksMatchTheLoop:
+    def test_corrupted_constraints(self):
+        outcomes = set()
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            m = random_model(seed, n_decisions=(1, 3))
+            con = m.constraints[int(rng.integers(len(m.constraints)))]
+            cells = dict(con.cells)
+            for _ in range(int(rng.integers(1, 4))):
+                key = list(cells)[int(rng.integers(len(cells)))]
+                fault = int(rng.integers(6))
+                if fault == 0:
+                    del cells[key]
+                elif fault == 1:
+                    cells[key + ("zz",)] = cells[key]
+                elif fault == 2 and key:
+                    cells[key[:-1] + ("stray",)] = cells[key]
+                elif fault == 3:
+                    cells[key] = cells[key] + ("mystery",)
+                elif fault == 4:
+                    cells[key] = ()
+                else:
+                    items = list(cells.items())
+                    rng.shuffle(items)
+                    cells = dict(items)
+                if not cells:
+                    break
+            bad = Constraint(con.decision, con.scope, cells)
+            build = lambda: rebuild(  # noqa: E731
+                m, constraints=tuple(bad if c is con else c for c in m.constraints)
+            )
+            expected = _reference_cell_error(bad, m.frames)
+            if expected is None:
+                build()
+                outcomes.add("ok")
+                continue
+            with pytest.raises(type(expected)) as exc:
+                build()
+            assert type(exc.value) is type(expected)
+            assert str(exc.value) == str(expected)
+            outcomes.add(type(expected).__name__)
+        assert len(outcomes) >= 5
 
 
 class TestTableChecksMatchTheLoop:

@@ -11,6 +11,7 @@ from irid.errors import (
     CycleDetected,
     DuplicateVariable,
     EmptyConstraintCell,
+    InvalidModel,
     ModelSyntaxError,
     NonFiniteValue,
     SchemaError,
@@ -176,6 +177,44 @@ class TestParseErrors:
         with pytest.raises(SchemaError) as exc:
             parse_model(json.dumps(doc))
         assert exc.value.field == field
+
+    @pytest.mark.parametrize(
+        "path, field",
+        [
+            (("cpts", 2, "parents", 1), "cpts[2].parents[1]"),
+            (("cpts", 2, "rows", 4, "given", "O"), "cpts[2].rows[4].given.O"),
+            (("constraints", 1, "scope", 0), "constraints[1].scope[0]"),
+            (("constraints", 1, "cells", 2, "given", "T"), "constraints[1].cells[2].given.T"),
+            (("constraints", 1, "cells", 3, "allow", 1), "constraints[1].cells[3].allow[1]"),
+            (("value", "parents", 2), "value.parents[2]"),
+            (("value", "cells", 5, "given", "D"), "value.cells[5].given.D"),
+        ],
+    )
+    @pytest.mark.parametrize("literal", [None, True, 1, ["d"], {"d": "d"}], ids=repr)
+    def test_names_and_labels_must_be_strings(self, wildcatter, path, field, literal):
+        doc = json.loads(serialize_model(wildcatter))
+        *outer, last = path
+        entry = doc
+        for key in outer:
+            entry = entry[key]
+        entry[last] = literal
+        with pytest.raises(SchemaError) as exc:
+            parse_model(json.dumps(doc))
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize(
+        "frame", [[None, True], ["w", 1], [{"w": 1}, "y"], [["w"], "y"]], ids=repr
+    )
+    def test_frame_labels_must_be_strings(self, wildcatter, frame):
+        doc = json.loads(serialize_model(wildcatter))
+        assert doc["nodes"][1]["id"] == "O"
+        doc["nodes"][1]["frame"] = frame
+        for row in doc["cpts"][2]["rows"]:
+            row["given"]["O"] = frame[row["given"]["O"] == "y"]
+        with pytest.raises(InvalidModel) as exc:
+            parse_model(json.dumps(doc))
+        assert "frame labels must be strings" in str(exc.value)
+        assert exc.value.field == "nodes[1].frame"
 
     def test_duplicate_row(self, wildcatter):
         doc = json.loads(serialize_model(wildcatter))
