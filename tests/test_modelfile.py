@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
 import json
+import math
+import random
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from irid.errors import (
     DuplicateVariable,
     EmptyConstraintCell,
     InvalidModel,
+    IridError,
     ModelSyntaxError,
     NonFiniteValue,
     SchemaError,
@@ -221,6 +225,169 @@ class TestParseErrors:
         doc["cpts"][2]["rows"].append(doc["cpts"][2]["rows"][0])
         with pytest.raises(SchemaError):
             parse_model(json.dumps(doc))
+
+
+# --------------------------------------------------------------------------
+# faulted documents: each fault edits a parsed model document in place
+
+
+def _pick(rng, items):
+    return items[rng.randrange(len(items))]
+
+
+def _insert(rng, items, item):
+    items.insert(rng.randrange(len(items) + 1), item)
+
+
+def _duplicate_node(doc, rng):
+    _insert(rng, doc["nodes"], dict(_pick(rng, doc["nodes"])))
+
+
+def _unknown_arrow_end(doc, rng):
+    _pick(rng, doc["arrows"])[_pick(rng, ("from", "to"))] = "Zz"
+
+
+def _reversed_arrow(doc, rng):
+    a = _pick(rng, doc["arrows"])
+    _insert(rng, doc["arrows"], {"from": a["to"], "to": a["from"], "kind": "relevance"})
+
+
+def _closing_arrow(doc, rng):
+    """An arrow from one arrow's target to another's source: a cycle when a
+    path leads back."""
+    a, b = _pick(rng, doc["arrows"]), _pick(rng, doc["arrows"])
+    _insert(rng, doc["arrows"], {"from": a["to"], "to": b["from"], "kind": "relevance"})
+
+
+def _denormalized_row(doc, rng):
+    p = _pick(rng, _pick(rng, doc["cpts"])["rows"])["p"]
+    label = _pick(rng, sorted(p))
+    p[label] = _pick(rng, (p[label] + 0.03, p[label] - 0.5, 1.5, -0.25))
+
+
+def _emptied_cell(doc, rng):
+    _pick(rng, _pick(rng, doc["constraints"])["cells"])["allow"] = []
+
+
+def _dropped_row(doc, rng):
+    rows = _pick(rng, doc["cpts"])["rows"]
+    del rows[rng.randrange(len(rows))]
+
+
+def _dropped_constraint_cell(doc, rng):
+    cells = _pick(rng, doc["constraints"])["cells"]
+    del cells[rng.randrange(len(cells))]
+
+
+def _dropped_value_cell(doc, rng):
+    cells = doc["value"]["cells"]
+    del cells[rng.randrange(len(cells))]
+
+
+def _non_finite_value(doc, rng):
+    _pick(rng, doc["value"]["cells"])["v"] = _pick(rng, (math.inf, -math.inf, math.nan))
+
+
+#: faults aimed at the errors whose field names a document entry
+AIMED = (
+    _duplicate_node, _unknown_arrow_end, _reversed_arrow, _closing_arrow, _denormalized_row,
+    _emptied_cell, _dropped_row, _dropped_constraint_cell, _dropped_value_cell,
+    _non_finite_value,
+)
+
+
+def _dropped_arrow(doc, rng):
+    del doc["arrows"][rng.randrange(len(doc["arrows"]))]
+
+
+def _flipped_arrow_kind(doc, rng):
+    a = _pick(rng, doc["arrows"])
+    a["kind"] = "informational" if a["kind"] == "relevance" else "relevance"
+
+
+def _duplicate_arrow(doc, rng):
+    _insert(rng, doc["arrows"], dict(_pick(rng, doc["arrows"])))
+
+
+def _dropped_node(doc, rng):
+    del doc["nodes"][rng.randrange(len(doc["nodes"]))]
+
+
+def _changed_kind(doc, rng):
+    _pick(rng, doc["nodes"])["kind"] = _pick(rng, ("chance", "decision", "value", "utility"))
+
+
+def _renamed_label(doc, rng):
+    frame = _pick(rng, [n["frame"] for n in doc["nodes"] if "frame" in n])
+    frame[rng.randrange(len(frame))] += "x"
+
+
+def _dropped_table(doc, rng):
+    section = doc[_pick(rng, ("cpts", "constraints"))]
+    del section[rng.randrange(len(section))]
+
+
+def _allowed_stranger(doc, rng):
+    _pick(rng, _pick(rng, doc["constraints"])["cells"])["allow"].append("zz")
+
+
+def _dropped_key(doc, rng):
+    entry = _pick(rng, [doc, doc["value"], *doc["nodes"], *doc["arrows"], *doc["cpts"]])
+    del entry[_pick(rng, sorted(entry))]
+
+
+OTHER = (
+    _dropped_arrow, _flipped_arrow_kind, _duplicate_arrow, _dropped_node, _changed_kind,
+    _renamed_label, _dropped_table, _allowed_stranger, _dropped_key,
+)
+
+
+def faulted_documents(count: int, seed: int, n_random: int = 20):
+    """`count` model documents, each a bundled or random model's with one
+    fault or (every third) two, most of them aimed; seeded."""
+    sources = [bundled_bytes(name) for name in BUNDLED]
+    sources += [serialize_model(random_model(s, n_chance=(1, 6))) for s in range(n_random)]
+    rng = random.Random(seed)
+    for i in range(count):
+        doc = json.loads(_pick(rng, sources))
+        for _ in range(1 + (i % 3 == 0)):
+            fault = _pick(rng, AIMED if rng.random() < 0.7 else OTHER)
+            try:
+                fault(doc, rng)
+            except (LookupError, ValueError):  # nothing left for it to edit
+                pass
+        yield doc
+
+
+def fault_outcome(doc) -> tuple:
+    """(error type, message, field) of parsing `doc`, or ("ok", "", None)."""
+    try:
+        parse_model(json.dumps(doc))
+    except IridError as e:
+        return type(e).__name__, str(e), getattr(e, "field", None)
+    return "ok", "", None
+
+
+class TestFaultOutcomes:
+    def test_outcomes_are_pinned(self):
+        """The type, message and field of every error on a seeded corpus of
+        faulted documents, with two faults in a third of them, so that which
+        error wins is pinned too."""
+        outcomes = [fault_outcome(doc) for doc in faulted_documents(1500, seed=26)]
+        located = {(t, f.split("[")[0].split(".")[0]) for t, _, f in outcomes if f}
+        assert located >= {
+            ("DuplicateVariable", "nodes"),
+            ("UnknownVariable", "arrows"),
+            ("CycleDetected", "arrows"),
+            ("CptRowNotNormalized", "cpts"),
+            ("EmptyConstraintCell", "constraints"),
+            ("MissingTableEntry", "cpts"),
+            ("MissingTableEntry", "constraints"),
+            ("MissingTableEntry", "value"),
+            ("NonFiniteValue", "value"),
+        }
+        digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+        assert digest == "a35c40153fee0b9e174fa8a56445bba5d99ae293a47d0f629d00b5527eb48f19"
 
 
 class TestSerializeSolution:
