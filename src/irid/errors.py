@@ -19,7 +19,15 @@ class IridError(Exception):
 class ModelError(IridError):
     """A model (or model file) violates a structural or numerical invariant."""
 
-    #: dotted/indexed path into the source document, set by the file parser
+    #: the entry at fault, as a path in the model file's syntax
+    #: (`nodes[3].id`, `cpts[2].rows[0].p`, `value.cells`).  The file parser
+    #: sets it for a malformed entry.  `build_model` sets it, by the entry's
+    #: position in its own arguments, for a repeated node id (the second
+    #: node), an arrow naming an unknown node, a cycle (its first arrow in the
+    #: given order), a CPT row that is no probability vector, an empty
+    #: constraint cell, a table missing an entry (`cpts[i].rows`,
+    #: `constraints[i].cells`, `value.cells`) and a non-finite value; every
+    #: other error leaves it None.
     field: str | None = None
 
 

@@ -41,7 +41,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import NotLastDecision, StageOutOfRange, UnknownDecision
+from .errors import NotLastDecision, StageOutOfRange, UnknownDecision, UnknownVariable
 from .factors import Factor
 from .model import (
     CHANCE,
@@ -125,7 +125,7 @@ class StageContext:
         for sf in self.factors:
             if sf.role == CHANCE and sf.child == var:
                 return sf.factor
-        raise UnknownDecision(f"no chance factor for {var!r} in stage {self.stage}")
+        raise UnknownVariable(f"no chance factor for {var!r} in stage {self.stage}")
 
 
 # --------------------------------------------------------------------------
@@ -298,8 +298,9 @@ def _stage_factors(model: IridModel, gamma_prime: frozenset[str]) -> tuple[Stage
 # --------------------------------------------------------------------------
 
 
-def absorb_decision(model: IridModel, decision: str, policy: Policy) -> IridModel:
-    """Substitute a solved decision function into the diagram.
+def absorb_decision(model: IridModel, policy: Policy) -> IridModel:
+    """Substitute the solved decision function `policy` into the diagram; its
+    decision must be the last.
 
     Every table where the decision was a parent is recomposed on its array
     (`_compose`): the decision's slot is replaced by the policy's scope
@@ -309,6 +310,7 @@ def absorb_decision(model: IridModel, decision: str, policy: Policy) -> IridMode
     rows are made.  The decision node disappears; its zero-one conditional
     is not added anywhere.
     """
+    decision = policy.decision
     if decision not in model.variables or model.kind(decision) != DECISION:
         raise UnknownDecision(f"no decision {decision!r}")
     if model.decisions[-1] != decision:

@@ -463,12 +463,16 @@ def build_model(
 
     Raises a specific ModelError subclass for each violated invariant; on
     success every structural and numerical invariant holds and the model is
-    immutable.
+    immutable.  An error that one entry of the arguments causes names it in
+    its `field`, by position in the model file's path syntax (see
+    `ModelError.field`).
     """
     nodes = tuple(nodes)
     ids = [n.id for n in nodes]
     if len(set(ids)) != len(ids):
-        raise DuplicateVariable(tuple(sorted({i for i in ids if ids.count(i) > 1})))
+        error = DuplicateVariable(tuple(sorted({v for v in ids if ids.count(v) > 1})))
+        second = next(i for i, v in enumerate(ids) if ids.index(v) < i)
+        raise _at(f"nodes[{second}].id", error)
     known = set(ids)
 
     if objective not in OBJECTIVES:
@@ -481,23 +485,30 @@ def build_model(
         raise MissingValueNode("model needs exactly one value node")
     value_var = value_nodes[0]
 
-    arrows = tuple(arrows)
-    for a in arrows:
+    given_arrows = tuple(arrows)
+    for i, a in enumerate(given_arrows):
         for end in (a.source, a.target):
             if end not in known:
-                raise UnknownVariable(
+                error = UnknownVariable(
                     f"arrow {a.source!r}->{a.target!r} references unknown {end!r}",
                     arrow=(a.source, a.target),
                 )
-    if len({(a.source, a.target) for a in arrows}) != len(arrows):
+                raise _at(f"arrows[{i}]", error)
+    if len({(a.source, a.target) for a in given_arrows}) != len(given_arrows):
         raise InvalidModel("duplicate arrows")
 
     node_index = {v: i for i, v in enumerate(ids)}
     arrows = tuple(
-        sorted(arrows, key=lambda a: (node_index[a.target], node_index[a.source]))
+        sorted(given_arrows, key=lambda a: (node_index[a.target], node_index[a.source]))
     )
 
-    order = topological_sort(ids, [(a.source, a.target) for a in arrows])
+    try:
+        order = topological_sort(ids, [(a.source, a.target) for a in arrows])
+    except CycleDetected as e:  # named by its first arrow in the given order
+        edges = set(zip(e.cycle, e.cycle[1:] + e.cycle[:1]))
+        first = next(i for i, a in enumerate(given_arrows) if (a.source, a.target) in edges)
+        e.field = f"arrows[{first}]"
+        raise
 
     if any(a.source == value_var for a in arrows):
         raise ValueNodeNotSink(f"value node {value_var!r} has outgoing arrows")
@@ -520,19 +531,20 @@ def build_model(
             )
     _check_no_forgetting(dec_order, parents)
 
-    # constraints: normalize, one per decision, auto-fill unconstrained
-    con_map: dict[str, Constraint] = {}
-    for con in constraints:
+    # constraints: normalize, one per decision, auto-fill unconstrained; each
+    # with its position in `constraints`, which an auto-filled one lacks
+    con_map: dict[str, tuple[Constraint, int | None]] = {}
+    for i, con in enumerate(constraints):
         if con.decision not in known or kinds[con.decision] != DECISION:
             raise UnknownDecision(f"constraint on non-decision {con.decision!r}")
         if con.decision in con_map:
             raise InvalidModel(f"duplicate constraint for {con.decision!r}")
-        con_map[con.decision] = con
+        con_map[con.decision] = con, i
     for d in dec_order:
         if d not in con_map:
-            con_map[d] = Constraint(d, (), {(): tuple(frames[d].labels)})
+            con_map[d] = Constraint(d, (), {(): tuple(frames[d].labels)}), None
     normalized_constraints = tuple(
-        _validate_constraint(con_map[d], parents[d], frames) for d in dec_order
+        _validate_constraint(*con_map[d], parents[d], frames) for d in dec_order
     )
 
     # arrow kinds follow from node kinds and constraint scopes
@@ -553,20 +565,20 @@ def build_model(
                 )
 
     # CPTs: exactly one per chance node, matching graph parents, normalized rows
-    cpt_map: dict[str, Cpt] = {}
-    for c in cpts:
+    cpt_map: dict[str, tuple[Cpt, int]] = {}  # with its position in `cpts`
+    for i, c in enumerate(cpts):
         if c.child not in known:
             raise UnknownVariable(f"CPT for unknown variable {c.child!r}")
         if kinds[c.child] != CHANCE:
             raise InvalidModel(f"CPT given for non-chance node {c.child!r}")
         if c.child in cpt_map:
             raise InvalidModel(f"duplicate CPT for {c.child!r}")
-        cpt_map[c.child] = c
+        cpt_map[c.child] = c, i
     tables: dict[str, Factor] = {}
     for v in (n.id for n in nodes if n.kind == CHANCE):
         if v not in cpt_map:
             raise CptParentsMismatch(f"chance node {v!r} has no CPT")
-        tables[v] = _cpt_table(cpt_map[v], parents[v], frames)
+        tables[v] = _cpt_table(*cpt_map[v], parents[v], frames)
 
     if value_table is None:
         raise InvalidModel("a value table is required")
@@ -615,6 +627,12 @@ def _check_no_forgetting(dec_order: list[str], parents: Mapping[str, tuple[str, 
             )
 
 
+def _at(field: str, error: ModelError) -> ModelError:
+    """`error`, naming `field` as the entry that caused it."""
+    error.field = field
+    return error
+
+
 def _factor(scope: tuple[str, ...], frames: Mapping[str, Frame], values: np.ndarray) -> Factor:
     """A factor over `scope` holding `values`, any array of its size in
     row-major order.  build_model checked the entries, so Factor's checks
@@ -623,15 +641,25 @@ def _factor(scope: tuple[str, ...], frames: Mapping[str, Frame], values: np.ndar
     return Factor.trusted(scope, table_frames, values.reshape(tuple(map(len, table_frames))))
 
 
+#: the field of a table's entries, by section, given the table's position
+_ENTRIES = {"cpt": "cpts[{}].rows", "constraint": "constraints[{}].cells", "value": "value.cells"}
+
+
 def _config_index(
-    scope: tuple[str, ...], entries: Mapping, frames: Mapping[str, Frame], section: str, owner: str
+    scope: tuple[str, ...],
+    entries: Mapping,
+    frames: Mapping[str, Frame],
+    section: str,
+    owner: str,
+    at: int | None = None,
 ) -> dict[tuple[str, ...], int]:
     """The row-major position of each configuration of `scope`; raises
-    MissingTableEntry at the first one (row-major) that `entries` lacks."""
+    MissingTableEntry at the first one (row-major) that `entries`, of the
+    table at position `at` of its section, lacks."""
     configs = list(iter_configs(scope, frames))
     for cfg in configs:
         if cfg not in entries:
-            raise MissingTableEntry(section, owner, cfg)
+            raise _at(_ENTRIES[section].format(at), MissingTableEntry(section, owner, cfg))
     return dict(zip(configs, range(len(configs))))
 
 
@@ -659,9 +687,12 @@ def _real(x) -> float | None:
         return math.inf if x > 0 else -math.inf
 
 
-def _cpt_table(cpt: Cpt, graph_parents: tuple[str, ...], frames: Mapping[str, Frame]) -> Factor:
-    """`cpt` as an array over (parents..., child), once every row is checked;
-    a bad CPT raises the error of its first bad row in `rows` order."""
+def _cpt_table(
+    cpt: Cpt, at: int, graph_parents: tuple[str, ...], frames: Mapping[str, Frame]
+) -> Factor:
+    """`cpt`, at position `at` of the CPTs, as an array over (parents...,
+    child), once every row is checked; a bad CPT raises the error of its
+    first bad row in `rows` order."""
     child, parents = cpt.child, cpt.parents
     if set(parents) != set(graph_parents):
         raise CptParentsMismatch(
@@ -672,9 +703,9 @@ def _cpt_table(cpt: Cpt, graph_parents: tuple[str, ...], frames: Mapping[str, Fr
         raise CptParentsMismatch(f"CPT for {child!r} repeats a parent")
     labels = frames[child].labels
     label_set = set(labels)
-    index = _config_index(parents, cpt.rows, frames, "cpt", child)
+    index = _config_index(parents, cpt.rows, frames, "cpt", child, at)
     ordered: list = [None] * len(index)
-    for cfg, row in cpt.rows.items():
+    for j, (cfg, row) in enumerate(cpt.rows.items()):
         i = index.get(cfg)
         if i is None:
             raise _bad_key(
@@ -687,7 +718,7 @@ def _cpt_table(cpt: Cpt, graph_parents: tuple[str, ...], frames: Mapping[str, Fr
                 raise ValueNotInFrame(
                     f"CPT row of {child!r} mentions {sorted(extra)} outside the frame"
                 )
-            raise CptRowNotNormalized(child, cfg, "missing probabilities")
+            raise _bad_row(at, j, child, cfg, "missing probabilities")
         probs = []
         total = 0.0
         for lab in labels:
@@ -695,22 +726,27 @@ def _cpt_table(cpt: Cpt, graph_parents: tuple[str, ...], frames: Mapping[str, Fr
             if type(p) is not float:  # the parser gives floats
                 p = _real(p)
                 if p is None:
-                    raise CptRowNotNormalized(
-                        child, cfg, f"P({lab!r})={row[lab]!r} is not a number"
-                    )
+                    raise _bad_row(at, j, child, cfg, f"P({lab!r})={row[lab]!r} is not a number")
             if not (0.0 <= p <= 1.0):
-                raise CptRowNotNormalized(child, cfg, f"P={p!r} outside [0,1]")
+                raise _bad_row(at, j, child, cfg, f"P={p!r} outside [0,1]")
             total += p
             probs.append(p)
         if abs(total - 1.0) > PROB_TOL:
-            raise CptRowNotNormalized(child, cfg, f"row sums to {total!r}")
+            raise _bad_row(at, j, child, cfg, f"row sums to {total!r}")
         ordered[i] = probs
     return _factor(parents + (child,), frames, np.array(ordered, dtype=float))
 
 
+def _bad_row(at: int, j: int, child: str, cfg: tuple, detail: str) -> ModelError:
+    """The error for row `j` of the CPT at position `at`."""
+    return _at(f"cpts[{at}].rows[{j}].p", CptRowNotNormalized(child, cfg, detail))
+
+
 def _validate_constraint(
-    con: Constraint, dec_parents: tuple[str, ...], frames: Mapping[str, Frame]
+    con: Constraint, at: int | None, dec_parents: tuple[str, ...], frames: Mapping[str, Frame]
 ) -> Constraint:
+    """`con`, at position `at` of the constraints, once every cell is
+    checked, with each cell's alternatives in frame order."""
     extra = set(con.scope) - set(dec_parents)
     if extra:
         raise ConstraintScopeNotParents(
@@ -719,9 +755,9 @@ def _validate_constraint(
     if len(set(con.scope)) != len(con.scope):
         raise ConstraintScopeNotParents(f"constraint scope of {con.decision!r} repeats a variable")
     dec_frame = frames[con.decision]
-    index = _config_index(con.scope, con.cells, frames, "constraint", con.decision)
+    index = _config_index(con.scope, con.cells, frames, "constraint", con.decision, at)
     cells = {}
-    for cfg, allowed in con.cells.items():
+    for j, (cfg, allowed) in enumerate(con.cells.items()):
         if cfg not in index:
             raise _bad_key(
                 cfg, con.scope, frames,
@@ -735,7 +771,8 @@ def _validate_constraint(
                 )
         ordered = tuple(filter(set(allowed).__contains__, dec_frame.labels))
         if not ordered:
-            raise EmptyConstraintCell(con.decision, cfg)
+            error = EmptyConstraintCell(con.decision, cfg)
+            raise _at(f"constraints[{at}].cells[{j}].allow", error)
         cells[cfg] = ordered
     return Constraint(con.decision, con.scope, cells)
 
@@ -754,7 +791,7 @@ def _value_table(
         raise InvalidModel("value table repeats a parent")
     index = _config_index(parents, vt.cells, frames, "value", value_var)
     ordered = [0.0] * len(index)
-    for cfg, v in vt.cells.items():
+    for j, (cfg, v) in enumerate(vt.cells.items()):
         i = index.get(cfg)
         if i is None:
             raise _bad_key(
@@ -767,7 +804,8 @@ def _value_table(
                 raise InvalidModel(f"value table entry at {cfg!r} is {v!r}, not a number")
             v = real
         if not math.isfinite(v):
-            raise NonFiniteValue(f"value table entry at {cfg!r} is {v!r}")
+            error = NonFiniteValue(f"value table entry at {cfg!r} is {v!r}")
+            raise _at(f"value.cells[{j}].v", error)
         ordered[i] = v
     return _factor(parents, frames, np.array(ordered))
 

@@ -16,9 +16,11 @@ The model format mirrors the domain types one-to-one:
                   "cells": [{"given": {...}, "v": -2000000}, ...]}
     }
 
-Parsing reports the offending field path in the error's `field`; validation
-errors from model construction are annotated with one where it can be
-located.
+Parsing reports the offending field path in the error's `field`.  Errors
+from `build_model` name their entry by its position in `build_model`'s
+arguments (see `ModelError.field`); the parser hands it the entries in
+document order and rejects duplicate rows and cells, so that position is the
+entry's path in the document.
 
 `serialize_model` writes the canonical bytes straight from the model's frames
 and table arrays, through %-templates of the `json.dumps(doc, indent=2)`
@@ -32,21 +34,9 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from typing import Any, Mapping
 
-from .errors import (
-    CptRowNotNormalized,
-    CycleDetected,
-    DuplicateVariable,
-    EmptyConstraintCell,
-    MissingTableEntry,
-    ModelError,
-    ModelSyntaxError,
-    NonFiniteValue,
-    SchemaError,
-    UnknownVariable,
-)
+from .errors import ModelError, ModelSyntaxError, SchemaError
 from .model import (
     OBJECTIVES,
     ArrowSpec,
@@ -175,11 +165,7 @@ def model_from_document(doc: Any) -> IridModel:
         vcells[given] = v
     value = ValueTable(vparents, vcells)
 
-    try:
-        return build_model(nodes, arrows, cpts, constraints, value, objective)
-    except ModelError as e:
-        e.field = _locate(e, doc)
-        raise
+    return build_model(nodes, arrows, cpts, constraints, value, objective)
 
 
 def _req(obj: Mapping, key: str, typ, path: str):
@@ -241,71 +227,6 @@ def _wrap(make, path: str, *args):
     except ModelError as e:
         e.field = path
         raise
-
-
-def _locate(e: ModelError, doc: Mapping) -> str | None:
-    """Best-effort field path for a validation error raised by build_model."""
-    try:
-        if isinstance(e, DuplicateVariable):
-            seen = set()
-            for i, node in enumerate(doc["nodes"]):
-                if node["id"] in seen:  # the second node with its id
-                    return f"nodes[{i}].id"
-                seen.add(node["id"])
-        if isinstance(e, UnknownVariable) and e.arrow is not None:
-            return _arrow_field(doc, {e.arrow})
-        if isinstance(e, CycleDetected):
-            return _arrow_field(doc, set(zip(e.cycle, e.cycle[1:] + e.cycle[:1])))
-        if isinstance(e, CptRowNotNormalized):
-            i, cpt = next(
-                (i, c) for i, c in enumerate(doc["cpts"]) if c.get("child") == e.child
-            )
-            parents = tuple(cpt.get("parents", ()))
-            for j, row in enumerate(cpt.get("rows", [])):
-                key = tuple(map(row.get("given", {}).get, parents))
-                if key == tuple(e.config):
-                    return f"cpts[{i}].rows[{j}].p"
-            return f"cpts[{i}]"
-        if isinstance(e, EmptyConstraintCell):
-            i, con = next(
-                (i, c)
-                for i, c in enumerate(doc.get("constraints", []))
-                if c.get("decision") == e.decision
-            )
-            scope = tuple(con.get("scope", ()))
-            for j, cell in enumerate(con.get("cells", [])):
-                key = tuple(map(cell.get("given", {}).get, scope))
-                if key == tuple(e.config):
-                    return f"constraints[{i}].cells[{j}].allow"
-            return f"constraints[{i}]"
-        if isinstance(e, MissingTableEntry):
-            if e.section == "cpt":
-                i = next(
-                    i for i, c in enumerate(doc["cpts"]) if c.get("child") == e.owner
-                )
-                return f"cpts[{i}].rows"
-            if e.section == "constraint":
-                i = next(
-                    i
-                    for i, c in enumerate(doc.get("constraints", []))
-                    if c.get("decision") == e.owner
-                )
-                return f"constraints[{i}].cells"
-            return "value.cells"
-        if isinstance(e, NonFiniteValue):
-            # the model reports the first non-finite cell in document order
-            cells = doc["value"]["cells"]
-            j = next(j for j, c in enumerate(cells) if not math.isfinite(c["v"]))
-            return f"value.cells[{j}].v"
-    except (StopIteration, KeyError, TypeError):
-        return None
-    return None
-
-
-def _arrow_field(doc: Mapping, arrows: set[tuple[str, str]]) -> str:
-    """The path of the first arrow in the document that is one of `arrows`."""
-    i = next(i for i, a in enumerate(doc["arrows"]) if (a["from"], a["to"]) in arrows)
-    return f"arrows[{i}]"
 
 
 # --------------------------------------------------------------------------

@@ -188,7 +188,7 @@ def solve(model: IridModel, options: SolveOptions = SolveOptions()) -> Solution:
             choices[dep_cfg] = alt
 
         policies[decision] = _materialize_policy(working, decision, dep_vars, choices)
-        working = absorb_decision(working, decision, policies[decision])
+        working = absorb_decision(working, policies[decision])
 
     # the terminal event is certain, so it has a value
     ((ev, ev_se, ev_n),) = _evaluate(

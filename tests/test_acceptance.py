@@ -242,7 +242,7 @@ def test_criterion_09_invariant_suites(wildcatter):
             direct = exact_expectation(m, policies)
             reduced = m
             for d in reversed(reduced.decisions):
-                reduced = absorb_decision(reduced, d, policies[d])
+                reduced = absorb_decision(reduced, policies[d])
             composed = exact_stage_expectation(terminal_stage_context(reduced), {})
             assert abs(composed - direct) <= 1e-9
 

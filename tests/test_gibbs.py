@@ -468,7 +468,7 @@ def _stage_cells(model):
             fixed = dict(zip(deps, cfg))
             for alt in working.admissible(ctx.decision, fixed):
                 cells.append((ctx, {**fixed, ctx.decision: alt}))
-        working = absorb_decision(working, ctx.decision, policies[ctx.decision])
+        working = absorb_decision(working, policies[ctx.decision])
     return cells + [(terminal_stage_context(working), {})]
 
 
@@ -1124,7 +1124,7 @@ def _stage_builders(model):
             fixed = dict(zip(deps, cfg))
             cells += [{**fixed, ctx.decision: a} for a in working.admissible(ctx.decision, fixed)]
         stages.append((build, cells))
-        working = absorb_decision(working, ctx.decision, policies[ctx.decision])
+        working = absorb_decision(working, policies[ctx.decision])
     return [*stages, (functools.partial(terminal_stage_context, working), [{}])]
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import irid.solver
 from irid.data import BUNDLED
-from irid.errors import IncompletePolicy, NotLastDecision, StageOutOfRange
+from irid.errors import IncompletePolicy, NotLastDecision, StageOutOfRange, UnknownVariable
 from irid.graph_ops import (
     absorb_decision,
     build_stage_context,
@@ -297,6 +297,10 @@ class TestBuildStageContext:
         tags = {(sf.role, sf.child) for sf in ctx.factors}
         assert tags == {("decision", "D1"), ("value", "V")}
 
+    def test_cpt_of_a_decision_is_unknown(self, wildcatter):
+        with pytest.raises(UnknownVariable, match="no chance factor for 'D'"):
+            stage_ctx(wildcatter).cpt_of("D")
+
     def test_stage_out_of_range(self, wildcatter):
         part = compute_partition(wildcatter)
         moral = moralize(relevance_subgraph(wildcatter))
@@ -311,20 +315,20 @@ class TestBuildStageContext:
 class TestAbsorbDecision:
     def test_wildcatter_rewires_value_parents(self, wildcatter):
         pol = constrained_constant_policy(wildcatter, "D", "d")
-        absorbed = absorb_decision(wildcatter, "D", pol)
+        absorbed = absorb_decision(wildcatter, pol)
         assert "D" not in absorbed.variables
         assert set(absorbed.parents("V")) == {"O", "T", "R", "B"}
         assert absorbed.decisions == ("T",)
 
     def test_constant_policy_restricts_value_table(self, minimal_model):
         pol = Policy("D", (), {(): "d"})
-        absorbed = absorb_decision(minimal_model, "D", pol)
+        absorbed = absorb_decision(minimal_model, pol)
         assert absorbed.value.parents == ()
         assert absorbed.value.cells[()] == 1.0
 
     def test_absorbed_value_entries_follow_policy(self, wildcatter):
         pol = constrained_constant_policy(wildcatter, "D", "d")
-        absorbed = absorb_decision(wildcatter, "D", pol)
+        absorbed = absorb_decision(wildcatter, pol)
         v_old = wildcatter.value
         v_new = absorbed.value
         for cfg in iter_configs(v_new.parents, absorbed.frames):
@@ -341,16 +345,24 @@ class TestAbsorbDecision:
             cfg: "nd" for cfg in itertools.islice(iter_configs(scope, wildcatter.frames), 5)
         }
         with pytest.raises(IncompletePolicy):
-            absorb_decision(wildcatter, "D", Policy("D", scope, table))
+            absorb_decision(wildcatter, Policy("D", scope, table))
 
     def test_only_last_decision_can_be_absorbed(self, wildcatter):
         pol = constrained_constant_policy(wildcatter, "T", "nt")
         with pytest.raises(NotLastDecision):
-            absorb_decision(wildcatter, "T", pol)
+            absorb_decision(wildcatter, pol)
+
+    def test_absorbs_the_decision_its_policy_is_for(self, wildcatter):
+        """T's policy waits until D, the last decision, is absorbed."""
+        pol = constrained_constant_policy(wildcatter, "T", "nt")
+        with pytest.raises(NotLastDecision, match="absorb 'D' first"):
+            absorb_decision(wildcatter, pol)
+        absorbed = absorb_decision(wildcatter, constrained_constant_policy(wildcatter, "D", "d"))
+        assert absorb_decision(absorbed, pol).variables == ("B", "O", "R", "V")
 
     def test_zero_one_conditional_not_kept(self, wildcatter):
         pol = constrained_constant_policy(wildcatter, "D", "nd")
-        absorbed = absorb_decision(wildcatter, "D", pol)
+        absorbed = absorb_decision(wildcatter, pol)
         ctx = stage_ctx(absorbed)
         # the next stage sees only chance conditionals, the current
         # placeholder, and the value table
@@ -363,8 +375,8 @@ class TestAbsorbDecision:
         for _ in range(5):
             policies = random_policies(wildcatter, rng)
             direct = exact_expectation(wildcatter, policies)
-            m = absorb_decision(wildcatter, "D", policies["D"])
-            m = absorb_decision(m, "T", policies["T"])
+            m = absorb_decision(wildcatter, policies["D"])
+            m = absorb_decision(m, policies["T"])
             composed = exact_stage_expectation(terminal_stage_context(m), {})
             assert composed == pytest.approx(direct, abs=1e-9)
 
@@ -376,7 +388,7 @@ class TestAbsorbDecision:
         direct = exact_expectation(m, policies)
         reduced = m
         for d in reversed(reduced.decisions):
-            reduced = absorb_decision(reduced, d, policies[d])
+            reduced = absorb_decision(reduced, policies[d])
         composed = exact_stage_expectation(terminal_stage_context(reduced), {})
         assert composed == pytest.approx(direct, abs=1e-9)
 

@@ -388,6 +388,7 @@ class TestValidationRejectsCorruption:
                 rebuild(wildcatter, cpts=cpts)
             assert exc.value.child == "R"
             assert exc.value.config == key
+            assert exc.value.field == f"cpts[2].rows[{list(rows).index(key)}].p"
 
     def test_emptied_constraint_cell(self, wildcatter):
         rng = np.random.default_rng(11)
@@ -400,6 +401,7 @@ class TestValidationRejectsCorruption:
             with pytest.raises(EmptyConstraintCell) as exc:
                 rebuild(wildcatter, constraints=(wildcatter.constraint("T"), bad))
             assert exc.value.config == key
+            assert exc.value.field == f"constraints[1].cells[{list(cells).index(key)}].allow"
 
     def test_informational_arrow_into_chance(self, wildcatter):
         arrows = tuple(
@@ -423,8 +425,9 @@ class TestValidationRejectsCorruption:
 
     def test_added_cycle(self, wildcatter):
         arrows = wildcatter.arrows + (ArrowSpec("R", "O", "relevance"),)
-        with pytest.raises(CycleDetected):
+        with pytest.raises(CycleDetected) as exc:
             rebuild(wildcatter, arrows=arrows)
+        assert exc.value.field == f"arrows[{arrows.index(ArrowSpec('O', 'R', 'relevance'))}]"
 
     def test_value_with_outgoing_arrow(self, wildcatter):
         nodes = wildcatter.nodes + (NodeSpec("X", "chance", Frame(("a", "b"))),)
@@ -440,8 +443,9 @@ class TestValidationRejectsCorruption:
 
     def test_duplicate_node(self, wildcatter):
         nodes = wildcatter.nodes + (NodeSpec("B", "chance", Frame(("x",))),)
-        with pytest.raises(DuplicateVariable):
+        with pytest.raises(DuplicateVariable) as exc:
             rebuild(wildcatter, nodes=nodes)
+        assert exc.value.field == f"nodes[{len(wildcatter.nodes)}].id"
 
     def test_missing_cpt_row(self, wildcatter):
         c = wildcatter.cpt("R")
@@ -449,13 +453,15 @@ class TestValidationRejectsCorruption:
         cpts = tuple(
             Cpt("R", c.parents, rows) if x.child == "R" else x for x in wildcatter.cpts
         )
-        with pytest.raises(MissingTableEntry):
+        with pytest.raises(MissingTableEntry) as exc:
             rebuild(wildcatter, cpts=cpts)
+        assert exc.value.field == "cpts[2].rows"
 
     def test_missing_value_cell(self, wildcatter):
         cells = {k: v for k, v in wildcatter.value.cells.items() if k != ("w", "t1", "d")}
-        with pytest.raises(MissingTableEntry):
+        with pytest.raises(MissingTableEntry) as exc:
             rebuild(wildcatter, value=ValueTable(wildcatter.value.parents, cells))
+        assert exc.value.field == "value.cells"
 
     def test_constraint_allowing_unknown_alternative(self, wildcatter):
         con = wildcatter.constraint("D")
@@ -504,8 +510,9 @@ class TestValidationRejectsCorruption:
         with pytest.raises(CptRowNotNormalized, match="P=inf outside"):
             rebuild(wildcatter, cpts=cpts)
         cells = {**wildcatter.value.cells, ("w", "t1", "nd"): -(10**400)}
-        with pytest.raises(NonFiniteValue, match="is -inf"):
+        with pytest.raises(NonFiniteValue, match="is -inf") as exc:
             rebuild(wildcatter, value=ValueTable(wildcatter.value.parents, cells))
+        assert exc.value.field == f"value.cells[{list(cells).index(('w', 't1', 'nd'))}].v"
 
     def test_numpy_scalars_are_numbers(self, wildcatter):
         cpts = tuple(
@@ -637,7 +644,7 @@ class TestTablesAreArrays:
             model_content_hash(model)
             if model.decisions:
                 d = model.decisions[-1]
-                absorb_decision(model, d, constrained_constant_policy(model, d, "v0"))
+                absorb_decision(model, constrained_constant_policy(model, d, "v0"))
         with pytest.raises(AssertionError, match="label view"):
             parse_model(inputs[0]).cpts
         model = parse_model(inputs[0])

@@ -68,7 +68,7 @@ def solver_evaluations(model):
             cell = dict(zip(dep_vars, cfg))
             for alt in working.admissible(ctx.decision, cell):
                 yield ctx, {**cell, ctx.decision: alt}
-        working = absorb_decision(working, ctx.decision, policies[ctx.decision])
+        working = absorb_decision(working, policies[ctx.decision])
     yield terminal_stage_context(working), {}
 
 

@@ -276,8 +276,8 @@ class TestLargeStages:
 class TestTerminalExpectedValue:
     def test_matches_oracle_after_absorbing_optimum(self, wildcatter):
         sol = solve(wildcatter, SolveOptions(backend="exact"))
-        m = absorb_decision(wildcatter, "D", sol.policies["D"])
-        m = absorb_decision(m, "T", sol.policies["T"])
+        m = absorb_decision(wildcatter, sol.policies["D"])
+        m = absorb_decision(m, sol.policies["T"])
         assert exact_stage_expectation(terminal_stage_context(m), {}) == sol.expected_value
 
     def test_requires_all_decisions_absorbed(self, wildcatter):
