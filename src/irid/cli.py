@@ -180,10 +180,12 @@ def _cmd_solve(args) -> int:
         options = SolveOptions(backend="exact", objective_override=objective)
     model = read_model(args.model)
     solution = solve(model, options)
-    # opened only now, so that a failed solve leaves an existing file alone
+    data = serialize_solution(solution)
+    # opened only now, so that a failed solve or serialization leaves an
+    # existing file alone
     try:
         with open(args.out, "wb") as fh:
-            fh.write(serialize_solution(solution))
+            fh.write(data)
     except OSError as e:
         raise _UsageError(f"cannot write solution: {e}") from None
     _print_policies(model, solution.policies)

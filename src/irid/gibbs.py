@@ -21,7 +21,8 @@ Zeros in the tables are handled by support restriction, not smoothing: a full
 conditional never proposes a zero-probability value, and initialization
 forward-samples a positive-probability state.  After 100 failed attempts it
 searches the cell's states in row-major order, a chunk at a time in numpy,
-but raises BudgetExceeded instead when they number more than 10**7; where
+but raises BudgetExceeded instead when they number more than
+`irid.model.MAX_CONFIGS` (10**7), the bound of every enumeration; where
 none is positive, the configuration gets no estimate.  Where no state can be
 positive without a search (a factor is zero at every state of its free
 variables, which covers a zero product in a cell without free variables, or
@@ -75,6 +76,12 @@ numpy temporaries take 64 KiB each, so they stay in cache and under glibc's
 128 KiB mmap threshold instead of being page-faulted in fresh every block.
 Blocks are drawn at their exact size, so the caps change no estimate.
 
+A value factor with an entry of magnitude 2**500 or more has its means and
+standard errors computed on its kept values times 2**-600 and divided back,
+so that they stay finite for any finite values.  The scaling is exact for
+every value of magnitude 2**-422 or more, or zero; only a smaller one in
+such a factor loses bits.
+
 Reproducibility is strict: a given seed yields a bit-identical estimate.
 """
 
@@ -91,20 +98,21 @@ import numpy as np
 from .errors import AllZeroSupport, BudgetExceeded, IncompleteConfig, InvalidModel, NoPositiveState
 from .factors import Factor
 from .graph_ops import StageContext
-from .model import CHANCE, VALUE
+from .model import CHANCE, MAX_CONFIGS, VALUE
 
 #: forward-sampling attempts before falling back to exhaustive search
 _INIT_ATTEMPTS = 100
-
-#: the most states that search may visit: the default of the oracle's
-#: `EnumerationBudget.max_joint_configs`, not imported, because the sampler
-#: shares no code with the oracle
-_SEARCH_CONFIGS = 10**7
 
 _NO_POSITIVE_STATE = "no positive-probability completion of the fixed configuration exists"
 
 #: number of batches for the batch-means standard error
 _BATCHES = 20
+
+#: a value factor with an entry of at least `_LARGE` in magnitude has its
+#: means and standard errors computed on its kept values times `_SCALE`
+#: (module docstring); no other factor changes its arithmetic
+_LARGE = 2.0**500
+_SCALE = 2.0**-600
 
 #: caps on one block of `_blocks`, in uniforms and in sweeps (module
 #: docstring: the sweep cap keeps the block draws' temporaries in cache)
@@ -355,14 +363,16 @@ class _CompiledStage:
         )
         # the sweeps are i.i.d. draws, made a block at a time
         self.block = self.iid or not self.evidence
-        self.values: dict[Factor, _CompiledFactor] = {}
+        self.values: dict[Factor, tuple[_CompiledFactor, float]] = {}
         self.tables: dict[tuple, _SiteTable] = {}
 
-    def value(self, factor: Factor) -> _CompiledFactor:
-        cf = self.values.get(factor)
-        if cf is None:
-            cf = self.values[factor] = _CompiledFactor(factor, self.slot_of)
-        return cf
+    def value(self, factor: Factor) -> tuple[_CompiledFactor, float]:
+        """The compiled value factor, and the scale of its means and errors."""
+        entry = self.values.get(factor)
+        if entry is None:
+            scale = _SCALE if np.abs(factor.values).max() >= _LARGE else 1.0
+            entry = self.values[factor] = (_CompiledFactor(factor, self.slot_of), scale)
+        return entry
 
     def sites(
         self, plan: Sequence[tuple[int, tuple[int, ...]]], factors: list[_CompiledFactor]
@@ -402,7 +412,8 @@ class _CompiledCell:
         self.free, self.sizes = stage.free, stage.sizes
         self.iid, self.evidence = stage.iid, stage.evidence
         self.prob_factors = [cf.at(fixed_config) for cf in stage.prob]
-        self.value = stage.value(value_factor).at(fixed_config)
+        value, self.scale = stage.value(value_factor)
+        self.value = value.at(fixed_config)
 
     # built on first read, so a cell that `certainly_empty` rejects binds none
     @cached_property
@@ -510,8 +521,8 @@ class _CompiledCell:
             if self.product_at(state) > 0.0:
                 return state
         configs = math.prod(self.sizes)
-        if configs > _SEARCH_CONFIGS:
-            raise BudgetExceeded(f"initial-state search: {configs} states exceed {_SEARCH_CONFIGS}")
+        if configs > MAX_CONFIGS:
+            raise BudgetExceeded(f"initial-state search: {configs} states exceed {MAX_CONFIGS}")
         chunk = max(1, _BLOCK_UNIFORMS // max(n, 1))
         for start in range(0, configs, chunk):
             # the states numbered start, start + 1, ... in row-major order
@@ -584,11 +595,16 @@ def estimate_expectation(
                 for (_, cell, state), vals in zip(members, values):
                     cell.run(state, cell.sites, rows, kept_rows, vals)
             kept = [np.array(vals) for vals in values]
-        for (i, _, _), sample in zip(members, kept):
+        for (i, cell, _), sample in zip(members, kept):
+            scale = cell.scale
+            if scale != 1.0:
+                sample = sample * scale
             # numpy's mean, in its operation order, without its Python wrapper's cost
-            mean = float(np.add.reduce(sample)) / cfg.samples
+            mean = float(np.add.reduce(sample)) / cfg.samples / scale
+            se = _batch_means_se(sample)
+            se = se if se is None else se / scale
             # every n is the one `samples` int, not an int object per estimate
-            estimates[i] = Estimate(mean=mean, std_error=_batch_means_se(sample), n=cfg.samples)
+            estimates[i] = Estimate(mean=mean, std_error=se, n=cfg.samples)
     return estimates
 
 

@@ -14,10 +14,17 @@ The rest is deliberately naive and shares no code with it: `exact_expectation`
 sums the full joint under given policies, `enumerate_stage_expectation`
 enumerates a stage's free configurations for one cell, and
 `exhaustive_policy_search` evaluates every constraint-respecting deterministic
-policy combination.  The solver's backward dynamic program, the elimination
-tables and the Gibbs estimates are validated against these references;
-budgets turn accidental large inputs into hard errors instead of long
-silences.
+policy combination.  The three walk their configurations through one loop,
+`_walk`.  The solver's backward dynamic program, the elimination tables and
+the Gibbs estimates are validated against these references.
+
+One bound, `irid.model.MAX_CONFIGS`, turns accidental large inputs into
+BudgetExceeded instead of long silences: it caps the configurations an
+enumeration visits (the full joint, a stage's free configurations) and the
+entries of the largest table elimination builds.  Each size is checked
+before the table or enumeration it sizes is begun.  `EnumerationBudget`
+holds the one limit that varies by caller, the policy combinations
+`exhaustive_policy_search` may enumerate.
 """
 
 from __future__ import annotations
@@ -26,62 +33,69 @@ import itertools
 import math
 import string
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceeded, IncompleteConfig, InvalidModel, MissingPolicy, ZeroNormalizer
+from .factors import Factor
 from .graph_ops import StageContext
-from .model import CHANCE, Frame, IridModel, Policy, iter_configs, policy_to_conditional
+from .model import CHANCE, MAX_CONFIGS, Frame, IridModel, Policy, iter_configs, policy_to_conditional
 
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Limits that turn accidental large inputs into BudgetExceeded.
+    """The policy combinations `exhaustive_policy_search` may enumerate
+    before it raises BudgetExceeded.  Table and enumeration sizes have one
+    fixed bound, `irid.model.MAX_CONFIGS`."""
 
-    max_joint_configs bounds the configurations an enumerating reference
-    visits (the full joint for `exact_expectation` and
-    `exhaustive_policy_search`, a stage's free configurations for
-    `enumerate_stage_expectation`) and, for `exact_stage_expectation`, the
-    entries of the largest table bucket elimination builds: a bucket (all
-    variables of the factors multiplied to sum one free variable out) or the
-    output table over the stage's non-free variables.  Sizes are checked
-    before anything is allocated.  max_policy_combinations bounds the policy
-    space `exhaustive_policy_search` enumerates.
-    """
-
-    max_joint_configs: int = 10**7
     max_policy_combinations: int = 10**6
 
     def __post_init__(self):
-        if self.max_joint_configs <= 0 or self.max_policy_combinations <= 0:
+        if self.max_policy_combinations <= 0:
             raise InvalidModel("budgets must be positive")
 
 
 DEFAULT_BUDGET = EnumerationBudget()
 
 
-def _joint_config_count(model: IridModel) -> int:
-    n = 1
-    for v in model.variables:
-        if v != model.value_var:
-            n *= len(model.frame(v))
-    return n
+def _check_walk(variables: Sequence[str], frames: Mapping[str, Frame], what: str) -> None:
+    """Raise BudgetExceeded when the configurations of `variables` number
+    more than MAX_CONFIGS."""
+    n = math.prod(len(frames[v]) for v in variables)
+    if n > MAX_CONFIGS:
+        raise BudgetExceeded(f"{n} {what} configurations exceed {MAX_CONFIGS}")
 
 
-def exact_expectation(
-    model: IridModel,
-    policies: Mapping[str, Policy],
-    budget: EnumerationBudget = DEFAULT_BUDGET,
-) -> float:
+def _walk(
+    variables: Sequence[str],
+    frames: Mapping[str, Frame],
+    factors: Sequence[Factor],
+    base: Mapping[str, str],
+) -> Iterator[tuple[dict, float]]:
+    """Each configuration of `variables` in row-major order, as an
+    assignment that extends `base`, with the product of `factors` there,
+    multiplied in order; one whose product is zero is skipped at its first
+    zero factor."""
+    for cfg in iter_configs(variables, frames):
+        assign = dict(base)
+        assign.update(zip(variables, cfg))
+        p = 1.0
+        for f in factors:
+            p *= f.evaluate(assign)
+            if p == 0.0:
+                break
+        else:
+            yield assign, p
+
+
+def exact_expectation(model: IridModel, policies: Mapping[str, Policy]) -> float:
     """Expected value of the value node under the given policies, by full
     enumeration of the joint distribution (chance conditionals times the
     zero-one policy conditionals, multiplied in model order).  Raises
     MissingPolicy for a decision `policies` leaves out."""
-    n = _joint_config_count(model)
-    if n > budget.max_joint_configs:
-        raise BudgetExceeded(f"{n} joint configurations exceed {budget.max_joint_configs}")
     variables = tuple(v for v in model.variables if v != model.value_var)
+    _check_walk(variables, model.frames, "joint")
     conditionals = []
     for v in variables:
         if model.kind(v) == CHANCE:
@@ -92,15 +106,7 @@ def exact_expectation(
             raise MissingPolicy(v)
     value_factor = model.value_factor
     total = 0.0
-    for cfg in iter_configs(variables, model.frames):
-        assign = dict(zip(variables, cfg))
-        p = 1.0
-        for f in conditionals:
-            p *= f.evaluate(assign)
-            if p == 0.0:
-                break
-        if p == 0.0:
-            continue
+    for assign, p in _walk(variables, model.frames, conditionals, {}):
         total += p * value_factor.evaluate(assign)
     return total
 
@@ -124,14 +130,9 @@ class _StageTables:
     outer: tuple[tuple[str, Frame], ...]  # table axes, in order
     numerator: np.ndarray
     normalizer: np.ndarray
-    largest: int  # entries of the largest bucket or output table
 
 
-def exact_stage_expectation(
-    stage_context: StageContext,
-    fixed_config: Mapping[str, str],
-    budget: EnumerationBudget = DEFAULT_BUDGET,
-) -> float:
+def exact_stage_expectation(stage_context: StageContext, fixed_config: Mapping[str, str]) -> float:
     """Exact counterpart of the Gibbs estimate: normalize the product of the
     stage's probability factors over the free variables and average the value
     factor under those weights, at the non-free assignment `fixed_config`.
@@ -139,16 +140,14 @@ def exact_stage_expectation(
     The first call on a context eliminates the free variables into its
     numerator and normalizer tables and keeps them in `stage_context.cache`;
     every call reads one entry of each.  Raises BudgetExceeded when the
-    largest table exceeds `budget.max_joint_configs`, ZeroNormalizer when the
+    largest table would exceed MAX_CONFIGS entries, ZeroNormalizer when the
     assignment has probability zero and IncompleteConfig when it leaves a
     non-free factor variable out.
     """
     ctx = stage_context
     tables = ctx.cache.get("exact")
     if tables is None:
-        tables = ctx.cache["exact"] = _eliminate(ctx, budget)
-    else:
-        _check_budget(tables.largest, budget)
+        tables = ctx.cache["exact"] = _eliminate(ctx)
     try:
         index = tuple(frame.index(fixed_config[v]) for v, frame in tables.outer)
     except KeyError as missing:
@@ -159,7 +158,7 @@ def exact_stage_expectation(
     return float(tables.numerator[index] / normalizer)
 
 
-def _eliminate(ctx: StageContext, budget: EnumerationBudget) -> _StageTables:
+def _eliminate(ctx: StageContext) -> _StageTables:
     """Sum the free variables out of the product of the stage's factors, one
     bucket at a time.
 
@@ -168,6 +167,8 @@ def _eliminate(ctx: StageContext, budget: EnumerationBudget) -> _StageTables:
     takes the free variable whose bucket, the terms holding it, spans the
     fewest entries (ties to `free_vars` order), multiplies the bucket and
     sums the variable out in one einsum; the message replaces the bucket.
+    The output table is checked against MAX_CONFIGS before anything is
+    built, and each bucket before it is multiplied.
     """
     value_factor = ctx.value_factor
     if value_factor is None:
@@ -181,8 +182,7 @@ def _eliminate(ctx: StageContext, budget: EnumerationBudget) -> _StageTables:
     sizes = {v: len(fr) for v, fr in frames.items()}
     sizes[_PAIR] = 2
     out = tuple(v for v, _ in outer) + (_PAIR,)
-    largest = math.prod(sizes[v] for v in out)
-    _check_budget(largest, budget)
+    _check_table(math.prod(sizes[v] for v in out))
 
     paired = np.empty(value_factor.values.shape + (2,))
     paired[..., 0] = value_factor.values
@@ -198,8 +198,7 @@ def _eliminate(ctx: StageContext, budget: EnumerationBudget) -> _StageTables:
     while order:
         entries = [math.prod(sizes[v] for v in near[x]) for x in order]
         x = order.pop(entries.index(min(entries)))
-        largest = max(largest, min(entries))
-        _check_budget(largest, budget)
+        _check_table(min(entries))
         merged = near.pop(x)
         merged.discard(x)
         for v in merged:
@@ -211,14 +210,12 @@ def _eliminate(ctx: StageContext, budget: EnumerationBudget) -> _StageTables:
         terms.append((scope, _contract(bucket, scope)))
 
     table = _contract(terms, out)
-    return _StageTables(outer, table[..., 0], table[..., 1], largest)
+    return _StageTables(outer, table[..., 0], table[..., 1])
 
 
-def _check_budget(entries: int, budget: EnumerationBudget) -> None:
-    if entries > budget.max_joint_configs:
-        raise BudgetExceeded(
-            f"a {entries}-entry table exceeds {budget.max_joint_configs}"
-        )
+def _check_table(entries: int) -> None:
+    if entries > MAX_CONFIGS:
+        raise BudgetExceeded(f"a {entries}-entry table exceeds {MAX_CONFIGS}")
 
 
 def _contract(terms: list[_Term], out: tuple) -> np.ndarray:
@@ -236,11 +233,7 @@ def _contract(terms: list[_Term], out: tuple) -> np.ndarray:
     return np.einsum(spec, *[a for _, a in terms], optimize=False)
 
 
-def enumerate_stage_expectation(
-    stage_context: StageContext,
-    fixed_config: Mapping[str, str],
-    budget: EnumerationBudget = DEFAULT_BUDGET,
-) -> float:
+def enumerate_stage_expectation(stage_context: StageContext, fixed_config: Mapping[str, str]) -> float:
     """Exact counterpart of the Gibbs estimate: normalize the product of the
     stage's probability factors over the free variables and average the value
     factor under those weights."""
@@ -248,25 +241,11 @@ def enumerate_stage_expectation(
     value_factor = ctx.value_factor
     if value_factor is None:
         raise InvalidModel("stage context has no value factor")
-    frames = [ctx.cpt_of(v).frame_of(v) for v in ctx.free_vars]
-    n = 1
-    for f in frames:
-        n *= len(f)
-    if n > budget.max_joint_configs:
-        raise BudgetExceeded(f"{n} free configurations exceed {budget.max_joint_configs}")
-    prob_factors = ctx.probability_factors
+    frames = {v: ctx.cpt_of(v).frame_of(v) for v in ctx.free_vars}
+    _check_walk(ctx.free_vars, frames, "free")
     normalizer = 0.0
     weighted = 0.0
-    base = dict(fixed_config)
-    for combo in itertools.product(*(f.labels for f in frames)):
-        assign = base | dict(zip(ctx.free_vars, combo))
-        w = 1.0
-        for f in prob_factors:
-            w *= f.evaluate(assign)
-            if w == 0.0:
-                break
-        if w == 0.0:
-            continue
+    for assign, w in _walk(ctx.free_vars, frames, ctx.probability_factors, fixed_config):
         normalizer += w
         weighted += w * value_factor.evaluate(assign)
     if normalizer == 0.0:
@@ -291,11 +270,10 @@ def exhaustive_policy_search(
     """
     decisions = model.decisions
     if not decisions:
-        return {}, exact_expectation(model, {}, budget)
+        return {}, exact_expectation(model, {})
 
-    n_joint = _joint_config_count(model)
-    if n_joint > budget.max_joint_configs:
-        raise BudgetExceeded(f"{n_joint} joint configurations exceed {budget.max_joint_configs}")
+    variables = [v for v in model.variables if v != model.value_var]
+    _check_walk(variables, model.frames, "joint")
 
     scopes = {d: model.parents(d) for d in decisions}
     cells = {d: list(iter_configs(scopes[d], model.frames)) for d in decisions}
@@ -317,7 +295,6 @@ def exhaustive_policy_search(
 
     # tabulate the joint once: chance-only probability, value, and for every
     # decision the cell index and the alternative each configuration demands
-    variables = [v for v in model.variables if v != model.value_var]
     chance_factors = [model.cpt_factor(v) for v in model.chance_vars]
     value_factor = model.value_factor
     cell_pos = {d: {cfg: i for i, cfg in enumerate(cells[d])} for d in decisions}
@@ -327,15 +304,7 @@ def exhaustive_policy_search(
     cell_ids: dict[str, list[int]] = {d: [] for d in decisions}
     alt_ids: dict[str, list[int]] = {d: [] for d in decisions}
     dec_frames = {d: model.frame(d) for d in decisions}
-    for cfg in iter_configs(variables, model.frames):
-        assign = dict(zip(variables, cfg))
-        p = 1.0
-        for f in chance_factors:
-            p *= f.evaluate(assign)
-            if p == 0.0:
-                break
-        if p == 0.0:
-            continue
+    for assign, p in _walk(variables, model.frames, chance_factors, {}):
         probs.append(p)
         values.append(value_factor.evaluate(assign))
         for d in decisions:

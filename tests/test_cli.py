@@ -227,6 +227,19 @@ class TestSolve:
         assert run_cli(["solve", str(model), "--backend", "exact", "--out", str(out)]) == 2
         assert out.read_bytes() == b"old"
 
+    def test_failed_serialization_leaves_an_existing_solution_file(
+        self, wildcatter_file, tmp_path, monkeypatch, capsys
+    ):
+        def too_large(solution):
+            raise MemoryError
+
+        monkeypatch.setattr(irid.cli, "serialize_solution", too_large)
+        out = tmp_path / "s.json"
+        out.write_bytes(b"old")
+        assert run_cli(["solve", wildcatter_file, "--backend", "exact", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "runtime error: out of memory\n"
+        assert out.read_bytes() == b"old"
+
     @pytest.mark.parametrize(
         "backend, message",
         [

@@ -965,7 +965,7 @@ def _evidence_chain(n):
 
 class TestInitialSearchBudget:
     """After its forward samples fail, `initial_state` searches at most
-    10**7 states, the default `EnumerationBudget.max_joint_configs`."""
+    `irid.model.MAX_CONFIGS` (10**7) states."""
 
     def test_search_beyond_the_budget_raises(self):
         ctx, fixed = _evidence_chain(24)  # 2^24 states

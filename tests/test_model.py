@@ -9,6 +9,7 @@ import pytest
 from irid.data import BUNDLED, load_bundled
 from irid.errors import (
     ArrowKindMismatch,
+    ConstraintScopeNotParents,
     CptParentsMismatch,
     CptRowNotNormalized,
     CycleDetected,
@@ -25,6 +26,7 @@ from irid.errors import (
     NonFiniteValue,
     PolicyViolatesConstraint,
     UnknownDecision,
+    UnknownVariable,
     ValueNodeNotSink,
     ValueNotInFrame,
 )
@@ -540,6 +542,77 @@ class TestValidationRejectsCorruption:
         with pytest.raises(MissingTableEntry) as exc:
             build_model(nodes, arrows, cpts, (bare,), value)
         assert exc.value.config == ("a",)
+
+
+def _with_cpt(model, cpt):
+    """`model`'s CPTs with `cpt` in place of its child's."""
+    return tuple(cpt if c.child == cpt.child else c for c in model.cpts)
+
+
+def _with_constraint(model, con):
+    return tuple(con if c.decision == con.decision else c for c in model.constraints)
+
+
+class TestInputErrors:
+    """The type, message and field of each error a malformed input raises;
+    an error that is no ModelError has no field, as the CLI reads it."""
+
+    @pytest.mark.parametrize(
+        "make, error, message, field",
+        [
+            (lambda m: Frame(()), InvalidModel, "frame must have at least one value", None),
+            (lambda m: Frame(("a", "b", "a")), InvalidModel,
+             "frame labels not unique: ('a', 'b', 'a')", None),
+            (lambda m: m.frame("B").index("$3M"), ValueNotInFrame,
+             "'$3M' not in frame ('$1M', '$2M')", None),
+            (lambda m: ArrowSpec("B", "T", "causal"), InvalidModel,
+             "unknown arrow kind 'causal'", None),
+            (lambda m: Policy("T", ("B",), {("$1M",): "t1"}).choice({}), IncompleteConfig,
+             "policy for 'T' needs 'B'", None),
+            (lambda m: Policy("T", ("B",), {("$1M",): "t1"}).choice({"B": "$2M"}),
+             IncompletePolicy, "policy for 'T' has no entry at ('$2M',)", None),
+            (lambda m: m.node("Q"), UnknownVariable, "no node 'Q'", None),
+            (lambda m: m.frame("V"), InvalidModel, "value node 'V' has no frame", None),
+            (lambda m: m.cpt("D"), UnknownVariable, "no CPT for 'D'", None),
+            (lambda m: m.cpt_factor("D"), UnknownVariable, "no CPT for 'D'", None),
+            (lambda m: m.constraint("Q"), UnknownDecision, "no decision 'Q'", None),
+            (lambda m: m.admissible("D", {"B": "$3M", "T": "t1"}), ValueNotInFrame,
+             "'$3M' not in frame of 'B'", None),
+            (lambda m: build_model(m.nodes, m.arrows, m.cpts, m.constraints, m.value, "best"),
+             InvalidModel,
+             "objective must be one of ('maximize', 'minimize'), got 'best'", None),
+            (lambda m: rebuild(m, constraints=m.constraints + (m.constraint("D"),)),
+             InvalidModel, "duplicate constraint for 'D'", None),
+            (lambda m: rebuild(m, cpts=m.cpts + (Cpt("T", (), {(): {"t1": 1.0}}),)),
+             InvalidModel, "CPT given for non-chance node 'T'", None),
+            (lambda m: rebuild(m, cpts=m.cpts + (m.cpt("O"),)),
+             InvalidModel, "duplicate CPT for 'O'", None),
+            (lambda m: build_model(m.nodes, m.arrows, m.cpts, m.constraints, None),
+             InvalidModel, "a value table is required", None),
+            (lambda m: rebuild(m, cpts=_with_cpt(m, Cpt("R", ("T", "O", "T"), m.cpt("R").rows))),
+             CptParentsMismatch, "CPT for 'R' repeats a parent", None),
+            (lambda m: rebuild(m, constraints=_with_constraint(
+                m, Constraint("D", ("B", "T", "B"), m.constraint("D").cells))),
+             ConstraintScopeNotParents, "constraint scope of 'D' repeats a variable", None),
+            (lambda m: rebuild(m, value=ValueTable(("O", "T", "D", "O"), m.value.cells)),
+             InvalidModel, "value table repeats a parent", None),
+        ],
+        ids=[
+            "empty frame", "repeated labels", "index of an unknown label",
+            "unknown arrow kind", "policy choice without its variable",
+            "policy choice without an entry", "unknown node", "frame of the value node",
+            "cpt of a decision", "cpt_factor of a decision", "constraint of an unknown name",
+            "admissible with a label outside its frame", "unknown objective",
+            "second constraint", "cpt for a decision", "second cpt", "no value table",
+            "cpt repeats a parent", "constraint scope repeats a variable",
+            "value table repeats a parent",
+        ],
+    )
+    def test_error(self, wildcatter, make, error, message, field):
+        with pytest.raises(error) as exc:
+            make(wildcatter)
+        got = (type(exc.value), str(exc.value), getattr(exc.value, "field", None))
+        assert got == (error, message, field)
 
 
 class TestTablesAreArrays:

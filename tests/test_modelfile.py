@@ -69,6 +69,16 @@ class TestRoundTrip:
         assert len(calls) == 2
 
 
+def _in_place(change):
+    """An edit of a document that `change` makes in place."""
+
+    def edit(doc):
+        change(doc)
+        return doc
+
+    return edit
+
+
 class TestParseErrors:
     def test_broken_json_reports_line(self):
         with pytest.raises(ModelSyntaxError) as exc:
@@ -219,6 +229,38 @@ class TestParseErrors:
             parse_model(json.dumps(doc))
         assert "frame labels must be strings" in str(exc.value)
         assert exc.value.field == "nodes[1].frame"
+
+    @pytest.mark.parametrize(
+        "edit, message, field",
+        [
+            (lambda doc: [doc], "document must be a JSON object", "$"),
+            (_in_place(lambda doc: doc["constraints"][1]["cells"].append(
+                doc["constraints"][1]["cells"][2])),
+             "duplicate cell configuration", "constraints[1].cells[6].given"),
+            (_in_place(lambda doc: doc["value"]["cells"].append(doc["value"]["cells"][5])),
+             "duplicate cell configuration", "value.cells[12].given"),
+            (_in_place(lambda doc: doc["value"]["cells"][5].pop("v")),
+             "missing", "value.cells[5].v"),
+            (_in_place(lambda doc: doc["cpts"][2]["rows"][0]["p"].update(o="0.2")),
+             "must be a number", "cpts[2].rows[0].p.o"),
+            (_in_place(lambda doc: doc["cpts"][2]["rows"][0]["p"].update(nr=False)),
+             "must be a number", "cpts[2].rows[0].p.nr"),
+            (_in_place(lambda doc: doc["value"]["cells"][5].update(v="3")),
+             "must be a number", "value.cells[5].v"),
+            (_in_place(lambda doc: doc["value"]["cells"][5].update(v=True)),
+             "must be a number", "value.cells[5].v"),
+        ],
+        ids=[
+            "not an object", "duplicate constraint cell", "duplicate value cell",
+            "value cell without v", "string probability", "bool probability",
+            "string value", "bool value",
+        ],
+    )
+    def test_schema_error(self, wildcatter, edit, message, field):
+        doc = edit(json.loads(serialize_model(wildcatter)))
+        with pytest.raises(SchemaError) as exc:
+            parse_model(json.dumps(doc))
+        assert (type(exc.value), str(exc.value), exc.value.field) == (SchemaError, message, field)
 
     def test_duplicate_row(self, wildcatter):
         doc = json.loads(serialize_model(wildcatter))

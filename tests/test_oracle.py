@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from irid import oracle
 from irid.data import BUNDLED, load_bundled
 from irid.errors import BudgetExceeded, ZeroNormalizer
 from irid.graph_ops import (
@@ -154,13 +155,17 @@ class TestExactExpectation:
         pol = Policy("D", (), {(): "b"})
         assert exact_expectation(m, {"D": pol}) == 7.0
 
-    def test_budget(self, wildcatter):
+    def test_budget(self, wildcatter, monkeypatch):
         policies = {
             "T": constrained_constant_policy(wildcatter, "T", "nt"),
             "D": constrained_constant_policy(wildcatter, "D", "d"),
         }
+        monkeypatch.setattr(oracle, "MAX_CONFIGS", 10)
         with pytest.raises(BudgetExceeded):
-            exact_expectation(wildcatter, policies, EnumerationBudget(max_joint_configs=10))
+            exact_expectation(wildcatter, policies)
+        # the size is checked before any policy is read
+        with pytest.raises(BudgetExceeded):
+            exact_expectation(wildcatter, {})
 
 
 class TestExactStageExpectation:
@@ -185,16 +190,13 @@ class TestExactStageExpectation:
         )
         assert got == -50000.0
 
-    def test_budget(self, wildcatter):
+    def test_budget(self, wildcatter, monkeypatch):
         ctx = stage2(wildcatter)
+        monkeypatch.setattr(oracle, "MAX_CONFIGS", 1)
         with pytest.raises(BudgetExceeded):
-            exact_stage_expectation(
-                ctx,
-                {"B": "$2M", "T": "t1", "R": "c", "D": "d"},
-                EnumerationBudget(max_joint_configs=1),
-            )
+            exact_stage_expectation(ctx, {"B": "$2M", "T": "t1", "R": "c", "D": "d"})
 
-    def test_budget_bounds_the_largest_table(self):
+    def test_budget_bounds_the_largest_table(self, monkeypatch):
         ctx = last_stage(chain_model(*chain_tables(40, np.random.default_rng(0))))
         fixed = {"C0": "v1", "D": "d0"}
         with pytest.raises(BudgetExceeded):  # 2**40 free configurations
@@ -202,14 +204,13 @@ class TestExactStageExpectation:
         # the output table, a (numerator, normalizer) pair per (C0, D), has 8
         # entries; the bucket that sums C1 out spans C0, D, C1 and either a
         # chain variable or the pair: 16 entries or more in any order
-        small = EnumerationBudget(max_joint_configs=8)
+        monkeypatch.setattr(oracle, "MAX_CONFIGS", 8)
         with pytest.raises(BudgetExceeded):
-            exact_stage_expectation(ctx, fixed, small)
-        value = exact_stage_expectation(ctx, fixed, EnumerationBudget(max_joint_configs=16))
+            exact_stage_expectation(ctx, fixed)
+        monkeypatch.setattr(oracle, "MAX_CONFIGS", 16)
+        value = exact_stage_expectation(ctx, fixed)
+        monkeypatch.undo()
         assert value == exact_stage_expectation(ctx, fixed)
-        # tables built under a larger budget still answer to a smaller one
-        with pytest.raises(BudgetExceeded):
-            exact_stage_expectation(ctx, fixed, small)
 
     def test_bucket_beyond_the_einsum_operand_limit(self):
         ctx = last_stage(observed_children_model(40))

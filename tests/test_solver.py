@@ -322,6 +322,29 @@ class TestArgmaxInvariance:
         for d in wildcatter.decisions:
             assert base.policies[d].table == flipped.policies[d].table
 
+    @pytest.mark.parametrize("k", [520, 1000])
+    def test_values_times_a_huge_power_of_two(self, wildcatter, k):
+        """Every value times 2**k, up to about 1e307: each exact and sampled
+        number, standard errors included, is 2**k times the unscaled
+        model's, the policies are the same, and the solution serializes."""
+        scaled = self._transform(wildcatter, 2.0**k, 0.0)
+        sampler = SamplerConfig(seed=0)
+        for options in (SolveOptions(backend="exact"), SolveOptions(backend="gibbs", sampler=sampler)):
+            base, big = solve(wildcatter, options), solve(scaled, options)
+            for d in wildcatter.decisions:
+                assert big.policies[d].table == base.policies[d].table
+            pairs = [(base.expected_value, big.expected_value)]
+            pairs.append((base.expected_value_std_error, big.expected_value_std_error))
+            assert len(big.per_cell_diagnostics) == len(base.per_cell_diagnostics)
+            for a, b in zip(base.per_cell_diagnostics, big.per_cell_diagnostics):
+                assert (a.stage, a.config, a.alternative, a.chosen) == (
+                    b.stage, b.config, b.alternative, b.chosen
+                )
+                pairs += [(a.value, b.value), (a.std_error, b.std_error)]
+            for x, y in pairs:
+                assert y == (None if x is None else 2.0**k * x)
+            serialize_solution(big)
+
     @pytest.mark.parametrize("seed", range(20))
     def test_affine_invariance_on_random_models(self, seed):
         m = random_model(seed + 900, n_decisions=(1, 2))
