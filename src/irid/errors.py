@@ -24,7 +24,11 @@ class ModelError(IridError):
     #: sets it for a malformed entry.  `build_model` sets it, by the entry's
     #: position in its own arguments, for a repeated node id (the second
     #: node), an arrow naming an unknown node, a cycle (its first arrow in the
-    #: given order), a CPT row that is no probability vector, an empty
+    #: given order), a second constraint for a decision (`constraints[i]`), a
+    #: CPT for a non-chance node or a second CPT for a node (`cpts[i]`), CPT
+    #: parents, a constraint scope or value parents that repeat a variable or
+    #: differ from the graph's (`cpts[i].parents`, `constraints[i].scope`,
+    #: `value.parents`), a CPT row that is no probability vector, an empty
     #: constraint cell, a table missing an entry (`cpts[i].rows`,
     #: `constraints[i].cells`, `value.cells`) and a non-finite value; every
     #: other error leaves it None.
@@ -154,7 +158,11 @@ class IncompleteConfig(IridError):
 
 
 class AllZeroSupport(IridError):
-    """Every candidate value of the target variable has factor product zero."""
+    """The sampler drew no weight to average: a configuration of a cell has
+    a state of positive probability, but every draw weighs zero, because
+    each read a row of its evidence with no positive weight (`irid solve`
+    exits 3).  Run without -O, also a checked draw whose factor product and
+    weight disagree in sign."""
 
 
 # --------------------------------------------------------------------------

@@ -1,80 +1,84 @@
-"""Gibbs sampler over a stage's factor set.
+"""Sampler over a stage's factor set (the `gibbs` backend).
 
 For a fixed configuration of the variables the stage's decision depends on
-(and a fixed decision alternative), the chain sweeps the free variables in
-model order, resampling each from its full conditional given everything else.
-Averaging the value table over the visited states estimates the conditional
-expectation of the value node for that cell.
+(and a fixed decision alternative), every cell takes one kind of draw.  The
+free variables are drawn in topological order, each from its site: its own
+conditional times the evidence tables it closes, in the stage's factor
+order.  An evidence table is a chance table whose child is fixed and which
+holds a free variable; a variable closes it when it is the table's last
+free variable in topological order, so every other free variable the table
+holds is drawn before it.  A site's row, one per state of its row parents
+(the other free variables its tables hold), is an inverse-CDF row over the
+product of its tables.
+
+Each draw is weighted by the totals of the rows it read at the sites that
+hold an evidence table and have a drawn row parent: every other site's row
+total is the same in every draw of the cell, and cancels.  The estimate is
+sum(w * V) / sum(w) (likelihood weighting; Fung & Chang, Shachter & Peot,
+UAI 1989), and its standard error is the batch-means error of the
+linearized draws w * (V - mean) / mean(w).  A cell without a weighted site
+has constant weights, and gets the plain mean of its values and their
+batch-means error.  Without evidence (the terminal value always) a site is
+the variable's own conditional, so the draws are logic sampling (Henrion
+1988); in an i.i.d. cell, where no probability factor holds two free
+variables, a site is the variable's full conditional, with one row.  Both
+draw exactly, with constant weights.  No Markov chain is run: the backend
+keeps the name `gibbs` so that files stay compatible, and `burn_in` only
+advances each cell's stream.
 
 `estimate_expectation` is the one way in; the rest of the module is private.
 One call estimates every admissible alternative of one cell, on common
 random numbers: each alternative's configuration draws its initial state
 from the cell's seed, and those whose generator then stands at the same
-place (in the bundled models, all of a cell's) draw the rest of their
-sweeps from one shared stream.  Block-drawn alternatives skip the burn-in
-uniforms by advancing the generator, and draw each site they share (the
-same table, fixed part of the row and row parents' draws) once per block;
-chain alternatives each run their own state over the shared uniform rows.
-Every estimate is bit-identical to that of its configuration alone.
+place (in the bundled models, all of a cell's) draw from one shared stream.
+They skip the burn-in uniforms by advancing the generator, and draw each
+site they share (the same table, fixed part of the row and row parents'
+draws) once per block.  Every estimate is bit-identical to that of its
+configuration alone.
 
-Zeros in the tables are handled by support restriction, not smoothing: a full
-conditional never proposes a zero-probability value, and initialization
-forward-samples a positive-probability state.  After 100 failed attempts it
+Zeros in the tables are handled by support restriction, not smoothing: a row
+never draws a zero-weight value, and a row whose weights are all zero has
+total zero, so a draw that reads it weighs zero.  Where a configuration has
+a positive state but no draw weighs more than zero, the call raises
+AllZeroSupport.  Initialization forward-samples a positive-probability
+state over the variables' own conditionals.  After 100 failed attempts it
 searches the cell's states in row-major order, a chunk at a time in numpy,
 but raises BudgetExceeded instead when they number more than
 `irid.model.MAX_CONFIGS` (10**7), the bound of every enumeration; where
 none is positive, the configuration gets no estimate.  Where no state can be
 positive without a search (a factor is zero at every state of its free
 variables, which covers a zero product in a cell without free variables, or
-an i.i.d. cell has a site whose weights are all zero), it gets none before
-it draws a uniform.  Every other configuration draws its initial state
-first, so its seeded stream does not depend on this check.
+a site without row parents has only zero weights), it gets none before it
+draws a uniform.  Every other configuration draws its initial state first,
+so its seeded stream does not depend on this check.
 
-Two kinds of cell need no chain, and their sweeps are drawn i.i.d., a block
-of uniforms at a time in numpy, through inverse-CDF rows:
-
-- i.i.d. cells, where no probability factor holds two free variables: every
-  full conditional is fixed by the cell, so the block result is bit-identical
-  to sweeping;
-- cells without evidence, where no chance factor whose child is fixed holds a
-  free variable (the terminal, nothing-fixed value always; decision
-  placeholders are all ones): the free variables given the fixed ones follow
-  the product of their own conditionals, which logic sampling draws exactly,
-  in topological order, one sweep's uniforms per draw.
-
-Run without -O, the block draw checks every 64th kept state for a positive
-product of the probability factors, in numpy, as the chain checks its kept
-states, once all blocks are drawn.
-
-Only coupled cells with evidence run the single-site chain, and there support
-restriction does not repair reducibility: if table zeros split the positive
-support into disconnected components, the chain explores only the component
-it starts in and reports a small standard error around a wrong value.  The
-exact backend does not have this failure.
+Run without -O, the draws check every 64th kept draw, in numpy, once all
+blocks are drawn: its product of the probability factors must be positive
+exactly where its weight is.
 
 A stage is compiled once per `StageContext`, in its `cache["gibbs"]`, so it
 is freed with the context (`_CompiledStage`): each factor flattened once,
 with integer strides for its free slots and its fixed variables, the free
-slots and their sizes, and the `iid` and `evidence` flags, which depend on
-the stage alone.  A cell (`_CompiledCell`) adds only the base offsets its
-fixed configuration selects in the flattened factors.
+slots and their sizes, and the sites of the draws and of forward
+initialization, which depend on the stage alone.  A cell (`_CompiledCell`)
+adds only the base offsets its fixed configuration selects in the flattened
+factors.
 
 One kind of table, `_SiteTable`, serves every draw: one variable's
-inverse-CDF rows, one per state of the other free variables its factors
-hold, so a draw is an index computation and a bisection.  A cell has one
-table per variable over its full conditionals, which the chain and i.i.d.
-cells read, and one over its own conditional, which forward initialization
-and logic sampling read in topological order.  The stage keeps every table
-it builds, keyed by the variable and the factors' base offsets, so cells
-and alternatives whose factors sit at the same offsets share its rows and
-their flat numpy form (`_SiteTable.arrays`), in which a block draw takes
+inverse-CDF rows, one per state of its row parents, so a draw is an index
+computation and a bisection.  A cell has one table per variable over its
+site, which the draws read, and one over its own conditional, which forward
+initialization reads, both in topological order.  The stage keeps every
+table it builds, keyed by the variable and the factors' base offsets, so
+cells and alternatives whose factors sit at the same offsets share its rows
+and their flat numpy form (`_SiteTable.arrays`), in which a block draw takes
 each value with one 1-D `take` from the flattened supports.  Value factors
-are compiled once per factor passed in.  The chain and the block
-draws take their uniforms from one block loop, `_blocks`.  A block holds at
-most 8 192 sweeps and 65 536 uniforms: at 8 192 rows a block draw's per-site
-numpy temporaries take 64 KiB each, so they stay in cache and under glibc's
-128 KiB mmap threshold instead of being page-faulted in fresh every block.
-Blocks are drawn at their exact size, so the caps change no estimate.
+are compiled once per factor passed in.  The draws take their uniforms from
+one block loop, `_blocks`.  A block holds at most 8 192 draws and 65 536
+uniforms: at 8 192 rows a block draw's per-site numpy temporaries take 64
+KiB each, so they stay in cache and under glibc's 128 KiB mmap threshold
+instead of being page-faulted in fresh every block.  Blocks are drawn at
+their exact size, so the caps change no estimate.
 
 A value factor with an entry of magnitude 2**500 or more has its means and
 standard errors computed on its kept values times 2**-600 and divided back,
@@ -89,7 +93,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
@@ -114,10 +118,10 @@ _BATCHES = 20
 _LARGE = 2.0**500
 _SCALE = 2.0**-600
 
-#: caps on one block of `_blocks`, in uniforms and in sweeps (module
-#: docstring: the sweep cap keeps the block draws' temporaries in cache)
+#: caps on one block of `_blocks`, in uniforms and in draws (module
+#: docstring: the draw cap keeps the block draws' temporaries in cache)
 _BLOCK_UNIFORMS = 65536
-_BLOCK_SWEEPS = 8192
+_BLOCK_DRAWS = 8192
 
 #: one variable's draw: (slot, row parents as (slot, radix) pairs, rows); it
 #: takes the `_cdf` row `rows[sum(radix * state[s] for s, radix in parents)]`
@@ -126,11 +130,10 @@ _Site = tuple[int, tuple[tuple[int, int], ...], "_SiteTable"]
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Run-length knobs.  `samples` sweeps are run after `burn_in`, and every
-    one of them contributes to the estimate.  Cells whose sweeps are i.i.d.
-    draw and drop the burn-in sweeps' uniforms all the same, so the estimate
-    keeps its place in the seeded stream.  Each field is an integer, numpy
-    integers included and `bool` not, kept as an `int`: `seed` in
+    """Run-length knobs.  Each cell makes `samples` draws, and every one of
+    them contributes to the estimate; `burn_in` only advances the cell's
+    stream past that many draws' uniforms first.  Each field is an integer,
+    numpy integers included and `bool` not, kept as an `int`: `seed` in
     [0, 2**64), `burn_in` at least 0 and `samples` at least 1."""
 
     seed: int
@@ -152,7 +155,7 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class Estimate:
-    """A sampled conditional expectation: the mean of `n` kept sweeps and
+    """A sampled conditional expectation: the weighted mean of `n` draws and
     its batch-means standard error, None (undefined) for fewer than two."""
 
     mean: float
@@ -210,12 +213,12 @@ def _cdf(weights: list[float]) -> tuple[list[int], list[float], float]:
     summed in list order.  `support[bisect_right(cumulative, u * total)]` is
     then the first positive value whose running sum exceeds `u * total`, or
     the last positive value when rounding leaves `u * total` past every sum.
+    Where no weight is positive, the support is `[0]`, with no sums and
+    total 0: a draw from it takes value 0 and weighs zero.
     """
     total = 0.0
     for w in weights:
         total += w
-    if total <= 0.0:
-        raise AllZeroSupport("all candidate values have factor product zero")
     support: list[int] = []
     cumulative: list[float] = []
     acc = 0.0
@@ -224,22 +227,19 @@ def _cdf(weights: list[float]) -> tuple[list[int], list[float], float]:
             acc += w
             support.append(j)
             cumulative.append(acc)
-    support.append(support[-1])
+    support.append(support[-1] if support else 0)
     return support, cumulative, total
 
 
 class _SiteTable(dict):
     """The `_cdf` rows of one free variable's draws from the product of the
     factors it is given, keyed by the mixed-radix index of the state of its
-    blanket: the other free slots of those factors (fixed variables are
-    already in the factors' base offsets).  Over the stage's probability
-    factors the rows are the variable's full conditionals; over its own
-    conditional alone, they are keyed by its free parents.
+    blanket, its row parents: the other free slots of those factors (fixed
+    variables are already in the factors' base offsets).
 
-    A row is built the first time a draw reads it, so the table holds no
-    more rows than have been read, and a blanket state whose weights are all
-    zero raises AllZeroSupport only when read.  `arrays` builds every row,
-    for block draws."""
+    A row is built the first time it is read, so the table holds no more
+    rows than have been read.  `arrays` builds every row, for block
+    draws."""
 
     __slots__ = ("slot", "size", "sizes", "factors", "blanket", "_arrays")
 
@@ -314,8 +314,8 @@ class _CompiledStage:
     """What a cell's compilation takes from its stage alone, built once per
     `StageContext` and kept in its `cache["gibbs"]`, so it is freed with the
     context: the free slots and their sizes, each factor flattened, the
-    `iid` and `evidence` flags of every cell, and the site tables and value
-    factors that cells share.
+    plans of the draws and of forward initialization, and the site tables
+    and value factors that cells share.
 
     A site table is shared by every cell whose factors for it have the same
     base offsets, so a row is built once per stage; value factors are
@@ -329,40 +329,31 @@ class _CompiledStage:
         if ctx.decision is not None:
             self.needed.add(ctx.decision)
 
+        order = [slot_of[v] for v in ctx.free_topological]
+        rank = {slot: i for i, slot in enumerate(order)}
         prob: list[_CompiledFactor] = []
-        per_var: list[list[int]] = [[] for _ in self.free]
-        # the index of each free variable's own conditional
-        own: dict[str, int] = {}
+        # per slot, in topological order, the indices of the chance factors
+        # whose last free slot it is: its own conditional (its parents come
+        # before it) and the evidence tables it closes; decision
+        # placeholders are all ones and join no site
+        site: dict[int, list[int]] = {slot: [] for slot in order}
+        # the index of each slot's own conditional
+        own: dict[int, int] = {}
         for sf in ctx.factors:
             if sf.role == VALUE:
                 continue
             cf = _CompiledFactor(sf.factor, slot_of)
-            for slot, _ in cf.free_pairs:
-                per_var[slot].append(len(prob))
-            if sf.role == CHANCE and sf.child in slot_of:
-                own.setdefault(sf.child, len(prob))
+            if sf.role == CHANCE and cf.free_pairs:
+                site[max((s for s, _ in cf.free_pairs), key=rank.__getitem__)].append(len(prob))
+                if sf.child in slot_of:
+                    own[slot_of[sf.child]] = len(prob)
             prob.append(cf)
         self.prob = tuple(prob)
-        # the factors of each slot's full conditional, in model order, for
-        # the chain and i.i.d. cells; each slot's own conditional, in
-        # topological order, for forward initialization and logic sampling
-        self.full = tuple(enumerate(map(tuple, per_var)))
-        self.own = tuple((slot_of[v], (own[v],)) for v in ctx.free_topological)
-        # no probability factor couples two free sites: every site's full
-        # conditional is fixed by the cell, so successive sweeps are i.i.d.
-        self.iid = all(len(cf.free_pairs) <= 1 for cf in prob)
-        # a chance factor with a fixed child that holds a free variable is
-        # evidence on the free variables; without any, they follow the
-        # product of their own conditionals
-        free = set(self.free)
-        self.evidence = any(
-            sf.role == CHANCE
-            and sf.child not in free
-            and not free.isdisjoint(sf.factor.scope)
-            for sf in ctx.factors
-        )
-        # the sweeps are i.i.d. draws, made a block at a time
-        self.block = self.iid or not self.evidence
+        # each slot with the indices of the factors its table multiplies, in
+        # topological order: the draws' sites, and forward initialization's
+        # over each slot's own conditional
+        self.draw = tuple((slot, tuple(indices)) for slot, indices in site.items())
+        self.own = tuple((slot, (own[slot],)) for slot in order)
         self.values: dict[Factor, tuple[_CompiledFactor, float]] = {}
         self.tables: dict[tuple, _SiteTable] = {}
 
@@ -374,7 +365,7 @@ class _CompiledStage:
             entry = self.values[factor] = (_CompiledFactor(factor, self.slot_of), scale)
         return entry
 
-    def sites(
+    def bind(
         self, plan: Sequence[tuple[int, tuple[int, ...]]], factors: list[_CompiledFactor]
     ) -> tuple[_Site, ...]:
         """One cell's sites for `plan`, pairs of a slot and the indices of
@@ -410,67 +401,27 @@ class _CompiledCell:
 
         self.stage = stage
         self.free, self.sizes = stage.free, stage.sizes
-        self.iid, self.evidence = stage.iid, stage.evidence
         self.prob_factors = [cf.at(fixed_config) for cf in stage.prob]
         value, self.scale = stage.value(value_factor)
         self.value = value.at(fixed_config)
 
-    # built on first read, so a cell that `certainly_empty` rejects binds none
+    # built on first read, so a cell that `certainly_empty` rejects by its
+    # factors alone binds none
     @cached_property
-    def sites(self) -> tuple[_Site, ...]:
-        return self.stage.sites(self.stage.full, self.prob_factors)
+    def draw(self) -> tuple[_Site, ...]:
+        return self.stage.bind(self.stage.draw, self.prob_factors)
 
     @cached_property
     def own(self) -> tuple[_Site, ...]:
-        return self.stage.sites(self.stage.own, self.prob_factors)
+        return self.stage.bind(self.stage.own, self.prob_factors)
 
     def block_sites(self) -> list[_Site]:
-        """The sites of a cell whose sweeps are i.i.d. draws (`stage.block`),
-        in the order a draw visits them, with every row built.
-
-        An i.i.d. cell's sites are its full conditionals, each with one row
-        and no row parents.  A cell without evidence draws by logic sampling:
-        its sites are its own conditionals, in topological order, with one
-        row per state of their free parents."""
-        sites = self.sites if self.iid else self.own
-        for _, _, table in sites:
+        """The sites of the draws, in topological order, with every row
+        built: each variable's own conditional times the evidence tables it
+        closes, with one row per state of its row parents."""
+        for _, _, table in self.draw:
             table.arrays()
-        return list(sites)
-
-    def run(
-        self,
-        state: list[int],
-        sites: Sequence[_Site],
-        uniform_rows: Sequence[Sequence[float]],
-        keep: range = range(0),
-        kept: list[float] | None = None,
-    ) -> None:
-        """One scan over `sites` per row of `uniform_rows`: each site draws
-        its slot from the row of its rows that the state of its row parents
-        selects, the way `_cdf` describes, with the uniform at its slot's
-        column.  After each scan whose row index is in `keep`, appends the
-        value factor at the state to `kept`.
-
-        Over `sites`, a scan is a chain sweep; over `own`, from an all-zero
-        state, it is a forward sample."""
-        value = self.value
-        # a flag per row, set by slice: cheaper per scan than `i in keep`
-        flags = [False] * len(uniform_rows)
-        flags[keep.start : keep.stop : keep.step] = [True] * len(keep)
-        for uniforms, keep_this in zip(uniform_rows, flags):
-            for slot, parents, rows in sites:
-                index = 0
-                for s, radix in parents:
-                    index += radix * state[s]
-                support, cumulative, total = rows[index]
-                state[slot] = support[bisect_right(cumulative, uniforms[slot] * total)]
-            if keep_this:
-                if __debug__ and len(kept) % 64 == 0 and self.product_at(state) <= 0.0:
-                    raise AllZeroSupport("chain reached a zero-probability state")
-                off = value.base
-                for s, stride in value.free_pairs:
-                    off += stride * state[s]
-                kept.append(value.flat[off])
+        return list(self.draw)
 
     def product_at(self, state: list[int]) -> float:
         p = 1.0
@@ -496,7 +447,7 @@ class _CompiledCell:
     def certainly_empty(self) -> bool:
         """Whether no state has a positive factor product, in the cases this
         shows without a search: a factor is zero at every state of its free
-        variables, or, in an i.i.d. cell, some site's weights are all zero.
+        variables, or a site without row parents has only zero weights.
         False does not promise a positive state."""
         sizes = self.sizes
         for cf in self.prob_factors:
@@ -505,19 +456,29 @@ class _CompiledCell:
                 offsets = [off + stride * j for off in offsets for j in range(sizes[slot])]
             if not any(cf.flat[off] > 0.0 for off in offsets):
                 return True
-        # an i.i.d. cell's product is the constant factors times one weight
-        # per site, and a site's blanket is empty
-        return self.iid and any(
-            not any(w > 0.0 for w in table.weights({})) for _, _, table in self.sites
+        # such a site's factors hold no other free variable, so the product
+        # is one of its weights times the other factors
+        return any(
+            not any(w > 0.0 for w in table.weights({}))
+            for _, parents, table in self.draw
+            if not parents
         )
 
     def initial_state(self, rng: np.random.Generator) -> list[int]:
         """The first of 100 forward samples with a positive factor product,
-        else the first such state in row-major order (module docstring)."""
+        else the first such state in row-major order (module docstring).  A
+        forward sample takes one uniform per slot and draws each slot, in
+        topological order, from its own conditional."""
         n = len(self.free)
         for _ in range(_INIT_ATTEMPTS):
+            uniforms = rng.random(n).tolist()
             state = [0] * n
-            self.run(state, self.own, [rng.random(n).tolist()])
+            for slot, parents, rows in self.own:
+                index = 0
+                for s, radix in parents:
+                    index += radix * state[s]
+                support, cumulative, total = rows[index]
+                state[slot] = support[bisect_right(cumulative, uniforms[slot] * total)]
             if self.product_at(state) > 0.0:
                 return state
         configs = math.prod(self.sizes)
@@ -546,119 +507,116 @@ def estimate_expectation(
     `fixed_configs`, the admissible alternatives of one cell (`[{}]` for the
     terminal value), all from the one stream of `sampler_config.seed`.
 
-    Each configuration runs `burn_in` discard sweeps, then keeps the
-    `samples` sweeps that follow; the value factor is evaluated at each kept
-    state composed with the configuration.  The standard error comes from
-    batch means over 20 equal batches.  Returns one Estimate per
-    configuration, in order, or None where it has no positive state:
+    Each configuration advances its stream past `burn_in` draws' uniforms,
+    then makes `samples` draws (module docstring); the value factor is
+    evaluated at each drawn state composed with the configuration.  The
+    estimate is the weighted mean sum(w * V) / sum(w), and its standard
+    error the batch-means error, over 20 equal batches, of w * (V - mean) /
+    mean(w); where the weights are constant, the plain mean and the
+    batch-means error of V.  Returns one Estimate per configuration, in
+    order, or None where it has no positive state:
     `_CompiledCell.certainly_empty` shows it before anything is drawn, or
-    `initial_state` finds none.
+    `initial_state` finds none.  Raises AllZeroSupport where a configuration
+    has a positive state but no draw of positive weight.
 
     Every entry is bit-identical to the same configuration estimated alone:
     each configuration draws its initial state from the seed, and those
     whose generator then stands at the same place share the uniforms that
-    follow.  In block-drawn cells (`_block_draws`) they skip the burn-in
-    uniforms without drawing them and share the draws of the sites they
-    have in common; chain cells run each state over the shared rows.
+    follow and the draws of the sites they have in common (`_block_draws`).
     """
     cells = [_CompiledCell(stage_context, fixed, value_factor) for fixed in fixed_configs]
     rng = np.random.default_rng(sampler_config.seed)
     start = rng.bit_generator.state
-    # (index, cell, initial state) of each drawn configuration, grouped by
-    # the generator's state after its initialization
-    groups: dict[int, tuple[dict, list[tuple[int, _CompiledCell, list[int]]]]] = {}
+    # (index, cell) of each drawn configuration, grouped by the generator's
+    # state after its initialization
+    groups: dict[int, tuple[dict, list[tuple[int, _CompiledCell]]]] = {}
     for i, cell in enumerate(cells):
         if cell.certainly_empty():
             continue
         rng.bit_generator.state = start
         try:
-            state = cell.initial_state(rng)
+            cell.initial_state(rng)
         except NoPositiveState:
             continue
         place = rng.bit_generator.state
-        groups.setdefault(place["state"]["state"], (place, []))[1].append((i, cell, state))
+        groups.setdefault(place["state"]["state"], (place, []))[1].append((i, cell))
 
-    cfg = sampler_config
+    n = sampler_config.samples
     estimates: list[Estimate | None] = [None] * len(cells)
     for place, members in groups.values():
         rng.bit_generator.state = place
-        stage = members[0][1].stage
-        if not stage.free:
-            kept = [np.full(cfg.samples, cell.value.value_at(state)) for _, cell, state in members]
-        elif stage.block:
-            kept = _block_draws([cell for _, cell, _ in members], rng, cfg)
-        else:
-            values: list[list[float]] = [[] for _ in members]
-            for uniforms, keep in _blocks(rng, cfg, len(stage.free)):
-                rows = uniforms.tolist()
-                kept_rows = range(len(rows))[keep]
-                for (_, cell, state), vals in zip(members, values):
-                    cell.run(state, cell.sites, rows, kept_rows, vals)
-            kept = [np.array(vals) for vals in values]
-        for (i, cell, _), sample in zip(members, kept):
+        drawn = _block_draws([cell for _, cell in members], rng, sampler_config)
+        for (i, cell), (values, weights) in zip(members, drawn):
             scale = cell.scale
             if scale != 1.0:
-                sample = sample * scale
-            # numpy's mean, in its operation order, without its Python wrapper's cost
-            mean = float(np.add.reduce(sample)) / cfg.samples / scale
-            se = _batch_means_se(sample)
+                values = values * scale
+            if weights is None:
+                # numpy's mean, in its operation order, without its Python
+                # wrapper's cost
+                mean = float(np.add.reduce(values)) / n
+                se = _batch_means_se(values)
+            else:
+                total = float(np.add.reduce(weights))
+                if not total > 0.0:
+                    raise AllZeroSupport("no draw of a positive configuration has positive weight")
+                mean = float(np.add.reduce(weights * values)) / total
+                se = _batch_means_se(weights * (values - mean) / (total / n))
             se = se if se is None else se / scale
             # every n is the one `samples` int, not an int object per estimate
-            estimates[i] = Estimate(mean=mean, std_error=se, n=cfg.samples)
+            estimates[i] = Estimate(mean=mean / scale, std_error=se, n=n)
     return estimates
 
 
-def _blocks(
-    rng: np.random.Generator, cfg: SamplerConfig, n_free: int
-) -> Iterator[tuple[np.ndarray, slice]]:
-    """The uniforms of the `burn_in + samples` sweeps, a block at a time, one
-    row per sweep and one column per slot, each with the slice of its kept
-    rows, those past the burn-in.  A block holds at most 8 192 sweeps, so
-    that the per-site temporaries of `_block_draws` (8 bytes a row) stay in
-    cache and are not page-faulted in fresh, and at most 65 536 uniforms,
-    but at least one sweep.  A block is drawn at its exact size, so the
-    stream, and every estimate, is that of single sweeps with the same seed,
-    whatever the caps."""
-    total = cfg.burn_in + cfg.samples
-    block_sweeps = max(1, min(_BLOCK_SWEEPS, _BLOCK_UNIFORMS // n_free))
-    done = 0
-    while done < total:
-        count = min(block_sweeps, total - done)
-        uniforms = rng.random(count * n_free).reshape(count, n_free)
-        yield uniforms, slice(max(cfg.burn_in - done, 0), None)
-        done += count
+def _blocks(rng: np.random.Generator, cfg: SamplerConfig, n_free: int) -> Iterator[np.ndarray]:
+    """The uniforms of the `samples` draws, a block at a time, one row per
+    draw and one column per slot, after advancing `rng` past the uniforms of
+    `burn_in` draws, which is exact: PCG64 spends one step per double.  A
+    block holds at most 8 192 draws, so that the per-site temporaries of
+    `_block_draws` (8 bytes a row) stay in cache and are not page-faulted in
+    fresh, and at most 65 536 uniforms, but at least one draw.  A block is
+    drawn at its exact size, so the stream, and every estimate, is that of
+    single draws with the same seed, whatever the caps."""
+    rng.bit_generator.advance(cfg.burn_in * n_free)
+    block = max(1, min(_BLOCK_DRAWS, _BLOCK_UNIFORMS // max(n_free, 1)))
+    for done in range(0, cfg.samples, block):
+        count = min(block, cfg.samples - done)
+        yield rng.random(count * n_free).reshape(count, n_free)
 
 
 def _block_draws(
     cells: Sequence[_CompiledCell], rng: np.random.Generator, cfg: SamplerConfig
-) -> list[np.ndarray]:
-    """The kept values of each of `cells`, configurations of one stage whose
-    sweeps are i.i.d. draws through the rows of their `block_sites`, from
-    the uniforms of one `rng`, a block of `_blocks` at a time.  Every array
-    it makes per block and site has one entry per sweep of the block, at
-    most 8 192, which keeps them in cache.
+) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """The values of the draws of each of `cells`, configurations of one
+    stage, through the rows of their `block_sites`, with their weights, or
+    None where those are constant, from the uniforms of one `rng`, a block
+    of `_blocks` at a time.  Every array it makes per block and site has one
+    entry per draw of the block, at most 8 192, which keeps them in cache.
 
-    The burn-in sweeps are skipped by advancing the generator past their
-    uniforms, which is exact: PCG64 spends one step per double.  Each site,
-    in order, maps its slot's column through the row its row parents select,
-    as `support[bisect_right(cumulative, u * total)]` does, in the flat form
-    of `_SiteTable.arrays`: a position counted against the row's thresholds,
-    then one `take`.  A site whose row a cell fixes to one positive value is
-    a constant.  The other sites are drawn once for every cell with the same
-    table, fixed part of the row and row parents' draws.  When a cell's
-    value factor reads exactly one drawn site, it is read through that
-    site's support by position, and the site's values are taken only if a
-    later site reads them as row parents."""
+    Each site, in order, maps its slot's column through the row its row
+    parents select, as `support[bisect_right(cumulative, u * total)]` does,
+    in the flat form of `_SiteTable.arrays`: a position counted against the
+    row's thresholds, then one `take`.  A site whose row a cell fixes to one
+    positive value is a constant.  The other sites are drawn once for every
+    cell with the same table, fixed part of the row and row parents' draws.
+    A drawn site that holds an evidence table, so more than one factor, and
+    has a drawn row parent weighs its draws by their rows' totals; a cell's
+    weights are the product of its weighing sites' totals, in site order.
+    When a cell's value factor reads exactly one drawn site, it is read
+    through that site's support by position, and the site's values are
+    taken only if a later site reads them as row parents.  A cell without
+    free variables reads its value once per block."""
     n_free = len(cells[0].free)
     # the distinct draws: (slot, row parents as (draw, radix) pairs, the part
     # of the row index the constant ones fix, and the flat form of its table)
     draws: list[tuple] = []
     index_of: dict[tuple, int] = {}
-    # per cell: its constant slots' values and the draw of each drawn slot
-    plans: list[tuple[dict[int, int], dict[int, int]]] = []
+    # per cell: its constant slots' values, the draw of each drawn slot and
+    # its weighing draws
+    plans: list[tuple[dict[int, int], dict[int, int], list[int]]] = []
     for cell in cells:
         const: dict[int, int] = {}
         drawn: dict[int, int] = {}
+        weighing: list[int] = []
         for slot, parents, table in cell.block_sites():
             row = 0
             varying = []
@@ -675,14 +633,17 @@ def _block_draws(
                 index_of[key] = len(draws)
                 draws.append((slot, varying, row, *table.arrays()))
             drawn[slot] = index_of[key]
-        plans.append((const, drawn))
+            if varying and len(table.factors) > 1:
+                weighing.append(drawn[slot])
+        plans.append((const, drawn, weighing))
     taken = {p for draw in draws for p, _ in draw[1]}
+    weighed = {d for _, _, weighing in plans for d in weighing}
 
     # per cell, how its value factor reads the draws: (lookup table, draw,
     # None) through one draw's positions, else (flat values, base offset,
     # (draw, stride) pairs) through the drawn values
     readers = []
-    for cell, (const, drawn) in zip(cells, plans):
+    for cell, (const, drawn, _) in zip(cells, plans):
         value = cell.value
         base = value.base
         reads = []
@@ -699,44 +660,54 @@ def _block_draws(
             readers.append((value.array, base, reads))
 
     kept = [np.empty(cfg.samples, dtype=float) for _ in cells]
+    weights = [np.empty(cfg.samples, dtype=float) if plan[2] else None for plan in plans]
     probed: list[list[np.ndarray]] = [[] for _ in draws]
-    rng.bit_generator.advance(cfg.burn_in * n_free)
     k = 0
-    for uniforms, _ in _blocks(rng, replace(cfg, burn_in=0), n_free):
+    for uniforms in _blocks(rng, cfg, n_free):
         m = len(uniforms)
         states: dict[int, np.ndarray] = {}
+        totals_of: dict[int, np.ndarray] = {}
         positions = []
         for d, (slot, varying, row, width, support, thresholds, totals) in enumerate(draws):
             for p, radix in varying:
                 row = row + radix * states[p]
-            target = uniforms[:, slot] * totals.take(row)
+            total = totals.take(row)
+            target = uniforms[:, slot] * total
             pos = row * width
             for column in thresholds:
                 pos += column.take(row) <= target
             positions.append(pos)
             if d in taken:
                 states[d] = support.take(pos)
-        for values, (array, at, reads) in zip(kept, readers):
+            if d in weighed:
+                totals_of[d] = total
+        for values, w, (array, at, reads), (_, _, weighing) in zip(kept, weights, readers, plans):
             if reads is None:
                 values[k : k + m] = array.take(positions[at])
             else:
                 for d, stride in reads:
                     at = at + stride * states[d]
                 values[k : k + m] = array.take(at)
+            if weighing:
+                product = totals_of[weighing[0]]
+                for d in weighing[1:]:
+                    product = product * totals_of[d]
+                w[k : k + m] = product
         if __debug__:
-            # every 64th kept draw, as the chain checks its kept states, in
-            # copies: a view would keep the block's positions alive
+            # every 64th draw, in copies: a view would keep the block's
+            # positions alive
             for d, pos in enumerate(positions):
                 probed[d].append(pos[-k % 64 :: 64].copy())
         k += m
     assert k == cfg.samples
     if __debug__:
         probes = [draw[4].take(np.concatenate(p)) for draw, p in zip(draws, probed)]
-        for cell, (const, drawn) in zip(cells, plans):
+        for cell, (const, drawn, _), w in zip(cells, plans, weights):
             columns = [const[s] if s in const else probes[drawn[s]] for s in range(n_free)]
-            if (cell.products(columns, -(-k // 64)) <= 0.0).any():
-                raise AllZeroSupport("chain reached a zero-probability state")
-    return kept
+            positive = cell.products(columns, -(-k // 64)) > 0.0
+            if not (positive if w is None else positive == (w[::64] > 0.0)).all():
+                raise AllZeroSupport("a checked draw's factor product and weight disagree in sign")
+    return list(zip(kept, weights))
 
 
 def _batch_means_se(values: np.ndarray) -> float | None:

@@ -543,7 +543,8 @@ def build_model(
         if con.decision not in known or kinds[con.decision] != DECISION:
             raise UnknownDecision(f"constraint on non-decision {con.decision!r}")
         if con.decision in con_map:
-            raise InvalidModel(f"duplicate constraint for {con.decision!r}")
+            error = InvalidModel(f"duplicate constraint for {con.decision!r}")
+            raise _at(f"constraints[{i}]", error)
         con_map[con.decision] = con, i
     for d in dec_order:
         if d not in con_map:
@@ -575,9 +576,9 @@ def build_model(
         if c.child not in known:
             raise UnknownVariable(f"CPT for unknown variable {c.child!r}")
         if kinds[c.child] != CHANCE:
-            raise InvalidModel(f"CPT given for non-chance node {c.child!r}")
+            raise _at(f"cpts[{i}]", InvalidModel(f"CPT given for non-chance node {c.child!r}"))
         if c.child in cpt_map:
-            raise InvalidModel(f"duplicate CPT for {c.child!r}")
+            raise _at(f"cpts[{i}]", InvalidModel(f"duplicate CPT for {c.child!r}"))
         cpt_map[c.child] = c, i
     tables: dict[str, Factor] = {}
     for v in (n.id for n in nodes if n.kind == CHANCE):
@@ -700,12 +701,13 @@ def _cpt_table(
     first bad row in `rows` order."""
     child, parents = cpt.child, cpt.parents
     if set(parents) != set(graph_parents):
-        raise CptParentsMismatch(
+        error = CptParentsMismatch(
             f"CPT for {child!r} declares parents {list(parents)}, "
             f"graph has {list(graph_parents)}"
         )
+        raise _at(f"cpts[{at}].parents", error)
     if len(set(parents)) != len(parents):
-        raise CptParentsMismatch(f"CPT for {child!r} repeats a parent")
+        raise _at(f"cpts[{at}].parents", CptParentsMismatch(f"CPT for {child!r} repeats a parent"))
     labels = frames[child].labels
     label_set = set(labels)
     index = _config_index(parents, cpt.rows, frames, "cpt", child, at)
@@ -754,11 +756,15 @@ def _validate_constraint(
     checked, with each cell's alternatives in frame order."""
     extra = set(con.scope) - set(dec_parents)
     if extra:
-        raise ConstraintScopeNotParents(
+        error = ConstraintScopeNotParents(
             f"constraint scope of {con.decision!r} includes non-parents {sorted(extra)}"
         )
+        raise _at(f"constraints[{at}].scope", error)
     if len(set(con.scope)) != len(con.scope):
-        raise ConstraintScopeNotParents(f"constraint scope of {con.decision!r} repeats a variable")
+        error = ConstraintScopeNotParents(
+            f"constraint scope of {con.decision!r} repeats a variable"
+        )
+        raise _at(f"constraints[{at}].scope", error)
     dec_frame = frames[con.decision]
     index = _config_index(con.scope, con.cells, frames, "constraint", con.decision, at)
     cells = {}
@@ -789,11 +795,12 @@ def _value_table(
     invalid table raises the error of its first bad cell in `cells` order."""
     parents = vt.parents
     if set(parents) != set(graph_parents):
-        raise InvalidModel(
+        error = InvalidModel(
             f"value table declares parents {list(parents)}, graph has {list(graph_parents)}"
         )
+        raise _at("value.parents", error)
     if len(set(parents)) != len(parents):
-        raise InvalidModel("value table repeats a parent")
+        raise _at("value.parents", InvalidModel("value table repeats a parent"))
     index = _config_index(parents, vt.cells, frames, "value", value_var)
     ordered = [0.0] * len(index)
     for j, (cfg, v) in enumerate(vt.cells.items()):

@@ -3,7 +3,7 @@
 Stages are solved last decision first.  For each configuration of the
 variables the stage's decision depends on, `_evaluate` gives the conditional
 expectation of the value node for every admissible alternative: exactly
-(`oracle.exact_stage_expectation`, one call per alternative), or by Gibbs
+(`oracle.exact_stage_expectation`, one call per alternative), or by
 sampling (`gibbs.estimate_expectation`, one call per cell) with one seed per
 (stage, cell): its alternatives are ranked on common random numbers, as the
 exact backend ranks them on one table, so an exact tie stays a tie, and
@@ -108,7 +108,7 @@ def _evaluate(
 ) -> list[tuple[float, float | None, int | None] | None]:
     """(value, standard error, sample count) of the value node's conditional
     expectation at each of `fixed_configs`, or None where its conditioning
-    event has probability zero: by one Gibbs sampling call with `sampler`,
+    event has probability zero: by one sampler call with `sampler`,
     or exactly, one call per configuration, with no error or count, when it
     is None."""
     if sampler is None:

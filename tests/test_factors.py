@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from irid.errors import AllZeroSupport, IncompleteConfig
+from irid.errors import IncompleteConfig
 from irid.factors import Factor
 from irid.gibbs import _CompiledCell
 from irid.graph_ops import (
@@ -61,24 +63,25 @@ class TestEvaluate:
 
 def sampler_conditional(ctx, var, config):
     """The distribution the sampler draws `var` from at `config` (the other
-    variables' values), read off its inverse-CDF row; raises AllZeroSupport
-    where that row has no positive weight."""
+    variables' values), read off the inverse-CDF row of its site, and the
+    row's total; all zeros where that row has no positive weight."""
     fixed = {v: lab for v, lab in config.items() if v not in ctx.free_vars}
     cell = _CompiledCell(ctx, fixed, ctx.value_factor)
-    _, blanket, table = cell.sites[cell.free.index(var)]
+    (blanket, table), = [(b, t) for slot, b, t in cell.draw if cell.free[slot] == var]
     index = 0
     for s, radix in blanket:
         v = cell.free[s]
         index += radix * ctx.cpt_of(v).frame_of(v).index(config[v])
     support, cumulative, total = table[index]
     probs = np.zeros(table.size)
-    probs[support[:-1]] = np.diff([0.0, *cumulative]) / total
+    probs[support[:-1]] = np.diff([0.0, *cumulative]) / (total or 1.0)
     return probs
 
 
 class TestFullConditional:
-    """The sampler's full conditional of O in the drilling stage, where T and
-    R are fixed: P(O) times P(R | T, O)."""
+    """The sampler's site for O in the drilling stage, where T and R are
+    fixed: O is the one free variable, so its site is its full conditional,
+    P(O) times P(R | T, O)."""
 
     @pytest.fixture
     def stage2(self, wildcatter):
@@ -96,8 +99,9 @@ class TestFullConditional:
         assert sampler_conditional(stage2, "O", state).tolist() == [0.6, 0.4]
 
     def test_all_zero_support(self, stage2):
-        with pytest.raises(AllZeroSupport):
-            sampler_conditional(stage2, "O", {"T": "nt", "R": "c", "B": "$1M", "D": "d"})
+        # without a test the result is never "closed": the row weighs zero
+        vec = sampler_conditional(stage2, "O", {"T": "nt", "R": "c", "B": "$1M", "D": "d"})
+        assert vec.tolist() == [0.0, 0.0]
 
 
 def forward_sample(model, rng):
@@ -114,8 +118,9 @@ def forward_sample(model, rng):
 
 
 class TestAgainstBruteForce:
-    """The sampler's full conditionals, products of the factors that hold a
-    variable, must match the conditional of the explicit joint."""
+    """Without evidence a variable's site is its own conditional, which must
+    match the conditional of the explicit joint given the variables drawn
+    before it, in topological order."""
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_joint_conditional(self, seed):
@@ -126,15 +131,22 @@ class TestAgainstBruteForce:
         factors = [model.cpt_factor(v) for v in model.chance_vars]
         state = forward_sample(model, rng)
         target = model.chance_vars[int(rng.integers(len(model.chance_vars)))]
-        others = {v: lab for v, lab in state.items() if v != target}
 
-        vec = sampler_conditional(terminal_stage_context(model), target, state)
+        ctx = terminal_stage_context(model)
+        vec = sampler_conditional(ctx, target, state)
 
+        order = ctx.free_topological
+        earlier = {v: state[v] for v in order[: order.index(target)]}
+        later = order[order.index(target) + 1 :]
         labels = model.frame(target).labels
         joint = np.array(
             [
-                np.prod(
-                    [f.evaluate({**others, target: lab}) for f in factors]
+                sum(
+                    np.prod([f.evaluate({**earlier, target: lab, **rest}) for f in factors])
+                    for rest in (
+                        dict(zip(later, combo))
+                        for combo in itertools.product(*(model.frame(v).labels for v in later))
+                    )
                 )
                 for lab in labels
             ]

@@ -1,7 +1,9 @@
 import collections
 import copy
+import dataclasses
 import functools
 import itertools
+import math
 import types
 from bisect import bisect_right
 
@@ -16,11 +18,11 @@ from irid.errors import (
     IncompleteConfig,
     InvalidModel,
     NoPositiveState,
+    ZeroNormalizer,
 )
 from irid.gibbs import (
     Estimate,
     SamplerConfig,
-    _cdf,
     _blocks,
     _CompiledCell,
     _block_draws,
@@ -48,20 +50,45 @@ from irid.model import (
 from irid.oracle import exact_stage_expectation
 from irid.solver import solve
 
-from model_gen import certificate_model, random_model, with_point_masses
+from model_gen import certificate_model, multisite_model, random_model, with_point_masses
 
 
-def _chain(ctx, fixed, rng):
-    """The sampler's single-site chain as label assignments of
-    `ctx.free_vars`: the cell's `initial_state`, then the state after each
-    sweep, one `run` over its full conditionals (`sites`) with one uniform
-    per free variable from `rng`."""
+def _initial(ctx, fixed, rng):
+    """The cell's `initial_state`, drawn from `rng`, as a label assignment of
+    `ctx.free_vars`."""
     cell = _CompiledCell(ctx, fixed, ctx.value_factor)
     labels = [ctx.cpt_of(v).frame_of(v).labels for v in cell.free]
     state = cell.initial_state(rng)
-    while True:
-        yield {v: labels[i][j] for i, (v, j) in enumerate(zip(cell.free, state))}
-        cell.run(state, cell.sites, [rng.random(len(state)).tolist()])
+    return {v: labels[i][j] for i, (v, j) in enumerate(zip(cell.free, state))}
+
+
+def _drawn_states(ctx, fixed, sampler):
+    """The cell, the state of its free slots at each of its draws, one row
+    per draw, and the draws' weights, all ones where they are constant: read
+    from `_block_draws` through a value factor that numbers the states."""
+    frames = tuple(ctx.cpt_of(v).frame_of(v) for v in ctx.free_vars)
+    sizes = [len(f) for f in frames]
+    numbers = np.arange(math.prod(sizes), dtype=float).reshape(sizes)
+    numbers = Factor(ctx.free_vars, frames, numbers)
+    cell = _CompiledCell(ctx, fixed, numbers)
+    rng = np.random.default_rng(sampler.seed)
+    cell.initial_state(rng)
+    ((values, weights),) = _block_draws([cell], rng, sampler)
+    states = np.array(np.unravel_index(values.astype(int), sizes)).T
+    return cell, states, np.ones(len(values)) if weights is None else weights
+
+
+def _shares(ctx, fixed, sampler):
+    """The weighted share of the draws at each state of `ctx.free_vars`
+    drawn with a positive weight, keyed by its labels."""
+    labels = [ctx.cpt_of(v).frame_of(v).labels for v in ctx.free_vars]
+    _, states, weights = _drawn_states(ctx, fixed, sampler)
+    shares = collections.Counter()
+    for state, w in zip(states.tolist(), weights.tolist()):
+        if w > 0.0:
+            shares[tuple(labels[i][j] for i, j in enumerate(state))] += w
+    total = sum(weights.tolist())
+    return {key: w / total for key, w in shares.items()}
 
 
 @pytest.fixture(scope="module")
@@ -115,14 +142,14 @@ class TestSamplerConfig:
 class TestInitState:
     def test_single_free_variable(self, stage2):
         rng = np.random.default_rng(0)
-        assignment = next(_chain(stage2, {"T": "nt", "R": "nr", "B": "$1M", "D": "nd"}, rng))
+        assignment = _initial(stage2, {"T": "nt", "R": "nr", "B": "$1M", "D": "nd"}, rng)
         assert set(assignment) == {"O"}
         assert assignment["O"] in ("w", "y")
 
     def test_impossible_evidence(self, stage2):
         rng = np.random.default_rng(0)
         with pytest.raises(NoPositiveState):
-            next(_chain(stage2, {"T": "nt", "R": "c", "B": "$1M", "D": "nd"}, rng))
+            _initial(stage2, {"T": "nt", "R": "c", "B": "$1M", "D": "nd"}, rng)
 
     def test_deterministic_chain_forced(self):
         m = build_model(
@@ -153,24 +180,23 @@ class TestInitState:
         )
         part = compute_partition(m)
         ctx = build_stage_context(m, part, moralize(relevance_subgraph(m)), 1)
-        assignment = next(_chain(ctx, {"D1": "x"}, np.random.default_rng(5)))
+        assignment = _initial(ctx, {"D1": "x"}, np.random.default_rng(5))
         assert assignment == {"A": "a0", "C": "c0"}
 
     def test_missing_fixed_variable(self, stage2):
         with pytest.raises(IncompleteConfig):
-            next(_chain(stage2, {"T": "nt", "R": "nr"}, np.random.default_rng(0)))
+            _initial(stage2, {"T": "nt", "R": "nr"}, np.random.default_rng(0))
 
 
-class TestSweep:
-    def test_single_site_stationary_distribution(self, stage2):
+class TestDraws:
+    """The states the draws visit, read through a value factor that numbers
+    them, with their weights."""
+
+    def test_iid_draws_follow_the_full_conditional(self, stage2):
         fixed = {"T": "t1", "R": "c", "B": "$2M", "D": "d"}
-        rng = np.random.default_rng(123)
-        counts = collections.Counter()
-        n = 100_000
-        for assignment in itertools.islice(_chain(stage2, fixed, rng), 1, n + 1):
-            counts[assignment["O"]] += 1
-        assert counts["w"] / n == pytest.approx(0.923077, abs=0.01)
-        assert counts["y"] / n == pytest.approx(0.076923, abs=0.01)
+        shares = _shares(stage2, fixed, SamplerConfig(seed=123, samples=100_000))
+        assert shares[("w",)] == pytest.approx(0.923077, abs=0.01)
+        assert shares[("y",)] == pytest.approx(0.076923, abs=0.01)
 
     def test_flat_conditional_stays_uniform(self):
         m = build_model(
@@ -190,33 +216,28 @@ class TestSweep:
         ctx = build_stage_context(
             m, compute_partition(m), moralize(relevance_subgraph(m)), 1
         )
-        rng = np.random.default_rng(42)
-        counts = collections.Counter()
-        for assignment in itertools.islice(_chain(ctx, {"D1": "a"}, rng), 1, 20001):
-            counts[assignment["X"]] += 1
-        assert counts["x0"] / 20000 == pytest.approx(0.5, abs=0.02)
+        shares = _shares(ctx, {"D1": "a"}, SamplerConfig(seed=42))
+        assert shares[("x0",)] == pytest.approx(0.5, abs=0.02)
 
-    def test_chain_never_leaves_positive_support(self):
-        model = random_model(17, n_chance=(3, 4), n_decisions=(1, 1), allow_zeros=True)
-        part = compute_partition(model)
-        ctx = build_stage_context(model, part, moralize(relevance_subgraph(model)), 1)
-        dec = ctx.decision
-        order = sorted(ctx.dependency_set)
-        rng = np.random.default_rng(5)
-        for cfg in iter_configs(order, model.frames):
-            fixed = dict(zip(order, cfg))
-            fixed[dec] = model.admissible(dec, fixed)[0]
-            chain = _chain(ctx, fixed, rng)
-            try:
-                next(chain)
-            except NoPositiveState:
+    @pytest.mark.parametrize("source", ["zeros17", "point_masses33"])
+    def test_a_draw_weighs_zero_exactly_off_the_positive_support(self, source):
+        """Every draw of every positive cell has a positive product of the
+        probability factors exactly where its weight is positive; only
+        weighted draws ever weigh zero."""
+        if source == "zeros17":
+            model = random_model(17, n_chance=(3, 4), n_decisions=(1, 1), allow_zeros=True)
+        else:
+            model = _point_mass_model(33)
+        zero_weights = 0
+        for ctx, fixed in _stage_cells(model):
+            if not _has_positive_state(ctx, fixed):
                 continue
-            for assignment in itertools.islice(chain, 500):
-                total = {**assignment, **fixed}
-                product = 1.0
-                for f in ctx.probability_factors:
-                    product *= f.evaluate(total)
-                assert product > 0.0
+            sampler = SamplerConfig(seed=5, burn_in=10, samples=500)
+            cell, states, weights = _drawn_states(ctx, fixed, sampler)
+            for state, w in zip(states.tolist(), weights.tolist()):
+                assert (cell.product_at(state) > 0.0) == (w > 0.0), (ctx.stage, fixed)
+            zero_weights += int((weights == 0.0).sum())
+        assert (zero_weights > 0) == (source == "point_masses33")
 
 
 class TestEstimateExpectation:
@@ -280,19 +301,12 @@ class TestEstimateExpectation:
         )
         assert a.mean != b.mean
 
-    def test_equals_manual_sweep_composition(self, stage2):
+    def test_equals_a_per_draw_reference(self, stage2):
         fixed = {"B": "$2M", "T": "t1", "R": "c", "D": "d"}
-        cfg = SamplerConfig(seed=7, burn_in=3, samples=10)
+        cfg = SamplerConfig(seed=7, burn_in=3, samples=40)
         (est,) = estimate_expectation(stage2, [fixed], stage2.value_factor, cfg)
-        steps = itertools.islice(
-            _chain(stage2, fixed, np.random.default_rng(7)), 1, cfg.burn_in + cfg.samples + 1
-        )
-        vals = []
-        for i, assignment in enumerate(steps, 1):
-            if i > cfg.burn_in:
-                vals.append(stage2.value_factor.evaluate({**assignment, **fixed}))
-        assert float(np.mean(vals)) == est.mean
-        assert len(vals) == est.n
+        assert est == _reference_estimate(stage2, fixed, cfg)
+        assert est.n == 40
 
     def test_impossible_cell_has_no_estimate(self, stage2):
         assert estimate_expectation(
@@ -303,72 +317,105 @@ class TestEstimateExpectation:
         ) == [None]
 
 
-def _sweep_chain_estimate(ctx, fixed, cfg):
-    """The estimate of the `_chain` steps driven by `default_rng(cfg.seed)`,
-    read with the value factor, with the batch means standard error over 20
-    equal batches."""
-    steps = itertools.islice(
-        _chain(ctx, fixed, np.random.default_rng(cfg.seed)), 1, cfg.burn_in + cfg.samples + 1
-    )
-    vals = []
-    for i, assignment in enumerate(steps, 1):
-        if i > cfg.burn_in:
-            vals.append(ctx.value_factor.evaluate({**assignment, **fixed}))
-    return _batch_means_estimate(vals)
-
-
-def _reference_weights(ctx, var, assignment):
-    """Full-conditional weights of `var` over its frame: the product, in
-    `ctx.probability_factors` order, of the factors that contain it, each
-    evaluated on labels; 1.0 for every value when no factor contains it."""
-    weights = []
-    for label in ctx.cpt_of(var).frame_of(var).labels:
-        total = {**assignment, var: label}
-        w = 1.0
-        for f in ctx.probability_factors:
-            if var in f.scope:
-                w *= f.evaluate(total)
-        weights.append(w)
-    return weights
+def _site_factors(ctx):
+    """Per free variable, in `ctx.free_topological` order, the factors of its
+    site: every conditional table holding a free variable whose last free
+    variable in that order it is, in `ctx.factors` order."""
+    order = ctx.free_topological
+    sites = {v: [] for v in order}
+    for sf in ctx.factors:
+        held = [v for v in order if v in sf.factor.scope]
+        if sf.role == "chance" and held:
+            sites[held[-1]].append(sf.factor)
+    return sites
 
 
 def _reference_draw(weights, u):
-    """Inverse-CDF draw over the positive weights: the first positive value
-    whose running sum exceeds `u` times the sum of all weights, or the last
-    positive value when rounding leaves that product past every sum."""
+    """The total of `weights` and an inverse-CDF draw over the positive ones:
+    the first positive value whose running sum exceeds `u` times the total,
+    or the last positive value when rounding leaves that product past every
+    sum; value 0 where no weight is positive."""
     total = 0.0
     for w in weights:
         total += w
-    if total <= 0.0:
-        raise AllZeroSupport("reference chain reached a zero-total conditional")
     target = u * total
     acc = 0.0
-    last = None
+    last = 0
     for j, w in enumerate(weights):
         if w > 0.0:
             acc += w
             last = j
             if target < acc:
-                return j
-    return last
+                return total, j
+    return total, last
 
 
-def _reference_chain_estimate(ctx, fixed, cfg):
-    """The estimate of a single-site Gibbs chain that recomputes every full
-    conditional from the factors' labels: it starts at the cell's
-    `initial_state` and then takes one uniform per variable and sweep, in
-    `ctx.free_vars` order, from the same `default_rng(cfg.seed)` stream."""
+def _reference_draws(ctx, fixed, cfg):
+    """(value, weight, assignment) of each draw, recomputed from the factors'
+    labels.  After the cell's `initial_state`, the uniforms of `burn_in`
+    draws are skipped; each draw then takes one uniform per variable in
+    `ctx.free_vars` order and draws every free variable, in
+    `ctx.free_topological` order, from the product of its site's factors
+    given the values drawn so far.  A variable is constant when its site's
+    other free variables are constant and its weights have one positive
+    entry.  A variable that is not, whose site holds an evidence table and
+    some other free variable that is not constant either, multiplies its
+    weights' total into the draw's weight, which stays None when no
+    variable does.  A site's weights, and the value, are computed once per
+    state of the variables their factors hold."""
     rng = np.random.default_rng(cfg.seed)
-    assignment = {**next(_chain(ctx, fixed, rng)), **fixed}
-    labels = {v: ctx.cpt_of(v).frame_of(v).labels for v in ctx.free_vars}
-    vals = []
-    for i in range(1, cfg.burn_in + cfg.samples + 1):
-        for var, u in zip(ctx.free_vars, rng.random(len(ctx.free_vars))):
-            j = _reference_draw(_reference_weights(ctx, var, assignment), float(u))
+    _initial(ctx, fixed, rng)
+    free = ctx.free_vars
+    rng.random(cfg.burn_in * len(free))
+    sites = _site_factors(ctx)
+    labels = {v: ctx.cpt_of(v).frame_of(v).labels for v in free}
+    scopes = {var: sorted({v for f in fs for v in f.scope} - {var}) for var, fs in sites.items()}
+    known: dict[tuple, list[float]] = {}
+    value = functools.cache(lambda *labels: ctx.value_factor.evaluate(dict(zip(scope, labels))))
+    scope = ctx.value_factor.scope
+    draws = []
+    for _ in range(cfg.samples):
+        uniforms = dict(zip(free, rng.random(len(free)).tolist()))
+        assignment, constant, weight = dict(fixed), set(), None
+        for var in ctx.free_topological:
+            others = {v for v in scopes[var] if v in free}
+            key = (var, *(assignment[v] for v in scopes[var]))
+            if key not in known:
+                known[key] = []
+                for label in labels[var]:
+                    w = 1.0
+                    for f in sites[var]:
+                        w *= f.evaluate({**assignment, var: label})
+                    known[key].append(w)
+            weights = known[key]
+            total, j = _reference_draw(weights, uniforms[var])
             assignment[var] = labels[var][j]
-        if i > cfg.burn_in:
-            vals.append(ctx.value_factor.evaluate(assignment))
-    return _batch_means_estimate(vals)
+            if others <= constant and sum(w > 0.0 for w in weights) == 1:
+                constant.add(var)
+            elif len(sites[var]) > 1 and not others <= constant:
+                weight = total if weight is None else weight * total
+        draws.append((value(*(assignment[v] for v in scope)), weight, assignment))
+    return draws
+
+
+def _reference_estimate(ctx, fixed, cfg):
+    """The estimate of `_reference_draws`: the mean and batch-means
+    standard error of the values where no draw has a weight, else the
+    weighted mean and the batch-means error of the linearized draws."""
+    draws = _reference_draws(ctx, fixed, cfg)
+    values = np.array([v for v, _, _ in draws])
+    if draws[0][1] is None:
+        return _batch_means_estimate(values)
+    return _weighted_estimate(values, np.array([w for _, w, _ in draws]))
+
+
+def _weighted_estimate(values, weights):
+    """sum(w * V) / sum(w), with the batch-means standard error of
+    w * (V - mean) / mean(w)."""
+    total = weights.sum()
+    mean = float((weights * values).sum()) / float(total)
+    linearized = weights * (values - mean) / (total / len(values))
+    return dataclasses.replace(_batch_means_estimate(linearized), mean=mean)
 
 
 def _batch_means_estimate(vals):
@@ -388,12 +435,24 @@ IID_CONFIGS = [
 ]
 
 
+def _sites_are_full_conditionals(ctx):
+    """Whether each free variable's site holds every conditional table that
+    holds it, as in a cell where no table holds two free variables."""
+    return all(
+        factors
+        == [sf.factor for sf in ctx.factors if sf.role == "chance" and var in sf.factor.scope]
+        for var, factors in _site_factors(ctx).items()
+    )
+
+
 class TestIidCells:
-    """Cells whose free sites share no probability factor are sampled by
-    blocks, and must give exactly what the sweep chain gives."""
+    """Cells whose free variables share no probability factor: each site is
+    the variable's full conditional, so every draw is an exact i.i.d. draw
+    with a constant weight, and must equal a per-draw loop."""
 
     @pytest.mark.parametrize("kwargs", IID_CONFIGS)
-    def test_wildcatter_stage2_cells_equal_sweep_chain(self, wildcatter, stage2, kwargs):
+    def test_wildcatter_stage2_cells_equal_reference(self, wildcatter, stage2, kwargs):
+        assert _sites_are_full_conditionals(stage2)
         deps = sorted(stage2.dependency_set)
         compared = 0
         for idx, cfg in enumerate(iter_configs(deps, wildcatter.frames)):
@@ -402,7 +461,7 @@ class TestIidCells:
                 fixed[stage2.decision] = alt
                 sampler = SamplerConfig(seed=1000 + idx, **kwargs)
                 try:
-                    expected = _sweep_chain_estimate(stage2, fixed, sampler)
+                    expected = _reference_estimate(stage2, fixed, sampler)
                 except NoPositiveState:
                     assert estimate_expectation(
                         stage2, [fixed], stage2.value_factor, sampler
@@ -414,7 +473,7 @@ class TestIidCells:
         assert compared == 18
 
     @pytest.mark.parametrize("kwargs", IID_CONFIGS)
-    def test_zero_weight_cell_equals_sweep_chain(self, kwargs):
+    def test_zero_weight_cell_equals_reference(self, kwargs):
         # two free sites, each alone in its factors; X never takes x1
         m = build_model(
             nodes=(
@@ -446,10 +505,10 @@ class TestIidCells:
         ctx = build_stage_context(
             m, compute_partition(m), moralize(relevance_subgraph(m)), 1
         )
-        assert ctx.free_vars == ("X", "Y")
+        assert ctx.free_vars == ("X", "Y") and _sites_are_full_conditionals(ctx)
         sampler = SamplerConfig(seed=11, **kwargs)
         (est,) = estimate_expectation(ctx, [{"D1": "b"}], ctx.value_factor, sampler)
-        assert est == _sweep_chain_estimate(ctx, {"D1": "b"}, sampler)
+        assert est == _reference_estimate(ctx, {"D1": "b"}, sampler)
 
 
 def _stage_cells(model):
@@ -490,24 +549,10 @@ def _has_evidence(ctx):
 
 def _has_positive_state(ctx, fixed):
     try:
-        next(_chain(ctx, fixed, np.random.default_rng(0)))
+        _initial(ctx, fixed, np.random.default_rng(0))
     except NoPositiveState:
         return False
     return True
-
-
-def _has_zero_total_conditional(ctx, fixed):
-    """Whether some free variable has all-zero weights for some assignment
-    of the other free variables."""
-    free = ctx.free_vars
-    frames = {v: ctx.cpt_of(v).frame_of(v).labels for v in free}
-    for var in free:
-        others = [v for v in free if v != var]
-        for labels in itertools.product(*(frames[v] for v in others)):
-            assignment = {**fixed, **dict(zip(others, labels))}
-            if not any(w > 0.0 for w in _reference_weights(ctx, var, assignment)):
-                return True
-    return False
 
 
 COUPLED_CONFIGS = [
@@ -523,53 +568,34 @@ def _point_mass_model(seed):
 
 
 class TestCoupledCells:
-    """Coupled cells with evidence run the table-driven sweep; it must give
-    exactly what a chain recomputing every full conditional from the factors
-    gives, although some of their tables' blanket states have all-zero
-    weights (those raise only if a chain visits them)."""
+    """Coupled cells with evidence, among them cells whose draws are
+    weighted, and weigh zero where a site's row has no positive weight:
+    every estimate must equal the per-draw loop's."""
 
     @pytest.mark.parametrize("kwargs", COUPLED_CONFIGS)
     @pytest.mark.parametrize(
-        "seed, count",
-        [pytest.param(s, n, id=f"point_masses_{s}") for s, n in
-         [(33, 4), (127, 15), (138, 6), (325, 3), (426, 2)]],
+        "seed, count, weighted, zero",
+        # cells, cells with weighted draws, cells with a weight-zero draw
+        [pytest.param(s, n, w, z, id=f"point_masses_{s}") for s, n, w, z in
+         [(33, 4, 4, 4), (107, 4, 4, 0), (127, 15, 0, 0), (138, 6, 0, 0), (196, 2, 2, 1),
+          (325, 3, 3, 2), (426, 2, 2, 0)]],
     )
-    def test_equals_reference_chain(self, seed, count, kwargs):
+    def test_equals_reference_draws(self, seed, count, weighted, zero, kwargs):
         cells = [
             (ctx, fixed)
             for ctx, fixed in _stage_cells(_point_mass_model(seed))
             if _is_coupled(ctx) and _has_evidence(ctx) and _has_positive_state(ctx, fixed)
         ]
         assert len(cells) == count
+        kinds = collections.Counter()
         for cell_seed, (ctx, fixed) in enumerate(cells):
-            assert _has_zero_total_conditional(ctx, fixed)
             sampler = SamplerConfig(seed=cell_seed, **kwargs)
             (est,) = estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)
-            assert est == _reference_chain_estimate(ctx, fixed, sampler), (ctx.stage, fixed)
-
-
-def _reference_ancestral_estimate(ctx, fixed, cfg):
-    """The estimate of logic sampling driven by the sweep chain's uniforms:
-    after the cell's `initial_state`, each sweep takes one uniform per variable
-    in `ctx.free_vars` order from `default_rng(cfg.seed)`; a kept sweep draws
-    every free variable, in `ctx.free_topological` order, from its own
-    conditional given the values drawn so far, with its own uniform."""
-    rng = np.random.default_rng(cfg.seed)
-    next(_chain(ctx, fixed, rng))
-    labels = {v: ctx.cpt_of(v).frame_of(v).labels for v in ctx.free_vars}
-    vals = []
-    for i in range(1, cfg.burn_in + cfg.samples + 1):
-        uniforms = dict(zip(ctx.free_vars, rng.random(len(ctx.free_vars)).tolist()))
-        if i > cfg.burn_in:
-            assignment = dict(fixed)
-            for var in ctx.free_topological:
-                cpt = ctx.cpt_of(var)
-                weights = [cpt.evaluate({**assignment, var: lab}) for lab in labels[var]]
-                support, cumulative, total = _cdf(weights)
-                j = support[bisect_right(cumulative, uniforms[var] * total)]
-                assignment[var] = labels[var][j]
-            vals.append(ctx.value_factor.evaluate(assignment))
-    return _batch_means_estimate(vals)
+            draws = _reference_draws(ctx, fixed, sampler)
+            assert est == _reference_estimate(ctx, fixed, sampler), (ctx.stage, fixed)
+            kinds["weighted" if draws[0][1] is not None else "constant"] += 1
+            kinds["zero"] += any(w == 0.0 for _, w, _ in draws)
+        assert (kinds["weighted"], kinds["zero"]) == (weighted, zero)
 
 
 def _child_listed_first():
@@ -612,13 +638,13 @@ def _child_listed_first():
 
 
 def _block_sizes(cfg, n_free):
-    """The number of sweeps in each block `_blocks` makes."""
-    return [len(uniforms) for uniforms, _ in _blocks(np.random.default_rng(0), cfg, n_free)]
+    """The number of draws in each block `_blocks` makes."""
+    return [len(uniforms) for uniforms in _blocks(np.random.default_rng(0), cfg, n_free)]
 
 
 class TestAncestralCells:
-    """Coupled cells without evidence draw each kept sweep by logic
-    sampling, a block at a time; the result must equal a per-draw loop."""
+    """Coupled cells without evidence draw by logic sampling, a block at a
+    time; the result must equal a per-draw loop."""
 
     @pytest.mark.parametrize("kwargs", COUPLED_CONFIGS)
     @pytest.mark.parametrize("name", BUNDLED)
@@ -629,7 +655,7 @@ class TestAncestralCells:
             assert not _has_evidence(ctx)
             sampler = SamplerConfig(seed=seed, **kwargs)
             (est,) = estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)
-            assert est == _reference_ancestral_estimate(ctx, fixed, sampler), (ctx.stage, fixed)
+            assert est == _reference_estimate(ctx, fixed, sampler), (ctx.stage, fixed)
 
     @pytest.mark.parametrize("kwargs", COUPLED_CONFIGS)
     def test_generated_equal_reference(self, kwargs):
@@ -640,7 +666,7 @@ class TestAncestralCells:
                     continue
                 sampler = SamplerConfig(seed=seed, **kwargs)
                 (est,) = estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)
-                expected = _reference_ancestral_estimate(ctx, fixed, sampler)
+                expected = _reference_estimate(ctx, fixed, sampler)
                 assert est == expected, (seed, ctx.stage, fixed)
                 compared += 1
         assert compared == 46
@@ -651,22 +677,22 @@ class TestAncestralCells:
         assert ctx.free_vars == ("Y", "X") and ctx.free_topological == ("X", "Y")
         sampler = SamplerConfig(seed=5, **kwargs)
         (est,) = estimate_expectation(ctx, [{}], ctx.value_factor, sampler)
-        assert est == _reference_ancestral_estimate(ctx, {}, sampler)
+        assert est == _reference_estimate(ctx, {}, sampler)
 
     @pytest.mark.parametrize(
         "name, blocks",
         [("wildcatter_irid", 5), ("wildcatter_deterministic_workaround", 5)],
     )
-    def test_multi_block_terminal_equals_reference(self, name, blocks):
-        """Kept sweeps span several of the blocks `_blocks` makes, and the
-        burn-in ends inside a block."""
+    def test_multi_block_terminal_equals_reference(self, name, blocks, monkeypatch):
+        """The draws span several of the blocks `_blocks` makes, the last one
+        short."""
+        monkeypatch.setattr(gibbs, "_BLOCK_DRAWS", 4096)
         ctx, fixed = _stage_cells(load_bundled(name))[-1]
         sampler = SamplerConfig(seed=9, burn_in=16000, samples=20001)
         sizes = _block_sizes(sampler, len(ctx.free_vars))
-        assert len(sizes) == blocks
-        assert sampler.burn_in % sizes[0]
+        assert len(sizes) == blocks and sizes[-1] < sizes[0]
         (est,) = estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)
-        assert est == _reference_ancestral_estimate(ctx, fixed, sampler)
+        assert est == _reference_estimate(ctx, fixed, sampler)
 
     def test_a_uniform_of_one_draws_the_last_positive_value(self):
         """Where `u * total` reaches `total`, a block draw takes the last
@@ -681,8 +707,9 @@ class TestAncestralCells:
                 return np.ones(n)
 
         sampler = SamplerConfig(seed=0, burn_in=3, samples=40)
-        (kept,) = _block_draws([cell], Ones(), sampler)
+        ((kept, weights),) = _block_draws([cell], Ones(), sampler)
         assert kept.tolist() == [12.0] * 40  # X = x1, Y = y2
+        assert weights is None
 
     @pytest.mark.parametrize("seed", range(8))
     def test_wildcatter_terminal_value_within_4_se(self, wildcatter, seed):
@@ -692,32 +719,38 @@ class TestAncestralCells:
 
 
 class TestBlockRows:
-    """The blocks of `_blocks` keep exactly the sweeps after the burn-in."""
+    """The blocks of `_blocks` hold exactly the draws after the burn-in."""
 
     def test_blocks_keep_every_sweep_after_the_burn_in(self, monkeypatch):
-        for burn, samples, cap in itertools.product(
-            (0, 1, 5, 37, 64), (1, 20, 129), (1, 2, 7, 64)
+        for burn, samples, cap, n_free in itertools.product(
+            (0, 1, 5, 37, 64), (1, 20, 129), (1, 2, 7, 64), (0, 2)
         ):
-            monkeypatch.setattr(gibbs, "_BLOCK_SWEEPS", cap)
+            monkeypatch.setattr(gibbs, "_BLOCK_DRAWS", cap)
             cfg = SamplerConfig(seed=3, burn_in=burn, samples=samples)
-            blocks = list(_blocks(np.random.default_rng(cfg.seed), cfg, 2))
-            sweeps = np.concatenate([uniforms for uniforms, _ in blocks])
-            kept = np.concatenate([uniforms[keep] for uniforms, keep in blocks])
-            assert len(sweeps) == burn + samples
-            assert np.array_equal(kept, sweeps[burn:]), (burn, samples, cap)
+            rng = np.random.default_rng(cfg.seed)
+            blocks = np.concatenate(list(_blocks(rng, cfg, n_free)))
+            stream = np.random.default_rng(cfg.seed).random((burn + samples) * n_free)
+            assert blocks.shape == (samples, n_free)
+            assert np.array_equal(blocks.ravel(), stream[burn * n_free :]), (burn, samples, cap)
+            # a cell without free variables spends no uniform
+            after = np.random.default_rng(cfg.seed).random((burn + samples) * n_free + 1)[-1]
+            assert rng.random() == after
+
+
+def _is_weighted(ctx, fixed):
+    """Whether the cell's draws carry weights (`_reference_draws`)."""
+    sampler = SamplerConfig(seed=0, burn_in=0, samples=1)
+    return _reference_draws(ctx, fixed, sampler)[0][1] is not None
 
 
 def _invariance_cell(kind):
     """A positive cell of each kind of draw: i.i.d., logic sampling (two
-    of them, stage 1 and the terminal value) and the chain."""
-    if kind == "chain":
-        model = with_point_masses(
-            random_model(9001, n_chance=(3, 7), n_decisions=(1, 3)), np.random.default_rng(1)
-        )
+    of them, stage 1 and the terminal value) and weighted."""
+    if kind == "weighted":
         return next(
             (ctx, fixed)
-            for ctx, fixed in _stage_cells(model)
-            if _is_coupled(ctx) and _has_evidence(ctx) and _has_positive_state(ctx, fixed)
+            for ctx, fixed in _stage_cells(_point_mass_model(33))
+            if _has_positive_state(ctx, fixed) and _is_weighted(ctx, fixed)
         )
     if kind == "terminal":
         return _stage_cells(load_bundled("wildcatter_deterministic_workaround"))[-1]
@@ -731,26 +764,26 @@ def _invariance_cell(kind):
 
 class TestBlockSizeInvariance:
     """A block is drawn at its exact size from the one generator, so the
-    cap on a block's sweeps changes no estimate, on any kind of draw."""
+    cap on a block's draws changes no estimate, on any kind of draw."""
 
     CAPS = (1, 7, 64, 8192, 65536)
 
-    @pytest.mark.parametrize("kind", ["iid", "logic_sampling", "terminal", "chain"])
+    @pytest.mark.parametrize("kind", ["iid", "logic_sampling", "terminal", "weighted"])
     def test_estimate_ignores_the_sweep_cap(self, monkeypatch, kind):
         ctx, fixed = _invariance_cell(kind)
-        cell = _CompiledCell(ctx, fixed, value_factor=ctx.value_factor)
-        assert (cell.iid, cell.evidence) == {
-            "iid": (True, True),
-            "logic_sampling": (False, False),
-            "terminal": (False, False),
-            "chain": (False, True),
+        kinds = (_sites_are_full_conditionals(ctx), _has_evidence(ctx), _is_weighted(ctx, fixed))
+        assert kinds == {
+            "iid": (True, True, False),
+            "logic_sampling": (False, False, False),
+            "terminal": (False, False, False),
+            "weighted": (False, True, True),
         }[kind]
-        # more sweeps than the 8 192 cap, and a burn-in that is not a
+        # more draws than the 8 192 cap, and a burn-in that is not a
         # multiple of any cap above 1
-        sampler = SamplerConfig(seed=4, burn_in=6001, samples=2300)
+        sampler = SamplerConfig(seed=4, burn_in=6001, samples=8301)
         estimates, block_counts = [], []
         for cap in self.CAPS:
-            monkeypatch.setattr(gibbs, "_BLOCK_SWEEPS", cap)
+            monkeypatch.setattr(gibbs, "_BLOCK_DRAWS", cap)
             block_counts.append(len(_block_sizes(sampler, len(ctx.free_vars))))
             estimates += estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)
         assert block_counts == sorted(set(block_counts), reverse=True)
@@ -759,14 +792,14 @@ class TestBlockSizeInvariance:
 
 def _initial_state_first_estimate(ctx, fixed, cfg):
     """The estimate drawn without the early exit for empty cells:
-    `initial_state` takes its uniforms first, then the block draw, or the
-    `_chain` steps when there is no block."""
+    `initial_state` takes its uniforms first, then the block draw."""
     cell = _CompiledCell(ctx, fixed, value_factor=ctx.value_factor)
-    if not (cell.free and cell.stage.block):
-        return _sweep_chain_estimate(ctx, fixed, cfg)
     rng = np.random.default_rng(cfg.seed)
     cell.initial_state(rng)
-    return _batch_means_estimate(_block_draws([cell], rng, cfg)[0])
+    ((values, weights),) = _block_draws([cell], rng, cfg)
+    if weights is None:
+        return _batch_means_estimate(values)
+    return _weighted_estimate(values, weights)
 
 
 class TestEmptyCells:
@@ -824,8 +857,7 @@ def _reference_init(ctx, fixed, rng):
         for var in ctx.free_topological:
             cpt = ctx.cpt_of(var)
             weights = [cpt.evaluate({**assignment, var: lab}) for lab in labels[var]]
-            support, cumulative, total = _cdf(weights)
-            assignment[var] = labels[var][support[bisect_right(cumulative, uniforms[var] * total)]]
+            assignment[var] = labels[var][_reference_draw(weights, uniforms[var])[1]]
         if positive(assignment):
             return {v: assignment[v] for v in ctx.free_vars}, "forward"
     for combo in itertools.product(*(labels[v] for v in ctx.free_vars)):
@@ -892,10 +924,10 @@ class TestInitStateReference:
                     expected, path = _reference_init(ctx, fixed, theirs)
                 except NoPositiveState:
                     with pytest.raises(NoPositiveState):
-                        next(_chain(ctx, fixed, ours))
+                        _initial(ctx, fixed, ours)
                     path = "empty"
                 else:
-                    assert next(_chain(ctx, fixed, ours)) == expected, (source, ctx.stage, fixed)
+                    assert _initial(ctx, fixed, ours) == expected, (source, ctx.stage, fixed)
                 assert ours.random() == theirs.random(), (source, ctx.stage, fixed)
                 counts[path] += 1
         assert counts == {"forward": 2002, "empty": 70}
@@ -908,7 +940,7 @@ class TestInitStateReference:
             ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
             expected, path = _reference_init(ctx, {}, theirs)
             assert path == "forward"
-            assert next(_chain(ctx, {}, ours)) == expected, seed
+            assert _initial(ctx, {}, ours) == expected, seed
             assert ours.random() == theirs.random()
             drawn.add(tuple(expected.values()))
         assert len(drawn) == 5
@@ -921,7 +953,7 @@ class TestInitStateReference:
         assert ctx.free_vars == ("X", "Y")
         ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
         assert _reference_init(ctx, fixed, theirs) == ({"X": "x1", "Y": "y0"}, "search")
-        assert next(_chain(ctx, fixed, ours)) == {"X": "x1", "Y": "y0"}
+        assert _initial(ctx, fixed, ours) == {"X": "x1", "Y": "y0"}
         assert ours.random() == theirs.random()
 
 
@@ -1000,18 +1032,173 @@ class TestInitialSearchBudget:
     def finds_the_positive_state(n):
         ctx, fixed = _evidence_chain(n)
         ours, theirs = np.random.default_rng(0), np.random.default_rng(0)
-        assert next(_chain(ctx, fixed, ours)) == dict.fromkeys(ctx.free_vars, "x1")
+        assert _initial(ctx, fixed, ours) == dict.fromkeys(ctx.free_vars, "x1")
         # all 100 forward samples failed, so the search found it
         theirs.random(100 * n)
         assert ours.random() == theirs.random()
+        # one draw, and the default run: every site's row is fixed to x1
+        for sampler in (SamplerConfig(seed=0, burn_in=0, samples=1), SamplerConfig(seed=0)):
+            (est,) = estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)
+            assert est.mean == 2.0
+        assert est.std_error == 0.0
+
+    def test_a_positive_cell_without_a_positive_draw_raises(self):
+        """Evidence positive only where 16 fair roots are all `x1`: the
+        search finds that state, but the one draw misses it, weighs zero,
+        and leaves nothing to average."""
+        ctx, fixed = _all_roots_evidence(16)
+        cell = _CompiledCell(ctx, fixed, ctx.value_factor)
+        assert cell.initial_state(np.random.default_rng(0)) == [1] * 16
         sampler = SamplerConfig(seed=0, burn_in=0, samples=1)
-        assert estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)[0].mean == 2.0
+        with pytest.raises(AllZeroSupport):
+            estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)
+
+
+def _all_roots_evidence(n):
+    """A stage whose `n` fair free roots `X0..X{n-1}` all bear on `E`,
+    observed at `e1`, which is possible only where every root is `x1`."""
+    xs = [f"X{i}" for i in range(n)]
+    frame = Frame(("x0", "x1"))
+    rows = {
+        labels: {"e0": 0.0, "e1": 1.0} if set(labels) == {"x1"} else {"e0": 1.0, "e1": 0.0}
+        for labels in itertools.product(frame.labels, repeat=n)
+    }
+    m = build_model(
+        nodes=(
+            *(NodeSpec(x, "chance", frame) for x in xs),
+            NodeSpec("E", "chance", Frame(("e0", "e1"))),
+            NodeSpec("D1", "decision", Frame(("a", "b"))),
+            NodeSpec("V", "value"),
+        ),
+        arrows=(
+            *(ArrowSpec(x, "E", "relevance") for x in xs),
+            ArrowSpec("E", "D1", "informational"),
+            ArrowSpec(xs[0], "V", "relevance"),
+            ArrowSpec("D1", "V", "relevance"),
+        ),
+        cpts=(
+            *(Cpt(x, (), {(): {"x0": 0.5, "x1": 0.5}}) for x in xs),
+            Cpt("E", tuple(xs), rows),
+        ),
+        constraints=(),
+        value_table=ValueTable(
+            (xs[0], "D1"),
+            {("x0", "a"): 0.0, ("x0", "b"): 1.0, ("x1", "a"): 2.0, ("x1", "b"): 3.0},
+        ),
+    )
+    ctx = build_stage_context(m, compute_partition(m), moralize(relevance_subgraph(m)), 1)
+    assert ctx.free_vars == tuple(xs)
+    return ctx, {"E": "e1", "D1": "a"}
+
+
+def _impossible_evidence_stage():
+    """The stage of a decision that observes `E`, which reads the free `X`
+    and `Y`, with `X -> Y`: `E = e1` is impossible where `X = x0`.  `Y`
+    closes `E`, so its row given `X = x0` has no positive weight and a draw
+    with `X = x0` weighs zero, while one with `X = x1` weighs the row's
+    total, 0.3125."""
+    m = build_model(
+        nodes=(
+            NodeSpec("X", "chance", Frame(("x0", "x1"))),
+            NodeSpec("Y", "chance", Frame(("y0", "y1"))),
+            NodeSpec("E", "chance", Frame(("e0", "e1"))),
+            NodeSpec("D1", "decision", Frame(("a", "b"))),
+            NodeSpec("V", "value"),
+        ),
+        arrows=(
+            ArrowSpec("X", "Y", "relevance"),
+            ArrowSpec("X", "E", "relevance"),
+            ArrowSpec("Y", "E", "relevance"),
+            ArrowSpec("E", "D1", "informational"),
+            ArrowSpec("X", "V", "relevance"),
+            ArrowSpec("Y", "V", "relevance"),
+            ArrowSpec("D1", "V", "relevance"),
+        ),
+        cpts=(
+            Cpt("X", (), {(): {"x0": 0.5, "x1": 0.5}}),
+            Cpt("Y", ("X",), {("x0",): {"y0": 0.5, "y1": 0.5}, ("x1",): {"y0": 0.25, "y1": 0.75}}),
+            Cpt(
+                "E",
+                ("X", "Y"),
+                {
+                    ("x0", "y0"): {"e0": 1.0, "e1": 0.0},
+                    ("x0", "y1"): {"e0": 1.0, "e1": 0.0},
+                    ("x1", "y0"): {"e0": 0.5, "e1": 0.5},
+                    ("x1", "y1"): {"e0": 0.75, "e1": 0.25},
+                },
+            ),
+        ),
+        constraints=(),
+        value_table=ValueTable(
+            ("X", "Y", "D1"),
+            {
+                (x, y, d): float(i + 2 * j + 4 * k)
+                for i, x in enumerate(("x0", "x1"))
+                for j, y in enumerate(("y0", "y1"))
+                for k, d in enumerate(("a", "b"))
+            },
+        ),
+    )
+    ctx = build_stage_context(m, compute_partition(m), moralize(relevance_subgraph(m)), 1)
+    assert ctx.free_vars == ("X", "Y")
+    return ctx, {"E": "e1", "D1": "a"}
+
+
+class TestWeightedDraws:
+    def test_an_impossible_evidence_row_weighs_zero(self):
+        ctx, fixed = _impossible_evidence_stage()
+        sampler = SamplerConfig(seed=3, burn_in=5, samples=2000)
+        _, states, weights = _drawn_states(ctx, fixed, sampler)
+        assert set(weights[states[:, 0] == 0].tolist()) == {0.0}
+        assert set(weights[states[:, 0] == 1].tolist()) == {0.3125}
+        (est,) = estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)
+        assert est == _reference_estimate(ctx, fixed, sampler)
+        # given E = e1, X = x1 and Y = y1 with probability 0.6: V = 1 + 2 * 0.6
+        assert abs(est.mean - 2.2) <= 4 * est.std_error
+
+
+CERTIFICATE_FAMILIES = {
+    "certificate": lambda: map(certificate_model, range(300)),
+    "point_masses": lambda: map(_point_mass_model, range(200)),
+    "multisite": lambda: (multisite_model(k, np.random.default_rng(k)) for k in (2, 3, 4)),
+}
+
+
+class TestEvidenceCertificate:
+    """Every positive cell of a coupled stage with evidence, which the
+    single-site chain drew before the one draw rule, in the exact solves of
+    three families: at two seeds, each estimate lies within 4 standard
+    errors, plus 1e-9 relative, of the exact stage expectation.  (The chain
+    reported wrong values, most with a standard error of 0, on point-mass
+    models 47 and 140.)"""
+
+    @pytest.mark.parametrize(
+        "family, count", [("certificate", 92), ("point_masses", 78), ("multisite", 176)]
+    )
+    def test_estimates_cover_the_exact_values(self, family, count):
+        cells = 0
+        for index, model in enumerate(CERTIFICATE_FAMILIES[family]()):
+            for ctx, fixed in _stage_cells(model):
+                if not (_is_coupled(ctx) and _has_evidence(ctx)):
+                    continue
+                try:
+                    exact = exact_stage_expectation(ctx, fixed)
+                except ZeroNormalizer:
+                    continue
+                cells += 1
+                for seed in (0, 1):
+                    sampler = SamplerConfig(seed=seed, burn_in=500, samples=5000)
+                    (est,) = estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)
+                    assert abs(est.mean - exact) <= 4 * est.std_error + 1e-9 * abs(exact), (
+                        index, ctx.stage, fixed, seed, est, exact
+                    )
+        assert cells == count
 
 
 def _probed_states(cell, sites, cfg):
-    """The kept states the positivity check of `_block_draws` reads, every
-    64th from the first, drawn one sweep at a time through `sites` with the
-    uniforms of `default_rng(cfg.seed)`."""
+    """The states the positivity check of `_block_draws` reads, every 64th
+    from the first, drawn one at a time through `sites` with the uniforms of
+    `default_rng(cfg.seed)` after the burn-in's."""
     rng = np.random.default_rng(cfg.seed)
     kept = []
     for i in range(1, cfg.burn_in + cfg.samples + 1):
@@ -1027,10 +1214,11 @@ def _probed_states(cell, sites, cfg):
 
 @pytest.mark.skipif(not __debug__, reason="the positivity probe runs only without -O")
 class TestPositivityProbe:
-    """`_block_draws` checks every 64th kept draw for a positive product of the
-    probability factors.  With one entry of one factor zeroed in a private
-    copy of the cell's factor, it must raise exactly when a checked draw
-    reads that entry."""
+    """`_block_draws` checks that every 64th draw has a positive product of
+    the probability factors exactly where it has a positive weight.  With
+    one entry of one factor zeroed in a private copy of the cell's factor,
+    it must raise exactly when a checked draw of positive weight reads that
+    entry; a checked draw of weight zero reads a zero product already."""
 
     @pytest.mark.parametrize(
         "name, stage, sampler, blocks",
@@ -1058,18 +1246,35 @@ class TestPositivityProbe:
                 5,
                 id="coupled_five_blocks",
             ),
+            pytest.param(
+                "impossible_evidence",
+                1,
+                SamplerConfig(seed=3, burn_in=5, samples=641),
+                1,
+                id="weighted_with_zeros",
+            ),
         ],
     )
-    def test_raises_iff_a_checked_draw_reads_a_zero(self, name, stage, sampler, blocks):
-        ctx, fixed = next(
-            (ctx, fixed)
-            for ctx, fixed in _stage_cells(load_bundled(name))
-            if ctx.stage == stage and _has_positive_state(ctx, fixed)
-        )
+    def test_raises_iff_a_checked_draw_reads_a_zero(
+        self, name, stage, sampler, blocks, monkeypatch
+    ):
+        monkeypatch.setattr(gibbs, "_BLOCK_DRAWS", 4096)
+        if name == "impossible_evidence":
+            ctx, fixed = _impossible_evidence_stage()
+        else:
+            ctx, fixed = next(
+                (ctx, fixed)
+                for ctx, fixed in _stage_cells(load_bundled(name))
+                if ctx.stage == stage and _has_positive_state(ctx, fixed)
+            )
         assert _is_coupled(ctx) == (stage < 2)
         assert len(_block_sizes(sampler, len(ctx.free_vars))) == blocks
         cell = _CompiledCell(ctx, fixed, value_factor=ctx.value_factor)
         probed = _probed_states(cell, cell.block_sites(), sampler)
+        # the unchanged cell passes the check, zero weights included
+        ((_, weights),) = _block_draws([cell], np.random.default_rng(sampler.seed), sampler)
+        weights = np.ones(len(probed)) if weights is None else weights[::64]
+        assert (weights == 0.0).any() == (name == "impossible_evidence")
         outcomes = collections.Counter()
         for index, factor in enumerate(cell.prob_factors):
             offsets = {
@@ -1089,7 +1294,8 @@ class TestPositivityProbe:
                 assert factor.flat[off] > 0.0
                 reads = any(
                     cf.base + sum(stride * st[slot] for slot, stride in cf.free_pairs) == off
-                    for st in probed
+                    for st, w in zip(probed, weights)
+                    if w > 0.0
                 )
                 rng = np.random.default_rng(sampler.seed)
                 if reads:
@@ -1250,7 +1456,7 @@ class TestSharedCall:
 
     SAMPLER = {"burn_in": 37, "samples": 901}
 
-    @pytest.mark.parametrize("source", [*BUNDLED, "shared_table", 0, 127])
+    @pytest.mark.parametrize("source", [*BUNDLED, "shared_table", 0, 127, 107])
     def test_each_entry_equals_its_configuration_alone(self, source):
         if source == "shared_table":
             model = _shared_table_model()
@@ -1269,18 +1475,22 @@ class TestSharedCall:
                     c = build()
                     alone += estimate_expectation(c, [fixed], c.value_factor, sampler)
                 assert shared == alone, (ctx.stage, alternatives)
-                if sum(est is not None for est in shared) > 1:
-                    kind = "block" if ctx.cache["gibbs"].block else "chain"
-                    shared_draws[kind] += 1
-        # bundled cells draw blocks together, and generated ones run chains
-        # together
-        assert shared_draws["block" if isinstance(source, str) else "chain"] > 0
+                drawn = [fixed for fixed, est in zip(alternatives, shared) if est is not None]
+                if len(drawn) > 1:
+                    if any(_is_weighted(ctx, fixed) for fixed in drawn):
+                        shared_draws["weighted"] += 1
+                    else:
+                        shared_draws["evidence" if _has_evidence(ctx) else "plain"] += 1
+        # bundled cells draw together without evidence, generated ones with
+        # evidence, and point masses 107 with weights
+        expected = {0: "evidence", 127: "evidence", 107: "weighted"}.get(source, "plain")
+        assert shared_draws[expected] > 0
 
-    @pytest.mark.parametrize("kind", ["block", "chain"])
+    @pytest.mark.parametrize("kind", ["rare_evidence", "evidence_chain"])
     def test_configurations_whose_initial_states_draw_apart(self, kind):
         """Configurations whose initialization takes different numbers of
         forward samples draw from different places of the stream."""
-        if kind == "block":
+        if kind == "rare_evidence":
             ctx = _rare_evidence_stage()
             configs = [{"R": r, "D1": d} for d in ("a", "b") for r in ("r0", "r1")]
         else:
@@ -1294,38 +1504,49 @@ class TestSharedCall:
         sampler = SamplerConfig(seed=2, **self.SAMPLER)
         assert len(_places(ctx, configs, sampler)) > 1
         shared = estimate_expectation(ctx, configs, ctx.value_factor, sampler)
-        assert ctx.cache["gibbs"].block == (kind == "block")
         assert None not in shared
         assert shared == [
             estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)[0] for fixed in configs
         ]
 
 
+def _total_variation(ctx, fixed, sampler):
+    """The total variation distance between the weighted shares of the
+    draws and the normalized product of the probability factors over the
+    cell's states."""
+    frames = [ctx.cpt_of(v).frame_of(v).labels for v in ctx.free_vars]
+    target = {}
+    for labels in itertools.product(*frames):
+        assignment = {**fixed, **dict(zip(ctx.free_vars, labels))}
+        w = 1.0
+        for f in ctx.probability_factors:
+            w *= f.evaluate(assignment)
+        target[labels] = w
+    z = sum(target.values())
+    shares = _shares(ctx, fixed, sampler)
+    assert set(shares) <= {labels for labels, w in target.items() if w > 0.0}
+    return 0.5 * sum(abs(shares.get(labels, 0.0) - w / z) for labels, w in target.items())
+
+
 class TestKernelInvariance:
-    """Long-run state frequencies match the normalized factor product."""
+    """Weighted state frequencies match the normalized factor product."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_total_variation_small(self, seed):
         model = random_model(seed + 40, n_chance=(2, 3), n_decisions=(0, 0))
         ctx = terminal_stage_context(model)
-        free = ctx.free_vars
-        if not free:
+        if not ctx.free_vars:
             pytest.skip("degenerate draw")
-        target = {}
-        z = 0.0
-        for cfg in iter_configs(free, model.frames):
-            assign = dict(zip(free, cfg))
-            w = 1.0
-            for f in ctx.probability_factors:
-                w *= f.evaluate(assign)
-            target[cfg] = w
-            z += w
-        rng = np.random.default_rng(seed)
-        counts = collections.Counter()
-        n = 100_000
-        for assignment in itertools.islice(_chain(ctx, {}, rng), 1, n + 1):
-            counts[tuple(assignment[v] for v in free)] += 1
-        tv = 0.5 * sum(
-            abs(counts.get(cfg, 0) / n - target[cfg] / z) for cfg in target
-        )
-        assert tv <= 0.02
+        assert _total_variation(ctx, {}, SamplerConfig(seed=seed, samples=100_000)) <= 0.02
+
+    def test_weighted_cells_total_variation_small(self):
+        cells = [
+            (ctx, fixed)
+            for source in (33, 107, 196, 325)
+            for ctx, fixed in _stage_cells(_point_mass_model(source))
+            if _has_positive_state(ctx, fixed) and _is_weighted(ctx, fixed)
+        ]
+        assert len(cells) == 13
+        for seed, (ctx, fixed) in enumerate(cells):
+            sampler = SamplerConfig(seed=seed, samples=100_000)
+            assert _total_variation(ctx, fixed, sampler) <= 0.02, (ctx.stage, fixed)

@@ -3,7 +3,8 @@
 The sha256 of the `serialize_solution` bytes of every bundled model under
 the Gibbs backend at seeds 0-2 and the exact backend, of the
 `serialize_model` bytes of generated models, and of the solution bytes of
-those models, of one-sample Gibbs solves and of names that need escapes.
+those models, of one-sample Gibbs solves, of names that need escapes and of
+seed-0 Gibbs solves of models with cells of coupled stages with evidence.
 A change that claims to keep seeded output must keep these digests; one
 that changes output on purpose records the new ones here and says which
 files changed and why.
@@ -28,8 +29,10 @@ from irid.modelfile import serialize_model, serialize_solution
 from irid.solver import SolveOptions, solve
 
 from model_gen import (
+    certificate_model,
     escaped_decision_model,
     escaped_label_model,
+    multisite_model,
     random_model,
     with_point_masses,
 )
@@ -200,8 +203,10 @@ def test_model_bytes_match_the_pinned_digests():
 
 #: sha256 of `serialize_solution` for exact solves of the generated models
 #: (some without a decision), one-sample Gibbs solves of the bundled models,
-#: whose standard errors are all undefined, and a decision whose names and
-#: labels need escapes
+#: whose standard errors are all undefined, a decision whose names and
+#: labels need escapes, and default Gibbs solves of generated models with
+#: cells of coupled stages with evidence (point masses 47 and 140,
+#: `multisite_model(2, default_rng(2))` and `certificate_model(33)`)
 SOLUTION_GOLDEN = {
     "exact/random0": "a3fbdb3311549d9c6f897c54a9ae37b84ad2ac60d5f119d5a23fef25280edcd5",
     "exact/random1": "cc9f643897f9a4fd24ad7c4e68f81bbe1f40ba25c6b007e7fba39808aecbed9b",
@@ -271,6 +276,10 @@ SOLUTION_GOLDEN = {
     "gibbs_samples1/wildcatter_deterministic_workaround": "d98ffe35b8299b9e916565c7fe48a5f276666d485cd3da9d1d0ebd0166ba0ffc",
     "exact/escaped_decision": "26c210724d60a01ebd196fc0123eda111392b92722e4fd59ee6c6c76cbbfd0f9",
     "gibbs_seed0/escaped_decision": "ca19533f875b04669214fecb453c369e8382d93da6ab0e9619d6fd0ee441834f",
+    "gibbs_seed0/point_masses47": "52e94f9eb22bcc0c0c2ba9792fd07ff3a5b7223a204d73c2ace8bbf6a06c03a6",
+    "gibbs_seed0/point_masses140": "96d7778e88d209d3bb97997795677dd94b23c6910b51d4ecbaac6d4207365252",
+    "gibbs_seed0/multisite2": "5f953493709bf036d3aac5165cca298e83e63fd25433b230d33106678dc98718",
+    "gibbs_seed0/certificate33": "1c127e004a8e037116b4072676bbcb5eff3fb1edfd3653643565e3f3d95ba48b",
 }
 
 
@@ -283,6 +292,13 @@ def solution_digests() -> dict[str, str]:
     runs.update({f"gibbs_samples1/{name}": (load_bundled(name), one_sample) for name in BUNDLED})
     runs["exact/escaped_decision"] = (escaped, exact)
     runs["gibbs_seed0/escaped_decision"] = (escaped, gibbs)
+    # models with cells of coupled stages with evidence
+    for s in (47, 140):
+        base = random_model(7000 + s, n_chance=(1, 5), n_decisions=(1, 3))
+        model = with_point_masses(base, np.random.default_rng(s))
+        runs[f"gibbs_seed0/point_masses{s}"] = (model, gibbs)
+    runs["gibbs_seed0/multisite2"] = (multisite_model(2, np.random.default_rng(2)), gibbs)
+    runs["gibbs_seed0/certificate33"] = (certificate_model(33), gibbs)
     return {
         key: hashlib.sha256(serialize_solution(solve(m, options))).hexdigest()
         for key, (m, options) in runs.items()

@@ -582,20 +582,31 @@ class TestInputErrors:
              InvalidModel,
              "objective must be one of ('maximize', 'minimize'), got 'best'", None),
             (lambda m: rebuild(m, constraints=m.constraints + (m.constraint("D"),)),
-             InvalidModel, "duplicate constraint for 'D'", None),
+             InvalidModel, "duplicate constraint for 'D'", "constraints[2]"),
             (lambda m: rebuild(m, cpts=m.cpts + (Cpt("T", (), {(): {"t1": 1.0}}),)),
-             InvalidModel, "CPT given for non-chance node 'T'", None),
+             InvalidModel, "CPT given for non-chance node 'T'", "cpts[3]"),
             (lambda m: rebuild(m, cpts=m.cpts + (m.cpt("O"),)),
-             InvalidModel, "duplicate CPT for 'O'", None),
+             InvalidModel, "duplicate CPT for 'O'", "cpts[3]"),
             (lambda m: build_model(m.nodes, m.arrows, m.cpts, m.constraints, None),
              InvalidModel, "a value table is required", None),
             (lambda m: rebuild(m, cpts=_with_cpt(m, Cpt("R", ("T", "O", "T"), m.cpt("R").rows))),
-             CptParentsMismatch, "CPT for 'R' repeats a parent", None),
+             CptParentsMismatch, "CPT for 'R' repeats a parent", "cpts[2].parents"),
             (lambda m: rebuild(m, constraints=_with_constraint(
                 m, Constraint("D", ("B", "T", "B"), m.constraint("D").cells))),
-             ConstraintScopeNotParents, "constraint scope of 'D' repeats a variable", None),
+             ConstraintScopeNotParents, "constraint scope of 'D' repeats a variable",
+             "constraints[1].scope"),
             (lambda m: rebuild(m, value=ValueTable(("O", "T", "D", "O"), m.value.cells)),
-             InvalidModel, "value table repeats a parent", None),
+             InvalidModel, "value table repeats a parent", "value.parents"),
+            (lambda m: rebuild(m, cpts=_with_cpt(m, Cpt("R", ("T",), m.cpt("R").rows))),
+             CptParentsMismatch, "CPT for 'R' declares parents ['T'], graph has ['O', 'T']",
+             "cpts[2].parents"),
+            (lambda m: rebuild(m, constraints=_with_constraint(
+                m, Constraint("D", ("B", "O"), m.constraint("D").cells))),
+             ConstraintScopeNotParents, "constraint scope of 'D' includes non-parents ['O']",
+             "constraints[1].scope"),
+            (lambda m: rebuild(m, value=ValueTable(("O", "T"), m.value.cells)),
+             InvalidModel, "value table declares parents ['O', 'T'], graph has ['O', 'T', 'D']",
+             "value.parents"),
         ],
         ids=[
             "empty frame", "repeated labels", "index of an unknown label",
@@ -605,7 +616,8 @@ class TestInputErrors:
             "admissible with a label outside its frame", "unknown objective",
             "second constraint", "cpt for a decision", "second cpt", "no value table",
             "cpt repeats a parent", "constraint scope repeats a variable",
-            "value table repeats a parent",
+            "value table repeats a parent", "cpt parents differ from the graph's",
+            "constraint scope outside the parents", "value parents differ from the graph's",
         ],
     )
     def test_error(self, wildcatter, make, error, message, field):

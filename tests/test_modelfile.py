@@ -429,7 +429,7 @@ class TestFaultOutcomes:
             ("NonFiniteValue", "value"),
         }
         digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
-        assert digest == "a35c40153fee0b9e174fa8a56445bba5d99ae293a47d0f629d00b5527eb48f19"
+        assert digest == "a83ab2509c5716767fe012ad0e3689d49bec95a1f4c5bcfd56c3df16133a0d7c"
 
 
 class TestSerializeSolution:

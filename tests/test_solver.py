@@ -452,8 +452,8 @@ class TestGibbsBackend:
         assert zeros > 0
 
     def test_terminal_estimate_unbiased_when_chain_mixes(self):
-        # no structural zeros anywhere: the terminal chain is irreducible and
-        # the estimate must line up with the exact expectation
+        # the terminal value is drawn by logic sampling, exactly, so the
+        # estimate must line up with the exact expectation
         m = random_model(987, n_chance=(3, 3), n_decisions=(1, 1), allow_zeros=False)
         exact_sol = solve(m, SolveOptions(backend="exact"))
         gibbs_sol = solve(
@@ -538,6 +538,18 @@ class TestGibbsBackend:
                 sol = solve(model, SolveOptions(backend="gibbs", sampler=SamplerConfig(seed=seed)))
                 for d, pol in exact_sol.policies.items():
                     assert sol.policies[d].table == pol.table, (name, seed, d)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_evidence_cells_return_the_optimal_policy(self, seed):
+        """Point-mass model 47 (minimizing), whose coupled stages with
+        evidence a single-site chain misjudged: at seed 2 it returned a
+        policy worth -0.284 against the optimum of -2.701."""
+        base = random_model(7047, n_chance=(1, 5), n_decisions=(1, 3))
+        m = with_point_masses(base, np.random.default_rng(47))
+        optimum = solve(m).expected_value
+        assert optimum == pytest.approx(-2.701, abs=5e-4)
+        sol = solve(m, SolveOptions(backend="gibbs", sampler=SamplerConfig(seed=seed)))
+        assert abs(exact_expectation(m, sol.policies) - optimum) <= 1e-9 * abs(optimum)
 
 
 class TestSolveOptions:
