@@ -7,8 +7,10 @@
     irid oracle   <model>
 
 The sampler flags (--seed, --burn-in, --samples) apply to the Gibbs backend
-only; `solve --backend exact` rejects them.  Every sweep after the burn-in
-is kept.  The alternatives of a cell are always ranked on one shared stream
+only; `solve --backend exact` rejects them.  `--samples` is the number of
+draws per cell, and every one is kept; `--burn-in` only advances each
+cell's stream past that many draws' uniforms, which has no statistical
+effect.  The alternatives of a cell are always ranked on one shared stream
 drawn from the seed.
 
 Exit codes: 0 success (for compare: the policies agree, or differ only in
@@ -132,8 +134,8 @@ def _run_length(args) -> str:
         return ""
     sampler = _sampler_from(args)
     return (
-        f" in a sampler run of {sampler.burn_in} burn-in and {sampler.samples} kept"
-        " sweeps per estimate"
+        f" in a sampler run of {sampler.samples} draws per estimate"
+        f" (stream advanced past {sampler.burn_in} draws)"
     )
 
 

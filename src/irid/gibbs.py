@@ -16,15 +16,18 @@ hold an evidence table and have a drawn row parent: every other site's row
 total is the same in every draw of the cell, and cancels.  The estimate is
 sum(w * V) / sum(w) (likelihood weighting; Fung & Chang, Shachter & Peot,
 UAI 1989), and its standard error is the batch-means error of the
-linearized draws w * (V - mean) / mean(w).  A cell without a weighted site
-has constant weights, and gets the plain mean of its values and their
-batch-means error.  Without evidence (the terminal value always) a site is
+linearized draws w * (V - mean) / mean(w), or None where Kish's effective
+sample size sum(w)**2 / sum(w**2) is below the 20 batches: with so few
+draws carrying the weight, that error can read 0 around a wrong value.  A
+cell without a weighted site has constant weights, and gets the plain mean
+of its values and their batch-means error.  Without evidence (the terminal value always) a site is
 the variable's own conditional, so the draws are logic sampling (Henrion
 1988); in an i.i.d. cell, where no probability factor holds two free
 variables, a site is the variable's full conditional, with one row.  Both
 draw exactly, with constant weights.  No Markov chain is run: the backend
 keeps the name `gibbs` so that files stay compatible, and `burn_in` only
-advances each cell's stream.
+advances each cell's stream, as a change of seed would, with no
+statistical effect.
 
 `estimate_expectation` is the one way in; the rest of the module is private.
 One call estimates every admissible alternative of one cell, on common
@@ -72,7 +75,9 @@ initialization reads, both in topological order.  The stage keeps every
 table it builds, keyed by the variable and the factors' base offsets, so
 cells and alternatives whose factors sit at the same offsets share its rows
 and their flat numpy form (`_SiteTable.arrays`), in which a block draw takes
-each value with one 1-D `take` from the flattened supports.  Value factors
+each value with one 1-D `take` from the flattened supports; a table with
+more rows than a block has draws builds per block only the rows it reads.
+Value factors
 are compiled once per factor passed in.  The draws take their uniforms from
 one block loop, `_blocks`.  A block holds at most 8 192 draws and 65 536
 uniforms: at 8 192 rows a block draw's per-site numpy temporaries take 64
@@ -132,7 +137,8 @@ _Site = tuple[int, tuple[tuple[int, int], ...], "_SiteTable"]
 class SamplerConfig:
     """Run-length knobs.  Each cell makes `samples` draws, and every one of
     them contributes to the estimate; `burn_in` only advances the cell's
-    stream past that many draws' uniforms first.  Each field is an integer,
+    stream past that many draws' uniforms first, with no statistical
+    effect.  Each field is an integer,
     numpy integers included and `bool` not, kept as an `int`: `seed` in
     [0, 2**64), `burn_in` at least 0 and `samples` at least 1."""
 
@@ -156,7 +162,8 @@ class SamplerConfig:
 @dataclass(frozen=True)
 class Estimate:
     """A sampled conditional expectation: the weighted mean of `n` draws and
-    its batch-means standard error, None (undefined) for fewer than two."""
+    its batch-means standard error, None (undefined) for fewer than two
+    draws, or an effective sample size below 20 (`estimate_expectation`)."""
 
     mean: float
     std_error: float | None
@@ -238,10 +245,9 @@ class _SiteTable(dict):
     variables are already in the factors' base offsets).
 
     A row is built the first time it is read, so the table holds no more
-    rows than have been read.  `arrays` builds every row, for block
-    draws."""
+    rows than have been read."""
 
-    __slots__ = ("slot", "size", "sizes", "factors", "blanket", "_arrays")
+    __slots__ = ("slot", "size", "sizes", "factors", "blanket", "rows", "_arrays")
 
     def __init__(self, slot: int, factors: list[_CompiledFactor], sizes: tuple[int, ...]):
         super().__init__()
@@ -256,6 +262,7 @@ class _SiteTable(dict):
             blanket.append((s, radix))
             radix *= sizes[s]
         self.blanket = tuple(blanket)
+        self.rows = radix
         self._arrays = None
 
     def weights(self, state: Mapping[int, int]) -> list[float]:
@@ -282,32 +289,32 @@ class _SiteTable(dict):
         self[index] = row
         return row
 
-    def site(self) -> _Site:
-        return self.slot, self.blanket, self
-
     def arrays(self) -> tuple[int, np.ndarray, list[np.ndarray], np.ndarray]:
-        """Every row in flat form, built once: (width, support, thresholds,
-        totals).  Row `r` holds its positive support at `support[r * width:]`,
-        padded with its last value to the widest row's `width`; threshold
-        `j` holds each row's `j`-th running sum, or +inf past the row's
-        last-but-one.  A draw's position is then the count of its row's
-        thresholds at most `u * total`, as `_cdf` describes: the last running
-        sum is never compared, because a position past it reads the repeated
-        last value, which the last position already holds."""
+        """Every row in the form of `_flat`, built once."""
         if self._arrays is None:
-            rows = [self[i] for i in range(math.prod(self.sizes[s] for s, _ in self.blanket))]
-            width = max(len(cumulative) for _, cumulative, _ in rows)
-            support = np.array(
-                [sup[:-1] + sup[-1:] * (width - len(sup) + 1) for sup, _, _ in rows],
-                dtype=np.intp,
-            ).ravel()
-            thresholds = [
-                np.array([cum[j] if j < len(cum) - 1 else np.inf for _, cum, _ in rows])
-                for j in range(width - 1)
-            ]
-            totals = np.array([total for _, _, total in rows])
-            self._arrays = width, support, thresholds, totals
+            self._arrays = _flat([self[i] for i in range(self.rows)])
         return self._arrays
+
+
+def _flat(rows: list[tuple]) -> tuple[int, np.ndarray, list[np.ndarray], np.ndarray]:
+    """`_cdf` rows in flat form: (width, support, thresholds, totals).  Row
+    `r` holds its positive support at `support[r * width:]`, padded with its
+    last value to the widest row's `width`, at least 1; threshold `j` holds
+    each row's `j`-th running sum, or +inf past the row's last-but-one.  A
+    draw's position is then the count of its row's thresholds at most
+    `u * total`, as `_cdf` describes: the last running sum is never
+    compared, because a position past it reads the repeated last value,
+    which the last position already holds."""
+    width = max(1, *(len(cumulative) for _, cumulative, _ in rows))
+    support = np.array(
+        [sup[:-1] + sup[-1:] * (width - len(sup) + 1) for sup, _, _ in rows], dtype=np.intp
+    ).ravel()
+    thresholds = [
+        np.array([cum[j] if j < len(cum) - 1 else np.inf for _, cum, _ in rows])
+        for j in range(width - 1)
+    ]
+    totals = np.array([total for _, _, total in rows])
+    return width, support, thresholds, totals
 
 
 class _CompiledStage:
@@ -380,7 +387,7 @@ class _CompiledStage:
                 table = self.tables[key] = _SiteTable(
                     slot, [factors[i] for i in indices], self.sizes
                 )
-            sites.append(table.site())
+            sites.append((slot, table.blanket, table))
         return tuple(sites)
 
 
@@ -414,14 +421,6 @@ class _CompiledCell:
     @cached_property
     def own(self) -> tuple[_Site, ...]:
         return self.stage.bind(self.stage.own, self.prob_factors)
-
-    def block_sites(self) -> list[_Site]:
-        """The sites of the draws, in topological order, with every row
-        built: each variable's own conditional times the evidence tables it
-        closes, with one row per state of its row parents."""
-        for _, _, table in self.draw:
-            table.arrays()
-        return list(self.draw)
 
     def product_at(self, state: list[int]) -> float:
         p = 1.0
@@ -512,12 +511,13 @@ def estimate_expectation(
     evaluated at each drawn state composed with the configuration.  The
     estimate is the weighted mean sum(w * V) / sum(w), and its standard
     error the batch-means error, over 20 equal batches, of w * (V - mean) /
-    mean(w); where the weights are constant, the plain mean and the
-    batch-means error of V.  Returns one Estimate per configuration, in
-    order, or None where it has no positive state:
-    `_CompiledCell.certainly_empty` shows it before anything is drawn, or
-    `initial_state` finds none.  Raises AllZeroSupport where a configuration
-    has a positive state but no draw of positive weight.
+    mean(w), or None where the effective sample size is below 20; where the
+    weights are constant, the plain mean and the batch-means error of V.
+    Returns one Estimate per configuration, in order, or None where it has
+    no positive state: `_CompiledCell.certainly_empty` shows it before
+    anything is drawn, or `initial_state` finds none.  Raises AllZeroSupport
+    where a configuration has a positive state but no draw of positive
+    weight.
 
     Every entry is bit-identical to the same configuration estimated alone:
     each configuration draws its initial state from the seed, and those
@@ -560,7 +560,11 @@ def estimate_expectation(
                 if not total > 0.0:
                     raise AllZeroSupport("no draw of a positive configuration has positive weight")
                 mean = float(np.add.reduce(weights * values)) / total
-                se = _batch_means_se(weights * (values - mean) / (total / n))
+                # Kish's effective sample size, on weights scaled to at most 1
+                scaled = weights / weights.max()
+                ess = float(np.add.reduce(scaled)) ** 2 / float(np.add.reduce(scaled * scaled))
+                linearized = weights * (values - mean) / (total / n)
+                se = _batch_means_se(linearized) if ess >= _BATCHES else None
             se = se if se is None else se / scale
             # every n is the one `samples` int, not an int object per estimate
             estimates[i] = Estimate(mean=mean / scale, std_error=se, n=n)
@@ -587,7 +591,7 @@ def _block_draws(
     cells: Sequence[_CompiledCell], rng: np.random.Generator, cfg: SamplerConfig
 ) -> list[tuple[np.ndarray, np.ndarray | None]]:
     """The values of the draws of each of `cells`, configurations of one
-    stage, through the rows of their `block_sites`, with their weights, or
+    stage, through the rows of their `draw` sites, with their weights, or
     None where those are constant, from the uniforms of one `rng`, a block
     of `_blocks` at a time.  Every array it makes per block and site has one
     entry per draw of the block, at most 8 192, which keeps them in cache.
@@ -595,9 +599,10 @@ def _block_draws(
     Each site, in order, maps its slot's column through the row its row
     parents select, as `support[bisect_right(cumulative, u * total)]` does,
     in the flat form of `_SiteTable.arrays`: a position counted against the
-    row's thresholds, then one `take`.  A site whose row a cell fixes to one
-    positive value is a constant.  The other sites are drawn once for every
-    cell with the same table, fixed part of the row and row parents' draws.
+    row's thresholds, then one `take`; a table with more rows than a block
+    has draws gets the rows the block reads.  A site whose row a cell fixes
+    to one positive value is a constant.  The other sites are drawn once
+    for every cell with the same table, fixed part of the row and row parents' draws.
     A drawn site that holds an evidence table, so more than one factor, and
     has a drawn row parent weighs its draws by their rows' totals; a cell's
     weights are the product of its weighing sites' totals, in site order.
@@ -607,7 +612,8 @@ def _block_draws(
     free variables reads its value once per block."""
     n_free = len(cells[0].free)
     # the distinct draws: (slot, row parents as (draw, radix) pairs, the part
-    # of the row index the constant ones fix, and the flat form of its table)
+    # of the row index the constant ones fix, the table and its flat form,
+    # None where each block builds the rows it reads)
     draws: list[tuple] = []
     index_of: dict[tuple, int] = {}
     # per cell: its constant slots' values, the draw of each drawn slot and
@@ -617,7 +623,7 @@ def _block_draws(
         const: dict[int, int] = {}
         drawn: dict[int, int] = {}
         weighing: list[int] = []
-        for slot, parents, table in cell.block_sites():
+        for slot, parents, table in cell.draw:
             row = 0
             varying = []
             for s, radix in parents:
@@ -631,12 +637,14 @@ def _block_draws(
             key = (id(table), row, tuple(varying))
             if key not in index_of:
                 index_of[key] = len(draws)
-                draws.append((slot, varying, row, *table.arrays()))
+                flat = table.arrays() if table.rows <= _BLOCK_DRAWS else None
+                draws.append((slot, varying, row, table, flat))
             drawn[slot] = index_of[key]
             if varying and len(table.factors) > 1:
                 weighing.append(drawn[slot])
         plans.append((const, drawn, weighing))
     taken = {p for draw in draws for p, _ in draw[1]}
+    taken.update(d for d, draw in enumerate(draws) if draw[4] is None)
     weighed = {d for _, _, weighing in plans for d in weighing}
 
     # per cell, how its value factor reads the draws: (lookup table, draw,
@@ -652,9 +660,9 @@ def _block_draws(
                 base += stride * const[s]
             else:
                 reads.append((drawn[s], stride))
-        if len(reads) == 1:
+        if len(reads) == 1 and draws[reads[0][0]][4] is not None:
             (d, stride), = reads
-            readers.append((value.array.take(base + stride * draws[d][4]), d, None))
+            readers.append((value.array.take(base + stride * draws[d][4][1]), d, None))
         else:
             taken.update(d for d, _ in reads)
             readers.append((value.array, base, reads))
@@ -668,9 +676,13 @@ def _block_draws(
         states: dict[int, np.ndarray] = {}
         totals_of: dict[int, np.ndarray] = {}
         positions = []
-        for d, (slot, varying, row, width, support, thresholds, totals) in enumerate(draws):
+        for d, (slot, varying, row, table, flat) in enumerate(draws):
             for p, radix in varying:
                 row = row + radix * states[p]
+            if flat is None:
+                indices, row = np.unique(row, return_inverse=True)
+                flat = _flat([table[i] for i in indices.tolist()])
+            width, support, thresholds, totals = flat
             total = totals.take(row)
             target = uniforms[:, slot] * total
             pos = row * width
@@ -681,6 +693,8 @@ def _block_draws(
                 states[d] = support.take(pos)
             if d in weighed:
                 totals_of[d] = total
+            if __debug__:
+                probed[d].append(support.take(pos[-k % 64 :: 64]))
         for values, w, (array, at, reads), (_, _, weighing) in zip(kept, weights, readers, plans):
             if reads is None:
                 values[k : k + m] = array.take(positions[at])
@@ -693,15 +707,10 @@ def _block_draws(
                 for d in weighing[1:]:
                     product = product * totals_of[d]
                 w[k : k + m] = product
-        if __debug__:
-            # every 64th draw, in copies: a view would keep the block's
-            # positions alive
-            for d, pos in enumerate(positions):
-                probed[d].append(pos[-k % 64 :: 64].copy())
         k += m
     assert k == cfg.samples
     if __debug__:
-        probes = [draw[4].take(np.concatenate(p)) for draw, p in zip(draws, probed)]
+        probes = [np.concatenate(p) for p in probed]
         for cell, (const, drawn, _), w in zip(cells, plans, weights):
             columns = [const[s] if s in const else probes[drawn[s]] for s in range(n_free)]
             positive = cell.products(columns, -(-k // 64)) > 0.0

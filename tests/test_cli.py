@@ -245,8 +245,8 @@ class TestSolve:
         [
             (
                 ["--backend", "gibbs", "--burn-in", "7", "--samples", "1000000000000"],
-                "runtime error: out of memory in a sampler run of 7 burn-in and"
-                " 1000000000000 kept sweeps per estimate\n",
+                "runtime error: out of memory in a sampler run of 1000000000000"
+                " draws per estimate (stream advanced past 7 draws)\n",
             ),
             (["--backend", "exact"], "runtime error: out of memory\n"),
         ],

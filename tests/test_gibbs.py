@@ -411,11 +411,16 @@ def _reference_estimate(ctx, fixed, cfg):
 
 def _weighted_estimate(values, weights):
     """sum(w * V) / sum(w), with the batch-means standard error of
-    w * (V - mean) / mean(w)."""
+    w * (V - mean) / mean(w), or None where Kish's effective sample size,
+    sum(w)**2 / sum(w**2), is below the 20 batches."""
     total = weights.sum()
     mean = float((weights * values).sum()) / float(total)
     linearized = weights * (values - mean) / (total / len(values))
-    return dataclasses.replace(_batch_means_estimate(linearized), mean=mean)
+    estimate = dataclasses.replace(_batch_means_estimate(linearized), mean=mean)
+    scaled = weights / weights.max()
+    if scaled.sum() ** 2 / (scaled * scaled).sum() < 20:
+        return dataclasses.replace(estimate, std_error=None)
+    return estimate
 
 
 def _batch_means_estimate(vals):
@@ -1054,13 +1059,14 @@ class TestInitialSearchBudget:
             estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)
 
 
-def _all_roots_evidence(n):
+def _all_roots_evidence(n, skip=0):
     """A stage whose `n` fair free roots `X0..X{n-1}` all bear on `E`,
-    observed at `e1`, which is possible only where every root is `x1`."""
+    observed at `e1`, which is possible only where every root but the first
+    `skip` is `x1`; the value reads `X0`."""
     xs = [f"X{i}" for i in range(n)]
     frame = Frame(("x0", "x1"))
     rows = {
-        labels: {"e0": 0.0, "e1": 1.0} if set(labels) == {"x1"} else {"e0": 1.0, "e1": 0.0}
+        labels: {"e0": 0.0, "e1": 1.0} if set(labels[skip:]) == {"x1"} else {"e0": 1.0, "e1": 0.0}
         for labels in itertools.product(frame.labels, repeat=n)
     }
     m = build_model(
@@ -1156,6 +1162,90 @@ class TestWeightedDraws:
         # given E = e1, X = x1 and Y = y1 with probability 0.6: V = 1 + 2 * 0.6
         assert abs(est.mean - 2.2) <= 4 * est.std_error
 
+    def test_a_site_of_2_to_the_30_rows_builds_only_the_rows_it_reads(self):
+        ctx, fixed, exact = _shared_sensor_stage(30)
+        cell = _CompiledCell(ctx, fixed, ctx.value_factor)
+        (table,) = [table for slot, _, table in cell.draw if cell.free[slot] == "X"]
+        assert table.rows == 2**30
+        sampler = SamplerConfig(seed=0)
+        (est,) = estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)
+        assert 0 < len(table) <= sampler.samples
+        assert abs(est.mean - exact) <= 4 * est.std_error
+        # the rows a block builds are those a whole table holds
+        small = _shared_sensor_stage(6)
+        for cap in (8192, 7):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(gibbs, "_BLOCK_DRAWS", cap)
+                (est,) = estimate_expectation(small[0], [small[1]], small[0].value_factor, sampler)
+            assert est == _reference_estimate(small[0], small[1], sampler)
+
+    def test_one_draw_of_positive_weight_has_no_standard_error(self):
+        """Evidence met only where `X1..X7` are all `x1`, and `X7` closes
+        it, so a draw meets it where `X1..X6` are, one in 64: with one such
+        draw the weighted mean is that draw's value, and the linearized
+        draws are all zero, although `X0`, which the value reads, is fair
+        given the evidence."""
+        ctx, fixed = _all_roots_evidence(8, skip=1)
+        sampler = SamplerConfig(seed=3, burn_in=0, samples=64)
+        _, _, weights = _drawn_states(ctx, fixed, sampler)
+        assert (weights > 0.0).sum() == 1
+        (est,) = estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)
+        assert est == _reference_estimate(ctx, fixed, sampler)
+        assert est.mean in (0.0, 2.0) and est.std_error is None
+        # at the default run length the draws meet the evidence often
+        (est,) = estimate_expectation(ctx, [fixed], ctx.value_factor, SamplerConfig(seed=3))
+        assert abs(est.mean - 1.0) <= 4 * est.std_error
+
+
+def _shared_sensor_stage(k):
+    """A stage whose decision observes sensors `E1..E{k}`, each reading its
+    fair reliability root `R{i}` and the hidden `X`, listed after them, so
+    `X` closes every sensor's table and its site has 2^k rows; and the
+    exact expectation of `V`, 2 where `X = x1` and 0 where `X = x0`.  A
+    reliable sensor reads `e1` with probability 0.6 where `X = x1` and 0.4
+    where `X = x0`, an unreliable one with 0.5."""
+    rs = [f"R{i}" for i in range(1, k + 1)]
+    es = [f"E{i}" for i in range(1, k + 1)]
+    sensor = {
+        ("r0", "x0"): {"e0": 0.5, "e1": 0.5},
+        ("r0", "x1"): {"e0": 0.5, "e1": 0.5},
+        ("r1", "x0"): {"e0": 0.6, "e1": 0.4},
+        ("r1", "x1"): {"e0": 0.4, "e1": 0.6},
+    }
+    m = build_model(
+        nodes=(
+            *(NodeSpec(r, "chance", Frame(("r0", "r1"))) for r in rs),
+            NodeSpec("X", "chance", Frame(("x0", "x1"))),
+            *(NodeSpec(e, "chance", Frame(("e0", "e1"))) for e in es),
+            NodeSpec("D1", "decision", Frame(("a", "b"))),
+            NodeSpec("V", "value"),
+        ),
+        arrows=(
+            *(ArrowSpec(p, e, "relevance") for r, e in zip(rs, es) for p in (r, "X")),
+            *(ArrowSpec(e, "D1", "informational") for e in es),
+            ArrowSpec("X", "V", "relevance"),
+            ArrowSpec("D1", "V", "relevance"),
+        ),
+        cpts=(
+            *(Cpt(r, (), {(): {"r0": 0.5, "r1": 0.5}}) for r in rs),
+            Cpt("X", (), {(): {"x0": 0.75, "x1": 0.25}}),
+            *(Cpt(e, (r, "X"), sensor) for r, e in zip(rs, es)),
+        ),
+        constraints=(),
+        value_table=ValueTable(
+            ("X", "D1"),
+            {("x0", "a"): 0.0, ("x0", "b"): 1.0, ("x1", "a"): 2.0, ("x1", "b"): 3.0},
+        ),
+    )
+    ctx = build_stage_context(m, compute_partition(m), moralize(relevance_subgraph(m)), 1)
+    assert set(ctx.free_vars) == {*rs, "X"} and ctx.free_topological[-1] == "X"
+    # each sensor reads e1 with probability 0.5 * 0.5 + 0.5 * q(x)
+    joint = {
+        x: prior * (0.25 + 0.5 * q) ** k for x, prior, q in (("x0", 0.75, 0.4), ("x1", 0.25, 0.6))
+    }
+    exact = 2.0 * joint["x1"] / (joint["x0"] + joint["x1"])
+    return ctx, {**dict.fromkeys(es, "e1"), "D1": "a"}, exact
+
 
 CERTIFICATE_FAMILIES = {
     "certificate": lambda: map(certificate_model, range(300)),
@@ -1189,6 +1279,7 @@ class TestEvidenceCertificate:
                 for seed in (0, 1):
                     sampler = SamplerConfig(seed=seed, burn_in=500, samples=5000)
                     (est,) = estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)
+                    assert est.std_error is not None, (index, ctx.stage, fixed, seed)
                     assert abs(est.mean - exact) <= 4 * est.std_error + 1e-9 * abs(exact), (
                         index, ctx.stage, fixed, seed, est, exact
                     )
@@ -1270,7 +1361,7 @@ class TestPositivityProbe:
         assert _is_coupled(ctx) == (stage < 2)
         assert len(_block_sizes(sampler, len(ctx.free_vars))) == blocks
         cell = _CompiledCell(ctx, fixed, value_factor=ctx.value_factor)
-        probed = _probed_states(cell, cell.block_sites(), sampler)
+        probed = _probed_states(cell, cell.draw, sampler)
         # the unchanged cell passes the check, zero weights included
         ((_, weights),) = _block_draws([cell], np.random.default_rng(sampler.seed), sampler)
         weights = np.ones(len(probed)) if weights is None else weights[::64]
@@ -1284,7 +1375,7 @@ class TestPositivityProbe:
             for off in sorted(o for o in offsets if factor.flat[o] > 0.0):
                 zeroed = _CompiledCell(ctx, fixed, value_factor=ctx.value_factor)
                 # its tables bound before the zero: they hold the true rows
-                zeroed.block_sites()
+                zeroed.draw
                 # zeroed in a private copy: the cell's factors share their
                 # tables with every cell of the stage
                 cf = copy.copy(zeroed.prob_factors[index])
