@@ -24,8 +24,9 @@ class ModelError(IridError):
     #: sets it for a malformed entry.  `build_model` sets it, by the entry's
     #: position in its own arguments, for a repeated node id (the second
     #: node), an arrow naming an unknown node, a cycle (its first arrow in the
-    #: given order), a second constraint for a decision (`constraints[i]`), a
-    #: CPT for a non-chance node or a second CPT for a node (`cpts[i]`), CPT
+    #: given order), a constraint on a non-decision or a second constraint
+    #: for a decision (`constraints[i]`), a CPT for an unknown or non-chance
+    #: node or a second CPT for a node (`cpts[i]`), CPT
     #: parents, a constraint scope or value parents that repeat a variable or
     #: differ from the graph's (`cpts[i].parents`, `constraints[i].scope`,
     #: `value.parents`), a CPT row that is no probability vector, an empty

@@ -541,7 +541,8 @@ def build_model(
     con_map: dict[str, tuple[Constraint, int | None]] = {}
     for i, con in enumerate(constraints):
         if con.decision not in known or kinds[con.decision] != DECISION:
-            raise UnknownDecision(f"constraint on non-decision {con.decision!r}")
+            error = UnknownDecision(f"constraint on non-decision {con.decision!r}")
+            raise _at(f"constraints[{i}]", error)
         if con.decision in con_map:
             error = InvalidModel(f"duplicate constraint for {con.decision!r}")
             raise _at(f"constraints[{i}]", error)
@@ -574,7 +575,7 @@ def build_model(
     cpt_map: dict[str, tuple[Cpt, int]] = {}  # with its position in `cpts`
     for i, c in enumerate(cpts):
         if c.child not in known:
-            raise UnknownVariable(f"CPT for unknown variable {c.child!r}")
+            raise _at(f"cpts[{i}]", UnknownVariable(f"CPT for unknown variable {c.child!r}"))
         if kinds[c.child] != CHANCE:
             raise _at(f"cpts[{i}]", InvalidModel(f"CPT given for non-chance node {c.child!r}"))
         if c.child in cpt_map:

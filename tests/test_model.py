@@ -583,6 +583,10 @@ class TestInputErrors:
              "objective must be one of ('maximize', 'minimize'), got 'best'", None),
             (lambda m: rebuild(m, constraints=m.constraints + (m.constraint("D"),)),
              InvalidModel, "duplicate constraint for 'D'", "constraints[2]"),
+            (lambda m: rebuild(m, constraints=m.constraints + (Constraint("O", (), {(): ("w",)}),)),
+             UnknownDecision, "constraint on non-decision 'O'", "constraints[2]"),
+            (lambda m: rebuild(m, cpts=m.cpts + (Cpt("Q", (), {(): {"q": 1.0}}),)),
+             UnknownVariable, "CPT for unknown variable 'Q'", "cpts[3]"),
             (lambda m: rebuild(m, cpts=m.cpts + (Cpt("T", (), {(): {"t1": 1.0}}),)),
              InvalidModel, "CPT given for non-chance node 'T'", "cpts[3]"),
             (lambda m: rebuild(m, cpts=m.cpts + (m.cpt("O"),)),
@@ -614,6 +618,7 @@ class TestInputErrors:
             "policy choice without an entry", "unknown node", "frame of the value node",
             "cpt of a decision", "cpt_factor of a decision", "constraint of an unknown name",
             "admissible with a label outside its frame", "unknown objective",
+            "constraint on a chance node", "cpt for an unknown node",
             "second constraint", "cpt for a decision", "second cpt", "no value table",
             "cpt repeats a parent", "constraint scope repeats a variable",
             "value table repeats a parent", "cpt parents differ from the graph's",

@@ -429,7 +429,7 @@ class TestFaultOutcomes:
             ("NonFiniteValue", "value"),
         }
         digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
-        assert digest == "a83ab2509c5716767fe012ad0e3689d49bec95a1f4c5bcfd56c3df16133a0d7c"
+        assert digest == "95c3659a546f6a892a19b836ba53f9e02dbeb1673e52d2849877d6d824fbc25f"
 
 
 class TestSerializeSolution:
