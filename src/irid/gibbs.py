@@ -20,40 +20,36 @@ linearized draws w * (V - mean) / mean(w), or None where Kish's effective
 sample size sum(w)**2 / sum(w**2) is below the 20 batches: with so few
 draws carrying the weight, that error can read 0 around a wrong value.  A
 cell without a weighted site has constant weights, and gets the plain mean
-of its values and their batch-means error.  Without evidence (the terminal value always) a site is
-the variable's own conditional, so the draws are logic sampling (Henrion
-1988); in an i.i.d. cell, where no probability factor holds two free
-variables, a site is the variable's full conditional, with one row.  Both
-draw exactly, with constant weights.  No Markov chain is run: the backend
-keeps the name `gibbs` so that files stay compatible, and `burn_in` only
-advances each cell's stream, as a change of seed would, with no
-statistical effect.
+of its values and their batch-means error.  Without evidence (the terminal
+value always) a site is the variable's own conditional, so the draws are
+logic sampling (Henrion 1988); in an i.i.d. cell, where no probability
+factor holds two free variables, a site is the variable's full
+conditional, with one row.  Both draw exactly, with constant weights.  No
+Markov chain is run: the backend keeps the name `gibbs` so that files stay
+compatible, and `burn_in` only advances each cell's stream, as a change of
+seed would, with no statistical effect.
 
 `estimate_expectation` is the one way in; the rest of the module is private.
 One call estimates every admissible alternative of one cell, on common
-random numbers: each alternative's configuration draws its initial state
-from the cell's seed, and those whose generator then stands at the same
-place (in the bundled models, all of a cell's) draw from one shared stream.
-They skip the burn-in uniforms by advancing the generator, and draw each
-site they share (the same table, fixed part of the row and row parents'
-draws) once per block.  Every estimate is bit-identical to that of its
-configuration alone.
+random numbers (Glasserman & Yao 1992): every alternative's configuration
+draws from the start of the seed's one stream.  They skip the burn-in
+uniforms by advancing the generator, and draw each site they share (the
+same table, fixed part of the row and row parents' draws) once per block.
+Every estimate is bit-identical to that of its configuration alone.
 
 Zeros in the tables are handled by support restriction, not smoothing: a row
 never draws a zero-weight value, and a row whose weights are all zero has
-total zero, so a draw that reads it weighs zero.  Where a configuration has
-a positive state but no draw weighs more than zero, the call raises
-AllZeroSupport.  Initialization forward-samples a positive-probability
-state over the variables' own conditionals.  After 100 failed attempts it
-searches the cell's states in row-major order, a chunk at a time in numpy,
-but raises BudgetExceeded instead when they number more than
-`irid.model.MAX_CONFIGS` (10**7), the bound of every enumeration; where
-none is positive, the configuration gets no estimate.  Where no state can be
-positive without a search (a factor is zero at every state of its free
-variables, which covers a zero product in a cell without free variables, or
-a site without row parents has only zero weights), it gets none before it
-draws a uniform.  Every other configuration draws its initial state first,
-so its seeded stream does not depend on this check.
+total zero, so a draw that reads it weighs zero.  A slot is constant where
+its site's row parents are all constant (or it has none) and the row they
+fix has one positive value.  A configuration gets no estimate, before it
+draws a uniform, where a factor is zero at every state of its free
+variables (which covers a zero product in a cell without free variables)
+or a site whose row the constants fix has no positive value: no state of
+it is positive.  Where every draw of a configuration weighs zero, its
+states are searched in row-major order, a chunk at a time in numpy: where
+none is positive, it gets no estimate, and where one is, the call raises
+AllZeroSupport.  More than `irid.model.MAX_CONFIGS` (10**7) states, the
+bound of every enumeration, raise BudgetExceeded instead.
 
 Run without -O, the draws check every 64th kept draw, in numpy, once all
 blocks are drawn: its product of the probability factors must be positive
@@ -62,23 +58,20 @@ exactly where its weight is.
 A stage is compiled once per `StageContext`, in its `cache["gibbs"]`, so it
 is freed with the context (`_CompiledStage`): each factor flattened once,
 with integer strides for its free slots and its fixed variables, the free
-slots and their sizes, and the sites of the draws and of forward
-initialization, which depend on the stage alone.  A cell (`_CompiledCell`)
-adds only the base offsets its fixed configuration selects in the flattened
-factors.
+slots and their sizes, and the factors of each site, which depend on the
+stage alone.  A cell (`_CompiledCell`) adds only the base offsets its fixed
+configuration selects in the flattened factors.
 
 One kind of table, `_SiteTable`, serves every draw: one variable's
 inverse-CDF rows, one per state of its row parents, so a draw is an index
 computation and a bisection.  A cell has one table per variable over its
-site, which the draws read, and one over its own conditional, which forward
-initialization reads, both in topological order.  The stage keeps every
-table it builds, keyed by the variable and the factors' base offsets, so
-cells and alternatives whose factors sit at the same offsets share its rows
-and their flat numpy form (`_SiteTable.arrays`), in which a block draw takes
-each value with one 1-D `take` from the flattened supports; a table with
-more rows than a block has draws builds per block only the rows it reads.
-Value factors
-are compiled once per factor passed in.  The draws take their uniforms from
+site, in topological order.  The stage keeps every table it builds, keyed
+by the variable and the factors' base offsets, so cells and alternatives
+whose factors sit at the same offsets share its rows and their flat numpy
+form (`_SiteTable.arrays`), in which a block draw takes each value with one
+1-D `take` from the flattened supports; a table with more rows than a block
+has draws builds per block only the rows it reads.  Value factors are
+compiled once per factor passed in.  The draws take their uniforms from
 one block loop, `_blocks`.  A block holds at most 8 192 draws and 65 536
 uniforms: at 8 192 rows a block draw's per-site numpy temporaries take 64
 KiB each, so they stay in cache and under glibc's 128 KiB mmap threshold
@@ -97,22 +90,16 @@ Reproducibility is strict: a given seed yields a bit-identical estimate.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import AllZeroSupport, BudgetExceeded, IncompleteConfig, InvalidModel, NoPositiveState
+from .errors import AllZeroSupport, BudgetExceeded, IncompleteConfig, InvalidModel
 from .factors import Factor
 from .graph_ops import StageContext
 from .model import CHANCE, MAX_CONFIGS, VALUE
-
-#: forward-sampling attempts before falling back to exhaustive search
-_INIT_ATTEMPTS = 100
-
-_NO_POSITIVE_STATE = "no positive-probability completion of the fixed configuration exists"
 
 #: number of batches for the batch-means standard error
 _BATCHES = 20
@@ -204,12 +191,6 @@ class _CompiledFactor:
         bound.flat, bound.array, bound.free_pairs = self.flat, self.array, self.free_pairs
         bound.fixed_strides, bound.base = self.fixed_strides, base
         return bound
-
-    def value_at(self, state: list[int]) -> float:
-        off = self.base
-        for slot, stride in self.free_pairs:
-            off += stride * state[slot]
-        return self.flat[off]
 
 
 def _cdf(weights: list[float]) -> tuple[list[int], list[float], float]:
@@ -321,8 +302,8 @@ class _CompiledStage:
     """What a cell's compilation takes from its stage alone, built once per
     `StageContext` and kept in its `cache["gibbs"]`, so it is freed with the
     context: the free slots and their sizes, each factor flattened, the
-    plans of the draws and of forward initialization, and the site tables
-    and value factors that cells share.
+    plan of the draws' sites, and the site tables and value factors that
+    cells share.
 
     A site table is shared by every cell whose factors for it have the same
     base offsets, so a row is built once per stage; value factors are
@@ -344,23 +325,17 @@ class _CompiledStage:
         # before it) and the evidence tables it closes; decision
         # placeholders are all ones and join no site
         site: dict[int, list[int]] = {slot: [] for slot in order}
-        # the index of each slot's own conditional
-        own: dict[int, int] = {}
         for sf in ctx.factors:
             if sf.role == VALUE:
                 continue
             cf = _CompiledFactor(sf.factor, slot_of)
             if sf.role == CHANCE and cf.free_pairs:
                 site[max((s for s, _ in cf.free_pairs), key=rank.__getitem__)].append(len(prob))
-                if sf.child in slot_of:
-                    own[slot_of[sf.child]] = len(prob)
             prob.append(cf)
         self.prob = tuple(prob)
         # each slot with the indices of the factors its table multiplies, in
-        # topological order: the draws' sites, and forward initialization's
-        # over each slot's own conditional
+        # topological order
         self.draw = tuple((slot, tuple(indices)) for slot, indices in site.items())
-        self.own = tuple((slot, (own[slot],)) for slot in order)
         self.values: dict[Factor, tuple[_CompiledFactor, float]] = {}
         self.tables: dict[tuple, _SiteTable] = {}
 
@@ -372,15 +347,12 @@ class _CompiledStage:
             entry = self.values[factor] = (_CompiledFactor(factor, self.slot_of), scale)
         return entry
 
-    def bind(
-        self, plan: Sequence[tuple[int, tuple[int, ...]]], factors: list[_CompiledFactor]
-    ) -> tuple[_Site, ...]:
-        """One cell's sites for `plan`, pairs of a slot and the indices of
-        the factors its table multiplies, over the cell's bound `factors`.
-        A table is built once per slot, factors and base offsets, and shared
-        by every cell that asks for it."""
+    def bind(self, factors: list[_CompiledFactor]) -> tuple[_Site, ...]:
+        """One cell's sites, over the cell's bound `factors`.  A table is
+        built once per slot, factors and base offsets, and shared by every
+        cell that asks for it."""
         sites = []
-        for slot, indices in plan:
+        for slot, indices in self.draw:
             key = (slot, indices, tuple(factors[i].base for i in indices))
             table = self.tables.get(key)
             if table is None:
@@ -416,25 +388,41 @@ class _CompiledCell:
     # factors alone binds none
     @cached_property
     def draw(self) -> tuple[_Site, ...]:
-        return self.stage.bind(self.stage.draw, self.prob_factors)
+        return self.stage.bind(self.prob_factors)
 
     @cached_property
-    def own(self) -> tuple[_Site, ...]:
-        return self.stage.bind(self.stage.own, self.prob_factors)
-
-    def product_at(self, state: list[int]) -> float:
-        p = 1.0
-        for cf in self.prob_factors:
-            p *= cf.value_at(state)
-            if p == 0.0:
-                return 0.0
-        return p
+    def plan(self) -> tuple[dict[int, int], list[tuple]] | None:
+        """The constant slots with their values, and the other sites as
+        (slot, the part of its row index the constants fix, its row parents
+        that are not constant as (slot, radix) pairs, table), in topological
+        order; None where a site whose row the constants fix has no positive
+        value.  A site's row is fixed where its row parents are all constant
+        (or it has none), and its slot is then constant where that row has
+        one positive value."""
+        const: dict[int, int] = {}
+        sites = []
+        for slot, parents, table in self.draw:
+            row = 0
+            varying = []
+            for s, radix in parents:
+                if s in const:
+                    row += radix * const[s]
+                else:
+                    varying.append((s, radix))
+            if not varying:
+                support, cumulative, _ = table[row]
+                if not cumulative:
+                    return None
+                if len(cumulative) == 1:
+                    const[slot] = support[0]
+                    continue
+            sites.append((slot, row, varying, table))
+        return const, sites
 
     def products(self, columns: Sequence, n: int) -> np.ndarray:
         """The product of the probability factors, in factor order, at each
         of `n` states given by `columns[slot]`, an array of the slot's value
-        in each state or one value for all: `product_at` in numpy, with the
-        same sign."""
+        in each state or one value for all."""
         product = np.ones(n)
         for cf in self.prob_factors:
             off = cf.base
@@ -445,9 +433,14 @@ class _CompiledCell:
 
     def certainly_empty(self) -> bool:
         """Whether no state has a positive factor product, in the cases this
-        shows without a search: a factor is zero at every state of its free
-        variables, or a site without row parents has only zero weights.
-        False does not promise a positive state."""
+        shows before anything is drawn: a factor is zero at every state of
+        its free variables, or a site whose row the cell fixes has no
+        positive value (`plan` is None).  The second is a proof by induction
+        in topological order: in a positive state each constant slot takes
+        the one value of positive weight in its fixed row, so the state
+        reads every fixed row, and in that site's row every value of its
+        slot makes one of its factors zero.  False does not promise a
+        positive state."""
         sizes = self.sizes
         for cf in self.prob_factors:
             offsets = [cf.base]
@@ -455,45 +448,27 @@ class _CompiledCell:
                 offsets = [off + stride * j for off in offsets for j in range(sizes[slot])]
             if not any(cf.flat[off] > 0.0 for off in offsets):
                 return True
-        # such a site's factors hold no other free variable, so the product
-        # is one of its weights times the other factors
-        return any(
-            not any(w > 0.0 for w in table.weights({}))
-            for _, parents, table in self.draw
-            if not parents
-        )
+        return self.plan is None
 
-    def initial_state(self, rng: np.random.Generator) -> list[int]:
-        """The first of 100 forward samples with a positive factor product,
-        else the first such state in row-major order (module docstring).  A
-        forward sample takes one uniform per slot and draws each slot, in
-        topological order, from its own conditional."""
+    def has_positive_state(self) -> bool:
+        """Whether some state has a positive factor product, searched in
+        row-major order, a chunk of states at a time in numpy; raises
+        BudgetExceeded where the states number more than
+        `irid.model.MAX_CONFIGS`."""
         n = len(self.free)
-        for _ in range(_INIT_ATTEMPTS):
-            uniforms = rng.random(n).tolist()
-            state = [0] * n
-            for slot, parents, rows in self.own:
-                index = 0
-                for s, radix in parents:
-                    index += radix * state[s]
-                support, cumulative, total = rows[index]
-                state[slot] = support[bisect_right(cumulative, uniforms[slot] * total)]
-            if self.product_at(state) > 0.0:
-                return state
         configs = math.prod(self.sizes)
         if configs > MAX_CONFIGS:
-            raise BudgetExceeded(f"initial-state search: {configs} states exceed {MAX_CONFIGS}")
+            raise BudgetExceeded(f"support search: {configs} states exceed {MAX_CONFIGS}")
         chunk = max(1, _BLOCK_UNIFORMS // max(n, 1))
         for start in range(0, configs, chunk):
             # the states numbered start, start + 1, ... in row-major order
             index = np.arange(start, min(start + chunk, configs))
-            states = np.empty((len(index), n), dtype=np.intp)
+            states = np.empty((n, len(index)), dtype=np.intp)
             for slot in reversed(range(n)):
-                index, states[:, slot] = np.divmod(index, self.sizes[slot])
-            positive = np.flatnonzero(self.products(states.T, len(states)) > 0.0)
-            if len(positive):
-                return states[positive[0]].tolist()
-        raise NoPositiveState(_NO_POSITIVE_STATE)
+                index, states[slot] = np.divmod(index, self.sizes[slot])
+            if (self.products(states, states.shape[1]) > 0.0).any():
+                return True
+        return False
 
 
 def estimate_expectation(
@@ -506,68 +481,55 @@ def estimate_expectation(
     `fixed_configs`, the admissible alternatives of one cell (`[{}]` for the
     terminal value), all from the one stream of `sampler_config.seed`.
 
-    Each configuration advances its stream past `burn_in` draws' uniforms,
-    then makes `samples` draws (module docstring); the value factor is
-    evaluated at each drawn state composed with the configuration.  The
-    estimate is the weighted mean sum(w * V) / sum(w), and its standard
-    error the batch-means error, over 20 equal batches, of w * (V - mean) /
-    mean(w), or None where the effective sample size is below 20; where the
-    weights are constant, the plain mean and the batch-means error of V.
-    Returns one Estimate per configuration, in order, or None where it has
-    no positive state: `_CompiledCell.certainly_empty` shows it before
-    anything is drawn, or `initial_state` finds none.  Raises AllZeroSupport
-    where a configuration has a positive state but no draw of positive
-    weight.
+    Every configuration draws from the start of that stream: it advances
+    past `burn_in` draws' uniforms, then makes `samples` draws (module
+    docstring); the value factor is evaluated at each drawn state composed
+    with the configuration.  The estimate is the weighted mean sum(w * V) /
+    sum(w), and its standard error the batch-means error, over 20 equal
+    batches, of w * (V - mean) / mean(w), or None where the effective sample
+    size is below 20; where the weights are constant, the plain mean and the
+    batch-means error of V.  Returns one Estimate per configuration, in
+    order, or None where it has no positive state:
+    `_CompiledCell.certainly_empty` shows it before anything is drawn, or,
+    where every draw weighs zero, `_CompiledCell.has_positive_state` finds
+    none.  Where that search finds one, raises AllZeroSupport.
 
     Every entry is bit-identical to the same configuration estimated alone:
-    each configuration draws its initial state from the seed, and those
-    whose generator then stands at the same place share the uniforms that
-    follow and the draws of the sites they have in common (`_block_draws`).
+    the configurations share the uniforms and the draws of the sites they
+    have in common (`_block_draws`).
     """
     cells = [_CompiledCell(stage_context, fixed, value_factor) for fixed in fixed_configs]
-    rng = np.random.default_rng(sampler_config.seed)
-    start = rng.bit_generator.state
-    # (index, cell) of each drawn configuration, grouped by the generator's
-    # state after its initialization
-    groups: dict[int, tuple[dict, list[tuple[int, _CompiledCell]]]] = {}
-    for i, cell in enumerate(cells):
-        if cell.certainly_empty():
-            continue
-        rng.bit_generator.state = start
-        try:
-            cell.initial_state(rng)
-        except NoPositiveState:
-            continue
-        place = rng.bit_generator.state
-        groups.setdefault(place["state"]["state"], (place, []))[1].append((i, cell))
-
-    n = sampler_config.samples
     estimates: list[Estimate | None] = [None] * len(cells)
-    for place, members in groups.values():
-        rng.bit_generator.state = place
-        drawn = _block_draws([cell for _, cell in members], rng, sampler_config)
-        for (i, cell), (values, weights) in zip(members, drawn):
-            scale = cell.scale
-            if scale != 1.0:
-                values = values * scale
-            if weights is None:
-                # numpy's mean, in its operation order, without its Python
-                # wrapper's cost
-                mean = float(np.add.reduce(values)) / n
-                se = _batch_means_se(values)
-            else:
-                total = float(np.add.reduce(weights))
-                if not total > 0.0:
+    drawn = [(i, cell) for i, cell in enumerate(cells) if not cell.certainly_empty()]
+    if not drawn:
+        return estimates
+    rng = np.random.default_rng(sampler_config.seed)
+    n = sampler_config.samples
+    results = _block_draws([cell for _, cell in drawn], rng, sampler_config)
+    for (i, cell), (values, weights) in zip(drawn, results):
+        scale = cell.scale
+        if scale != 1.0:
+            values = values * scale
+        if weights is None:
+            # numpy's mean, in its operation order, without its Python
+            # wrapper's cost
+            mean = float(np.add.reduce(values)) / n
+            se = _batch_means_se(values)
+        else:
+            total = float(np.add.reduce(weights))
+            if not total > 0.0:
+                if cell.has_positive_state():
                     raise AllZeroSupport("no draw of a positive configuration has positive weight")
-                mean = float(np.add.reduce(weights * values)) / total
-                # Kish's effective sample size, on weights scaled to at most 1
-                scaled = weights / weights.max()
-                ess = float(np.add.reduce(scaled)) ** 2 / float(np.add.reduce(scaled * scaled))
-                linearized = weights * (values - mean) / (total / n)
-                se = _batch_means_se(linearized) if ess >= _BATCHES else None
-            se = se if se is None else se / scale
-            # every n is the one `samples` int, not an int object per estimate
-            estimates[i] = Estimate(mean=mean / scale, std_error=se, n=n)
+                continue
+            mean = float(np.add.reduce(weights * values)) / total
+            # Kish's effective sample size, on weights scaled to at most 1
+            scaled = weights / weights.max()
+            ess = float(np.add.reduce(scaled)) ** 2 / float(np.add.reduce(scaled * scaled))
+            linearized = weights * (values - mean) / (total / n)
+            se = _batch_means_se(linearized) if ess >= _BATCHES else None
+        se = se if se is None else se / scale
+        # every n is the one `samples` int, not an int object per estimate
+        estimates[i] = Estimate(mean=mean / scale, std_error=se, n=n)
     return estimates
 
 
@@ -600,9 +562,10 @@ def _block_draws(
     parents select, as `support[bisect_right(cumulative, u * total)]` does,
     in the flat form of `_SiteTable.arrays`: a position counted against the
     row's thresholds, then one `take`; a table with more rows than a block
-    has draws gets the rows the block reads.  A site whose row a cell fixes
-    to one positive value is a constant.  The other sites are drawn once
-    for every cell with the same table, fixed part of the row and row parents' draws.
+    has draws gets the rows the block reads.  A cell's constant slots
+    (`_CompiledCell.plan`) draw nothing; its other sites are drawn once for
+    every cell with the same table, fixed part of the row and row parents'
+    draws.
     A drawn site that holds an evidence table, so more than one factor, and
     has a drawn row parent weighs its draws by their rows' totals; a cell's
     weights are the product of its weighing sites' totals, in site order.
@@ -620,21 +583,12 @@ def _block_draws(
     # its weighing draws
     plans: list[tuple[dict[int, int], dict[int, int], list[int]]] = []
     for cell in cells:
-        const: dict[int, int] = {}
+        const, sites = cell.plan
         drawn: dict[int, int] = {}
         weighing: list[int] = []
-        for slot, parents, table in cell.draw:
-            row = 0
-            varying = []
-            for s, radix in parents:
-                if s in const:
-                    row += radix * const[s]
-                else:
-                    varying.append((drawn[s], radix))
-            if not varying and len(table[row][1]) == 1:
-                const[slot] = table[row][0][0]
-                continue
-            key = (id(table), row, tuple(varying))
+        for slot, row, parents, table in sites:
+            varying = tuple((drawn[s], radix) for s, radix in parents)
+            key = (id(table), row, varying)
             if key not in index_of:
                 index_of[key] = len(draws)
                 flat = table.arrays() if table.rows <= _BLOCK_DRAWS else None

@@ -79,7 +79,7 @@ PROB_TOL = 1e-9
 
 #: the most entries a table or an enumeration may have: the exact backend's
 #: largest elimination table, the oracle's joint and stage enumerations and
-#: the sampler's initial-state search raise BudgetExceeded beyond it
+#: the sampler's support search raise BudgetExceeded beyond it
 MAX_CONFIGS = 10**7
 
 Config = Mapping[str, str]

@@ -148,7 +148,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "flag",
-        # the last is no flag of the parser: every sweep after the burn-in is kept
+        # the last is no flag of the parser: every draw after the burn-in is kept
         [("--samples", "0"), ("--burn-in", "-1"), ("--seed", "-1"), ("--thinning", "2")],
     )
     def test_bad_sampler_flag(self, wildcatter_file, tmp_path, capsys, flag):
@@ -280,7 +280,7 @@ class TestCompare:
         assert "policies agree" in text
         assert "exact=" in text and "estimate=" in text
 
-    #: 1 000 sweeps after 100 of burn-in at seed 0 pick `nd` in the stage-2
+    #: 1 000 draws after 100 of burn-in at seed 0 pick `nd` in the stage-2
     #: cell B=$2M, T=t1, R=o, which the optimal policies never reach
     _SHORT_RUN = ["--seed", "0", "--burn-in", "100", "--samples", "1000"]
 
@@ -294,7 +294,7 @@ class TestCompare:
         assert "policies agree (tie)" in text and "DIFFERS" not in text
 
     def test_a_worse_policy_differs(self, wildcatter_file, capsys):
-        """Twenty sweeps without burn-in at seed 1 skip test t2 with the
+        """Twenty draws without burn-in at seed 1 skip test t2 with the
         $2M budget, a policy worth 250 000, not the optimal 334 750."""
         argv = ["compare", wildcatter_file, "--seed", "1", "--burn-in", "0", "--samples", "20"]
         assert run_cli(argv) == 4

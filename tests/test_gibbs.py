@@ -53,36 +53,52 @@ from irid.solver import solve
 from model_gen import certificate_model, multisite_model, random_model, with_point_masses
 
 
-def _initial(ctx, fixed, rng):
-    """The cell's `initial_state`, drawn from `rng`, as a label assignment of
-    `ctx.free_vars`."""
-    cell = _CompiledCell(ctx, fixed, ctx.value_factor)
-    labels = [ctx.cpt_of(v).frame_of(v).labels for v in cell.free]
-    state = cell.initial_state(rng)
-    return {v: labels[i][j] for i, (v, j) in enumerate(zip(cell.free, state))}
+def _positive(ctx, assignment):
+    """Whether the product of the probability factors is positive at
+    `assignment`, read through their labels."""
+    product = 1.0
+    for f in ctx.probability_factors:
+        product *= f.evaluate(assignment)
+    return product > 0.0
+
+
+def _positive_states(ctx, fixed):
+    """Whether each state of `ctx.free_vars`, in row-major order, has a
+    positive product of the probability factors."""
+    labels = [ctx.cpt_of(v).frame_of(v).labels for v in ctx.free_vars]
+    return [
+        _positive(ctx, {**fixed, **dict(zip(ctx.free_vars, combo))})
+        for combo in itertools.product(*labels)
+    ]
+
+
+def _has_positive_state(ctx, fixed):
+    return any(_positive_states(ctx, fixed))
+
+
+def _sizes(ctx):
+    return [len(ctx.cpt_of(v).frame_of(v)) for v in ctx.free_vars]
 
 
 def _drawn_states(ctx, fixed, sampler):
-    """The cell, the state of its free slots at each of its draws, one row
-    per draw, and the draws' weights, all ones where they are constant: read
-    from `_block_draws` through a value factor that numbers the states."""
+    """The state of the free slots at each of the cell's draws, one row per
+    draw, and the draws' weights, all ones where they are constant: read
+    from `_block_draws`, from the start of the seed's stream, through a value
+    factor that numbers the states."""
     frames = tuple(ctx.cpt_of(v).frame_of(v) for v in ctx.free_vars)
-    sizes = [len(f) for f in frames]
-    numbers = np.arange(math.prod(sizes), dtype=float).reshape(sizes)
-    numbers = Factor(ctx.free_vars, frames, numbers)
+    sizes = _sizes(ctx)
+    numbers = Factor(ctx.free_vars, frames, np.arange(math.prod(sizes), dtype=float).reshape(sizes))
     cell = _CompiledCell(ctx, fixed, numbers)
-    rng = np.random.default_rng(sampler.seed)
-    cell.initial_state(rng)
-    ((values, weights),) = _block_draws([cell], rng, sampler)
+    ((values, weights),) = _block_draws([cell], np.random.default_rng(sampler.seed), sampler)
     states = np.array(np.unravel_index(values.astype(int), sizes)).T
-    return cell, states, np.ones(len(values)) if weights is None else weights
+    return states, np.ones(len(values)) if weights is None else weights
 
 
 def _shares(ctx, fixed, sampler):
     """The weighted share of the draws at each state of `ctx.free_vars`
     drawn with a positive weight, keyed by its labels."""
     labels = [ctx.cpt_of(v).frame_of(v).labels for v in ctx.free_vars]
-    _, states, weights = _drawn_states(ctx, fixed, sampler)
+    states, weights = _drawn_states(ctx, fixed, sampler)
     shares = collections.Counter()
     for state, w in zip(states.tolist(), weights.tolist()):
         if w > 0.0:
@@ -139,55 +155,6 @@ class TestSamplerConfig:
             SamplerConfig(seed=seed)
 
 
-class TestInitState:
-    def test_single_free_variable(self, stage2):
-        rng = np.random.default_rng(0)
-        assignment = _initial(stage2, {"T": "nt", "R": "nr", "B": "$1M", "D": "nd"}, rng)
-        assert set(assignment) == {"O"}
-        assert assignment["O"] in ("w", "y")
-
-    def test_impossible_evidence(self, stage2):
-        rng = np.random.default_rng(0)
-        with pytest.raises(NoPositiveState):
-            _initial(stage2, {"T": "nt", "R": "c", "B": "$1M", "D": "nd"}, rng)
-
-    def test_deterministic_chain_forced(self):
-        m = build_model(
-            nodes=(
-                NodeSpec("A", "chance", Frame(("a0", "a1"))),
-                NodeSpec("C", "chance", Frame(("c0", "c1"))),
-                NodeSpec("D1", "decision", Frame(("x", "y"))),
-                NodeSpec("V", "value"),
-            ),
-            arrows=(
-                ArrowSpec("A", "C", "relevance"),
-                ArrowSpec("C", "V", "relevance"),
-                ArrowSpec("D1", "V", "relevance"),
-            ),
-            cpts=(
-                Cpt("A", (), {(): {"a0": 1.0, "a1": 0.0}}),
-                Cpt(
-                    "C",
-                    ("A",),
-                    {("a0",): {"c0": 1.0, "c1": 0.0}, ("a1",): {"c0": 0.0, "c1": 1.0}},
-                ),
-            ),
-            constraints=(),
-            value_table=ValueTable(
-                ("C", "D1"),
-                {("c0", "x"): 1.0, ("c0", "y"): 2.0, ("c1", "x"): 3.0, ("c1", "y"): 4.0},
-            ),
-        )
-        part = compute_partition(m)
-        ctx = build_stage_context(m, part, moralize(relevance_subgraph(m)), 1)
-        assignment = _initial(ctx, {"D1": "x"}, np.random.default_rng(5))
-        assert assignment == {"A": "a0", "C": "c0"}
-
-    def test_missing_fixed_variable(self, stage2):
-        with pytest.raises(IncompleteConfig):
-            _initial(stage2, {"T": "nt", "R": "nr"}, np.random.default_rng(0))
-
-
 class TestDraws:
     """The states the draws visit, read through a value factor that numbers
     them, with their weights."""
@@ -233,9 +200,10 @@ class TestDraws:
             if not _has_positive_state(ctx, fixed):
                 continue
             sampler = SamplerConfig(seed=5, burn_in=10, samples=500)
-            cell, states, weights = _drawn_states(ctx, fixed, sampler)
-            for state, w in zip(states.tolist(), weights.tolist()):
-                assert (cell.product_at(state) > 0.0) == (w > 0.0), (ctx.stage, fixed)
+            states, weights = _drawn_states(ctx, fixed, sampler)
+            positive = np.array(_positive_states(ctx, fixed))
+            drawn = positive[np.ravel_multi_index(states.T, _sizes(ctx))]
+            assert (drawn == (weights > 0.0)).all(), (ctx.stage, fixed)
             zero_weights += int((weights == 0.0).sum())
         assert (zero_weights > 0) == (source == "point_masses33")
 
@@ -308,13 +276,125 @@ class TestEstimateExpectation:
         assert est == _reference_estimate(stage2, fixed, cfg)
         assert est.n == 40
 
-    def test_impossible_cell_has_no_estimate(self, stage2):
+    @pytest.mark.parametrize(
+        "fixed",
+        [{"B": "$1M", "T": "t2", "R": "nr", "D": "nd"}, {"T": "nt", "R": "c", "B": "$1M", "D": "nd"}],
+    )
+    def test_impossible_cell_has_no_estimate(self, stage2, fixed):
         assert estimate_expectation(
-            stage2,
-            [{"B": "$1M", "T": "t2", "R": "nr", "D": "nd"}],
-            stage2.value_factor,
-            SamplerConfig(seed=5),
+            stage2, [fixed], stage2.value_factor, SamplerConfig(seed=5)
         ) == [None]
+
+    @pytest.mark.parametrize("kind", ["fixed_zero_row", "contradictory_evidence"])
+    def test_impossible_evidence_has_no_estimate(self, kind):
+        """`fixed_zero_row`: `A` is constant, so it fixes `B`'s row, which
+        has no positive value, and the cell has no estimate before it draws.
+        `contradictory_evidence`: no row of `B` has a positive value, but
+        `A` is drawn, so every draw weighs zero and the search over the
+        cell's states finds none positive.  The exact backend finds the cell
+        impossible too."""
+        model, evidence = _two_root_evidence(kind)
+        ctx = build_stage_context(
+            model, compute_partition(model), moralize(relevance_subgraph(model)), 1
+        )
+        assert ctx.free_vars == ("A", "B")
+        configs = [{**evidence, "D1": d} for d in ("a", "b")]
+        cell = _CompiledCell(ctx, configs[0], ctx.value_factor)
+        assert cell.certainly_empty() == (kind == "fixed_zero_row")
+        for sampler in (SamplerConfig(seed=0), SamplerConfig(seed=1, burn_in=0, samples=1)):
+            assert estimate_expectation(ctx, configs, ctx.value_factor, sampler) == [None, None]
+        exact = [c for c in solve(model).per_cell_diagnostics if dict(c.config) == evidence]
+        assert len(exact) == 2 and all(c.zero_probability for c in exact)
+
+    def test_forced_chain_is_constant(self):
+        """`A` is a point mass and `C` copies it: both are constant, so every
+        draw reads `C = c0`."""
+        m = build_model(
+            nodes=(
+                NodeSpec("A", "chance", Frame(("a0", "a1"))),
+                NodeSpec("C", "chance", Frame(("c0", "c1"))),
+                NodeSpec("D1", "decision", Frame(("x", "y"))),
+                NodeSpec("V", "value"),
+            ),
+            arrows=(
+                ArrowSpec("A", "C", "relevance"),
+                ArrowSpec("C", "V", "relevance"),
+                ArrowSpec("D1", "V", "relevance"),
+            ),
+            cpts=(
+                Cpt("A", (), {(): {"a0": 1.0, "a1": 0.0}}),
+                Cpt(
+                    "C",
+                    ("A",),
+                    {("a0",): {"c0": 1.0, "c1": 0.0}, ("a1",): {"c0": 0.0, "c1": 1.0}},
+                ),
+            ),
+            constraints=(),
+            value_table=ValueTable(
+                ("C", "D1"),
+                {("c0", "x"): 1.0, ("c0", "y"): 2.0, ("c1", "x"): 3.0, ("c1", "y"): 4.0},
+            ),
+        )
+        ctx = build_stage_context(m, compute_partition(m), moralize(relevance_subgraph(m)), 1)
+        assert set(ctx.free_vars) == {"A", "C"}
+        assert _CompiledCell(ctx, {"D1": "x"}, ctx.value_factor).plan == ({0: 0, 1: 0}, [])
+        configs = [{"D1": "x"}, {"D1": "y"}]
+        estimates = estimate_expectation(ctx, configs, ctx.value_factor, SamplerConfig(seed=5))
+        assert estimates == [Estimate(1.0, 0.0, 20000), Estimate(2.0, 0.0, 20000)]
+
+    def test_missing_fixed_variable(self, stage2):
+        with pytest.raises(IncompleteConfig):
+            estimate_expectation(
+                stage2, [{"T": "nt", "R": "nr"}], stage2.value_factor, SamplerConfig(seed=0)
+            )
+
+
+def _two_root_evidence(kind):
+    """A model whose decision `D1` observes evidence over `A` and its fair
+    child `B`, which closes every evidence table; the value reads `B` and
+    `D1`.  Returns the model and the evidence, all at `e1`.
+    `fixed_zero_row`: `A` is `a0` for sure, and `E` is impossible where
+    `A = a0`.  `contradictory_evidence`: `A` is fair, `E1` says `A` and `B`
+    agree and `E2` that they differ, both for sure."""
+    pairs = [(a, b) for a in ("a0", "a1") for b in ("b0", "b1")]
+    if kind == "fixed_zero_row":
+        prior = {"a0": 1.0, "a1": 0.0}
+        evidence = {"E": {pair: 0.0 if pair[0] == "a0" else 0.5 for pair in pairs}}
+    else:
+        prior = {"a0": 0.5, "a1": 0.5}
+        agree = {(a, b): float(a[1] == b[1]) for a, b in pairs}
+        evidence = {"E1": agree, "E2": {pair: 1.0 - p for pair, p in agree.items()}}
+    fair = {"b0": 0.5, "b1": 0.5}
+    m = build_model(
+        nodes=(
+            NodeSpec("A", "chance", Frame(("a0", "a1"))),
+            NodeSpec("B", "chance", Frame(("b0", "b1"))),
+            *(NodeSpec(e, "chance", Frame(("e0", "e1"))) for e in evidence),
+            NodeSpec("D1", "decision", Frame(("a", "b"))),
+            NodeSpec("V", "value"),
+        ),
+        arrows=(
+            ArrowSpec("A", "B", "relevance"),
+            *(ArrowSpec(p, e, "relevance") for e in evidence for p in ("A", "B")),
+            *(ArrowSpec(e, "D1", "informational") for e in evidence),
+            ArrowSpec("B", "V", "relevance"),
+            ArrowSpec("D1", "V", "relevance"),
+        ),
+        cpts=(
+            Cpt("A", (), {(): prior}),
+            Cpt("B", ("A",), {("a0",): fair, ("a1",): fair}),
+            *(
+                Cpt(e, ("A", "B"), {pair: {"e0": 1.0 - p, "e1": p} for pair, p in table.items()})
+                for e, table in evidence.items()
+            ),
+        ),
+        constraints=(),
+        value_table=ValueTable(
+            ("B", "D1"),
+            {("b0", "a"): 0.0, ("b0", "b"): 1.0, ("b1", "a"): 2.0, ("b1", "b"): 3.0},
+        ),
+    )
+    return m, dict.fromkeys(evidence, "e1")
 
 
 def _site_factors(ctx):
@@ -352,7 +432,7 @@ def _reference_draw(weights, u):
 
 def _reference_draws(ctx, fixed, cfg):
     """(value, weight, assignment) of each draw, recomputed from the factors'
-    labels.  After the cell's `initial_state`, the uniforms of `burn_in`
+    labels.  From the start of the seed's stream, the uniforms of `burn_in`
     draws are skipped; each draw then takes one uniform per variable in
     `ctx.free_vars` order and draws every free variable, in
     `ctx.free_topological` order, from the product of its site's factors
@@ -364,7 +444,6 @@ def _reference_draws(ctx, fixed, cfg):
     variable does.  A site's weights, and the value, are computed once per
     state of the variables their factors hold."""
     rng = np.random.default_rng(cfg.seed)
-    _initial(ctx, fixed, rng)
     free = ctx.free_vars
     rng.random(cfg.burn_in * len(free))
     sites = _site_factors(ctx)
@@ -465,15 +544,11 @@ class TestIidCells:
             for alt in wildcatter.admissible(stage2.decision, fixed):
                 fixed[stage2.decision] = alt
                 sampler = SamplerConfig(seed=1000 + idx, **kwargs)
-                try:
-                    expected = _reference_estimate(stage2, fixed, sampler)
-                except NoPositiveState:
-                    assert estimate_expectation(
-                        stage2, [fixed], stage2.value_factor, sampler
-                    ) == [None]
-                    continue
                 (est,) = estimate_expectation(stage2, [fixed], stage2.value_factor, sampler)
-                assert est == expected, fixed
+                if not _has_positive_state(stage2, fixed):
+                    assert est is None
+                    continue
+                assert est == _reference_estimate(stage2, fixed, sampler), fixed
                 compared += 1
         assert compared == 18
 
@@ -550,14 +625,6 @@ def _has_evidence(ctx):
         and any(v in ctx.free_vars for v in sf.factor.scope)
         for sf in ctx.factors
     )
-
-
-def _has_positive_state(ctx, fixed):
-    try:
-        _initial(ctx, fixed, np.random.default_rng(0))
-    except NoPositiveState:
-        return False
-    return True
 
 
 COUPLED_CONFIGS = [
@@ -795,81 +862,39 @@ class TestBlockSizeInvariance:
         assert estimates == [estimates[0]] * len(self.CAPS)
 
 
-def _initial_state_first_estimate(ctx, fixed, cfg):
-    """The estimate drawn without the early exit for empty cells:
-    `initial_state` takes its uniforms first, then the block draw."""
+def _drawn_estimate(ctx, fixed, cfg):
+    """The estimate `_block_draws` gives, drawn from the start of the seed's
+    stream without the checks for empty cells."""
     cell = _CompiledCell(ctx, fixed, value_factor=ctx.value_factor)
-    rng = np.random.default_rng(cfg.seed)
-    cell.initial_state(rng)
-    ((values, weights),) = _block_draws([cell], rng, cfg)
+    ((values, weights),) = _block_draws([cell], np.random.default_rng(cfg.seed), cfg)
     if weights is None:
         return _batch_means_estimate(values)
     return _weighted_estimate(values, weights)
 
 
 class TestEmptyCells:
-    """`estimate_expectation` raises NoPositiveState before drawing a
-    uniform only where no state of the cell has a positive product; every
-    other cell draws what it drew with `initial_state` first."""
+    """`estimate_expectation` gives no estimate before drawing a uniform
+    only where no state of the cell has a positive product; every other
+    cell draws what `_block_draws` draws alone."""
 
     def test_early_exit_is_exact(self):
         counts = collections.Counter()
         for source in [*BUNDLED, *range(200)]:
             for index, (ctx, fixed) in enumerate(_stage_cells(certificate_model(source))):
                 cell = _CompiledCell(ctx, fixed, value_factor=ctx.value_factor)
-                empty = not any(
-                    cell.product_at(list(state)) > 0.0
-                    for state in itertools.product(*(range(n) for n in cell.sizes))
-                )
                 sampler = SamplerConfig(seed=index, burn_in=10, samples=200)
-                if empty:
+                if not _has_positive_state(ctx, fixed):
                     assert estimate_expectation(ctx, [fixed], ctx.value_factor, sampler) == [None]
                     counts["early" if cell.certainly_empty() else "late"] += 1
                     continue
                 assert not cell.certainly_empty(), (source, ctx.stage, fixed)
                 (est,) = estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)
-                assert est == _initial_state_first_estimate(ctx, fixed, sampler), (
-                    source,
-                    ctx.stage,
-                    fixed,
-                )
+                assert est == _drawn_estimate(ctx, fixed, sampler), (source, ctx.stage, fixed)
                 counts["positive"] += 1
         # every empty cell here exits before drawing, among them a coupled
         # cell with evidence (`certificate_model(141)`, stage 2) whose factor
         # over its free `C0` alone is zero at both values of `C0`
         assert counts == {"early": 70, "positive": 2002}
-
-
-def _reference_init(ctx, fixed, rng):
-    """The initial state forward sampling on labels gives, and how it was
-    found: each attempt draws one uniform per variable in `ctx.free_vars`
-    order, then each variable in `ctx.free_topological` order from its own
-    conditional given the values drawn so far; the first attempt whose
-    product of the probability factors is positive wins.  After 100
-    attempts, the first positive state in row-major order over
-    `ctx.free_vars`, else NoPositiveState."""
-    labels = {v: ctx.cpt_of(v).frame_of(v).labels for v in ctx.free_vars}
-
-    def positive(assignment):
-        product = 1.0
-        for f in ctx.probability_factors:
-            product *= f.evaluate(assignment)
-        return product > 0.0
-
-    for _ in range(100):
-        uniforms = dict(zip(ctx.free_vars, rng.random(len(ctx.free_vars)).tolist()))
-        assignment = dict(fixed)
-        for var in ctx.free_topological:
-            cpt = ctx.cpt_of(var)
-            weights = [cpt.evaluate({**assignment, var: lab}) for lab in labels[var]]
-            assignment[var] = labels[var][_reference_draw(weights, uniforms[var])[1]]
-        if positive(assignment):
-            return {v: assignment[v] for v in ctx.free_vars}, "forward"
-    for combo in itertools.product(*(labels[v] for v in ctx.free_vars)):
-        assignment = {**fixed, **dict(zip(ctx.free_vars, combo))}
-        if positive(assignment):
-            return dict(zip(ctx.free_vars, combo)), "search"
-    raise NoPositiveState("reference found no positive state")
 
 
 def _rare_evidence_stage():
@@ -915,53 +940,6 @@ def _rare_evidence_stage():
     return build_stage_context(m, compute_partition(m), moralize(relevance_subgraph(m)), 1)
 
 
-class TestInitStateReference:
-    """`_CompiledCell.initial_state` draws what forward sampling on labels draws, from the
-    same uniforms, and leaves its generator where the reference leaves
-    its own."""
-
-    def test_bundled_and_certificate_cells(self):
-        counts = collections.Counter()
-        for source in [*BUNDLED, *range(200)]:
-            for index, (ctx, fixed) in enumerate(_stage_cells(certificate_model(source))):
-                ours, theirs = np.random.default_rng(index), np.random.default_rng(index)
-                try:
-                    expected, path = _reference_init(ctx, fixed, theirs)
-                except NoPositiveState:
-                    with pytest.raises(NoPositiveState):
-                        _initial(ctx, fixed, ours)
-                    path = "empty"
-                else:
-                    assert _initial(ctx, fixed, ours) == expected, (source, ctx.stage, fixed)
-                assert ours.random() == theirs.random(), (source, ctx.stage, fixed)
-                counts[path] += 1
-        assert counts == {"forward": 2002, "empty": 70}
-
-    def test_child_listed_first(self):
-        """Model order is not topological: Y's conditional reads X's draw."""
-        ctx = terminal_stage_context(_child_listed_first())
-        drawn = set()
-        for seed in range(20):
-            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-            expected, path = _reference_init(ctx, {}, theirs)
-            assert path == "forward"
-            assert _initial(ctx, {}, ours) == expected, seed
-            assert ours.random() == theirs.random()
-            drawn.add(tuple(expected.values()))
-        assert len(drawn) == 5
-
-    def test_rare_evidence_falls_back_to_row_major_search(self):
-        """Evidence that forward sampling meets with probability 2^-20 per
-        attempt: both give the first positive state in row-major order."""
-        ctx = _rare_evidence_stage()
-        fixed = {"R": "r1", "D1": "a"}
-        assert ctx.free_vars == ("X", "Y")
-        ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
-        assert _reference_init(ctx, fixed, theirs) == ({"X": "x1", "Y": "y0"}, "search")
-        assert _initial(ctx, fixed, ours) == {"X": "x1", "Y": "y0"}
-        assert ours.random() == theirs.random()
-
-
 def _evidence_chain(n):
     """A stage whose free `X0 -> X1 -> ... -> X{n-1}` chain of fair binary
     variables each has a copy `E{i}` observed at `e1`: the one positive
@@ -1000,100 +978,104 @@ def _evidence_chain(n):
     return ctx, {**dict.fromkeys(es, "e1"), "D1": "a"}
 
 
-class TestInitialSearchBudget:
-    """After its forward samples fail, `initial_state` searches at most
-    `irid.model.MAX_CONFIGS` (10**7) states."""
+class TestSupportSearch:
+    """Where every draw of a configuration weighs zero,
+    `_CompiledCell.has_positive_state` searches its states, at most
+    `irid.model.MAX_CONFIGS` (10**7) of them: a positive one raises
+    AllZeroSupport, and without one the configuration has no estimate.
+    Draws that are all constant need no search, however many states."""
 
-    def test_search_beyond_the_budget_raises(self):
-        ctx, fixed = _evidence_chain(24)  # 2^24 states
-        sampler = SamplerConfig(seed=0, burn_in=0, samples=1)
-        with pytest.raises(BudgetExceeded):
-            estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)
-
-    def test_search_within_the_budget_finds_the_positive_state(self):
-        self.finds_the_positive_state(16)
-
-    def test_search_of_2_to_the_20_states_finds_the_positive_state(self):
-        self.finds_the_positive_state(20)
-
-    @pytest.mark.parametrize("block_uniforms", [65536, 3])
-    def test_search_matches_a_state_by_state_search(self, block_uniforms, monkeypatch):
-        """Straight to the search, in chunks of one state or of all, on every
-        cell of models with point masses: the first state in row-major order
-        with a positive product, which is not always the first state."""
-        monkeypatch.setattr(gibbs, "_INIT_ATTEMPTS", 0)
-        monkeypatch.setattr(gibbs, "_BLOCK_UNIFORMS", block_uniforms)
-        found = collections.Counter()
-        for source in range(0, 90, 3):
-            for ctx, fixed in _stage_cells(certificate_model(source)):
-                cell = _CompiledCell(ctx, fixed, ctx.value_factor)
-                states = (list(s) for s in itertools.product(*map(range, cell.sizes)))
-                first = next(s for s in states if cell.product_at(s) > 0.0)
-                assert cell.initial_state(np.random.default_rng(0)) == first
-                found[any(first)] += 1
-        assert found == {False: 195, True: 41}
-
-    @staticmethod
-    def finds_the_positive_state(n):
+    @pytest.mark.parametrize("n", [16, 20, 24])
+    def test_constant_draws_need_no_search(self, n):
+        """The one positive state of `_evidence_chain(n)` is all `x1`: each
+        site's row is fixed to it, so every slot is constant."""
         ctx, fixed = _evidence_chain(n)
-        ours, theirs = np.random.default_rng(0), np.random.default_rng(0)
-        assert _initial(ctx, fixed, ours) == dict.fromkeys(ctx.free_vars, "x1")
-        # all 100 forward samples failed, so the search found it
-        theirs.random(100 * n)
-        assert ours.random() == theirs.random()
-        # one draw, and the default run: every site's row is fixed to x1
+        assert _CompiledCell(ctx, fixed, ctx.value_factor).plan == (dict.fromkeys(range(n), 1), [])
         for sampler in (SamplerConfig(seed=0, burn_in=0, samples=1), SamplerConfig(seed=0)):
             (est,) = estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)
             assert est.mean == 2.0
         assert est.std_error == 0.0
 
+    @pytest.mark.parametrize("block_uniforms", [65536, 3])
+    def test_search_matches_a_state_by_state_search(self, block_uniforms, monkeypatch):
+        """In chunks of one state or of all, on every cell of the bundled
+        models and of models with point masses, some of them empty and some
+        positive only past their first state, and on a cell whose last
+        state is its one positive state."""
+        monkeypatch.setattr(gibbs, "_BLOCK_UNIFORMS", block_uniforms)
+        found = collections.Counter()
+        for source in [*BUNDLED, *range(0, 90, 3)]:
+            for ctx, fixed in _stage_cells(certificate_model(source)):
+                cell = _CompiledCell(ctx, fixed, ctx.value_factor)
+                positive = _positive_states(ctx, fixed)
+                assert cell.has_positive_state() == any(positive), (source, ctx.stage, fixed)
+                found["empty" if not any(positive) else "first" if positive[0] else "later"] += 1
+        assert found == {"first": 287, "later": 68, "empty": 69}
+        ctx, fixed = _all_roots_evidence(8)
+        assert _positive_states(ctx, fixed).index(True) == 2**8 - 1
+        assert _CompiledCell(ctx, fixed, ctx.value_factor).has_positive_state()
+
     def test_a_positive_cell_without_a_positive_draw_raises(self):
-        """Evidence positive only where 16 fair roots are all `x1`: the
-        search finds that state, but the one draw misses it, weighs zero,
-        and leaves nothing to average."""
+        """Evidence positive only where 16 fair roots are all `x1`: the one
+        draw misses it, weighs zero and leaves nothing to average, but the
+        search finds that state."""
         ctx, fixed = _all_roots_evidence(16)
-        cell = _CompiledCell(ctx, fixed, ctx.value_factor)
-        assert cell.initial_state(np.random.default_rng(0)) == [1] * 16
+        assert _CompiledCell(ctx, fixed, ctx.value_factor).has_positive_state()
         sampler = SamplerConfig(seed=0, burn_in=0, samples=1)
         with pytest.raises(AllZeroSupport):
             estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)
 
+    def test_search_beyond_the_budget_raises(self):
+        """The same evidence, with a chain of 8 more free variables below
+        `X0`: the draw weighs zero, and the search would visit 2^24 states."""
+        ctx, fixed = _all_roots_evidence(16, tail=8)
+        sampler = SamplerConfig(seed=0, burn_in=0, samples=1)
+        with pytest.raises(BudgetExceeded):
+            estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)
 
-def _all_roots_evidence(n, skip=0):
+
+def _all_roots_evidence(n, skip=0, tail=0):
     """A stage whose `n` fair free roots `X0..X{n-1}` all bear on `E`,
     observed at `e1`, which is possible only where every root but the first
-    `skip` is `x1`; the value reads `X0`."""
+    `skip` is `x1`; the value reads `X0`, or the last of a chain of `tail`
+    fair free variables `Y0..` below it."""
     xs = [f"X{i}" for i in range(n)]
+    ys = [f"Y{i}" for i in range(tail)]
     frame = Frame(("x0", "x1"))
     rows = {
         labels: {"e0": 0.0, "e1": 1.0} if set(labels[skip:]) == {"x1"} else {"e0": 1.0, "e1": 0.0}
         for labels in itertools.product(frame.labels, repeat=n)
     }
+    fair = {"x0": 0.5, "x1": 0.5}
+    read = [xs[0], *ys][-1]
     m = build_model(
         nodes=(
             *(NodeSpec(x, "chance", frame) for x in xs),
+            *(NodeSpec(y, "chance", frame) for y in ys),
             NodeSpec("E", "chance", Frame(("e0", "e1"))),
             NodeSpec("D1", "decision", Frame(("a", "b"))),
             NodeSpec("V", "value"),
         ),
         arrows=(
             *(ArrowSpec(x, "E", "relevance") for x in xs),
+            *(ArrowSpec(a, b, "relevance") for a, b in zip([xs[0], *ys], ys)),
             ArrowSpec("E", "D1", "informational"),
-            ArrowSpec(xs[0], "V", "relevance"),
+            ArrowSpec(read, "V", "relevance"),
             ArrowSpec("D1", "V", "relevance"),
         ),
         cpts=(
-            *(Cpt(x, (), {(): {"x0": 0.5, "x1": 0.5}}) for x in xs),
+            *(Cpt(x, (), {(): fair}) for x in xs),
+            *(Cpt(y, (a,), {("x0",): fair, ("x1",): fair}) for a, y in zip([xs[0], *ys], ys)),
             Cpt("E", tuple(xs), rows),
         ),
         constraints=(),
         value_table=ValueTable(
-            (xs[0], "D1"),
+            (read, "D1"),
             {("x0", "a"): 0.0, ("x0", "b"): 1.0, ("x1", "a"): 2.0, ("x1", "b"): 3.0},
         ),
     )
     ctx = build_stage_context(m, compute_partition(m), moralize(relevance_subgraph(m)), 1)
-    assert ctx.free_vars == tuple(xs)
+    assert ctx.free_vars == (*xs, *ys)
     return ctx, {"E": "e1", "D1": "a"}
 
 
@@ -1154,7 +1136,7 @@ class TestWeightedDraws:
     def test_an_impossible_evidence_row_weighs_zero(self):
         ctx, fixed = _impossible_evidence_stage()
         sampler = SamplerConfig(seed=3, burn_in=5, samples=2000)
-        _, states, weights = _drawn_states(ctx, fixed, sampler)
+        states, weights = _drawn_states(ctx, fixed, sampler)
         assert set(weights[states[:, 0] == 0].tolist()) == {0.0}
         assert set(weights[states[:, 0] == 1].tolist()) == {0.3125}
         (est,) = estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)
@@ -1186,14 +1168,14 @@ class TestWeightedDraws:
         draws are all zero, although `X0`, which the value reads, is fair
         given the evidence."""
         ctx, fixed = _all_roots_evidence(8, skip=1)
-        sampler = SamplerConfig(seed=3, burn_in=0, samples=64)
-        _, _, weights = _drawn_states(ctx, fixed, sampler)
+        sampler = SamplerConfig(seed=4, burn_in=0, samples=64)
+        _, weights = _drawn_states(ctx, fixed, sampler)
         assert (weights > 0.0).sum() == 1
         (est,) = estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)
         assert est == _reference_estimate(ctx, fixed, sampler)
         assert est.mean in (0.0, 2.0) and est.std_error is None
         # at the default run length the draws meet the evidence often
-        (est,) = estimate_expectation(ctx, [fixed], ctx.value_factor, SamplerConfig(seed=3))
+        (est,) = estimate_expectation(ctx, [fixed], ctx.value_factor, SamplerConfig(seed=4))
         assert abs(est.mean - 1.0) <= 4 * est.std_error
 
 
@@ -1487,20 +1469,6 @@ def _by_cell(ctx, configs):
     return list(cells.values())
 
 
-def _places(ctx, configs, sampler):
-    """The distinct places the generator stands at after each configuration's
-    `initial_state`, over the configurations that have one."""
-    places = set()
-    for fixed in configs:
-        rng = np.random.default_rng(sampler.seed)
-        try:
-            _CompiledCell(ctx, fixed, ctx.value_factor).initial_state(rng)
-        except NoPositiveState:
-            continue
-        places.add(rng.random())
-    return places
-
-
 def _shared_table_model():
     """D1 -> X -> Y, with V reading Y and D1: every alternative draws Y
     through the one table of `P(Y | X)`, but X is the constant `x0` under
@@ -1578,9 +1546,11 @@ class TestSharedCall:
         assert shared_draws[expected] > 0
 
     @pytest.mark.parametrize("kind", ["rare_evidence", "evidence_chain"])
-    def test_configurations_whose_initial_states_draw_apart(self, kind):
-        """Configurations whose initialization takes different numbers of
-        forward samples draw from different places of the stream."""
+    def test_every_configuration_draws_from_the_start(self, kind):
+        """Configurations of rare or certain evidence, whose draws are
+        constant in some slots and not in others: each draws from the start
+        of the seed's stream, as `_block_draws` does alone, and equals its
+        estimate alone."""
         if kind == "rare_evidence":
             ctx = _rare_evidence_stage()
             configs = [{"R": r, "D1": d} for d in ("a", "b") for r in ("r0", "r1")]
@@ -1593,9 +1563,8 @@ class TestSharedCall:
                 for d in ("a", "b")
             ]
         sampler = SamplerConfig(seed=2, **self.SAMPLER)
-        assert len(_places(ctx, configs, sampler)) > 1
         shared = estimate_expectation(ctx, configs, ctx.value_factor, sampler)
-        assert None not in shared
+        assert shared == [_drawn_estimate(ctx, fixed, sampler) for fixed in configs]
         assert shared == [
             estimate_expectation(ctx, [fixed], ctx.value_factor, sampler)[0] for fixed in configs
         ]

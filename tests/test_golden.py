@@ -46,21 +46,21 @@ SETTINGS = {
 }
 
 GOLDEN = {
-    "gibbs_seed0/wildcatter_irid": "6a439f0797dfc96ffc292c15e9f25158601aa320a8dd66b5b8bb6abdec626136",
-    "gibbs_seed0/wildcatter_irid_alt_probs": "1ca54f0322e4e7ef00798e3ec557e953ddb6772912c9790a667437cc866250d3",
-    "gibbs_seed0/wildcatter_irid_payoff_values": "b4ad602c56a1a2c4b2c000ea548d6dd2df47549d5661053cc25877e67307bb2e",
-    "gibbs_seed0/wildcatter_info_only": "21abffe1a1cf6bf7c86cce1efc5aa9d8054de1ece9e49eada80c9053241b59d1",
-    "gibbs_seed0/wildcatter_deterministic_workaround": "699a7e1d3f2035e7887218589f5842d51aafaca111f702e21868348bd5d0da69",
-    "gibbs_seed1/wildcatter_irid": "1fa3dce63e61a00bc41a50b3cedd560f54949b437c15f6f4b0e9de083a1c107e",
-    "gibbs_seed1/wildcatter_irid_alt_probs": "297a34b0c6f910737c99a0415fe5b29ad4a77681b30c342c9f7bbcb2c4b727db",
-    "gibbs_seed1/wildcatter_irid_payoff_values": "108106006320237933d14cdcd3632d1cf96cb30a00f5c2aa3a821e09a33cc3c9",
-    "gibbs_seed1/wildcatter_info_only": "b28dba1e7f20b25267f5e414127941e63970008cdc6fadef201dc532cac8690c",
-    "gibbs_seed1/wildcatter_deterministic_workaround": "38b5ba9c1295630a62f8e90920dadd72011799b035634bf89353cc989b297d0d",
-    "gibbs_seed2/wildcatter_irid": "f499b35cc9f9d47a8af6a06c358ee30aa28889e42fc15030742febd52b636200",
-    "gibbs_seed2/wildcatter_irid_alt_probs": "e977009f64d00b7975f3bb8fe8f30ec3ecd5d00dd9b4fd728e776fc430035334",
-    "gibbs_seed2/wildcatter_irid_payoff_values": "38921c08037965f4b165408201c025f3c12844cfb6bf52e8e42772482bf4a040",
-    "gibbs_seed2/wildcatter_info_only": "3a8ac131238fd5e982b69dc8fe460da18889a5f2eb1389846d833b89fd1156b0",
-    "gibbs_seed2/wildcatter_deterministic_workaround": "5fc1a3320289425ae9e0acc99b0c6f49dac85ac2a26b84f62c9e4cf85d6c47f5",
+    "gibbs_seed0/wildcatter_irid": "d7f76f85bca237e9cf71669f3141ba4c4d2345d55462886f6eed2e8c833a7ba9",
+    "gibbs_seed0/wildcatter_irid_alt_probs": "5fc535c94d16195ae2021084e9e54c0341c5f15d01ef967f060497f18b44c9ac",
+    "gibbs_seed0/wildcatter_irid_payoff_values": "9ea9700b721c67a98e308fbdfe0b5f908e9d43db6a62ca43747fa469d448f68c",
+    "gibbs_seed0/wildcatter_info_only": "ab3d86b22ed49784d70f4656d29dd0154398f9b39c254fe8e8a2ab14ae139e54",
+    "gibbs_seed0/wildcatter_deterministic_workaround": "cf6e4ca4b7dbe0a51f1d030b30748d5ab29f777a9347bbad846050582f6f2a06",
+    "gibbs_seed1/wildcatter_irid": "74a2f540ff8119951135911bbd1bbeeb072427075672548c7828c2bf8cc2e912",
+    "gibbs_seed1/wildcatter_irid_alt_probs": "b7f64b5f6f2f7e015319e9ea7d2bd99883a2471196a4475e140ab05a4a0ef9ff",
+    "gibbs_seed1/wildcatter_irid_payoff_values": "3996fa6c66a924dd896a2b744331d2b405530a836942d2710ab674d95311ac12",
+    "gibbs_seed1/wildcatter_info_only": "fa58a671b967d12953a0fd2a6ad09c6865e3fe80143cb62e31fc7815bdbad0fc",
+    "gibbs_seed1/wildcatter_deterministic_workaround": "2a48b14d51b9c10ce3de856fec63abe157f259f49d64f216121954add663a078",
+    "gibbs_seed2/wildcatter_irid": "ccd8d9e65645bddca4c6dafd33b6e5a125ad416b1e033265f2cb88bc23efd604",
+    "gibbs_seed2/wildcatter_irid_alt_probs": "49678c69b05efce8109fa4bc52c1d922bde5c8ea90e969448cbfdd8b3d8b22ae",
+    "gibbs_seed2/wildcatter_irid_payoff_values": "fd969bb826ed27af2817e19f6a580eb0fee27208b1789c67f49d47dcf2a001c8",
+    "gibbs_seed2/wildcatter_info_only": "6e4464e4e16528404753db391b9820fd3f63b7c995b65041bc116230287acdb5",
+    "gibbs_seed2/wildcatter_deterministic_workaround": "a34cd36c2ba191c4e9d9ef5e513b79fdfa89436ceb80b7b6e680d998e1e8e46c",
     "exact/wildcatter_irid": "711aa0f674528432efc483896cc3c7ee6f0e8d97f9954b470c00ef09303caa13",
     "exact/wildcatter_irid_alt_probs": "39ba9ae6a81fa855cf40058bdb743213005098556d060f2001d4b7f3584188e1",
     "exact/wildcatter_irid_payoff_values": "a17d39cd70500dced71fda56678c87b2a4e573f973242fb8064cc485b63228bf",
@@ -269,17 +269,17 @@ SOLUTION_GOLDEN = {
     "exact/point_masses8": "90af28c3c292fc892f818f0490e2794b8c7057acee26e46c5a8eadd1a19d7966",
     "exact/point_masses9": "729475248ea5de70c9934eac2b4b14f9e89ea94d60a260dfb26d43b3faa16f0a",
     "exact/escaped_labels": "d00afa3bc5ba84265ea41bbcefd6328381ddbd006669ddb3923b018bbc01228d",
-    "gibbs_samples1/wildcatter_irid": "91f864fde93328a4c72f616c33bb3b6766f17a466d56b7a9cc49c7bd701c13db",
-    "gibbs_samples1/wildcatter_irid_alt_probs": "516ad7e36337b4c1b93905e177d96e128ef7d1bd728ac08f145b928a3c719c44",
-    "gibbs_samples1/wildcatter_irid_payoff_values": "f14512f5ae42a5a6818ee359bed1951e638e52fe0ea0d3f58c6901536ae53329",
-    "gibbs_samples1/wildcatter_info_only": "4596eb02d806c52afaa32ac62d7f4051e39a592c006851e480ae8cbc2f0e1e65",
-    "gibbs_samples1/wildcatter_deterministic_workaround": "d98ffe35b8299b9e916565c7fe48a5f276666d485cd3da9d1d0ebd0166ba0ffc",
+    "gibbs_samples1/wildcatter_irid": "a1eba520c48f5634190c1032085c3ea8ceb5db873b6bf52da205fe03262c60f0",
+    "gibbs_samples1/wildcatter_irid_alt_probs": "00b4a6d0e5f095049f7d70d41f2759dd7b800d55d56a009477c1146e0f54b620",
+    "gibbs_samples1/wildcatter_irid_payoff_values": "7746878d701755389f65e52187e00dd5f8479e9ff79d8731690959b2b327d088",
+    "gibbs_samples1/wildcatter_info_only": "759aeaec780001cd9615c722aa21e9caec21419c516c0d60302260b9790a257e",
+    "gibbs_samples1/wildcatter_deterministic_workaround": "181e1c5f010a057b95ec8853c7061537131f7373e063984ca770ea0e4f345df8",
     "exact/escaped_decision": "26c210724d60a01ebd196fc0123eda111392b92722e4fd59ee6c6c76cbbfd0f9",
     "gibbs_seed0/escaped_decision": "ca19533f875b04669214fecb453c369e8382d93da6ab0e9619d6fd0ee441834f",
-    "gibbs_seed0/point_masses47": "52e94f9eb22bcc0c0c2ba9792fd07ff3a5b7223a204d73c2ace8bbf6a06c03a6",
-    "gibbs_seed0/point_masses140": "96d7778e88d209d3bb97997795677dd94b23c6910b51d4ecbaac6d4207365252",
-    "gibbs_seed0/multisite2": "5f953493709bf036d3aac5165cca298e83e63fd25433b230d33106678dc98718",
-    "gibbs_seed0/certificate33": "1c127e004a8e037116b4072676bbcb5eff3fb1edfd3653643565e3f3d95ba48b",
+    "gibbs_seed0/point_masses47": "5412443cd119cbb0662e7e54745f48c72f782789ae4a395535537d3d5233501b",
+    "gibbs_seed0/point_masses140": "a6e0c3b24446910000583db76478371245d378b70e25c60e1d711543abd12ac6",
+    "gibbs_seed0/multisite2": "980035fb4f33b958092f584245f44a389d5378bcc428d8e346c4697aae1f3a70",
+    "gibbs_seed0/certificate33": "703b42b0444a526d06d698ea61b3d7a652a8127ca91f3e406de422b4b0948133",
 }
 
 
