@@ -104,8 +104,11 @@ class Frame:
                 raise InvalidModel(f"frame labels must be strings, got {lab!r}")
         if len(self.labels) < 1:
             raise InvalidModel("frame must have at least one value")
-        if len(set(self.labels)) != len(self.labels):
+        positions = {lab: i for i, lab in enumerate(self.labels)}
+        if len(positions) != len(self.labels):
             raise InvalidModel(f"frame labels not unique: {self.labels!r}")
+        #: each label's position in the frame
+        object.__setattr__(self, "_positions", positions)
 
     def index(self, label: str) -> int:
         try:
@@ -645,41 +648,8 @@ def _factor(scope: tuple[str, ...], frames: Mapping[str, Frame], values: np.ndar
     row-major order.  build_model checked the entries, so Factor's checks
     are not repeated."""
     table_frames = tuple(map(frames.__getitem__, scope))
-    return Factor.trusted(scope, table_frames, values.reshape(tuple(map(len, table_frames))))
-
-
-#: the field of a table's entries, by section, given the table's position
-_ENTRIES = {"cpt": "cpts[{}].rows", "constraint": "constraints[{}].cells", "value": "value.cells"}
-
-
-def _config_index(
-    scope: tuple[str, ...],
-    entries: Mapping,
-    frames: Mapping[str, Frame],
-    section: str,
-    owner: str,
-    at: int | None = None,
-) -> dict[tuple[str, ...], int]:
-    """The row-major position of each configuration of `scope`; raises
-    MissingTableEntry at the first one (row-major) that `entries`, of the
-    table at position `at` of its section, lacks."""
-    configs = list(iter_configs(scope, frames))
-    for cfg in configs:
-        if cfg not in entries:
-            raise _at(_ENTRIES[section].format(at), MissingTableEntry(section, owner, cfg))
-    return dict(zip(configs, range(len(configs))))
-
-
-def _bad_key(
-    key, scope: tuple[str, ...], frames: Mapping[str, Frame], mismatch: str, where: str
-) -> ModelError:
-    """The error for a table key that is no configuration of `scope`: a
-    label outside its variable's frame, else `mismatch`."""
-    if type(key) is tuple and len(key) == len(scope):
-        for v, lab in zip(scope, key):
-            if lab not in frames[v]:
-                return ValueNotInFrame(f"{lab!r} not in frame of {v!r} ({where})")
-    return InvalidModel(mismatch)
+    shape = tuple([len(f.labels) for f in table_frames])
+    return Factor.trusted(scope, table_frames, values.reshape(shape))
 
 
 def _real(x) -> float | None:
@@ -694,6 +664,206 @@ def _real(x) -> float | None:
         return math.inf if x > 0 else -math.inf
 
 
+class _Entries:
+    """The entries of one table, each checked once, as it comes, and kept by
+    its row-major position over the table's scope: a CPT's rows, a
+    constraint's cells or the value table's cells.
+
+    It is the one check of a table entry.  The model file's parser feeds it
+    each entry as it walks the document and hands it to `build_model` in
+    place of the label-keyed mapping of a `Cpt`, `Constraint` or
+    `ValueTable`; `build_model` feeds it the mapping of one built through
+    the Python API.  The error of a bad entry is held, not raised, so that
+    `build_model` raises it where it reads the table, after the model's
+    structure is checked: `values` raises the first configuration without
+    an entry (row-major), else the first bad entry in the order fed.
+    """
+
+    section = ""
+    #: `where` names the table in the error for a label outside its frame;
+    #: `mismatch` is the error for a key that is no label tuple of the scope
+    where = ""
+    mismatch = ""
+
+    def __init__(self, owner, scope: tuple[str, ...], frames: Mapping[str, Frame], at=None):
+        self.owner, self.scope, self.at = owner, scope, at
+        # each variable with its labels' positions in its frame; one without
+        # a frame has none, and build_model rejects such a scope before it
+        # reads the entries
+        self.axes = []
+        self.size = 1
+        for v in scope:
+            positions = frames[v]._positions if v in frames else {}
+            self.axes.append((v, positions))
+            self.size *= len(positions)
+        self.placed: dict[int, object] = {}  # each entry by its position
+        self.strays: set = set()  # the keys of entries at no position
+        self.fault: BaseException | None = None
+
+    def position(self, given: Mapping) -> int | None:
+        """The row-major position of the configuration that `given` maps
+        each scope variable to a label of; None if a label is outside its
+        frame."""
+        pos = 0
+        try:
+            for var, positions in self.axes:
+                pos = pos * len(positions) + positions[given[var]]
+        except (KeyError, TypeError):  # a label outside its frame, or unhashable
+            return None
+        return pos
+
+    def config(self, pos: int, key=None) -> tuple:
+        """The configuration an error names the entry at `pos` by: `key`,
+        the entry's key as given, or if None the labels at `pos`."""
+        if key is not None:
+            return key
+        labels = []
+        for _, positions in reversed(self.axes):
+            pos, i = divmod(pos, len(positions))
+            labels.append(list(positions)[i])
+        return tuple(reversed(labels))
+
+    def add(self, j: int, pos: int, entry, key=None) -> None:
+        """Entry `j` fed, at position `pos`; `key` is its key as given, or
+        None for the labels at `pos`."""
+        if self.fault is None:
+            try:
+                entry = self._checked(j, entry, pos, key)
+            except Exception as e:  # held, so that a missing entry still wins
+                self.fault = e
+        self.placed[pos] = entry
+
+    def stray(self, j: int, key) -> None:
+        """Entry `j` fed, whose key is no configuration of the scope."""
+        self.strays.add(key)
+        if self.fault is not None:
+            return
+        if type(key) is tuple and len(key) == len(self.scope):
+            for (v, positions), lab in zip(self.axes, key):
+                if lab not in positions:
+                    self.fault = ValueNotInFrame(
+                        f"{lab!r} not in frame of {v!r} ({self.where.format(self.owner)})"
+                    )
+                    return
+        self.fault = InvalidModel(self.mismatch.format(key, self.owner))
+
+    def feed(self, entries: Mapping) -> _Entries:
+        """Feed the label-keyed `entries` of a table from the Python API.
+        build_model rejects a scope that repeats a variable first, so a key
+        is a mapping of the scope's variables."""
+        n = len(self.scope)
+        for j, (key, entry) in enumerate(entries.items()):
+            if isinstance(key, tuple) and len(key) == n:
+                pos = self.position(dict(zip(self.scope, key)))
+            else:
+                pos = None
+            if pos is None:
+                self.stray(j, key)
+            else:
+                self.add(j, pos, entry, key)
+        return self
+
+    def values(self) -> Iterator:
+        """The checked entries in row-major order, once every configuration
+        has one and none is bad."""
+        placed = self.placed
+        if len(placed) < self.size:
+            first = next(i for i in itertools.count() if i not in placed)
+            error = MissingTableEntry(self.section, self.owner, self.config(first))
+            raise _at(_ENTRIES[self.section].format(self.at), error)
+        if self.fault is not None:
+            raise self.fault
+        return map(placed.__getitem__, range(self.size))
+
+
+#: the field of a table's entries, by section, given the table's position
+_ENTRIES = {"cpt": "cpts[{}].rows", "constraint": "constraints[{}].cells", "value": "value.cells"}
+
+
+class _CptRows(_Entries):
+    """A CPT's rows; each is kept as its probabilities in frame order."""
+
+    section = "cpt"
+    where = "CPT of {!r}"
+    mismatch = "CPT row key {!r} does not match parents of {!r}"
+
+    def __init__(self, child: str, parents: tuple[str, ...], frames: Mapping[str, Frame], at: int):
+        super().__init__(child, parents, frames, at)
+        self.labels = frames[child]._positions if child in frames else {}
+
+    def _checked(self, j: int, row: Mapping, pos: int, key) -> list[float]:
+        if row.keys() != self.labels.keys():
+            extra = set(row) - self.labels.keys()
+            if extra:
+                raise ValueNotInFrame(
+                    f"CPT row of {self.owner!r} mentions {sorted(extra)} outside the frame"
+                )
+            raise self._bad(j, pos, key, "missing probabilities")
+        probs = []
+        total = 0.0
+        for lab in self.labels:
+            p = row[lab]
+            if type(p) is not float:
+                p = _real(p)
+                if p is None:
+                    raise self._bad(j, pos, key, f"P({lab!r})={row[lab]!r} is not a number")
+            if not (0.0 <= p <= 1.0):
+                raise self._bad(j, pos, key, f"P={p!r} outside [0,1]")
+            total += p
+            probs.append(p)
+        if abs(total - 1.0) > PROB_TOL:
+            raise self._bad(j, pos, key, f"row sums to {total!r}")
+        return probs
+
+    def _bad(self, j: int, pos: int, key, detail: str) -> ModelError:
+        error = CptRowNotNormalized(self.owner, self.config(pos, key), detail)
+        return _at(f"cpts[{self.at}].rows[{j}].p", error)
+
+
+class _ConstraintCells(_Entries):
+    """A constraint's cells; each is kept as its alternatives in frame order."""
+
+    section = "constraint"
+    where = "constraint of {!r}"
+    mismatch = "constraint cell key {!r} does not match scope of {!r}"
+
+    def __init__(self, decision: str, scope: tuple[str, ...], frames: Mapping[str, Frame], at: int):
+        super().__init__(decision, scope, frames, at)
+        self.labels = frames[decision].labels if decision in frames else ()
+
+    def _checked(self, j: int, allowed, pos: int, key) -> tuple[str, ...]:
+        for alt in allowed:
+            if alt not in self.labels:
+                raise ValueNotInFrame(
+                    f"constraint of {self.owner!r} permits {alt!r} outside the frame"
+                )
+        ordered = tuple(filter(set(allowed).__contains__, self.labels))
+        if not ordered:
+            error = EmptyConstraintCell(self.owner, self.config(pos, key))
+            raise _at(f"constraints[{self.at}].cells[{j}].allow", error)
+        return ordered
+
+
+class _ValueCells(_Entries):
+    """The value table's cells; each is kept as a float."""
+
+    section = "value"
+    where = "value table"
+    mismatch = "value cell key {!r} does not match value parents"
+
+    def _checked(self, j: int, v, pos: int, key) -> float:
+        if type(v) is not float:
+            real = _real(v)
+            if real is None:
+                cfg = self.config(pos, key)
+                raise InvalidModel(f"value table entry at {cfg!r} is {v!r}, not a number")
+            v = real
+        if not math.isfinite(v):
+            error = NonFiniteValue(f"value table entry at {self.config(pos, key)!r} is {v!r}")
+            raise _at(f"value.cells[{j}].v", error)
+        return v
+
+
 def _cpt_table(
     cpt: Cpt, at: int, graph_parents: tuple[str, ...], frames: Mapping[str, Frame]
 ) -> Factor:
@@ -701,53 +871,21 @@ def _cpt_table(
     child), once every row is checked; a bad CPT raises the error of its
     first bad row in `rows` order."""
     child, parents = cpt.child, cpt.parents
-    if set(parents) != set(graph_parents):
-        error = CptParentsMismatch(
-            f"CPT for {child!r} declares parents {list(parents)}, "
-            f"graph has {list(graph_parents)}"
-        )
-        raise _at(f"cpts[{at}].parents", error)
-    if len(set(parents)) != len(parents):
-        raise _at(f"cpts[{at}].parents", CptParentsMismatch(f"CPT for {child!r} repeats a parent"))
-    labels = frames[child].labels
-    label_set = set(labels)
-    index = _config_index(parents, cpt.rows, frames, "cpt", child, at)
-    ordered: list = [None] * len(index)
-    for j, (cfg, row) in enumerate(cpt.rows.items()):
-        i = index.get(cfg)
-        if i is None:
-            raise _bad_key(
-                cfg, parents, frames,
-                f"CPT row key {cfg!r} does not match parents of {child!r}", f"CPT of {child!r}",
+    if parents != graph_parents:  # else they are the graph's, and distinct
+        if set(parents) != set(graph_parents):
+            error = CptParentsMismatch(
+                f"CPT for {child!r} declares parents {list(parents)}, "
+                f"graph has {list(graph_parents)}"
             )
-        if row.keys() != label_set:
-            extra = set(row) - label_set
-            if extra:
-                raise ValueNotInFrame(
-                    f"CPT row of {child!r} mentions {sorted(extra)} outside the frame"
-                )
-            raise _bad_row(at, j, child, cfg, "missing probabilities")
-        probs = []
-        total = 0.0
-        for lab in labels:
-            p = row[lab]
-            if type(p) is not float:  # the parser gives floats
-                p = _real(p)
-                if p is None:
-                    raise _bad_row(at, j, child, cfg, f"P({lab!r})={row[lab]!r} is not a number")
-            if not (0.0 <= p <= 1.0):
-                raise _bad_row(at, j, child, cfg, f"P={p!r} outside [0,1]")
-            total += p
-            probs.append(p)
-        if abs(total - 1.0) > PROB_TOL:
-            raise _bad_row(at, j, child, cfg, f"row sums to {total!r}")
-        ordered[i] = probs
-    return _factor(parents + (child,), frames, np.array(ordered, dtype=float))
-
-
-def _bad_row(at: int, j: int, child: str, cfg: tuple, detail: str) -> ModelError:
-    """The error for row `j` of the CPT at position `at`."""
-    return _at(f"cpts[{at}].rows[{j}].p", CptRowNotNormalized(child, cfg, detail))
+            raise _at(f"cpts[{at}].parents", error)
+        if len(set(parents)) != len(parents):
+            error = CptParentsMismatch(f"CPT for {child!r} repeats a parent")
+            raise _at(f"cpts[{at}].parents", error)
+    rows = cpt.rows
+    if not isinstance(rows, _CptRows):
+        rows = _CptRows(child, parents, frames, at).feed(rows)
+    probs = np.fromiter(itertools.chain.from_iterable(rows.values()), float)
+    return _factor(parents + (child,), frames, probs)
 
 
 def _validate_constraint(
@@ -766,27 +904,11 @@ def _validate_constraint(
             f"constraint scope of {con.decision!r} repeats a variable"
         )
         raise _at(f"constraints[{at}].scope", error)
-    dec_frame = frames[con.decision]
-    index = _config_index(con.scope, con.cells, frames, "constraint", con.decision, at)
-    cells = {}
-    for j, (cfg, allowed) in enumerate(con.cells.items()):
-        if cfg not in index:
-            raise _bad_key(
-                cfg, con.scope, frames,
-                f"constraint cell key {cfg!r} does not match scope of {con.decision!r}",
-                f"constraint of {con.decision!r}",
-            )
-        for alt in allowed:
-            if alt not in dec_frame:
-                raise ValueNotInFrame(
-                    f"constraint of {con.decision!r} permits {alt!r} outside the frame"
-                )
-        ordered = tuple(filter(set(allowed).__contains__, dec_frame.labels))
-        if not ordered:
-            error = EmptyConstraintCell(con.decision, cfg)
-            raise _at(f"constraints[{at}].cells[{j}].allow", error)
-        cells[cfg] = ordered
-    return Constraint(con.decision, con.scope, cells)
+    cells = con.cells
+    if not isinstance(cells, _ConstraintCells):
+        cells = _ConstraintCells(con.decision, con.scope, frames, at).feed(cells)
+    configs = iter_configs(con.scope, frames)
+    return Constraint(con.decision, con.scope, dict(zip(configs, cells.values())))
 
 
 def _value_table(
@@ -795,32 +917,18 @@ def _value_table(
     """`vt` as an array over its parents, once every cell is checked; an
     invalid table raises the error of its first bad cell in `cells` order."""
     parents = vt.parents
-    if set(parents) != set(graph_parents):
-        error = InvalidModel(
-            f"value table declares parents {list(parents)}, graph has {list(graph_parents)}"
-        )
-        raise _at("value.parents", error)
-    if len(set(parents)) != len(parents):
-        raise _at("value.parents", InvalidModel("value table repeats a parent"))
-    index = _config_index(parents, vt.cells, frames, "value", value_var)
-    ordered = [0.0] * len(index)
-    for j, (cfg, v) in enumerate(vt.cells.items()):
-        i = index.get(cfg)
-        if i is None:
-            raise _bad_key(
-                cfg, parents, frames,
-                f"value cell key {cfg!r} does not match value parents", "value table",
+    if parents != graph_parents:  # else they are the graph's, and distinct
+        if set(parents) != set(graph_parents):
+            error = InvalidModel(
+                f"value table declares parents {list(parents)}, graph has {list(graph_parents)}"
             )
-        if type(v) is not float:  # the parser gives floats
-            real = _real(v)
-            if real is None:
-                raise InvalidModel(f"value table entry at {cfg!r} is {v!r}, not a number")
-            v = real
-        if not math.isfinite(v):
-            error = NonFiniteValue(f"value table entry at {cfg!r} is {v!r}")
-            raise _at(f"value.cells[{j}].v", error)
-        ordered[i] = v
-    return _factor(parents, frames, np.array(ordered))
+            raise _at("value.parents", error)
+        if len(set(parents)) != len(parents):
+            raise _at("value.parents", InvalidModel("value table repeats a parent"))
+    cells = vt.cells
+    if not isinstance(cells, _ValueCells):
+        cells = _ValueCells(value_var, parents, frames).feed(cells)
+    return _factor(parents, frames, np.fromiter(cells.values(), float))
 
 
 def _label_view(kind: str, table: Factor) -> Cpt | ValueTable:

@@ -39,6 +39,7 @@ from typing import Any, Mapping
 from .errors import ModelError, ModelSyntaxError, SchemaError
 from .model import (
     OBJECTIVES,
+    VALUE,
     ArrowSpec,
     Constraint,
     Cpt,
@@ -46,6 +47,9 @@ from .model import (
     IridModel,
     NodeSpec,
     ValueTable,
+    _ConstraintCells,
+    _CptRows,
+    _ValueCells,
     build_model,
     iter_configs,
 )
@@ -103,6 +107,8 @@ def model_from_document(doc: Any) -> IridModel:
             frame = _wrap(Frame, f"{path}.frame", labels)
         nodes.append(_wrap(NodeSpec, path, nid, kind, frame))
 
+    frames = {n.id: n.frame for n in nodes if n.frame is not None}
+
     arrows = []
     for i, item in enumerate(_req(doc, "arrows", list, "$")):
         path = f"arrows[{i}]"
@@ -117,18 +123,8 @@ def model_from_document(doc: Any) -> IridModel:
         _expect(item, dict, path)
         child = _req(item, "child", str, path)
         parents = _names(_req(item, "parents", list, path), f"{path}.parents")
-        names = set(parents)
-        rows = {}
-        for j, row in enumerate(_req(item, "rows", list, path)):
-            rpath = f"{path}.rows[{j}]"
-            _expect(row, dict, rpath)
-            given = _given(row, parents, names, rpath)
-            p = _req(row, "p", dict, rpath)
-            ppath = f"{rpath}.p"
-            probs = {lab: _number(x, ppath, lab) for lab, x in p.items()}
-            if given in rows:
-                raise SchemaError(f"{rpath}.given", "duplicate row configuration")
-            rows[given] = probs
+        rows = _CptRows(child, parents, frames, i)
+        _walk(rows, _req(item, "rows", list, path), f"{path}.rows", "row", _probabilities)
         cpts.append(Cpt(child, parents, rows))
 
     constraints = []
@@ -137,32 +133,16 @@ def model_from_document(doc: Any) -> IridModel:
         _expect(item, dict, path)
         decision = _req(item, "decision", str, path)
         scope = _names(_req(item, "scope", list, path), f"{path}.scope")
-        names = set(scope)
-        cells = {}
-        for j, cell in enumerate(_req(item, "cells", list, path)):
-            cpath = f"{path}.cells[{j}]"
-            _expect(cell, dict, cpath)
-            given = _given(cell, scope, names, cpath)
-            allow = _names(_req(cell, "allow", list, cpath), f"{cpath}.allow")
-            if given in cells:
-                raise SchemaError(f"{cpath}.given", "duplicate cell configuration")
-            cells[given] = allow
+        cells = _ConstraintCells(decision, scope, frames, i)
+        _walk(cells, _req(item, "cells", list, path), f"{path}.cells", "cell", _allowed)
         constraints.append(Constraint(decision, scope, cells))
 
     vdoc = _req(doc, "value", dict, "$")
     vparents = _names(_req(vdoc, "parents", list, "value"), "value.parents")
-    names = set(vparents)
-    vcells = {}
-    for j, cell in enumerate(_req(vdoc, "cells", list, "value")):
-        cpath = f"value.cells[{j}]"
-        _expect(cell, dict, cpath)
-        given = _given(cell, vparents, names, cpath)
-        if "v" not in cell:
-            raise SchemaError(f"{cpath}.v", "missing")
-        v = _number(cell["v"], cpath, "v")
-        if given in vcells:
-            raise SchemaError(f"{cpath}.given", "duplicate cell configuration")
-        vcells[given] = v
+    # build_model reads the table only once the model has one value node
+    value_var = next((n.id for n in nodes if n.kind == VALUE), None)
+    vcells = _ValueCells(value_var, vparents, frames)
+    _walk(vcells, _req(vdoc, "cells", list, "value"), "value.cells", "cell", _value)
     value = ValueTable(vparents, vcells)
 
     return build_model(nodes, arrows, cpts, constraints, value, objective)
@@ -197,18 +177,75 @@ def _expect(value, typ, path: str):
     return value
 
 
-def _given(obj: Mapping, scope: tuple[str, ...], names: set[str], path: str) -> tuple[str, ...]:
-    """The entry's configuration of `scope`, whose variables are `names`."""
+def _walk(table: _Entries, items: list, path: str, what: str, read) -> None:
+    """Feed `table` each entry of the list `items` at `path`, once its shape
+    is checked: an object whose `given` assigns a string label to each
+    variable of the table's scope and nothing else, and whose payload
+    `read(entry, path, j)` checks and returns.  A schema error is raised as
+    it is met, so they come in document order; `what` names an entry in the
+    error for a second one at a configuration."""
+    scope = table.scope
+    names = set(scope)
+    for j, entry in enumerate(items):
+        given = entry.get("given") if type(entry) is dict else None
+        if type(given) is not dict or given.keys() != names:
+            given = _given(entry, scope, names, f"{path}[{j}]")
+        pos = table.position(given)
+        if pos is None:  # a label outside its frame, or one that is no string
+            for var in scope:
+                if not isinstance(given[var], str):
+                    _expect(given[var], str, f"{path}[{j}].given.{var}")
+            key = tuple(map(given.__getitem__, scope))
+        payload = read(entry, path, j)
+        if pos is None:
+            if key in table.strays:
+                raise SchemaError(f"{path}[{j}].given", f"duplicate {what} configuration")
+            table.stray(j, key)
+        elif pos in table.placed:
+            raise SchemaError(f"{path}[{j}].given", f"duplicate {what} configuration")
+        else:
+            table.add(j, pos, payload)
+
+
+def _given(obj, scope: tuple[str, ...], names: set[str], path: str) -> dict:
+    """The `given` object of the entry `obj`, once it has the variables
+    `names` of `scope`, and no others."""
+    _expect(obj, dict, path)
     given = _req(obj, "given", dict, path)
     if given.keys() != names:
         raise SchemaError(
             f"{path}.given", f"must assign exactly {list(scope)}, got {sorted(given)}"
         )
-    key = tuple(map(given.__getitem__, scope))
-    for var, label in zip(scope, key):
-        if not isinstance(label, str):
-            _expect(label, str, f"{path}.given.{var}")
-    return key
+    return given
+
+
+# the payload of a table entry: the probabilities of a CPT row, the
+# alternatives of a constraint cell and the number of a value cell; each
+# formats the entry's path, `path`[j], only to raise
+
+
+def _probabilities(row: dict, path: str, j: int) -> dict:
+    p = row.get("p")
+    if type(p) is not dict:
+        p = _req(row, "p", dict, f"{path}[{j}]")
+    for lab, x in p.items():
+        if type(x) is not float:
+            _number(x, f"{path}[{j}].p", lab)
+    return p
+
+
+def _allowed(cell: dict, path: str, j: int) -> tuple[str, ...]:
+    cpath = f"{path}[{j}]"
+    return _names(_req(cell, "allow", list, cpath), f"{cpath}.allow")
+
+
+def _value(cell: dict, path: str, j: int):
+    if "v" not in cell:
+        raise SchemaError(f"{path}[{j}].v", "missing")
+    v = cell["v"]
+    if type(v) is not float:
+        _number(v, f"{path}[{j}]", "v")
+    return v
 
 
 def _names(items: list, path: str) -> tuple[str, ...]:

@@ -115,12 +115,10 @@ def exact_expectation(model: IridModel, policies: Mapping[str, Policy]) -> float
 _SUBSCRIPTS = string.ascii_letters
 #: operands per einsum call (numpy 1.x takes 32 arrays, the output included)
 _MAX_OPERANDS = 31
-#: the two-entry axis that stacks the value factor (entry 0) on ones (entry
-#: 1), so one contraction yields the numerator and the normalizer
-_PAIR = ("numerator", "normalizer")
 
-#: a factor or elimination message: its scope and its table over that scope
-_Term = tuple[tuple, np.ndarray]
+#: a factor or elimination message: its scope, as variable numbers, and its
+#: table over that scope
+_Term = tuple[tuple[int, ...], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -162,13 +160,16 @@ def _eliminate(ctx: StageContext) -> _StageTables:
     """Sum the free variables out of the product of the stage's factors, one
     bucket at a time.
 
-    The value factor enters stacked on ones along the `_PAIR` axis, so the
-    product sums to the numerator and the normalizer at once.  Each step
-    takes the free variable whose bucket, the terms holding it, spans the
-    fewest entries (ties to `free_vars` order), multiplies the bucket and
-    sums the variable out in one einsum; the message replaces the bucket.
-    The output table is checked against MAX_CONFIGS before anything is
-    built, and each bucket before it is multiplied.
+    The value factor enters stacked on ones along a two-entry pair axis
+    (entry 0 the value, entry 1 one), so the product sums to the numerator
+    and the normalizer at once.  Each step takes the free variable whose
+    bucket, the terms holding it, spans the fewest entries (ties to
+    `free_vars` order), multiplies the bucket and sums the variable out in
+    one einsum; the message replaces the bucket.  The output table is
+    checked against MAX_CONFIGS before anything is built, and each bucket
+    before it is multiplied.  Variables are numbered in the order the
+    factors first name them, the pair axis last, and a bucket's size is
+    recomputed only when a step changes its variable's neighbours.
     """
     value_factor = ctx.value_factor
     if value_factor is None:
@@ -179,35 +180,43 @@ def _eliminate(ctx: StageContext) -> _StageTables:
         frames.update(zip(f.scope, f.frames))
     free = set(ctx.free_vars)
     outer = tuple((v, fr) for v, fr in frames.items() if v not in free)
-    sizes = {v: len(fr) for v, fr in frames.items()}
-    sizes[_PAIR] = 2
-    out = tuple(v for v, _ in outer) + (_PAIR,)
-    _check_table(math.prod(sizes[v] for v in out))
+    number = {v: i for i, v in enumerate(frames)}
+    sizes = [len(fr.labels) for fr in frames.values()]
+    pair = len(sizes)
+    sizes.append(2)
+    out = tuple(number[v] for v, _ in outer) + (pair,)
+    _check_table(math.prod([sizes[v] for v in out]))
 
     paired = np.empty(value_factor.values.shape + (2,))
     paired[..., 0] = value_factor.values
     paired[..., 1] = 1.0
-    terms: list[_Term] = [(f.scope, f.values) for f in prob]
-    terms.append((value_factor.scope + (_PAIR,), paired))
+    terms: list[_Term] = [(tuple(map(number.__getitem__, f.scope)), f.values) for f in prob]
+    terms.append((tuple(map(number.__getitem__, value_factor.scope)) + (pair,), paired))
     # interaction graph: a bucket spans its variable and that one's neighbours
-    near: dict = {v: set() for v in sizes}
+    near = [set() for _ in sizes]
     for scope, _ in terms:
         for v in scope:
             near[v].update(scope)
-    order = list(ctx.free_vars)
+    order = list(map(number.__getitem__, ctx.free_vars))
+    entries = {x: math.prod([sizes[v] for v in near[x]]) for x in order}
     while order:
-        entries = [math.prod(sizes[v] for v in near[x]) for x in order]
-        x = order.pop(entries.index(min(entries)))
-        _check_table(min(entries))
-        merged = near.pop(x)
+        x = min(order, key=entries.__getitem__)  # the first of the smallest
+        order.remove(x)
+        _check_table(entries.pop(x))
+        merged = near[x]
         merged.discard(x)
         for v in merged:
             near[v] |= merged
             near[v].discard(x)
-        bucket = [t for t in terms if x in t[0]]
-        terms = [t for t in terms if x not in t[0]]
-        scope = tuple(v for v in dict.fromkeys(v for s, _ in bucket for v in s) if v != x)
-        terms.append((scope, _contract(bucket, scope)))
+            if v in entries:
+                entries[v] = math.prod([sizes[u] for u in near[v]])
+        bucket, rest = [], []
+        for term in terms:
+            (bucket if x in term[0] else rest).append(term)
+        names = dict.fromkeys(v for s, _ in bucket for v in s)
+        scope = tuple(v for v in names if v != x)
+        rest.append((scope, _contract(bucket, scope, names)))
+        terms = rest
 
     table = _contract(terms, out)
     return _StageTables(outer, table[..., 0], table[..., 1])
@@ -218,13 +227,15 @@ def _check_table(entries: int) -> None:
         raise BudgetExceeded(f"a {entries}-entry table exceeds {MAX_CONFIGS}")
 
 
-def _contract(terms: list[_Term], out: tuple) -> np.ndarray:
-    """Multiply the terms and sum every variable not in `out`."""
-    while len(terms) > _MAX_OPERANDS:
+def _contract(terms: list[_Term], out: tuple, names: dict | None = None) -> np.ndarray:
+    """Multiply the terms and sum every variable not in `out`; `names`, if
+    given, holds the terms' variables in the order they first appear."""
+    while len(terms) > _MAX_OPERANDS:  # the merged head keeps its variables' order
         head = terms[:_MAX_OPERANDS]
         scope = tuple(dict.fromkeys(v for s, _ in head for v in s))
         terms = [(scope, _contract(head, scope))] + terms[_MAX_OPERANDS:]
-    names = dict.fromkeys(v for s, _ in terms for v in s)
+    if names is None:
+        names = dict.fromkeys(v for s, _ in terms for v in s)
     if len(names) > len(_SUBSCRIPTS):
         raise BudgetExceeded(f"a table over more than {len(_SUBSCRIPTS)} variables")
     letters = dict(zip(names, _SUBSCRIPTS))
