@@ -21,7 +21,8 @@ model/validation error (a model file that cannot be read included), 3 runtime
 error (budget exceeded, impossible conditioning configuration, out of memory,
 with the sampler's run length where it samples), 4 compare only: the
 policies differ, and the sampled ones fall short of the optimum or are too
-large to evaluate by enumeration.
+large to evaluate by enumeration, 5 internal error: an exception no other
+code covers, reported in one line as `internal error: <type>: <message>`.
 """
 
 from __future__ import annotations
@@ -124,6 +125,9 @@ def run_cli(argv=None) -> int:
     except MemoryError:
         print(f"runtime error: out of memory{_run_length(args)}", file=sys.stderr)
         return 3
+    except Exception as e:  # a fault of irid itself, not of the input
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 5
 
 
 def _run_length(args) -> str:

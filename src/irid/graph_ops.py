@@ -94,11 +94,14 @@ class StageContext:
     gamma_prime is the part of the stage's block that is still connected to
     the value node; dependency_set holds the variables outside it (and outside
     the value node) that the stage's decision function must range over.
-    free_vars are gamma_prime minus the decision, in model order (the Gibbs
-    scan order); free_topological is the same set ordered for forward
-    initialization.  cache holds tables an evaluator derives from the context
-    on first use (the exact backend's elimination tables), so they are freed
-    with the context.
+    free_vars are gamma_prime minus the decision, in model order: the
+    sampler's slot order and the order that breaks ties between the exact
+    backend's elimination steps.  free_topological is the same set in
+    topological order, the order in which a forward draw visits its sites.
+    cache holds what an evaluator derives from the context on first use,
+    the sampler's stage compilation (`cache["gibbs"]`) and the exact
+    backend's elimination tables (`cache["exact"]`), so they are freed with
+    the context.
     """
 
     stage: int

@@ -19,8 +19,10 @@ and nothing on the solve path asks for it.
 `build_model` validates a model assembled from outside parts and turns each
 table into its array once; `derived_model` assembles, without checks, one
 that a transformation (barren-node removal, decision absorption) made from a
-validated model, from the parent's arrays and the changed ones.  Models are
-immutable and safe to share across threads.
+validated model, from the parent's arrays and the changed ones.  A table's
+entries have one check, `_Entries`: the model file's parser feeds it as it
+walks the file, and `build_model` feeds it the mappings of the Python API.
+Models are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -690,11 +692,11 @@ class _Entries:
         # each variable with its labels' positions in its frame; one without
         # a frame has none, and build_model rejects such a scope before it
         # reads the entries
-        self.axes = []
+        self._axes = []
         self.size = 1
         for v in scope:
             positions = frames[v]._positions if v in frames else {}
-            self.axes.append((v, positions))
+            self._axes.append((v, positions))
             self.size *= len(positions)
         self.placed: dict[int, object] = {}  # each entry by its position
         self.strays: set = set()  # the keys of entries at no position
@@ -706,7 +708,7 @@ class _Entries:
         frame."""
         pos = 0
         try:
-            for var, positions in self.axes:
+            for var, positions in self._axes:
                 pos = pos * len(positions) + positions[given[var]]
         except (KeyError, TypeError):  # a label outside its frame, or unhashable
             return None
@@ -718,7 +720,7 @@ class _Entries:
         if key is not None:
             return key
         labels = []
-        for _, positions in reversed(self.axes):
+        for _, positions in reversed(self._axes):
             pos, i = divmod(pos, len(positions))
             labels.append(list(positions)[i])
         return tuple(reversed(labels))
@@ -739,7 +741,7 @@ class _Entries:
         if self.fault is not None:
             return
         if type(key) is tuple and len(key) == len(self.scope):
-            for (v, positions), lab in zip(self.axes, key):
+            for (v, positions), lab in zip(self._axes, key):
                 if lab not in positions:
                     self.fault = ValueNotInFrame(
                         f"{lab!r} not in frame of {v!r} ({self.where.format(self.owner)})"

@@ -16,6 +16,16 @@ The model format mirrors the domain types one-to-one:
                   "cells": [{"given": {...}, "v": -2000000}, ...]}
     }
 
+Parsing walks the document once.  Each CPT row, constraint cell and value
+cell is checked once, as the walk reaches it: its shape here, and its
+contents by `irid.model`'s table check, the one a `Cpt`, `Constraint` or
+`ValueTable` from the Python API goes through too, which keeps each entry at
+its row-major place in its table.  The walk hands the checked tables to
+`build_model`, once per document.  Errors come in a fixed order: a schema
+error (a malformed entry) is raised as the walk meets it, so in document
+order; every other error is `build_model`'s, raised in its order, for a
+table after the model's structure is checked.
+
 Parsing reports the offending field path in the error's `field`.  Errors
 from `build_model` name their entry by its position in `build_model`'s
 arguments (see `ModelError.field`); the parser hands it the entries in

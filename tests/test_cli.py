@@ -263,6 +263,20 @@ class TestSolve:
         assert capsys.readouterr().err == message
         assert not out.exists()
 
+    def test_unexpected_exception_is_an_internal_error(
+        self, wildcatter_file, tmp_path, monkeypatch, capsys
+    ):
+        def broken(model, options):
+            raise RuntimeError("solver state lost")
+
+        monkeypatch.setattr(irid.cli, "solve", broken)
+        out = tmp_path / "s.json"
+        assert run_cli(["solve", wildcatter_file, "--backend", "exact", "--out", str(out)]) == 5
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: RuntimeError: solver state lost\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_objective_flag(self, wildcatter_file, tmp_path, capsys):
         out = str(tmp_path / "s.json")
         code = run_cli(

@@ -16,12 +16,15 @@ from irid.errors import (
     EmptyConstraintCell,
     InvalidModel,
     IridError,
+    MissingTableEntry,
     ModelSyntaxError,
     NonFiniteValue,
     SchemaError,
     UnknownVariable,
+    ValueNotInFrame,
 )
 from irid.gibbs import SamplerConfig
+from irid.model import ArrowSpec, Constraint, Cpt, Frame, NodeSpec, ValueTable, build_model
 from irid.modelfile import (
     model_content_hash,
     parse_model,
@@ -267,6 +270,88 @@ class TestParseErrors:
         doc["cpts"][2]["rows"].append(doc["cpts"][2]["rows"][0])
         with pytest.raises(SchemaError):
             parse_model(json.dumps(doc))
+
+
+def _built_from_parts(doc):
+    """`build_model` on the document's parts, made into `Cpt`, `Constraint`
+    and `ValueTable` mappings here, apart from the parser."""
+
+    def cells(entries, scope, field):
+        return {tuple(e["given"][v] for v in scope): e[field] for e in entries}
+
+    nodes = [NodeSpec(n["id"], n["kind"], Frame(n["frame"]) if "frame" in n else None)
+             for n in doc["nodes"]]
+    arrows = [ArrowSpec(a["from"], a["to"], a["kind"]) for a in doc["arrows"]]
+    cpts = [Cpt(c["child"], c["parents"], cells(c["rows"], c["parents"], "p"))
+            for c in doc["cpts"]]
+    constraints = [Constraint(c["decision"], c["scope"], cells(c["cells"], c["scope"], "allow"))
+                   for c in doc["constraints"]]
+    value = ValueTable(doc["value"]["parents"], cells(doc["value"]["cells"],
+                                                      doc["value"]["parents"], "v"))
+    return build_model(nodes, arrows, cpts, constraints, value, doc["objective"])
+
+
+def _error(make) -> tuple:
+    with pytest.raises(IridError) as exc:
+        make()
+    return type(exc.value), str(exc.value), getattr(exc.value, "field", None)
+
+
+class TestOneTableCheck:
+    """A table fault raises the same error, message and field through the
+    model file as through the Python API: both go through one check."""
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (_in_place(lambda doc: doc["cpts"][2]["rows"][0]["p"].update(o=0.23)),
+             CptRowNotNormalized),
+            (_in_place(lambda doc: doc["cpts"][2]["rows"][3]["p"].update(c=1.5, o=-0.5)),
+             CptRowNotNormalized),
+            (_in_place(lambda doc: doc["cpts"][1]["rows"][0]["p"].update(w=-0.0, y=1)),
+             None),
+            (_in_place(lambda doc: doc["cpts"][2]["rows"][4]["given"].update(T="t9")),
+             MissingTableEntry),
+            (_in_place(lambda doc: doc["cpts"][2]["rows"].append(
+                {"given": {"T": "t1", "O": "zz"}, "p": {"o": 1.0, "c": 0.0, "nr": 0.0}})),
+             ValueNotInFrame),
+            (_in_place(lambda doc: doc["cpts"][2]["rows"][1]["p"].update(x=0.0)),
+             ValueNotInFrame),
+            (_in_place(lambda doc: doc["constraints"][1]["cells"][3]["allow"].append("zz")),
+             ValueNotInFrame),
+            (_in_place(lambda doc: doc["cpts"][2]["rows"].pop(4)), MissingTableEntry),
+            (_in_place(lambda doc: doc["constraints"][1]["cells"].pop(2)), MissingTableEntry),
+            (_in_place(lambda doc: doc["value"]["cells"].pop(7)), MissingTableEntry),
+            (_in_place(lambda doc: doc["value"]["cells"][5].update(v=math.nan)), NonFiniteValue),
+            (_in_place(lambda doc: doc["value"]["cells"][2].update(v=-math.inf)), NonFiniteValue),
+            (_in_place(lambda doc: doc["constraints"][1]["cells"][1].update(allow=[])),
+             EmptyConstraintCell),
+            # the first fault in a table's entries wins, and a missing entry
+            # wins over any of them
+            (_in_place(lambda doc: (doc["cpts"][2]["rows"][2]["p"].update(o=0.5),
+                                    doc["cpts"][2]["rows"][1]["p"].update(c=2.0))),
+             CptRowNotNormalized),
+            (_in_place(lambda doc: (doc["cpts"][2]["rows"][0]["p"].update(o=0.5),
+                                    doc["cpts"][2]["rows"].pop(5))),
+             MissingTableEntry),
+        ],
+        ids=[
+            "row sum", "probability outside [0,1]", "integer probabilities",
+            "given label outside its frame", "extra row outside the frames",
+            "probability label outside the frame", "alternative outside the frame",
+            "missing row", "missing constraint cell", "missing value cell",
+            "nan value", "infinite value", "empty constraint cell",
+            "first bad row", "missing row wins",
+        ],
+    )
+    def test_file_and_api_raise_alike(self, wildcatter, edit, error):
+        doc = edit(json.loads(serialize_model(wildcatter)))
+        if error is None:
+            assert parse_model(json.dumps(doc)) == _built_from_parts(doc)
+            return
+        from_file = _error(lambda: parse_model(json.dumps(doc)))
+        assert from_file[0] is error
+        assert _error(lambda: _built_from_parts(doc)) == from_file
 
 
 # --------------------------------------------------------------------------
