@@ -541,9 +541,9 @@ def build_model(
             )
     _check_no_forgetting(dec_order, parents)
 
-    # constraints: normalize, one per decision, auto-fill unconstrained; each
-    # with its position in `constraints`, which an auto-filled one lacks
-    con_map: dict[str, tuple[Constraint, int | None]] = {}
+    # constraints: one per decision, checked with its position in
+    # `constraints`; an unconstrained decision permits its whole frame
+    con_map: dict[str, tuple[Constraint, int]] = {}
     for i, con in enumerate(constraints):
         if con.decision not in known or kinds[con.decision] != DECISION:
             error = UnknownDecision(f"constraint on non-decision {con.decision!r}")
@@ -552,11 +552,10 @@ def build_model(
             error = InvalidModel(f"duplicate constraint for {con.decision!r}")
             raise _at(f"constraints[{i}]", error)
         con_map[con.decision] = con, i
-    for d in dec_order:
-        if d not in con_map:
-            con_map[d] = Constraint(d, (), {(): tuple(frames[d].labels)}), None
     normalized_constraints = tuple(
-        _validate_constraint(*con_map[d], parents[d], frames) for d in dec_order
+        _validate_constraint(*con_map[d], parents[d], frames) if d in con_map
+        else Constraint(d, (), {(): frames[d].labels})
+        for d in dec_order
     )
 
     # arrow kinds follow from node kinds and constraint scopes
@@ -681,11 +680,10 @@ class _Entries:
     an entry (row-major), else the first bad entry in the order fed.
     """
 
-    section = ""
-    #: `where` names the table in the error for a label outside its frame;
-    #: `mismatch` is the error for a key that is no label tuple of the scope
-    where = ""
-    mismatch = ""
+    #: the table's section, and the field of its entries given its position;
+    #: `where` names the table in the error for a label outside its frame,
+    #: and `mismatch` is the error for a key that is no label tuple
+    section = field = where = mismatch = ""
 
     def __init__(self, owner, scope: tuple[str, ...], frames: Mapping[str, Frame], at=None):
         self.owner, self.scope, self.at = owner, scope, at
@@ -752,13 +750,11 @@ class _Entries:
     def feed(self, entries: Mapping) -> _Entries:
         """Feed the label-keyed `entries` of a table from the Python API.
         build_model rejects a scope that repeats a variable first, so a key
-        is a mapping of the scope's variables."""
+        maps each scope variable to one label."""
         n = len(self.scope)
         for j, (key, entry) in enumerate(entries.items()):
-            if isinstance(key, tuple) and len(key) == n:
-                pos = self.position(dict(zip(self.scope, key)))
-            else:
-                pos = None
+            ok = isinstance(key, tuple) and len(key) == n
+            pos = self.position(dict(zip(self.scope, key))) if ok else None
             if pos is None:
                 self.stray(j, key)
             else:
@@ -772,20 +768,16 @@ class _Entries:
         if len(placed) < self.size:
             first = next(i for i in itertools.count() if i not in placed)
             error = MissingTableEntry(self.section, self.owner, self.config(first))
-            raise _at(_ENTRIES[self.section].format(self.at), error)
+            raise _at(self.field.format(self.at), error)
         if self.fault is not None:
             raise self.fault
         return map(placed.__getitem__, range(self.size))
 
 
-#: the field of a table's entries, by section, given the table's position
-_ENTRIES = {"cpt": "cpts[{}].rows", "constraint": "constraints[{}].cells", "value": "value.cells"}
-
-
 class _CptRows(_Entries):
     """A CPT's rows; each is kept as its probabilities in frame order."""
 
-    section = "cpt"
+    section, field = "cpt", "cpts[{}].rows"
     where = "CPT of {!r}"
     mismatch = "CPT row key {!r} does not match parents of {!r}"
 
@@ -825,7 +817,7 @@ class _CptRows(_Entries):
 class _ConstraintCells(_Entries):
     """A constraint's cells; each is kept as its alternatives in frame order."""
 
-    section = "constraint"
+    section, field = "constraint", "constraints[{}].cells"
     where = "constraint of {!r}"
     mismatch = "constraint cell key {!r} does not match scope of {!r}"
 
@@ -849,7 +841,7 @@ class _ConstraintCells(_Entries):
 class _ValueCells(_Entries):
     """The value table's cells; each is kept as a float."""
 
-    section = "value"
+    section, field = "value", "value.cells"
     where = "value table"
     mismatch = "value cell key {!r} does not match value parents"
 
@@ -871,7 +863,8 @@ def _cpt_table(
 ) -> Factor:
     """`cpt`, at position `at` of the CPTs, as an array over (parents...,
     child), once every row is checked; a bad CPT raises the error of its
-    first bad row in `rows` order."""
+    first bad row in `rows` order.  `cpt.rows` is a label-keyed mapping
+    from the Python API, or the `_CptRows` the model file's parser fed."""
     child, parents = cpt.child, cpt.parents
     if parents != graph_parents:  # else they are the graph's, and distinct
         if set(parents) != set(graph_parents):
@@ -886,15 +879,19 @@ def _cpt_table(
     rows = cpt.rows
     if not isinstance(rows, _CptRows):
         rows = _CptRows(child, parents, frames, at).feed(rows)
-    probs = np.fromiter(itertools.chain.from_iterable(rows.values()), float)
-    return _factor(parents + (child,), frames, probs)
+    probs: list[float] = []
+    for row in rows.values():
+        probs += row
+    return _factor(parents + (child,), frames, np.array(probs))
 
 
 def _validate_constraint(
-    con: Constraint, at: int | None, dec_parents: tuple[str, ...], frames: Mapping[str, Frame]
+    con: Constraint, at: int, dec_parents: tuple[str, ...], frames: Mapping[str, Frame]
 ) -> Constraint:
     """`con`, at position `at` of the constraints, once every cell is
-    checked, with each cell's alternatives in frame order."""
+    checked: its cells keyed by the frames' labels in row-major order, each
+    cell's alternatives in frame order.  `con.cells` is a label-keyed
+    mapping, or the `_ConstraintCells` the model file's parser fed."""
     extra = set(con.scope) - set(dec_parents)
     if extra:
         error = ConstraintScopeNotParents(
@@ -917,7 +914,9 @@ def _value_table(
     vt: ValueTable, value_var: str, graph_parents: tuple[str, ...], frames: Mapping[str, Frame]
 ) -> Factor:
     """`vt` as an array over its parents, once every cell is checked; an
-    invalid table raises the error of its first bad cell in `cells` order."""
+    invalid table raises the error of its first bad cell in `cells` order.
+    `vt.cells` is a label-keyed mapping, or the `_ValueCells` the model
+    file's parser fed."""
     parents = vt.parents
     if parents != graph_parents:  # else they are the graph's, and distinct
         if set(parents) != set(graph_parents):

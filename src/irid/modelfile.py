@@ -59,6 +59,7 @@ from .model import (
     ValueTable,
     _ConstraintCells,
     _CptRows,
+    _Entries,
     _ValueCells,
     build_model,
     iter_configs,
