@@ -114,8 +114,8 @@ class Frame:
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._positions[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise ValueNotInFrame(f"{label!r} not in frame {self.labels!r}") from None
 
     def __len__(self) -> int:
