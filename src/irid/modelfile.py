@@ -254,9 +254,7 @@ def _value(cell: dict, path: str, j: int):
     if "v" not in cell:
         raise SchemaError(f"{path}[{j}].v", "missing")
     v = cell["v"]
-    if type(v) is not float:
-        _number(v, f"{path}[{j}]", "v")
-    return v
+    return v if type(v) is float else _number(v, f"{path}[{j}]", "v")
 
 
 def _names(items: list, path: str) -> tuple[str, ...]:
